@@ -12,7 +12,9 @@ Subpackages / modules:
 - ``invariants``   exact (rational) surface invariants of the associated
   fibred surfaces
 - ``homology``     Schreier rewriting and Smith normal form: first homology of
-  finite covers of the configuration space
+  finite covers of the configuration space, by sparse elimination of the
+  unit pivots, certified by one exact product, then a dense SNF of the small
+  residual
 - ``cli``          the ``ddks`` command-line interface
 """
 

@@ -583,7 +583,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--structure", metavar="FILE")
     group.add_argument("--example", action="store_true")
     group.add_argument("--samples", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
 
     p = sub.add_parser("verify-paper", help="run the acceptance checks")
     p.add_argument("--quick", action="store_true")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .group import FiniteGroup, realize
+from .group import FiniteGroup, _coset_cap, realize
 from .presentation import Presentation, parse_presentation
 
 # -- extra-special groups ---------------------------------------------
@@ -679,8 +679,14 @@ def catalog() -> list[tuple[str, Presentation]]:
     return [(label, get_presentation(label)) for label in CATALOG_SOURCES]
 
 
-@lru_cache(maxsize=None)
 def realize_label(label: str, max_cosets: int | None = None) -> FiniteGroup:
+    # the cap (DDK_COSETS when not given) is part of the cache key, so a
+    # later change to the variable is honoured
+    return _realize_label(label, _coset_cap(max_cosets))
+
+
+@lru_cache(maxsize=None)
+def _realize_label(label: str, max_cosets: int) -> FiniteGroup:
     g = realize(get_presentation(label), max_cosets)
     expected = EXPECTED_ORDER[resolve_label(label)]
     if g.order != expected:

@@ -20,6 +20,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import multiprocessing
+import os
+
 import numpy as np
 
 from .group_core import (
@@ -643,7 +645,10 @@ def _worker_run(task):
 
 
 def _default_jobs() -> int:
-    return multiprocessing.cpu_count()
+    """The CPUs this process may run on, not every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def structure_rows(

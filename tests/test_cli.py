@@ -192,6 +192,12 @@ def test_homology_samples(capsys):
     assert d["samples"][0]["torsion"] == [2, 2, 2, 2]
 
 
+def test_homology_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "G(32,49)", "--example", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def test_reports_are_deterministic(capsys):
     _, first = run_cli(capsys, "catalog", "show", "G(32,49)")
     _, second = run_cli(capsys, "catalog", "show", "G(32,49)")

@@ -16,11 +16,13 @@ from ddks.group_core import (
 )
 from ddks.homology import (
     HomologyInvariants,
+    _unit_pivot_residual,
     abelianized_relator_matrix,
     first_homology,
     h1_of_surface,
     orbifold_presentation,
     schreier_transversal,
+    smith_invariants,
     smith_normal_form,
 )
 from ddks.invariants import fibration_data, with_homology
@@ -186,6 +188,85 @@ def test_snf_matches_gcd_of_minors(size):
             assert product == _minor_gcd(A, k)
         if snf.rank < size:
             assert _minor_gcd(A, snf.rank + 1) == 0
+
+
+# ------------------------------------------- unit-pivot reduction oracle
+
+def _dense_oracle(A) -> tuple[int, tuple[int, ...]]:
+    snf = smith_normal_form(A)
+    return snf.rank, snf.invariant_factors
+
+
+def test_reduction_matches_dense_snf_on_random_sparse():
+    rng = random.Random(2)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.15, 0.3, 0.6))
+        A = [
+            [rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        assert smith_invariants(A) == _dense_oracle(A), A
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[0, 0, 0], [0, 0, 0]],
+        [[0, 2, -1, 3, 1]],
+        [[2, 4, 0], [6, -2, 2], [0, 4, 8]],
+        [[2 ** 40, 3], [5, 2 ** 40]],
+    ],
+    ids=["zero", "one-row", "no-unit", "huge"],
+)
+def test_reduction_matches_dense_snf_on_edge_cases(A):
+    assert smith_invariants(A) == _dense_oracle(A)
+
+
+@pytest.mark.parametrize(
+    "A, torsion",
+    [
+        ([[1, 2, 0], [0, 4, 0], [-1, 2, 0]], (4,)),
+        ([[1, 1, 1], [1, 3, 1], [0, 0, 4]], (2, 4)),
+    ],
+)
+def test_reduction_leaves_torsion_to_residual(A, torsion):
+    units, residual = _unit_pivot_residual(np.array(A, dtype=np.int64))
+    assert units >= 1
+    assert smith_normal_form(residual).invariant_factors == torsion
+    got = smith_invariants(A)
+    assert got == _dense_oracle(A)
+    assert got[1][units:] == torsion
+
+
+def _rank_mod2(A: np.ndarray) -> int:
+    M = (A % 2).astype(bool)
+    rank = 0
+    for col in range(M.shape[1]):
+        hits = np.flatnonzero(M[rank:, col])
+        if not len(hits):
+            continue
+        pivot = rank + hits[0]
+        M[[rank, pivot]] = M[[pivot, rank]]
+        others = np.flatnonzero(M[:, col])
+        others = others[others != rank]
+        M[others] ^= M[rank]
+        rank += 1
+        if rank == M.shape[0]:
+            break
+    return rank
+
+
+@pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
+def test_reduction_on_orbifold_matrix(label):
+    g = realize_label(label)
+    p = orbifold_presentation(2, 2)
+    hom = Homomorphism(p, g, example_structure(g).elements)
+    A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    rank, factors = smith_invariants(A)
+    assert (rank, factors) == _dense_oracle(A)
+    even = sum(1 for d in factors if d % 2 == 0)
+    assert rank - _rank_mod2(A) == even == 4
 
 
 # --------------------------------------------------------------- pipeline

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ddks.group_core import (
 from ddks.group_core.catalog import extra_special_text
 from ddks.structures import (
     DDKStructure,
+    _default_jobs,
     Prestructure,
     StructureType,
     all_subgroup_masks,
@@ -370,6 +373,16 @@ def test_structure_rows_determinism_across_jobs():
     assert np.array_equal(
         structure_rows(g, T22, jobs=1), structure_rows(g, T22, jobs=2)
     )
+
+
+def test_default_jobs_follows_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _default_jobs() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_jobs() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _default_jobs() == 1
 
 
 def test_enumerate_structures_stream(H5, rows_cache):
