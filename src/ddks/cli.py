@@ -523,6 +523,9 @@ def _cmd_verify_paper(args) -> tuple[dict, str]:
 
 # ----------------------------------------------------------- entry point
 
+_JOBS_HELP = "accepted for compatibility; has no effect"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddks",
@@ -553,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--limit", type=int, default=10,
                     help="sample size echoed in the report")
-    st.add_argument("--jobs", type=int, default=None)
+    st.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("count", help="count structures by one or both methods")
     count_sub = p.add_subparsers(dest="target", required=True)
@@ -562,12 +565,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--method", choices=("backtrack", "symplectic", "both"),
                     default="both")
     ct.add_argument("--n", type=int, default=2)
-    ct.add_argument("--jobs", type=int, default=None)
+    ct.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("orbits", help="count orbits of the automorphism action")
     p.add_argument("label")
     p.add_argument("--freeness", choices=("sample", "full"), default="sample")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("invariants", help="numeric report for one structure")
     p.add_argument("label")
@@ -586,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the acceptance checks")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     return parser
 
 

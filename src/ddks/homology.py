@@ -321,11 +321,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
             L[i] = -L[i]
 
     factors = tuple(int(M[i, i]) for i in range(rank))
-    assert all(d > 0 for d in factors)
-    assert all(factors[i + 1] % factors[i] == 0 for i in range(rank - 1))
-    assert np.array_equal(_product_check(L, original, R), M.astype(object)), (
-        "transform check failed"
-    )
+    if not all(d > 0 for d in factors):
+        raise AssertionError("invariant factor is not positive")
+    if not all(factors[i + 1] % factors[i] == 0 for i in range(rank - 1)):
+        raise AssertionError("invariant factors do not form a divisibility chain")
+    if not np.array_equal(_product_check(L, original, R), M.astype(object)):
+        raise AssertionError("transform check failed")
     return SmithDecomposition(
         invariant_factors=factors,
         rank=rank,
@@ -436,13 +437,17 @@ def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     pivot_rows = [r for r, _ in pivots]
     pivot_cols = [c for _, c in pivots]
     U = LA[np.ix_(pivot_rows, pivot_cols)]
-    assert all(abs(int(d)) == 1 for d in np.diagonal(U)), "unit pivot check failed"
-    assert not np.tril(U, -1).any(), "pivot block is not triangular"
+    if not all(abs(int(d)) == 1 for d in np.diagonal(U)):
+        raise AssertionError("unit pivot check failed")
+    if np.tril(U, -1).any():
+        raise AssertionError("pivot block is not triangular")
     pivoted = set(pivot_rows)
     survivors = [i for i in range(nrows) if i not in pivoted]
     E = _dense([rows[i] for i in survivors], ncols)
-    assert np.array_equal(LA[survivors], E), "row transform check failed"
-    assert not E[:, pivot_cols].any(), "a pivot column survived"
+    if not np.array_equal(LA[survivors], E):
+        raise AssertionError("row transform check failed")
+    if E[:, pivot_cols].any():
+        raise AssertionError("a pivot column survived")
     pivoted_cols = set(pivot_cols)
     keep_cols = [j for j in range(ncols) if j not in pivoted_cols]
     residual = E[np.ix_((E != 0).any(axis=1), keep_cols)]

@@ -10,17 +10,21 @@ a prestructure is the genus-2 tuple subject to the conjugacy relations
 (R1)-(R10), (T1)-(T10) only, with o(z) >= 2 and no generation requirement.
 
 Relators are oriented as LHS * RHS^-1 for a relation "LHS = RHS".
+
+Genus-2 tuples come from a bitset frontier join (`genus2_rows`): from the
+cells (z, r11), each level assigns one slot (t21, r12, t22, t11, r21, t12,
+r22) to the whole frontier.  Its candidates are the AND of uint64 masks of
+the x with [a, x] = c, [x, b] = c or [x^-1, b] = c, one per relator whose
+other slots are set; R7, S1 and S2 close as filters.  Bits expand in
+ascending order under their parent, so rows come out in depth-first order
+whatever the chunk size.  Callers re-verify every row.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
-
-import multiprocessing
-import os
 
 import numpy as np
 
@@ -403,7 +407,8 @@ def example_structure(G: FiniteGroup, n: int = 2) -> DDKStructure:
 
 def all_subgroup_masks(G: FiniteGroup) -> list[int]:
     """Bitmasks of every subgroup, via incremental generator extension."""
-    assert G.order <= 64, "mask representation requires order <= 64"
+    if G.order > 64:
+        raise ValueError(f"mask representation requires order <= 64, got {G.order}")
     cached = getattr(G, "_subgroup_masks", None)
     if cached is not None:
         return cached
@@ -451,6 +456,8 @@ def generation_mask_filter(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows (tuples of element indices) generate G.
 
     A tuple generates G iff it is not contained in any maximal subgroup.
+    Above order 64 the uint64 masks would wrap; `all_subgroup_masks`
+    raises ValueError there.
     """
     maximal = maximal_subgroup_masks(G)
     masks = np.zeros(len(rows), dtype=np.uint64)
@@ -483,172 +490,186 @@ def bulk_relator_filter(
     return ok
 
 
-# -- backtracking search ----------------------------------------------
+# -- genus-2 search (the bitset frontier join of the module docstring) --
 
-class _Engine:
-    """Precomputed multiplication/commutator tables for the genus-2 search."""
+_R11, _T11, _R12, _T12, _R21, _T21, _R22, _T22, _Z = range(9)
+_LEVEL_SLOTS = (_T21, _R12, _T22, _T11, _R21, _T12, _R22)
+# Rows a chunk of the frontier may expand to before it descends further.
+# Each of the seven levels holds one chunk's arrays (about 33 bytes a row),
+# so this bounds the search's memory; 8192 keeps it under 2 MB.
+_ROW_BUDGET = 1 << 13
 
-    def __init__(self, cayley: list[list[int]], element_order: list[int]):
-        n = len(cayley)
-        self.n = n
-        self.element_order = element_order
-        flat = array("i", [0] * (n * n))
-        for a in range(n):
-            row = cayley[a]
-            base = a * n
-            for b_ in range(n):
-                flat[base + b_] = row[b_]
-        self.mul = flat
-        inv = array("i", [0] * n)
-        for a in range(n):
-            inv[a] = cayley[a].index(0)
-        self.inv = inv
-        comm = array("i", [0] * (n * n))
-        for a in range(n):
-            ia = inv[a]
-            for b_ in range(n):
-                comm[a * n + b_] = flat[flat[flat[a * n + b_] * n + ia] * n + inv[b_]]
-        self.comm = comm
-        # right_sol[a][c] = ascending list of x with [a, x] = c
-        # left_sol[b][c]  = ascending list of x with [x, b] = c
-        right: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-        left: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            base = a * n
-            for b_ in range(n):
-                c = comm[base + b_]
-                right[a][c].append(b_)
-                left[b_][c].append(a)
-        self.right_sol = right
-        self.left_sol = left
+
+class _Tables:
+    """Flat 64 x 64 tables, indexed by `_pair`: products, commutators, and
+    the uint64 masks R[a, c], L[b, c], LI[b, c] of the x with [a, x] = c,
+    [x, b] = c and [x^-1, b] = c.  SEARCH_ORDER_CAP = 64 is what lets one
+    mask hold every element."""
+
+    def __init__(self, G: FiniteGroup):
+        n = G.order
+        if n > SEARCH_ORDER_CAP:
+            raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
+        cayley = np.array(G.cayley, dtype=np.uint8)
+        self.inv = inv = np.array(G.inverse, dtype=np.uint8)
+        a = np.arange(n, dtype=np.uint8)[:, None]
+        x = np.arange(n, dtype=np.uint8)[None, :]
+        comm = cayley[cayley[cayley[a, x], inv[a]], inv[x]]
+        self.mul, self.comm = np.zeros((2, 64 * 64), dtype=np.uint8)
+        self.mul[_pair(a, x)], self.comm[_pair(a, x)] = cayley, comm
+        a, x = np.broadcast_arrays(a, x)
+        self.R = _solution_masks(a, comm[a, x], x)
+        self.L = _solution_masks(x, comm[a, x], a)
+        self.LI = _solution_masks(x, comm[inv[a], x], a)
 
     @staticmethod
-    def for_group(G: FiniteGroup) -> "_Engine":
-        cached = getattr(G, "_search_engine", None)
-        if cached is None:
-            cached = _Engine(G.cayley, list(G.element_order))
-            G._search_engine = cached
-        return cached
+    def for_group(G: FiniteGroup) -> "_Tables":
+        if getattr(G, "_search_tables", None) is None:
+            G._search_tables = _Tables(G)
+        return G._search_tables
+
+    def prod(self, *factors: np.ndarray) -> np.ndarray:
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = _at(self.mul, acc, f)
+        return acc
 
 
-def _dfs_genus2(
-    eng: _Engine, z: int, r11: int, structure_mode: bool
-) -> Iterator[tuple[int, ...]]:
-    """All genus-2 tuples with the given z, r11 satisfying the conjugacy
-    relations (and, in structure mode, the surface relations).
-
-    Variable order: t21 by (R4), r12 by (R9), t22 by (R8), t11 by (T5),
-    r21 by (T2), t12 by (T10), r22 by (T6); every other relation is
-    applied as soon as its variables are assigned.
-    """
-    n = eng.n
-    mul = eng.mul
-    inv = eng.inv
-    comm = eng.comm
-    right = eng.right_sol
-    left = eng.left_sol
-    iz = inv[z]
-    comm_r11_z = comm[r11 * n + z]
-    for t21 in right[r11][iz]:                        # R4: [r11, t21] = z^-1
-        it21 = inv[t21]
-        c_t9_51 = comm[iz * n + t21]                  # R9 rhs: [z^-1, t21]
-        c4 = comm[it21 * n + z]                       # T4/T5 rhs: [t21^-1, z]
-        c2 = mul[mul[it21 * n + z] * n + t21]         # T2 rhs: t21^-1 z t21
-        for r12 in left[t21][c_t9_51]:                # R9: [r12, t21] = [z^-1, t21]
-            for t22 in right[r12][iz]:                # R8: [r12, t22] = z^-1
-                if comm[r11 * n + t22]:               # R3: [r11, t22] = 1
-                    continue
-                it22 = inv[t22]
-                c10 = comm[it22 * n + z]              # T7/T8/T10 rhs: [t22^-1, z]
-                # T9 rhs: t22^-1 z t22 z^-1 t21 z t22^-1 z^-1 t22 t21^-1
-                v = mul[mul[it22 * n + z] * n + t22]
-                v = mul[mul[mul[v * n + iz] * n + t21] * n + z]
-                v = mul[mul[mul[v * n + it22] * n + iz] * n + t22]
-                t9_rhs = mul[v * n + it21]
-                c6 = mul[mul[it22 * n + z] * n + t22]  # T6 rhs: t22^-1 z t22
-                for t11 in left[z][c4]:               # T5: [t11, z] = [t21^-1, z]
-                    if comm[t11 * n + t22]:           # T3: [t11, t22] = 1
-                        continue
-                    if comm[t11 * n + t21] != c4:     # T4: [t11, t21] = [t21^-1, z]
-                        continue
-                    if structure_mode:
-                        # S1 partial: B = [r11^-1, t11^-1]
-                        s1_mid = comm[inv[r11] * n + inv[t11]]
-                    for r21 in right[t11][c2]:        # T2: [t11, r21] = t21^-1 z t21
-                        if comm[r11 * n + r21]:       # R2: [r11, r21] = 1
-                            continue
-                        ir21 = inv[r21]
-                        if comm_r11_z != comm[ir21 * n + z]:  # R5
-                            continue
-                        c_s2 = comm[ir21 * n + t21]   # S2 prefix: [r21^-1, t21]
-                        for t12 in left[z][c10]:      # T10: [t12, z] = [t22^-1, z]
-                            if comm[t12 * n + r21] != c10:    # T7
-                                continue
-                            if comm[t12 * n + t22] != c10:    # T8
-                                continue
-                            if comm[t12 * n + t21] != t9_rhs:  # T9
-                                continue
-                            it12 = inv[t12]
-                            if structure_mode:
-                                # S1: [r12^-1, t12^-1] t12^-1 [r11^-1, t11^-1] t12 = z
-                                v = comm[inv[r12] * n + it12]
-                                v = mul[mul[mul[v * n + it12] * n + s1_mid] * n + t12]
-                                if v != z:
-                                    continue
-                            for r22 in right[t12][c6]:  # T6: [t12, r22] = t22^-1 z t22
-                                if comm[r11 * n + r22]:        # R1
-                                    continue
-                                if comm[r12 * n + r22]:        # R6
-                                    continue
-                                if comm[t11 * n + r22]:        # T1
-                                    continue
-                                ir22 = inv[r22]
-                                # R7: [r12, r21] = z^-1 r21 r22^-1 z r22 r21^-1
-                                v = mul[mul[iz * n + r21] * n + ir22]
-                                v = mul[mul[mul[v * n + z] * n + r22] * n + ir21]
-                                if comm[r12 * n + r21] != v:
-                                    continue
-                                if comm[r12 * n + z] != comm[ir22 * n + z]:  # R10
-                                    continue
-                                if structure_mode:
-                                    # S2: [r21^-1, t21] t21 [r22^-1, t22] t21^-1 = z^-1
-                                    v = mul[mul[mul[c_s2 * n + t21] * n + comm[ir22 * n + t22]] * n + it21]
-                                    if v != iz:
-                                        continue
-                                yield (r11, t11, r12, t12, r21, t21, r22, t22, z)
+def _pair(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+    return (a.astype(np.uint16) << 6) | b
 
 
-def _z_candidates_structures(G: FiniteGroup, n: int) -> list[int]:
-    return [x for x in G.elements() if G.element_order[x] == n]
+def _solution_masks(key: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The flat table whose entry at _pair(key, c) has bit x set."""
+    out = np.zeros(64 * 64, dtype=np.uint64)
+    np.bitwise_or.at(out, _pair(key, c), np.uint64(1) << x.astype(np.uint64))
+    return out
 
 
-def _z_candidates_prestructures(G: FiniteGroup) -> list[int]:
-    return [x for x in G.elements() if G.element_order[x] >= 2]
+def _at(table: np.ndarray, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+    """table[a, b] for a flat 64 x 64 table."""
+    return np.take(table, _pair(a, b))
 
 
-# worker plumbing for parallel enumeration ---------------------------
+def _candidate_masks(tab: _Tables, slot: int, f: np.ndarray) -> np.ndarray:
+    """The bitmask of admissible values of `slot` for each frontier column."""
+    R, L, LI, comm, inv = tab.R, tab.L, tab.LI, tab.comm, tab.inv
+    r11, t11, r12, r21, t21, t22, z = f[_R11], f[_T11], f[_R12], f[_R21], f[_T21], f[_T22], f[_Z]
+    if slot == _T21:
+        return _at(R, r11, inv[z])                              # R4
+    if slot == _R12:
+        return _at(L, t21, _at(comm, inv[z], t21))              # R9
+    if slot == _T22:
+        return _at(R, r12, inv[z]) & _at(R, r11, 0)             # R8, R3
+    if slot == _T11:
+        c4 = _at(comm, inv[t21], z)
+        return _at(L, z, c4) & _at(L, t22, 0) & _at(L, t21, c4)  # T5, T3, T4
+    if slot == _R21:
+        c2 = tab.prod(inv[t21], z, t21)
+        return (_at(R, t11, c2) & _at(R, r11, 0)                # T2, R2
+                & _at(LI, z, _at(comm, r11, z)))                # R5
+    if slot == _T12:
+        c10 = _at(comm, inv[t22], z)
+        t9 = tab.prod(inv[t22], z, t22, inv[z], t21, z, inv[t22], inv[z], t22, inv[t21])
+        return (_at(L, z, c10) & _at(L, r21, c10) & _at(L, t22, c10)  # T10, T7, T8
+                & _at(L, t21, t9))                              # T9
+    c6 = tab.prod(inv[t22], z, t22)
+    return (_at(R, f[_T12], c6) & _at(R, r11, 0) & _at(R, r12, 0)  # T6, R1, R6
+            & _at(R, t11, 0) & _at(LI, z, _at(comm, r12, z)))   # T1, R10
 
-_WORKER_ENGINE: _Engine | None = None
+
+def _level_filter(
+    tab: _Tables, slot: int, f: np.ndarray, structure_mode: bool
+) -> np.ndarray | None:
+    """The relators that close at `slot` but are not of solvable form."""
+    comm, inv = tab.comm, tab.inv
+    r11, t11, r12, t12, r21, t21, r22, t22, z = f
+    if slot == _T12 and structure_mode:
+        # S1: [r12^-1, t12^-1] t12^-1 [r11^-1, t11^-1] t12 = z
+        s1 = tab.prod(_at(comm, inv[r12], inv[t12]), inv[t12], _at(comm, inv[r11], inv[t11]), t12)
+        return s1 == z
+    if slot == _R22:
+        # R7: [r12, r21] = z^-1 r21 r22^-1 z r22 r21^-1
+        ok = _at(comm, r12, r21) == tab.prod(inv[z], r21, inv[r22], z, r22, inv[r21])
+        if structure_mode:
+            # S2: [r21^-1, t21] t21 [r22^-1, t22] t21^-1 = z^-1
+            s2 = tab.prod(_at(comm, inv[r21], t21), t21, _at(comm, inv[r22], t22), inv[t21])
+            ok &= s2 == inv[z]
+        return ok
+    return None
 
 
-def _worker_init(cayley, element_order):
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = _Engine(cayley, element_order)
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 (SWAR; np.bitwise_count needs numpy 2)."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(np.intp)
 
 
-def _worker_run(task):
-    z, r11, structure_mode = task
-    out = array("B")
-    for row in _dfs_genus2(_WORKER_ENGINE, z, r11, structure_mode):
-        out.extend(row)
-    return out.tobytes()
+def _expand(f: np.ndarray, masks: np.ndarray, counts: np.ndarray, slot: int) -> np.ndarray:
+    """One child per set bit, ascending within each parent, parents in order."""
+    octets = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+    child = np.repeat(f, counts, axis=1)
+    child[slot] = np.flatnonzero(bits) & 63
+    return child
 
 
-def _default_jobs() -> int:
-    """The CPUs this process may run on, not every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _descend(tab: _Tables, f: np.ndarray, level: int, structure_mode: bool) -> Iterator[np.ndarray]:
+    if level == len(_LEVEL_SLOTS):
+        yield f
+        return
+    slot = _LEVEL_SLOTS[level]
+    masks = _candidate_masks(tab, slot, f)
+    live = masks != 0
+    f, masks = f[:, live], masks[live]
+    counts = _popcount(masks)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(masks):
+        done = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, done + _ROW_BUDGET, side="right")), start + 1)
+        child = _expand(f[:, start:stop], masks[start:stop], counts[start:stop], slot)
+        ok = _level_filter(tab, slot, child, structure_mode)
+        if ok is not None:
+            child = child[:, ok]
+        if child.shape[1]:
+            yield from _descend(tab, child, level + 1, structure_mode)
+        start = stop
+
+
+def _genus2_blocks(
+    G: FiniteGroup, cells: Iterable[tuple[int, int]], structure_mode: bool
+) -> Iterator[np.ndarray]:
+    """The search output as consecutive (9, k) uint8 blocks, a row per column."""
+    tab = _Tables.for_group(G)
+    cells = np.array(list(cells), dtype=np.uint8).reshape(-1, 2)
+    f = np.zeros((9, len(cells)), dtype=np.uint8)
+    f[_Z], f[_R11] = cells[:, 0], cells[:, 1]
+    yield from _descend(tab, f, 0, structure_mode)
+
+
+def genus2_rows(
+    G: FiniteGroup, cells: Iterable[tuple[int, int]], structure_mode: bool
+) -> np.ndarray:
+    """The (k, 9) uint8 rows with (z, r11) in `cells` that satisfy (R1)-(R10),
+    (T1)-(T10), and in structure mode (S1), (S2); ordered by cell as given,
+    then by t21, r12, t22, t11, r21, t12, r22."""
+    # One growing buffer, returned as a view without a final copy: keeping
+    # the many small blocks for a concatenate, or copying the result, left
+    # a fuller heap and a higher peak RSS in the enumeration that follows.
+    out = np.empty((_ROW_BUDGET, 9), dtype=np.uint8)
+    k = 0
+    for block in _genus2_blocks(G, cells, structure_mode):
+        m = block.shape[1]
+        if k + m > len(out):
+            grown = np.empty((2 * (k + m), 9), dtype=np.uint8)
+            grown[:k] = out[:k]
+            out = grown
+        out[k:k + m] = block.T
+        k += m
+    return out[:k]
 
 
 def structure_rows(
@@ -658,36 +679,13 @@ def structure_rows(
     sorted; every row is re-verified against the full relation system.
 
     Raises for b != 2 (enumeration is genus-2 only) and for groups above
-    the search cap.
+    the search cap.  `jobs` is accepted for compatibility and has no
+    effect: the search is one vectorized pass.
     """
     if t.b != 2:
         raise ValueError("enumeration supports b = 2 only")
-    if G.order > SEARCH_ORDER_CAP:
-        raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-    if jobs is None:
-        jobs = _default_jobs()
-    tasks = [
-        (z, r11, True)
-        for z in _z_candidates_structures(G, t.n)
-        for r11 in range(G.order)
-    ]
-    chunks: list[bytes] = []
-    if jobs <= 1 or len(tasks) < 8:
-        eng = _Engine.for_group(G)
-        for task in tasks:
-            out = array("B")
-            for row in _dfs_genus2(eng, task[0], task[1], True):
-                out.extend(row)
-            chunks.append(out.tobytes())
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            jobs, initializer=_worker_init,
-            initargs=(G.cayley, list(G.element_order)),
-        ) as pool:
-            chunks = pool.map(_worker_run, tasks, chunksize=8)
-    blob = b"".join(chunks)
-    rows = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 9).copy()
+    zs = [x for x in G.elements() if G.element_order[x] == t.n]
+    rows = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], True)
     if len(rows):
         rows = rows[np.lexsort(rows.T[::-1])]
     # soundness: the backtracker's output is re-checked against the
@@ -757,6 +755,7 @@ def prestructure_search_info(G: FiniteGroup, mode: str = "auto") -> Prestructure
         raise ValueError(f"unknown search mode {mode!r}")
     if mode == "auto":
         mode = "full" if G.order <= 24 else "socle"
+    evidence = None
     if mode == "socle":
         evidence = _shortcut_evidence(G)
         if evidence.all_empty:
@@ -764,12 +763,8 @@ def prestructure_search_info(G: FiniteGroup, mode: str = "auto") -> Prestructure
             zs = tuple(x for x in soc if G.element_order[x] >= 2)
             return PrestructureSearchInfo("socle", zs, evidence)
         # hypothesis failed: the restriction would be unsound
-        return PrestructureSearchInfo(
-            "full", tuple(_z_candidates_prestructures(G)), evidence
-        )
-    return PrestructureSearchInfo(
-        "full", tuple(_z_candidates_prestructures(G)), None
-    )
+    zs = tuple(x for x in G.elements() if G.element_order[x] >= 2)
+    return PrestructureSearchInfo("full", zs, evidence)
 
 
 def iter_prestructure_tuples(
@@ -782,8 +777,12 @@ def iter_prestructure_tuples(
     """
     if G.order > SEARCH_ORDER_CAP:
         raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-    info = prestructure_search_info(G, mode)
-    eng = _Engine.for_group(G)
+    yield from _prestructure_stream(G, prestructure_search_info(G, mode))
+
+
+def _prestructure_stream(
+    G: FiniteGroup, info: PrestructureSearchInfo
+) -> Iterator[tuple[int, ...]]:
     rels = [w for _, w in prestructure_relations()]
     batch: list[tuple[int, ...]] = []
 
@@ -798,12 +797,12 @@ def iter_prestructure_tuples(
             yield row
         batch.clear()
 
-    for z in info.z_candidates:
-        for r11 in range(G.order):
-            for row in _dfs_genus2(eng, z, r11, False):
-                batch.append(row)
-                if len(batch) >= 65536:
-                    yield from flush()
+    cells = ((z, r11) for z in info.z_candidates for r11 in range(G.order))
+    for block in _genus2_blocks(G, cells, False):
+        for row in map(tuple, block.T.tolist()):
+            batch.append(row)
+            if len(batch) >= 65536:
+                yield from flush()
     yield from flush()
 
 
@@ -863,7 +862,7 @@ def prestructure_report(
     info = prestructure_search_info(G, mode)
     count = 0
     sample: list[tuple[int, ...]] = []
-    for row in iter_prestructure_tuples(G, mode):
+    for row in _prestructure_stream(G, info):
         count += 1
         if len(sample) < sample_limit:
             sample.append(row)

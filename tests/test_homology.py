@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 from sympy import Matrix
 
+import ddks
 from ddks.group_core import (
     Homomorphism,
     Presentation,
@@ -255,6 +259,41 @@ def _rank_mod2(A: np.ndarray) -> int:
         if rank == M.shape[0]:
             break
     return rank
+
+
+TAMPERED_ELIMINATION = """
+import sys
+import ddks.homology as h
+
+assert sys.flags.optimize, "run under python -O"
+real = h._eliminate_unit_pivots
+
+
+def tampered(A):
+    rows, transform, pivots = real(A)
+    pivoted = {r for r, _ in pivots}
+    s = min(i for i in range(len(rows)) if i not in pivoted)
+    rows[s][1] = rows[s].get(1, 0) + 1
+    return rows, transform, pivots
+
+
+h._eliminate_unit_pivots = tampered
+try:
+    h.smith_invariants([[1, 0], [0, 2], [0, 4]])
+except AssertionError as e:
+    print(e)
+    sys.exit(3)
+"""
+
+
+def test_unit_pivot_certificate_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddks.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_ELIMINATION],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout.strip() == "row transform check failed"
 
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])

@@ -1,4 +1,4 @@
-import os
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,10 +11,10 @@ from ddks.group_core import (
     realize,
     realize_label,
 )
+from ddks.automorphisms import automorphism_group
 from ddks.group_core.catalog import extra_special_text
 from ddks.structures import (
     DDKStructure,
-    _default_jobs,
     Prestructure,
     StructureType,
     all_subgroup_masks,
@@ -25,6 +25,7 @@ from ddks.structures import (
     enumerate_structures,
     example_structure,
     generation_mask_filter,
+    genus2_rows,
     iter_prestructure_tuples,
     k_subgroups,
     labeled_relations_for_type,
@@ -242,6 +243,24 @@ def test_subgroup_mask_counts():
     assert len(maximal_subgroup_masks(q8)) == 3
 
 
+def cyclic(order: int) -> FiniteGroup:
+    return realize(parse_presentation(f"gens: x\nrel: x^{order}"))
+
+
+def test_caps_raise_value_errors():
+    z65 = cyclic(65)
+    with pytest.raises(ValueError, match="search cap"):
+        structure_rows(z65, T22)
+    with pytest.raises(ValueError, match="search cap"):
+        list(iter_prestructure_tuples(z65, mode="full"))
+    with pytest.raises(ValueError, match="order <= 64"):
+        generation_mask_filter(z65, np.zeros((1, 9), dtype=np.uint8))
+    with pytest.raises(ValueError, match="order <= 64"):
+        maximal_subgroup_masks(z65)
+    with pytest.raises(ValueError, match="automorphism search cap"):
+        automorphism_group(cyclic(33), parse_presentation("gens: x\nrel: x^33"))
+
+
 def test_generation_mask_filter_cyclic():
     z6 = realize(parse_presentation("gens: x\nrel: x^6"))
     rows = np.array([[g] for g in range(6)], dtype=np.uint8)
@@ -288,12 +307,21 @@ def oracle_prestructures(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def dfs_key(z_candidates):
+    """The order of a depth-first search: z candidate, r11, then the
+    search's variable order t21, r12, t22, t11, r21, t12, r22."""
+    zpos = {z: i for i, z in enumerate(z_candidates)}
+    return lambda row: (zpos[row[8]], row[0], row[5], row[2], row[7], row[1], row[4], row[3], row[6])
+
+
 @pytest.mark.parametrize("variant", ["H", "G"])
 def test_prestructures_dual_route_order8(variant):
     G = small_group(variant)
     expected = oracle_prestructures(G)
-    got = sorted(iter_prestructure_tuples(G, mode="full"))
-    assert got == expected
+    stream = list(iter_prestructure_tuples(G, mode="full"))
+    zs = prestructure_search_info(G, mode="full").z_candidates
+    assert stream == sorted(stream, key=dfs_key(zs))
+    assert sorted(stream) == expected
     # the socle shortcut must reproduce the same set
     assert sorted(iter_prestructure_tuples(G, mode="socle")) == expected
     info = prestructure_search_info(G, mode="socle")
@@ -338,18 +366,65 @@ def test_no_structures_below_order_32():
 
 
 def test_structure_cell_contains_example(H5):
-    from ddks.structures import _Engine, _dfs_genus2
-
     s = example_structure(H5)
-    eng = _Engine.for_group(H5)
-    rows = list(_dfs_genus2(eng, s.z, s.elements[0], True))
-    assert s.elements in rows
-    arr = np.array(rows, dtype=np.uint8)
+    arr = genus2_rows(H5, [(s.z, s.elements[0])], True)
+    assert arr.dtype == np.uint8 and arr.shape[1] == 9
+    assert s.elements in set(map(tuple, arr.tolist()))
     assert bulk_relator_filter(H5, arr, relations_for_type(T22)).all()
     assert generation_mask_filter(H5, arr).all()
     # in a group whose commutator subgroup is generated by z, every
     # structure's z slot is forced to the central involution
     assert (arr[:, -1] == s.z).all()
+
+
+def test_prestructure_stream_prefix_in_dfs_order(H5):
+    stream = list(islice(iter_prestructure_tuples(H5, mode="full"), 70000))
+    assert len(stream) == 70000
+    zs = prestructure_search_info(H5, mode="full").z_candidates
+    assert stream == sorted(set(stream), key=dfs_key(zs))
+    assert all(verify_prestructure(H5, row)[0] for row in stream[::997])
+
+
+def test_cell_rows_match_structure_rows(H5, rows_cache):
+    s = example_structure(H5)
+    cell = genus2_rows(H5, [(s.z, s.elements[0])], True)
+    rows = rows_cache.backtrack("G(32,49)")
+    mine = rows[(rows[:, 8] == s.z) & (rows[:, 0] == s.elements[0])]
+    assert len(cell) == len(mine) > 0
+    assert np.array_equal(cell[np.lexsort(cell.T[::-1])], mine)
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+@pytest.mark.parametrize("label", ["H", "G", "S4"])
+def test_row_budget_does_not_change_output_small(monkeypatch, label, budget):
+    G = small_group(label) if len(label) == 1 else realize_label(label)
+    cells = [(z, r11) for z in range(1, G.order) for r11 in range(G.order)]
+    expected = {mode: genus2_rows(G, cells, mode) for mode in (True, False)}
+    monkeypatch.setattr("ddks.structures._ROW_BUDGET", budget)
+    for mode in (True, False):
+        got = genus2_rows(G, cells, mode)
+        assert got.dtype == np.uint8 and got.tobytes() == expected[mode].tobytes()
+
+
+@pytest.mark.parametrize("structure_mode", [True, False])
+def test_row_budget_does_not_change_output_order32(monkeypatch, H5, structure_mode):
+    s = example_structure(H5)
+    cells = [(s.z, s.elements[0])]
+    expected = genus2_rows(H5, cells, structure_mode)
+    assert len(expected) > 0
+    monkeypatch.setattr("ddks.structures._ROW_BUDGET", 97)
+    got = genus2_rows(H5, cells, structure_mode)
+    assert got.dtype == np.uint8 and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("label", ["Z4", "S4"])
+def test_search_empties_mid_way(label):
+    G = cyclic(4) if label == "Z4" else realize_label(label)
+    cells = [(z, r11) for z in range(1, G.order) for r11 in range(G.order)]
+    for mode in (True, False):
+        rows = genus2_rows(G, cells, mode)
+        assert rows.dtype == np.uint8 and rows.shape == (0, 9)
+    assert genus2_rows(G, [], True).shape == (0, 9)
 
 
 def test_full_vs_simplified_on_class_two(H5):
@@ -373,16 +448,6 @@ def test_structure_rows_determinism_across_jobs():
     assert np.array_equal(
         structure_rows(g, T22, jobs=1), structure_rows(g, T22, jobs=2)
     )
-
-
-def test_default_jobs_follows_affinity(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert _default_jobs() == 3
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert _default_jobs() == 64
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _default_jobs() == 1
 
 
 def test_enumerate_structures_stream(H5, rows_cache):
