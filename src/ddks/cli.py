@@ -123,15 +123,11 @@ def _structure_for_args(args, G: FiniteGroup) -> DDKStructure:
     return example_structure(G)
 
 
-def _order32_rows(
-    context: dict, label: str, jobs: int | None, prefer: str
-) -> np.ndarray:
+def _order32_rows(context: dict, label: str, prefer: str) -> np.ndarray:
     """Canonical sorted row array for an order-32 group, cached per run."""
     cell = context.setdefault(label, {})
     if prefer == "backtrack" and "backtrack" not in cell:
-        cell["backtrack"] = structure_rows(
-            realize_label(label), StructureType(2, 2), jobs=jobs
-        )
+        cell["backtrack"] = structure_rows(realize_label(label), StructureType(2, 2))
     if prefer == "symplectic" and "symplectic" not in cell:
         cell["symplectic"] = symplectic_structure_rows(realize_label(label))
     for key in (prefer, "backtrack", "symplectic"):
@@ -205,9 +201,7 @@ def _cmd_search_prestructures(args) -> tuple[dict, str]:
 
 def _cmd_search_structures(args) -> tuple[dict, str]:
     label = resolve_label(args.label)
-    rows = structure_rows(
-        realize_label(label), StructureType(args.b, args.n), jobs=args.jobs
-    )
+    rows = structure_rows(realize_label(label), StructureType(args.b, args.n))
     return {
         "label": args.label,
         "b": args.b,
@@ -223,7 +217,7 @@ def _cmd_count_structures(args) -> tuple[dict, str]:
     results: dict = {}
     rows_bt = rows_sp = None
     if args.method in ("backtrack", "both"):
-        rows_bt = structure_rows(g, StructureType(2, args.n), jobs=args.jobs)
+        rows_bt = structure_rows(g, StructureType(2, args.n))
         results["backtrack"] = int(len(rows_bt))
     if args.method in ("symplectic", "both"):
         if args.n != 2:
@@ -238,7 +232,7 @@ def _cmd_count_structures(args) -> tuple[dict, str]:
 def _cmd_orbits(args) -> tuple[dict, str]:
     label = resolve_label(args.label)
     g = realize_label(label)
-    rows = structure_rows(g, StructureType(2, 2), jobs=args.jobs)
+    rows = structure_rows(g, StructureType(2, 2))
     auts = automorphism_group(g, get_presentation(label))
     orbits = orbit_count(g, rows, auts, freeness=args.freeness)
     return {
@@ -288,7 +282,7 @@ def _cmd_homology(args) -> tuple[dict, str]:
 
 # ----------------------------------------------------- paper verification
 
-def _check_catalog(context, quick, jobs):
+def _check_catalog(context, quick):
     for label in catalog_labels():
         g = realize_label(label)
         if g.order != EXPECTED_ORDER[label]:
@@ -320,13 +314,13 @@ def _check_catalog(context, quick, jobs):
     }
 
 
-def _check_cct(context, quick, jobs):
+def _check_cct(context, quick):
     non_cct = [l for l in catalog_labels() if not realize_label(l).is_cct()]
     ok = sorted(non_cct) == sorted(NON_CCT_LABELS)
     return ok, {"non_cct": non_cct}
 
 
-def _check_prestructures(context, quick, jobs):
+def _check_prestructures(context, quick):
     counts, modes = {}, {}
     for label in PRESTRUCTURE_FREE_LABELS:
         report = prestructure_report(realize_label(label), mode="auto")
@@ -336,19 +330,19 @@ def _check_prestructures(context, quick, jobs):
     return ok, {"counts": counts, "modes": modes}
 
 
-def _check_structure_count(context, quick, jobs):
+def _check_structure_count(context, quick):
     details: dict = {"mode": "quick" if quick else "full", "counts": {}}
     relators = relations_for_type(StructureType(2, 2))
     for label in ("G(32,49)", "G(32,50)"):
         g = realize_label(label)
-        rows_sp = _order32_rows(context, label, jobs, "symplectic")
+        rows_sp = _order32_rows(context, label, "symplectic")
         if len(rows_sp) != EXPECTED_STRUCTURES:
             return False, {"label": label, "symplectic": int(len(rows_sp))}
         if quick:
             rows = rows_sp[_sample_indices(len(rows_sp), 10000)]
             verified = "sample-10000"
         else:
-            rows_bt = _order32_rows(context, label, jobs, "backtrack")
+            rows_bt = _order32_rows(context, label, "backtrack")
             if not np.array_equal(rows_bt, rows_sp):
                 return False, {"label": label, "sets_agree": False}
             rows = rows_bt
@@ -371,7 +365,7 @@ def _check_structure_count(context, quick, jobs):
     return details["sigma"] == 16, details
 
 
-def _check_orbits(context, quick, jobs):
+def _check_orbits(context, quick):
     expected = {"G(32,49)": (1152, 1, 1920), "G(32,50)": (1920, -1, 1152)}
     details = {}
     for label, (aut, eps, orbits) in expected.items():
@@ -381,7 +375,7 @@ def _check_orbits(context, quick, jobs):
             return False, {"label": label, "aut_order": len(auts)}
         if len(inner_automorphisms(g)) != 16:
             return False, {"label": label, "inner": "not 16"}
-        rows = _order32_rows(context, label, jobs, "symplectic")
+        rows = _order32_rows(context, label, "symplectic")
         got = orbit_count(g, rows, auts, freeness="sample", sample_size=1000)
         if got != orbits:
             return False, {"label": label, "orbits": int(got)}
@@ -389,7 +383,7 @@ def _check_orbits(context, quick, jobs):
     return True, details
 
 
-def _check_invariants(context, quick, jobs):
+def _check_invariants(context, quick):
     for label in ("G(32,49)", "G(32,50)"):
         g = realize_label(label)
         report = report_to_dict(fibration_data(g, example_structure(g)))
@@ -415,7 +409,7 @@ def _check_invariants(context, quick, jobs):
     }
 
 
-def _check_homology(context, quick, jobs):
+def _check_homology(context, quick):
     per_group = 2 if quick else 10
     expected = {"free_rank": 8, "torsion": [2, 2, 2, 2], "maximal": True}
     details = {"random_structures_per_group": per_group}
@@ -423,7 +417,7 @@ def _check_homology(context, quick, jobs):
         g = realize_label(label)
         if _h1_dict(g, example_structure(g)) != expected:
             return False, {"label": label, "structure": "example"}
-        rows = _order32_rows(context, label, jobs, "symplectic")
+        rows = _order32_rows(context, label, "symplectic")
         for i in _sample_indices(len(rows), per_group):
             s = DDKStructure(g, StructureType(2, 2), tuple(int(v) for v in rows[i]))
             if _h1_dict(g, s) != expected:
@@ -450,7 +444,7 @@ def _minor_gcd_matches(matrix, factors, rank) -> bool:
     return True
 
 
-def _check_property_suites(context, quick, jobs):
+def _check_property_suites(context, quick):
     n_matrices = 100 if quick else 500
     rng = random.Random(0)
     for _ in range(n_matrices):
@@ -506,7 +500,7 @@ def _cmd_verify_paper(args) -> tuple[dict, str]:
     sys.stderr.write(f"{'criterion':34s} {'status':8s} seconds\n")
     for name, check in _CRITERIA:
         started = time.monotonic()
-        ok, details = check(context, args.quick, args.jobs)
+        ok, details = check(context, args.quick)
         elapsed = time.monotonic() - started
         all_pass &= bool(ok)
         criteria.append(

@@ -12,12 +12,14 @@ a prestructure is the genus-2 tuple subject to the conjugacy relations
 Relators are oriented as LHS * RHS^-1 for a relation "LHS = RHS".
 
 Genus-2 tuples come from a bitset frontier join (`genus2_rows`): from the
-cells (z, r11), each level assigns one slot (t21, r12, t22, t11, r21, t12,
-r22) to the whole frontier.  Its candidates are the AND of uint64 masks of
-the x with [a, x] = c, [x, b] = c or [x^-1, b] = c, one per relator whose
-other slots are set; R7, S1 and S2 close as filters.  Bits expand in
+cells (z, r11), each level assigns one slot x (t21, r12, t22, t11, r21,
+t12, r22) to the whole frontier.  `_search_plan` derives the levels from
+the relator list: each relator closes at its last-assigned slot x as
+U x^e V x^-e W, i.e. x^e V x^-e = (WU)^-1, so the candidates for x are an
+AND of masks from one table C[v, d] = {x : x v x^-1 = d}.  Bits expand in
 ascending order under their parent, so rows come out in depth-first order
-whatever the chunk size.  Callers re-verify every row.
+whatever the chunk size.  Callers re-verify every row with
+`bulk_relator_filter`, which shares nothing with the plan.
 """
 
 from __future__ import annotations
@@ -478,11 +480,10 @@ def bulk_relator_filter(
     flat_mul = np.array(G.cayley, dtype=np.int32).reshape(-1)
     inv = np.array(G.inverse, dtype=np.int32)
     ok = np.ones(len(rows), dtype=bool)
-    cols = rows.astype(np.int32)
     for rel in relators:
         acc = np.zeros(len(rows), dtype=np.int32)
         for letter in rel:
-            g = cols[:, abs(letter) - 1]
+            g = rows[:, abs(letter) - 1]
             if letter < 0:
                 g = inv[g]
             acc = flat_mul[acc * n + g]
@@ -494,6 +495,7 @@ def bulk_relator_filter(
 
 _R11, _T11, _R12, _T12, _R21, _T21, _R22, _T22, _Z = range(9)
 _LEVEL_SLOTS = (_T21, _R12, _T22, _T11, _R21, _T12, _R22)
+_ONE = 9  # the register after the nine slots holds the identity
 # Rows a chunk of the frontier may expand to before it descends further.
 # Each of the seven levels holds one chunk's arrays (about 33 bytes a row),
 # so this bounds the search's memory; 8192 keeps it under 2 MB.
@@ -501,26 +503,25 @@ _ROW_BUDGET = 1 << 13
 
 
 class _Tables:
-    """Flat 64 x 64 tables, indexed by `_pair`: products, commutators, and
-    the uint64 masks R[a, c], L[b, c], LI[b, c] of the x with [a, x] = c,
-    [x, b] = c and [x^-1, b] = c.  SEARCH_ORDER_CAP = 64 is what lets one
-    mask hold every element."""
+    """Flat 64 x 64 tables, indexed by `_pair`: products mul[a, b] = ab,
+    conjugates conj[a, b] = a b a^-1, and the uint64 masks C[v, d] of the
+    x with x v x^-1 = d.  SEARCH_ORDER_CAP = 64 is what lets one mask hold
+    every element."""
 
     def __init__(self, G: FiniteGroup):
         n = G.order
         if n > SEARCH_ORDER_CAP:
             raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-        cayley = np.array(G.cayley, dtype=np.uint8)
-        self.inv = inv = np.array(G.inverse, dtype=np.uint8)
-        a = np.arange(n, dtype=np.uint8)[:, None]
-        x = np.arange(n, dtype=np.uint8)[None, :]
-        comm = cayley[cayley[cayley[a, x], inv[a]], inv[x]]
-        self.mul, self.comm = np.zeros((2, 64 * 64), dtype=np.uint8)
-        self.mul[_pair(a, x)], self.comm[_pair(a, x)] = cayley, comm
-        a, x = np.broadcast_arrays(a, x)
-        self.R = _solution_masks(a, comm[a, x], x)
-        self.L = _solution_masks(x, comm[a, x], a)
-        self.LI = _solution_masks(x, comm[inv[a], x], a)
+        cayley = np.array(G.cayley, dtype=np.uint16)
+        self.inv = inv = np.array(G.inverse, dtype=np.uint16)
+        a = np.arange(n, dtype=np.uint16)[:, None]
+        b = np.arange(n, dtype=np.uint16)[None, :]
+        conj = cayley[cayley[a, b], inv[a]]
+        self.mul, self.conj = np.zeros((2, 64 * 64), dtype=np.uint16)
+        self.mul[_pair(a, b)], self.conj[_pair(a, b)] = cayley, conj
+        self.C = np.zeros(64 * 64, dtype=np.uint64)
+        a, b = np.broadcast_arrays(a, b)
+        np.bitwise_or.at(self.C, _pair(b, conj), np.uint64(1) << a.astype(np.uint64))
 
     @staticmethod
     def for_group(G: FiniteGroup) -> "_Tables":
@@ -528,75 +529,95 @@ class _Tables:
             G._search_tables = _Tables(G)
         return G._search_tables
 
-    def prod(self, *factors: np.ndarray) -> np.ndarray:
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = _at(self.mul, acc, f)
-        return acc
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a << 6) | b  # a is uint16, so the shift cannot wrap
 
 
-def _pair(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-    return (a.astype(np.uint16) << 6) | b
-
-
-def _solution_masks(key: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The flat table whose entry at _pair(key, c) has bit x set."""
-    out = np.zeros(64 * 64, dtype=np.uint64)
-    np.bitwise_or.at(out, _pair(key, c), np.uint64(1) << x.astype(np.uint64))
-    return out
-
-
-def _at(table: np.ndarray, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
+def _at(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """table[a, b] for a flat 64 x 64 table."""
     return np.take(table, _pair(a, b))
 
 
-def _candidate_masks(tab: _Tables, slot: int, f: np.ndarray) -> np.ndarray:
-    """The bitmask of admissible values of `slot` for each frontier column."""
-    R, L, LI, comm, inv = tab.R, tab.L, tab.LI, tab.comm, tab.inv
-    r11, t11, r12, r21, t21, t22, z = f[_R11], f[_T11], f[_R12], f[_R21], f[_T21], f[_T22], f[_Z]
-    if slot == _T21:
-        return _at(R, r11, inv[z])                              # R4
-    if slot == _R12:
-        return _at(L, t21, _at(comm, inv[z], t21))              # R9
-    if slot == _T22:
-        return _at(R, r12, inv[z]) & _at(R, r11, 0)             # R8, R3
-    if slot == _T11:
-        c4 = _at(comm, inv[t21], z)
-        return _at(L, z, c4) & _at(L, t22, 0) & _at(L, t21, c4)  # T5, T3, T4
-    if slot == _R21:
-        c2 = tab.prod(inv[t21], z, t21)
-        return (_at(R, t11, c2) & _at(R, r11, 0)                # T2, R2
-                & _at(LI, z, _at(comm, r11, z)))                # R5
-    if slot == _T12:
-        c10 = _at(comm, inv[t22], z)
-        t9 = tab.prod(inv[t22], z, t22, inv[z], t21, z, inv[t22], inv[z], t22, inv[t21])
-        return (_at(L, z, c10) & _at(L, r21, c10) & _at(L, t22, c10)  # T10, T7, T8
-                & _at(L, t21, t9))                              # T9
-    c6 = tab.prod(inv[t22], z, t22)
-    return (_at(R, f[_T12], c6) & _at(R, r11, 0) & _at(R, r12, 0)  # T6, R1, R6
-            & _at(R, t11, 0) & _at(LI, z, _at(comm, r12, z)))   # T1, R10
+@dataclass(frozen=True)
+class _Level:
+    """The relators that close at `slot`, as a program of gathers.  Step
+    (op, i, j) appends inv[reg i], or mul / conj at (reg i, reg j), to the
+    registers (nine slots, then `_ONE`); test (v, d, upto) ANDs C[reg v,
+    reg d] into the candidates once steps[:upto] have run."""
+
+    slot: int
+    labels: tuple[str, ...]
+    steps: tuple[tuple[str, int, int], ...]
+    tests: tuple[tuple[int, int, int], ...]
 
 
-def _level_filter(
-    tab: _Tables, slot: int, f: np.ndarray, structure_mode: bool
-) -> np.ndarray | None:
-    """The relators that close at `slot` but are not of solvable form."""
-    comm, inv = tab.comm, tab.inv
-    r11, t11, r12, t12, r21, t21, r22, t22, z = f
-    if slot == _T12 and structure_mode:
-        # S1: [r12^-1, t12^-1] t12^-1 [r11^-1, t11^-1] t12 = z
-        s1 = tab.prod(_at(comm, inv[r12], inv[t12]), inv[t12], _at(comm, inv[r11], inv[t11]), t12)
-        return s1 == z
-    if slot == _R22:
-        # R7: [r12, r21] = z^-1 r21 r22^-1 z r22 r21^-1
-        ok = _at(comm, r12, r21) == tab.prod(inv[z], r21, inv[r22], z, r22, inv[r21])
-        if structure_mode:
-            # S2: [r21^-1, t21] t21 [r22^-1, t22] t21^-1 = z^-1
-            s2 = tab.prod(_at(comm, inv[r21], t21), t21, _at(comm, inv[r22], t22), inv[t21])
-            ok &= s2 == inv[z]
-        return ok
-    return None
+@lru_cache(maxsize=None)
+def _search_plan(relators: tuple[tuple[str, Word], ...]) -> tuple[_Level, ...]:
+    """One level per slot of `_LEVEL_SLOTS`, derived from the relator list.
+
+    A relator closes at its last-assigned slot x (r11 and z come first),
+    where it must read U x^e V x^-e W with e = +-1 and no other x; it then
+    holds iff x^e V x^-e = (WU)^-1.  Raises ValueError otherwise.
+    """
+    closing: dict[int, list] = {slot: [] for slot in _LEVEL_SLOTS}
+    for label, rel in relators:
+        lets = rel.letters
+        x = max({abs(l) - 1 for l in lets}, key=((_R11, _Z) + _LEVEL_SLOTS).index)
+        at = [i for i, l in enumerate(lets) if abs(l) == x + 1]
+        if x not in closing or len(at) != 2 or lets[at[0]] != -lets[at[1]]:
+            raise ValueError(f"relator {label} is not U x^e V x^-e W at its last slot")
+        p, q = at
+        v, d = Word(lets[p + 1:q]), Word(lets[q + 1:] + lets[:p]).inverse()
+        if sum(l < 0 for l in v.letters + d.letters) > (len(v) + len(d)) / 2:
+            v, d = v.inverse(), d.inverse()  # the same x, with fewer inverse gathers
+        if lets[p] < 0:
+            v, d = d, v  # x^-1 V x = D is x D x^-1 = V
+        closing[x].append((len(v) + len(d), label, v, d))
+    return tuple(_compile_level(slot, closing[slot]) for slot in _LEVEL_SLOTS)
+
+
+def _compile_level(slot: int, cases: list) -> _Level:
+    """The level for the tests (cost, label, V, D): x V x^-1 = D."""
+    cases.sort(key=lambda c: c[0])  # cheapest first, so a dead level stops early
+    steps: dict[tuple[str, int, int], int] = {}  # each step and its register, in order
+
+    def emit(op: str, i: int, j: int = _ONE) -> int:
+        # hash-consed, so a shared prefix or letter is computed once
+        return steps.setdefault((op, i, j), _ONE + 1 + len(steps))
+
+    def letter(l: int) -> int:
+        return l - 1 if l > 0 else emit("inv", -l - 1)
+
+    def word(lets: tuple[int, ...]) -> int:
+        acc, i = _ONE, 0
+        while i < len(lets):
+            if i + 2 < len(lets) and lets[i + 2] == -lets[i]:
+                factor = emit("conj", letter(lets[i]), letter(lets[i + 1]))
+                i += 3
+            else:
+                factor = letter(lets[i])
+                i += 1
+            acc = factor if acc == _ONE else emit("mul", acc, factor)
+        return acc
+
+    tests = [(word(v.letters), word(d.letters), len(steps)) for _, _, v, d in cases]
+    return _Level(slot, tuple(c[1] for c in cases), tuple(steps), tuple(tests))
+
+
+def _candidate_masks(tab: _Tables, level: _Level, f: np.ndarray) -> np.ndarray:
+    """The bitmask of admissible values of `level.slot` for each column."""
+    regs = [*f.astype(np.uint16), np.zeros(f.shape[1], dtype=np.uint16)]
+    masks = np.full(f.shape[1], tab.C[0])  # every x fixes the identity
+    done = 0
+    for v, d, upto in level.tests:
+        if not masks.any():
+            break  # the rest of the steps would be wasted on dead columns
+        for op, i, j in level.steps[done:upto]:
+            regs.append(tab.inv[regs[i]] if op == "inv" else _at(getattr(tab, op), regs[i], regs[j]))
+        done = upto
+        masks &= _at(tab.C, regs[v], regs[d])
+    return masks
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -616,12 +637,13 @@ def _expand(f: np.ndarray, masks: np.ndarray, counts: np.ndarray, slot: int) -> 
     return child
 
 
-def _descend(tab: _Tables, f: np.ndarray, level: int, structure_mode: bool) -> Iterator[np.ndarray]:
-    if level == len(_LEVEL_SLOTS):
+def _descend(
+    tab: _Tables, plan: tuple[_Level, ...], f: np.ndarray, level: int
+) -> Iterator[np.ndarray]:
+    if level == len(plan):
         yield f
         return
-    slot = _LEVEL_SLOTS[level]
-    masks = _candidate_masks(tab, slot, f)
+    masks = _candidate_masks(tab, plan[level], f)
     live = masks != 0
     f, masks = f[:, live], masks[live]
     counts = _popcount(masks)
@@ -630,24 +652,20 @@ def _descend(tab: _Tables, f: np.ndarray, level: int, structure_mode: bool) -> I
     while start < len(masks):
         done = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, done + _ROW_BUDGET, side="right")), start + 1)
-        child = _expand(f[:, start:stop], masks[start:stop], counts[start:stop], slot)
-        ok = _level_filter(tab, slot, child, structure_mode)
-        if ok is not None:
-            child = child[:, ok]
-        if child.shape[1]:
-            yield from _descend(tab, child, level + 1, structure_mode)
+        child = _expand(f[:, start:stop], masks[start:stop], counts[start:stop], plan[level].slot)
+        yield from _descend(tab, plan, child, level + 1)
         start = stop
 
 
 def _genus2_blocks(
-    G: FiniteGroup, cells: Iterable[tuple[int, int]], structure_mode: bool
+    G: FiniteGroup, cells: Iterable[tuple[int, int]], relators: tuple[tuple[str, Word], ...]
 ) -> Iterator[np.ndarray]:
     """The search output as consecutive (9, k) uint8 blocks, a row per column."""
     tab = _Tables.for_group(G)
     cells = np.array(list(cells), dtype=np.uint8).reshape(-1, 2)
     f = np.zeros((9, len(cells)), dtype=np.uint8)
     f[_Z], f[_R11] = cells[:, 0], cells[:, 1]
-    yield from _descend(tab, f, 0, structure_mode)
+    yield from _descend(tab, _search_plan(relators), f, 0)
 
 
 def genus2_rows(
@@ -661,7 +679,10 @@ def genus2_rows(
     # a fuller heap and a higher peak RSS in the enumeration that follows.
     out = np.empty((_ROW_BUDGET, 9), dtype=np.uint8)
     k = 0
-    for block in _genus2_blocks(G, cells, structure_mode):
+    relators = (
+        labeled_relations_for_type(_PRE_TYPE) if structure_mode else prestructure_relations()
+    )
+    for block in _genus2_blocks(G, cells, relators):
         m = block.shape[1]
         if k + m > len(out):
             grown = np.empty((2 * (k + m), 9), dtype=np.uint8)
@@ -744,7 +765,8 @@ def _shortcut_evidence(G: FiniteGroup) -> QuotientEvidence:
             continue
         q, _ = G.quotient(nsub)
         orders.append(q.order)
-        if any(True for _ in iter_prestructure_tuples(q, mode="full")):
+        blocks = _prestructure_blocks(q, prestructure_search_info(q, "full"))
+        if any(block.shape[1] for block in blocks):
             all_empty = False
             break
     return QuotientEvidence(tuple(sorted(orders)), all_empty)
@@ -772,38 +794,26 @@ def iter_prestructure_tuples(
 ) -> Iterator[tuple[int, ...]]:
     """Deterministic complete stream of prestructure tuples.
 
-    Every yielded tuple has been re-verified (in vectorized batches)
+    Every yielded tuple has been re-verified (a search block at a time)
     against the authoritative relation list.
     """
     if G.order > SEARCH_ORDER_CAP:
         raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-    yield from _prestructure_stream(G, prestructure_search_info(G, mode))
+    for block in _prestructure_blocks(G, prestructure_search_info(G, mode)):
+        yield from map(tuple, block.T.tolist())
 
 
-def _prestructure_stream(
+def _prestructure_blocks(
     G: FiniteGroup, info: PrestructureSearchInfo
-) -> Iterator[tuple[int, ...]]:
-    rels = [w for _, w in prestructure_relations()]
-    batch: list[tuple[int, ...]] = []
-
-    def flush():
-        if not batch:
-            return
-        rows = np.array(batch, dtype=np.uint8)
-        ok = bulk_relator_filter(G, rows, rels)
-        if not ok.all():
-            raise AssertionError("prestructure search emitted an invalid tuple")
-        for row in batch:
-            yield row
-        batch.clear()
-
+) -> Iterator[np.ndarray]:
+    """The stream as (9, k) blocks, each re-verified before it is yielded."""
+    rels = prestructure_relations()
+    words = [w for _, w in rels]
     cells = ((z, r11) for z in info.z_candidates for r11 in range(G.order))
-    for block in _genus2_blocks(G, cells, False):
-        for row in map(tuple, block.T.tolist()):
-            batch.append(row)
-            if len(batch) >= 65536:
-                yield from flush()
-    yield from flush()
+    for block in _genus2_blocks(G, cells, rels):
+        if not bulk_relator_filter(G, block.T, words).all():
+            raise AssertionError("prestructure search emitted an invalid tuple")
+        yield block
 
 
 def enumerate_prestructures(G: FiniteGroup, mode: str = "auto") -> Iterator[Prestructure]:
@@ -862,10 +872,9 @@ def prestructure_report(
     info = prestructure_search_info(G, mode)
     count = 0
     sample: list[tuple[int, ...]] = []
-    for row in _prestructure_stream(G, info):
-        count += 1
-        if len(sample) < sample_limit:
-            sample.append(row)
+    for block in _prestructure_blocks(G, info):
+        count += block.shape[1]
+        sample += map(tuple, block[:, :sample_limit - len(sample)].T.tolist())
     return PrestructureReport(
         count=count,
         mode=info.mode,

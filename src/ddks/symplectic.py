@@ -396,7 +396,3 @@ def symplectic_structure_rows(G: FiniteGroup) -> np.ndarray:
             f"{int((~ok).sum())} lifted candidates failed verification"
         )
     return rows
-
-
-def count_structures_symplectic(G: FiniteGroup) -> int:
-    return len(symplectic_structure_rows(G))

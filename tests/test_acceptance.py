@@ -6,6 +6,7 @@ assertion is to catch order-of-magnitude regressions, not jitter.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from math import gcd
 
 import numpy as np
 
+import ddks
 from ddks.group_core import (
     EXPECTED_ORDER,
     catalog_labels,
@@ -268,11 +270,14 @@ def test_criterion_9_property_suites():
     oracle.done()
 
     determinism = _Budget("criterion 9: verify-paper determinism", 180)
+    # the subprocess must import this ddks, however pytest found it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddks.__file__)))
     outputs = []
     for jobs in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-m", "ddks.cli", "verify-paper", "--quick",
              "--jobs", jobs],
+            env=env,
             capture_output=True,
             text=True,
             check=True,

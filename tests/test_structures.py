@@ -7,11 +7,14 @@ from ddks.group_core import (
     FiniteGroup,
     Presentation,
     Word,
+    commutator,
     parse_presentation,
     realize,
     realize_label,
 )
+from ddks import structures
 from ddks.automorphisms import automorphism_group
+from ddks.cli import SMALL_GROUP_SOURCES
 from ddks.group_core.catalog import extra_special_text
 from ddks.structures import (
     DDKStructure,
@@ -425,6 +428,68 @@ def test_search_empties_mid_way(label):
         rows = genus2_rows(G, cells, mode)
         assert rows.dtype == np.uint8 and rows.shape == (0, 9)
     assert genus2_rows(G, [], True).shape == (0, 9)
+
+
+# ------------------------------------------------------ the search plan
+
+# r11 and z come from the cells; the levels assign the other seven slots
+SEARCH_ORDER = ["r11", "z", "t21", "r12", "t22", "t11", "r21", "t12", "r22"]
+
+
+@pytest.mark.parametrize(
+    "relators",
+    [prestructure_relations(), labeled_relations_for_type(T22)],
+    ids=["prestructure", "structure"],
+)
+def test_plan_closes_each_relator_once_at_its_last_slot(relators):
+    names = slot_names(2)
+    plan = structures._search_plan(relators)
+    assert [names[level.slot] for level in plan] == SEARCH_ORDER[2:]
+    placed = [(label, names[level.slot]) for level in plan for label in level.labels]
+    expected = [
+        (label, max((names[abs(l) - 1] for l in rel), key=SEARCH_ORDER.index))
+        for label, rel in relators
+    ]
+    assert len(placed) == len(relators) in (20, 22)
+    assert sorted(placed) == sorted(expected)
+    assert all(len(level.tests) == len(level.labels) for level in plan)
+
+
+def test_plan_rejects_relators_it_cannot_solve():
+    r11, t21, z = (Word.gen(slot_index(i, k, 1, 2)) for i, k in ((1, "r"), (2, "t"), (0, "z")))
+    with pytest.raises(ValueError, match="relator X"):
+        structures._search_plan((("X", t21 * t21 * r11),))
+    with pytest.raises(ValueError, match="relator Y"):
+        structures._search_plan((("Y", commutator(r11, z)),))  # closes on a cell
+
+
+@pytest.mark.parametrize("part", [slice(0, 8), slice(8, 15), slice(15, 22)])
+def test_plan_matches_brute_force_on_relator_subsets(part):
+    # "E" closes at t21 with (WU)^-1 empty, so the identity register is read
+    G = realize(parse_presentation(SMALL_GROUP_SOURCES["S3"]))
+    w_r11, w_t21, w_z = (Word.gen(slot_index(i, k, 1, 2)) for i, k in ((1, "r"), (2, "t"), (0, "z")))
+    extra = ("E", w_t21 * commutator(w_r11, w_z) * w_t21.inverse())
+    relators = labeled_relations_for_type(T22)[part] + (extra,)
+    cells = [(z, r11) for z in (1, 3) for r11 in range(G.order)]
+    got = [block.T for block in structures._genus2_blocks(G, cells, relators)]
+    free = np.indices((G.order,) * 7).reshape(7, -1).T  # t21, r12, ..., r22 in DFS order
+    want = []
+    for z, r11 in cells:
+        rows = np.zeros((len(free), 9), dtype=np.uint8)
+        rows[:, 8], rows[:, 0], rows[:, [5, 2, 7, 1, 4, 3, 6]] = z, r11, free
+        want.append(rows[bulk_relator_filter(G, rows, [w for _, w in relators])])
+    assert len(np.concatenate(want)) > 0
+    assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+
+
+@pytest.mark.parametrize("label", ["S4", "Q8", "G(32,49)"])
+def test_conjugator_table_matches_brute_force(label):
+    G = realize(parse_presentation(SMALL_GROUP_SOURCES[label])) if label == "Q8" else realize_label(label)
+    C = structures._Tables(G).C.reshape(64, 64)
+    for v in range(G.order):
+        for d in range(G.order):
+            want = sum(1 << x for x in G.elements() if G.conjugate(v, x) == d)
+            assert int(C[v, d]) == want, (v, d)
 
 
 def test_full_vs_simplified_on_class_two(H5):
