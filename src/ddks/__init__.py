@@ -6,6 +6,8 @@ Subpackages / modules:
   catalog, subgroup/quotient machinery and the CCT test
 - ``structures``   prestructures and diagonal double Kodaira structures of a
   finite group, plus the backtracking enumerator
+- ``certify``      the relator certifier that re-checks every enumerated row,
+  independent of the search
 - ``symplectic``   the mod-2 symplectic/quadratic layer and the closed-form
   structure count for the two extra-special target groups
 - ``automorphisms``  Aut(G) computation and orbit counting on structure sets

@@ -18,8 +18,12 @@ the relator list: each relator closes at its last-assigned slot x as
 U x^e V x^-e W, i.e. x^e V x^-e = (WU)^-1, so the candidates for x are an
 AND of masks from one table C[v, d] = {x : x v x^-1 = d}.  Bits expand in
 ascending order under their parent, so rows come out in depth-first order
-whatever the chunk size.  Callers re-verify every row with
-`bulk_relator_filter`, which shares nothing with the plan.
+whatever the chunk size.
+
+Callers re-verify every row with `bulk_relator_filter` (from `certify`),
+which shares no code, table or cache with the plan: it compiles the
+relator words themselves into one gather program and checks that each
+evaluates to the identity.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .group_core import (
     Word,
     commutator,
 )
+from .certify import bulk_relator_filter
 
 SEARCH_ORDER_CAP = 64
 
@@ -472,25 +477,6 @@ def generation_mask_filter(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     return ok
 
 
-def bulk_relator_filter(
-    G: FiniteGroup, rows: np.ndarray, relators: Iterable[Word]
-) -> np.ndarray:
-    """Boolean mask: rows under which every relator evaluates to identity."""
-    n = G.order
-    flat_mul = np.array(G.cayley, dtype=np.int32).reshape(-1)
-    inv = np.array(G.inverse, dtype=np.int32)
-    ok = np.ones(len(rows), dtype=bool)
-    for rel in relators:
-        acc = np.zeros(len(rows), dtype=np.int32)
-        for letter in rel:
-            g = rows[:, abs(letter) - 1]
-            if letter < 0:
-                g = inv[g]
-            acc = flat_mul[acc * n + g]
-        ok &= acc == 0
-    return ok
-
-
 # -- genus-2 search (the bitset frontier join of the module docstring) --
 
 _R11, _T11, _R12, _T12, _R21, _T21, _R22, _T22, _Z = range(9)
@@ -707,19 +693,27 @@ def structure_rows(
         raise ValueError("enumeration supports b = 2 only")
     zs = [x for x in G.elements() if G.element_order[x] == t.n]
     rows = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], True)
-    if len(rows):
-        rows = rows[np.lexsort(rows.T[::-1])]
-    # soundness: the backtracker's output is re-checked against the
-    # authoritative relator list, o(z), and generation
+    rows = rows[np.lexsort(rows.T[::-1])]
+    certify_structure_rows(G, rows, t, "backtracking emitted {} invalid tuples")
+    return rows
+
+
+def certify_structure_rows(
+    G: FiniteGroup, rows: np.ndarray, t: StructureType, failure: str
+) -> None:
+    """Re-check every row against the full relator list, o(z) = t.n and
+    generation; raise AssertionError with `failure` formatted with the
+    number of bad rows if any fails.
+
+    Callers sort their rows first, rebinding their own name, so the
+    unsorted array is freed before the checks allocate.
+    """
     ok = bulk_relator_filter(G, rows, relations_for_type(t))
     orders = np.array(G.element_order, dtype=np.int32)
     ok &= orders[rows[:, -1]] == t.n
     ok &= generation_mask_filter(G, rows)
     if not ok.all():
-        raise AssertionError(
-            f"backtracking emitted {int((~ok).sum())} invalid tuples"
-        )
-    return rows
+        raise AssertionError(failure.format(int((~ok).sum())))
 
 
 def enumerate_structures(

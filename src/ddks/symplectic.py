@@ -21,9 +21,7 @@ from .group_core import FiniteGroup
 from .structures import (
     DDKStructure,
     StructureType,
-    bulk_relator_filter,
-    generation_mask_filter,
-    relations_for_type,
+    certify_structure_rows,
     verify_structure,
 )
 
@@ -387,12 +385,7 @@ def symplectic_structure_rows(G: FiniteGroup) -> np.ndarray:
         [rows, np.full((len(rows), 1), space.z_element, dtype=np.uint8)], axis=1
     )
     rows = rows[np.lexsort(rows.T[::-1])]
-    ok = bulk_relator_filter(G, rows, relations_for_type(StructureType(2, 2)))
-    orders = np.array(G.element_order, dtype=np.int32)
-    ok &= orders[rows[:, -1]] == 2
-    ok &= generation_mask_filter(G, rows)
-    if not ok.all():
-        raise AssertionError(
-            f"{int((~ok).sum())} lifted candidates failed verification"
-        )
+    certify_structure_rows(
+        G, rows, StructureType(2, 2), "{} lifted candidates failed verification"
+    )
     return rows

@@ -12,7 +12,7 @@ from ddks.group_core import (
     realize,
     realize_label,
 )
-from ddks import structures
+from ddks import certify, structures
 from ddks.automorphisms import automorphism_group
 from ddks.cli import SMALL_GROUP_SOURCES
 from ddks.group_core.catalog import extra_special_text
@@ -194,9 +194,9 @@ def test_verify_structure_diagnostics(H5):
         verify_structure(H5, elems[:5], T22)
 
 
-def test_generation_diagnostic():
-    # embed the extra-special group in a direct product with an extra
-    # central involution: all relations hold but the tuple cannot generate
+def order64_group_and_lift() -> tuple[FiniteGroup, tuple[int, ...]]:
+    """G(32,49) x Z2 (an extra central involution), with the example
+    structure's words evaluated in it."""
     src = extra_special_text(2, 2, "H")
     p = parse_presentation(src)
     names = p.generators + ("w",)
@@ -204,14 +204,20 @@ def test_generation_diagnostic():
     for g in range(1, 6):
         rels.append(Word((g, 6, -g, -6)))
     big = realize(Presentation(names, tuple(rels)))
-    assert big.order == 64
     small = realize_label("G(32,49)")
     s = example_structure(small)
-    # the same words evaluated in the big group
     lifted = tuple(
         big.evaluate_word(small.element_words[e], big.generator_elements[:5])
         for e in s.elements
     )
+    return big, lifted
+
+
+def test_generation_diagnostic():
+    # embed the extra-special group in a direct product with an extra
+    # central involution: all relations hold but the tuple cannot generate
+    big, lifted = order64_group_and_lift()
+    assert big.order == 64
     ok, diag = verify_structure(big, lifted, T22)
     assert not ok and diag == "generation violated"
     rows = np.array([lifted], dtype=np.uint8)
@@ -262,6 +268,8 @@ def test_caps_raise_value_errors():
         maximal_subgroup_masks(z65)
     with pytest.raises(ValueError, match="automorphism search cap"):
         automorphism_group(cyclic(33), parse_presentation("gens: x\nrel: x^33"))
+    with pytest.raises(ValueError, match="certifier cap is order 256"):
+        bulk_relator_filter(cyclic(257), np.zeros((1, 9), dtype=np.uint8), relations_for_type(T22))
 
 
 def test_generation_mask_filter_cyclic():
@@ -502,6 +510,122 @@ def test_full_vs_simplified_on_class_two(H5):
     simp = bulk_relator_filter(H5, rows, simplified_relations_for_type(T22))
     assert (full == simp).all()
     assert full[-1]
+
+
+# ------------------------------------------------- the relator certifier
+
+RELATOR_LISTS = {
+    "structure": relations_for_type(T22),
+    "prestructure": [w for _, w in prestructure_relations()],
+    "simplified": simplified_relations_for_type(T22),
+}
+
+
+def certifier_group(label: str) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+    """The group, and rows of it that satisfy every structure relator."""
+    if label == "order 64":
+        G, lifted = order64_group_and_lift()
+        return G, [lifted]
+    if label == "Q8":
+        return realize(parse_presentation(SMALL_GROUP_SOURCES[label])), []
+    G = realize_label(label)
+    return G, [example_structure(G).elements] if G.order == 32 else []
+
+
+def certifier_rows(G: FiniteGroup, good: list[tuple[int, ...]], seed: int) -> np.ndarray:
+    """Seeded random rows; rows inside a cyclic subgroup with z = 1, which
+    satisfy all three relator lists; `good`, and each of its rows with one
+    entry changed."""
+    rng = np.random.default_rng(seed)
+    out = [rng.integers(0, G.order, size=(150, 9))]
+    for g in rng.integers(0, G.order, size=50):
+        powers, x = [0], int(g)
+        while x:
+            powers.append(x)
+            x = G.mul(x, int(g))
+        row = rng.choice(powers, size=9)
+        row[8] = 0
+        out.append(row[None, :])
+    for row in good:
+        near = np.repeat(np.array([row]), 21, axis=0)
+        near[np.arange(1, 21), rng.integers(0, 9, size=20)] = rng.integers(0, G.order, size=20)
+        out.append(near)
+    return np.concatenate(out).astype(np.uint8)
+
+
+def word_mask(G: FiniteGroup, rows: np.ndarray, relators) -> np.ndarray:
+    """The certifier's answer, one `evaluate_word` per row and relator."""
+    return np.array(
+        [all(G.evaluate_word(w, row) == 0 for w in relators) for row in rows.tolist()],
+        dtype=bool,
+    )
+
+
+@pytest.mark.parametrize("label", ["S4", "Q8", "G(32,49)", "G(32,50)", "order 64"])
+def test_certifier_matches_word_evaluation(label):
+    G, good = certifier_group(label)
+    rows = certifier_rows(G, good, seed=11)
+    for name, relators in RELATOR_LISTS.items():
+        want = word_mask(G, rows, relators)
+        assert want.any() and not want.all(), name
+        assert np.array_equal(bulk_relator_filter(G, rows, relators), want), name
+
+
+def test_certifier_edge_cases():
+    G = realize_label("S4")
+    rows = certifier_rows(G, [], seed=5)
+    words = [
+        Word((1, 2, -1, -2, 1)),  # [a, b] overlaps [b, a^-1]
+        Word((1, 2, -1)),  # an incomplete commutator
+        Word((2, 1, 2, -1, -2)),  # a commutator after one letter
+        Word((1, 2, -1, -2, 1, 2, -1, -2)),
+        Word((-1, -2, 1, 2, 9)),
+        Word((3,)),
+        Word((9, 9)),
+    ]
+    for w in words:
+        assert np.array_equal(bulk_relator_filter(G, rows, [w]), word_mask(G, rows, [w])), w
+    want = word_mask(G, rows, words)
+    assert want.any() and not want.all()
+    assert np.array_equal(bulk_relator_filter(G, rows, words + [Word(())]), want)
+    assert bulk_relator_filter(G, rows, [Word(())]).all()
+    assert bulk_relator_filter(G, rows, []).all()
+    empty = bulk_relator_filter(G, np.zeros((0, 9), dtype=np.uint8), relations_for_type(T22))
+    assert empty.dtype == bool and empty.shape == (0,)
+    with pytest.raises(ValueError, match="out of range"):
+        bulk_relator_filter(G, rows + 24, words)
+
+
+def test_certifier_program_shares_inverses_and_prefixes():
+    relators = tuple(relations_for_type(T22))
+    columns, steps, results = certify._relator_program(relators)
+    ops = [op for op, _, _ in steps]
+    # the 140 letters need 9 distinct inverses, 18 commutators and 58 products
+    assert columns == 9 and len(results) == 22
+    assert (ops.count("inv"), ops.count("comm"), ops.count("mul")) == (9, 18, 58)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_certifier_chunk_does_not_change_mask(monkeypatch, H5, chunk):
+    rows = certifier_rows(H5, [example_structure(H5).elements], seed=3)
+    assert len(rows) % 7 != 0
+    want = bulk_relator_filter(H5, rows, relations_for_type(T22))
+    assert want.any() and not want.all()
+    monkeypatch.setattr("ddks.certify._CERTIFY_CHUNK", chunk)
+    assert np.array_equal(bulk_relator_filter(H5, rows, relations_for_type(T22)), want)
+
+
+def test_certifier_is_independent_of_the_search_plan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certifier used the search plan")
+
+    for name in ("_Tables", "_search_plan", "_compile_level"):
+        monkeypatch.setattr(structures, name, refuse)
+    G = realize(parse_presentation(extra_special_text(2, 2, "H")))  # nothing cached on it
+    rows = certifier_rows(G, [example_structure(G).elements], seed=4)
+    for name, relators in RELATOR_LISTS.items():
+        assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators)), name
+    assert getattr(G, "_search_tables", None) is None
 
 
 def test_structure_rows_determinism_across_jobs():
