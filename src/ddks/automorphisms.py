@@ -3,20 +3,21 @@
 Automorphisms are found by assigning images to the presentation generators
 with order-matching and incremental relator pruning, then extending to a
 full element permutation. Permutations are stored as bytes so composition
-is a single translate call.
+is a single translate call.  Orbits are counted as |structures| / |Aut|,
+the action being free because every structure generates G (`orbit_count`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .group_core import FiniteGroup, Presentation
 from .structures import (
     DDKStructure,
-    StructureType,
+    generation_mask_filter,
     maximal_subgroup_masks,
     verify_structure,
 )
@@ -195,9 +196,10 @@ def inner_automorphisms(G: FiniteGroup) -> list[GroupAutomorphism]:
     return out
 
 
-def out_order(G: FiniteGroup, p: Presentation) -> int:
-    auts = automorphism_group(G, p)
-    inner = inner_automorphisms(G)
+def out_order(
+    auts: Sequence[GroupAutomorphism], inner: Sequence[GroupAutomorphism]
+) -> int:
+    """|Out| = |Aut| / |Inn|, checking that |Inn| divides |Aut|."""
     if len(auts) % len(inner) != 0:
         raise AssertionError("|Inn| does not divide |Aut|")
     return len(auts) // len(inner)
@@ -223,71 +225,46 @@ def orbit_count(
     freeness: str = "sample",
     sample_size: int = 1000,
 ) -> int:
-    """|structures| / |Aut| with exact divisibility and a freeness check.
+    """The number of Aut-orbits on `rows`: |rows| / |Aut|, exactly.
 
-    freeness="sample" checks sample_size structures (deterministic choice),
-    "full" checks every structure: no non-identity automorphism may fix a
-    structure slotwise.
+    `rows` must be a union of orbits, as the certified set of all
+    structures is, and `auts` a group, as `automorphism_group` certifies.
+    The quotient counts orbits only if the action is free, and freeness
+    follows from a lemma: a homomorphism that fixes a generating tuple
+    pointwise is the identity (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005).  Two distinct homomorphisms thus
+    differ on every generating row, so each orbit has exactly |Aut| rows.
+    The lemma's premises are checked, and a failed one raises
+    FreenessError:
+
+    (a) the permutations in `auts` are pairwise distinct;
+    (b) each is multiplicative on the Cayley table of G;
+    (c) each checked row generates G.
+
+    The mode chooses the rows of (c): "full" checks every row, "sample"
+    checks sample_size of them at deterministic, evenly spaced indices.
     """
     if freeness not in ("sample", "full"):
         raise ValueError(f"unknown freeness mode {freeness!r}")
     if len(rows) == 0:
         return 0
+    checked = rows
     if freeness == "sample" and sample_size < len(rows):
-        idx = np.linspace(0, len(rows) - 1, sample_size).astype(np.int64)
-        sample = rows[idx]
-    else:
-        sample = rows
-    tables = np.array([list(a.permutation) for a in auts], dtype=np.uint8)
-    identity = np.arange(G.order, dtype=np.uint8)
-    for table in tables:
-        if np.array_equal(table, identity):
-            continue
-        fixed = (table[sample] == sample).all(axis=1)
-        if fixed.any():
-            raise FreenessError(
-                "a non-identity automorphism fixes a structure slotwise"
-            )
+        checked = rows[np.linspace(0, len(rows) - 1, sample_size).astype(np.int64)]
+    if len({a.permutation for a in auts}) != len(auts):
+        raise FreenessError("two automorphisms have the same permutation")
+    perms = np.frombuffer(b"".join(a.permutation for a in auts), dtype=np.uint8)
+    perms = perms.reshape(len(auts), G.order)
+    cayley = np.array(G.cayley, dtype=np.uint8)  # permutations are bytes: order <= 256
+    if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
+        raise FreenessError("an automorphism is not multiplicative")
+    if not generation_mask_filter(G, checked).all():
+        raise FreenessError("a structure does not generate G")
     if len(rows) % len(auts) != 0:
         raise AssertionError(
             f"|Aut| = {len(auts)} does not divide {len(rows)} structures"
         )
     return len(rows) // len(auts)
-
-
-def orbits_via_unionfind(
-    rows: np.ndarray, auts: Sequence[GroupAutomorphism]
-) -> int:
-    """Exact orbit count by union-find; rows must be closed under the action."""
-    index = {bytes(row.tobytes()): i for i, row in enumerate(rows)}
-    parent = list(range(len(rows)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    tables = [_translation_table(a.permutation) for a in auts]
-    for i, row in enumerate(rows):
-        rb = row.tobytes()
-        for table in tables:
-            image = rb.translate(table)
-            j = index.get(image)
-            if j is None:
-                raise ValueError("row set is not closed under the action")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return len({find(i) for i in range(len(rows))})
-
-
-def orbit_of(s: DDKStructure, auts: Iterable[GroupAutomorphism]) -> list[DDKStructure]:
-    seen = {}
-    for a in auts:
-        image = act(a, s)
-        seen.setdefault(image.elements, image)
-    return [seen[k] for k in sorted(seen)]
 
 
 def induced_symplectic_map(space, phi: GroupAutomorphism) -> list[int]:

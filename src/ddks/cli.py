@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .automorphisms import automorphism_group, inner_automorphisms, orbit_count
+from .automorphisms import automorphism_group, inner_automorphisms, orbit_count, out_order
 from .group_core import (
     CosetEnumerationError,
     EXPECTED_ORDER,
@@ -234,12 +234,13 @@ def _cmd_orbits(args) -> tuple[dict, str]:
     g = realize_label(label)
     rows = structure_rows(g, StructureType(2, 2))
     auts = automorphism_group(g, get_presentation(label))
+    inner = inner_automorphisms(g)
     orbits = orbit_count(g, rows, auts, freeness=args.freeness)
     return {
         "label": args.label,
         "aut_order": len(auts),
-        "inner_order": len(inner_automorphisms(g)),
-        "outer_order": len(auts) // len(inner_automorphisms(g)),
+        "inner_order": len(inner),
+        "outer_order": out_order(auts, inner),
         "structure_count": int(len(rows)),
         "orbit_count": int(orbits),
         "freeness": args.freeness,
@@ -517,9 +518,6 @@ def _cmd_verify_paper(args) -> tuple[dict, str]:
 
 # ----------------------------------------------------------- entry point
 
-_JOBS_HELP = "accepted for compatibility; has no effect"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddks",
@@ -550,7 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     st.add_argument("--n", type=int, required=True)
     st.add_argument("--limit", type=int, default=10,
                     help="sample size echoed in the report")
-    st.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("count", help="count structures by one or both methods")
     count_sub = p.add_subparsers(dest="target", required=True)
@@ -559,12 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--method", choices=("backtrack", "symplectic", "both"),
                     default="both")
     ct.add_argument("--n", type=int, default=2)
-    ct.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("orbits", help="count orbits of the automorphism action")
     p.add_argument("label")
     p.add_argument("--freeness", choices=("sample", "full"), default="sample")
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("invariants", help="numeric report for one structure")
     p.add_argument("label")
@@ -583,7 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the acceptance checks")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     return parser
 
 
@@ -629,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("command", "target", "jobs")
+        if k not in ("command", "target")
     }
     report = {
         "command": args.command,

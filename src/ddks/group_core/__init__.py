@@ -13,16 +13,8 @@ from .group import (
     ElementSet,
     FiniteGroup,
     Homomorphism,
-    center,
-    centralizer,
-    derived_subgroup,
-    evaluate_word,
     is_cct,
-    normal_closure,
-    quotient,
     realize,
-    socle,
-    subgroup_generated,
 )
 from .catalog import (
     ALIASES,
@@ -42,8 +34,7 @@ __all__ = [
     "Presentation", "PresentationError", "parse_presentation", "word_from_str",
     "CosetEnumerationError", "coset_table",
     "DEFAULT_MAX_COSETS", "ElementSet", "FiniteGroup", "Homomorphism",
-    "center", "centralizer", "derived_subgroup", "evaluate_word", "is_cct",
-    "normal_closure", "quotient", "realize", "socle", "subgroup_generated",
+    "is_cct", "realize",
     "ALIASES", "CATALOG_SOURCES", "EXPECTED_ORDER", "catalog",
     "catalog_labels", "extra_special", "extra_special_text",
     "get_presentation", "realize_label", "resolve_label",

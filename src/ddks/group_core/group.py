@@ -201,9 +201,6 @@ class FiniteGroup:
                 break
         return ElementSet(self, tuple(sorted(meet)))
 
-    def is_monolithic(self) -> bool:
-        return len(self.socle()) > 1
-
     def is_cct(self) -> bool:
         """Commutativity transitive on non-central elements; equivalently,
         every non-central element has abelian centralizer."""
@@ -394,39 +391,7 @@ def realize(p: Presentation, max_cosets: int | None = None) -> FiniteGroup:
     )
 
 
-# -- module-level functional aliases ----------------------------------
-
-def evaluate_word(G: FiniteGroup, w: Word, assignment: Sequence[int]) -> int:
-    return G.evaluate_word(w, assignment)
-
-
-def center(G: FiniteGroup) -> ElementSet:
-    return G.center()
-
-
-def centralizer(G: FiniteGroup, x: int) -> ElementSet:
-    return G.centralizer(x)
-
-
-def derived_subgroup(G: FiniteGroup) -> ElementSet:
-    return G.derived_subgroup()
-
-
-def subgroup_generated(G: FiniteGroup, s: Iterable[int]) -> ElementSet:
-    return G.subgroup_generated(s)
-
-
-def normal_closure(G: FiniteGroup, s: Iterable[int]) -> ElementSet:
-    return G.normal_closure(s)
-
-
-def quotient(G: FiniteGroup, n_set) -> tuple[FiniteGroup, list[int]]:
-    return G.quotient(n_set)
-
-
-def socle(G: FiniteGroup) -> ElementSet:
-    return G.socle()
-
+# -- module-level alias (the benchmark's catalog workload imports it) --
 
 def is_cct(G: FiniteGroup) -> bool:
     return G.is_cct()

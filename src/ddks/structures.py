@@ -305,20 +305,6 @@ class DDKStructure:
 
 
 @dataclass(frozen=True)
-class Prestructure:
-    ambient: FiniteGroup
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.elements) != 9:
-            raise ValueError("a prestructure has 9 elements")
-
-    @property
-    def z(self) -> int:
-        return self.elements[-1]
-
-
-@dataclass(frozen=True)
 class KSubgroupData:
     K1: ElementSet
     K2: ElementSet
@@ -686,8 +672,8 @@ def structure_rows(
     sorted; every row is re-verified against the full relation system.
 
     Raises for b != 2 (enumeration is genus-2 only) and for groups above
-    the search cap.  `jobs` is accepted for compatibility and has no
-    effect: the search is one vectorized pass.
+    the search cap.  `jobs` has no effect, since the search is one
+    vectorized pass; it stays because the benchmark's workloads pass it.
     """
     if t.b != 2:
         raise ValueError("enumeration supports b = 2 only")
@@ -714,18 +700,6 @@ def certify_structure_rows(
     ok &= generation_mask_filter(G, rows)
     if not ok.all():
         raise AssertionError(failure.format(int((~ok).sum())))
-
-
-def enumerate_structures(
-    G: FiniteGroup, t: StructureType, jobs: int | None = None
-) -> Iterator[DDKStructure]:
-    """Stream of verified structures in canonical lexicographic order."""
-    for row in structure_rows(G, t, jobs=jobs):
-        yield DDKStructure(G, t, tuple(int(x) for x in row))
-
-
-def count_structures(G: FiniteGroup, t: StructureType, jobs: int | None = None) -> int:
-    return len(structure_rows(G, t, jobs=jobs))
 
 
 # -- prestructure search ----------------------------------------------
@@ -808,11 +782,6 @@ def _prestructure_blocks(
         if not bulk_relator_filter(G, block.T, words).all():
             raise AssertionError("prestructure search emitted an invalid tuple")
         yield block
-
-
-def enumerate_prestructures(G: FiniteGroup, mode: str = "auto") -> Iterator[Prestructure]:
-    for row in iter_prestructure_tuples(G, mode):
-        yield Prestructure(G, row)
 
 
 def reference_prestructures(G: FiniteGroup) -> list[tuple[int, ...]]:

@@ -379,8 +379,9 @@ def symplectic_structure_rows(G: FiniteGroup) -> np.ndarray:
     )
     masks = np.arange(256, dtype=np.uint16)
     patterns = ((masks[:, None] >> np.arange(8)[None, :]) & 1).astype(bool)
-    lifted = np.where(patterns[None, :, :], mulz[base][:, None, :], base[:, None, :])
-    rows = lifted.reshape(-1, 8)
+    # Rebinding one name frees each 2.2 M-row stage once the next exists.
+    rows = np.where(patterns[None, :, :], mulz[base][:, None, :], base[:, None, :])
+    rows = rows.reshape(-1, 8)
     rows = np.concatenate(
         [rows, np.full((len(rows), 1), space.z_element, dtype=np.uint8)], axis=1
     )

@@ -9,17 +9,17 @@ from ddks.group_core import (
 )
 from ddks.automorphisms import (
     FreenessError,
+    GroupAutomorphism,
     act,
     automorphism_group,
     induced_symplectic_map,
     inner_automorphisms,
     orbit_count,
-    orbit_of,
-    orbits_via_unionfind,
     out_order,
 )
 from ddks.structures import example_structure
 from ddks.symplectic import aut_order, induced_space, orthogonal_order
+from orbittools import fixed_by_nonidentity, orbit_of, orbits_via_unionfind
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +54,16 @@ def test_s4_is_complete():
     auts = automorphism_group(g, get_presentation("S4"))
     assert len(auts) == 24
     assert len(inner_automorphisms(g)) == 24
-    assert out_order(g, get_presentation("S4")) == 1
+    assert out_order(auts, inner_automorphisms(g)) == 1
 
 
 def test_inner_and_out(H5, G5, autsH, autsG):
     assert len(inner_automorphisms(H5)) == 16
     assert len(inner_automorphisms(G5)) == 16
-    assert out_order(H5, get_presentation("G(32,49)")) == 72 == orthogonal_order(2, 1)
-    assert out_order(G5, get_presentation("G(32,50)")) == 120 == orthogonal_order(2, -1)
+    assert out_order(autsH, inner_automorphisms(H5)) == 72 == orthogonal_order(2, 1)
+    assert out_order(autsG, inner_automorphisms(G5)) == 120 == orthogonal_order(2, -1)
+    with pytest.raises(AssertionError, match="divide"):
+        out_order(autsH[:100], inner_automorphisms(H5))
 
 
 def test_inner_of_abelian_is_trivial():
@@ -138,6 +140,39 @@ def test_orbit_count_freeness_violation(H5, autsH):
         orbit_count(H5, fixed_by_everything, autsH, freeness="full")
     with pytest.raises(ValueError, match="freeness"):
         orbit_count(H5, fixed_by_everything, autsH, freeness="maybe")
+
+
+def test_freeness_mode_chooses_the_rows(H5, autsH, rows_cache):
+    rows = rows_cache.backtrack("G(32,49)")[:2 * 1152].copy()
+    rows[1] = 0  # not among the 1000 evenly spaced sample indices
+    assert orbit_count(H5, rows, autsH, freeness="sample") == 2
+    with pytest.raises(FreenessError, match="generate"):
+        orbit_count(H5, rows, autsH, freeness="full")
+
+
+@pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
+def test_freeness_proof_matches_permutation_scan(label, H5, G5, autsH, autsG, rows_cache):
+    G, auts = (H5, autsH) if label == "G(32,49)" else (G5, autsG)
+    rows = rows_cache.backtrack(label)
+    assert not fixed_by_nonidentity(rows[::97], auts).any()
+    assert fixed_by_nonidentity(np.zeros((1, 9), dtype=np.uint8), auts).all()
+    assert orbit_count(G, rows, auts, freeness="full") == len(rows) // len(auts)
+
+
+@pytest.mark.parametrize("freeness", ["sample", "full"])
+def test_orbit_count_checks_the_automorphisms(H5, autsH, rows_cache, freeness):
+    rows = rows_cache.backtrack("G(32,49)")
+    swapped = bytearray(autsH[5].permutation)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert bytes(swapped) not in {a.permutation for a in autsH}
+    broken = list(autsH)
+    broken[5] = GroupAutomorphism(bytes(swapped))
+    with pytest.raises(FreenessError, match="multiplicative"):
+        orbit_count(H5, rows, broken, freeness=freeness)
+    doubled = list(autsH)
+    doubled[7] = doubled[8]
+    with pytest.raises(FreenessError, match="same permutation"):
+        orbit_count(H5, rows, doubled, freeness=freeness)
 
 
 def test_union_find_on_known_orbits(H5, autsH, rows_cache):

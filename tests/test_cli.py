@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -192,10 +193,36 @@ def test_homology_samples(capsys):
     assert d["samples"][0]["torsion"] == [2, 2, 2, 2]
 
 
-def test_homology_has_no_jobs_flag():
+@pytest.mark.parametrize("argv", [
+    ["homology", "G(32,49)", "--example"],
+    ["search", "structures", "G(32,49)", "--b", "2", "--n", "2"],
+    ["count", "structures", "G(32,49)"],
+    ["orbits", "G(32,49)"],
+    ["verify-paper", "--quick"],
+], ids=lambda argv: argv[0])
+def test_no_jobs_flag(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["homology", "G(32,49)", "--example", "--jobs", "2"])
+        main(argv + ["--jobs", "2"])
     assert exc.value.code == 2
+
+
+def test_orbits_full_freeness(capsys):
+    started = time.monotonic()
+    code, report = run_cli(capsys, "orbits", "G(32,49)", "--freeness", "full")
+    elapsed = time.monotonic() - started
+    assert code == 0
+    assert report["status"] == "count"
+    assert report["inputs"] == {"freeness": "full", "label": "G(32,49)"}
+    d = report["results"]
+    assert d["orbit_count"] == 1920
+    assert d["aut_order"] == 1152
+    assert d["inner_order"] == 16
+    assert d["outer_order"] == 72
+    assert d["structure_count"] == 2211840
+    assert d["freeness"] == "full"
+    # checking freeness by generation, not by a scan of every automorphism
+    # over every row (over two minutes), keeps this within the budget
+    assert elapsed < 40, elapsed
 
 
 def test_reports_are_deterministic(capsys):

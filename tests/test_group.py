@@ -122,11 +122,9 @@ def test_socle():
     soc = s4.socle()
     assert len(soc) == 4
     assert sorted(s4.element_order[x] for x in soc) == [1, 2, 2, 2]  # V4
-    assert s4.is_monolithic()
 
     z6 = cyclic(6)
     assert tuple(z6.socle()) == (0,)
-    assert not z6.is_monolithic()
 
     with pytest.raises(ValueError):
         cyclic(1).socle()
