@@ -192,7 +192,8 @@ def inner_automorphisms(G: FiniteGroup) -> list[GroupAutomorphism]:
         perm = bytes(G.conjugate(x, g) for x in G.elements())
         seen.setdefault(perm, GroupAutomorphism(perm))
     out = sorted(seen.values(), key=lambda a: a.permutation)
-    assert len(out) == G.order // len(G.center())
+    if len(out) != G.order // len(G.center()):
+        raise AssertionError("|Inn| is not |G| / |Z(G)|")
     return out
 
 

@@ -66,9 +66,6 @@ class Presentation:
         """Parse a word in this presentation's alphabet."""
         return word_from_str(text, self.generators)
 
-    def generator_word(self, name: str) -> Word:
-        return Word.gen(self.generators.index(name))
-
     def to_text(self) -> str:
         lines = ["gens: " + " ".join(self.generators)]
         lines += [f"rel: {r.format(self.generators)}" for r in self.relators]

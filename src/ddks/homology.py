@@ -10,14 +10,15 @@ normal form give H_1 directly.
 The relator matrix is large and sparse (736 x 257 with about 4 000
 nonzeros for the order-32 groups), so H_1 reduces it in two phases, as for
 badly presented Z-modules (Havas, Holt & Rees 1993).  Phase one eliminates
-every +-1 pivot on rows held as dicts of Python ints, tracking the row
-transform L sparsely and dropping each pivot row and column; phase two runs
-the dense `smith_normal_form` on the small residual R only.  Then
+every +-1 pivot on rows held as dicts of Python ints, recording each row
+operation and dropping each pivot row and column; phase two runs the dense
+`smith_normal_form` on the small residual R only.  Then
 rank = pivots + rank(R) and the invariant factors are those of R after as
-many 1s as there were pivots.  The certificate is one exact product L @ A:
-its pivot rows form a unit upper triangular block on the pivot columns, and
-its other rows vanish there and equal R elsewhere; the residual SNF keeps
-its own transform check.
+many 1s as there were pivots.  The certificate is the elimination's own
+multipliers, which rebuild A = F @ M from the final rows M with F unit lower
+triangular; M's pivot rows form a unit upper triangular block on the pivot
+columns, and its other rows vanish there and equal R elsewhere; the
+residual SNF keeps its own transform check.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def _schreier_columns(
             if Word(t.representative_words[v].letters + (-(x + 1),)) == rep:
                 continue
             columns[(u, x)] = len(columns)
-    assert len(columns) == G.order * (len(hom.images) - 1) + 1
+    if len(columns) != G.order * (len(hom.images) - 1) + 1:
+        raise AssertionError("Schreier generator count is not |G|(gens - 1) + 1")
     return columns
 
 
@@ -342,28 +344,22 @@ SparseRow = dict[int, int]
 
 
 def _subtract(
-    target: SparseRow,
-    f: int,
-    source: SparseRow,
-    holders: list[set[int]] | None = None,
-    owner: int = -1,
+    target: SparseRow, f: int, source: SparseRow, holders: list[set[int]], owner: int
 ) -> None:
     """target -= f * source in place; holders[j] tracks the rows nonzero at j."""
     for j, v in source.items():
         w = target.get(j, 0) - f * v
         if w:
             target[j] = w
-            if holders is not None:
-                holders[j].add(owner)
+            holders[j].add(owner)
         else:  # f * v != 0, so j was present
             del target[j]
-            if holders is not None:
-                holders[j].discard(owner)
+            holders[j].discard(owner)
 
 
 def _eliminate_unit_pivots(
     A: np.ndarray,
-) -> tuple[list[SparseRow], list[SparseRow], list[tuple[int, int]]]:
+) -> tuple[list[SparseRow], list[tuple[int, int, int]], list[tuple[int, int]]]:
     """Phase one: clear every column that some row can pivot on with +-1.
 
     Rows are dicts of Python ints, so nothing overflows.  Sweeps the live
@@ -372,21 +368,21 @@ def _eliminate_unit_pivots(
     from the other rows holding that column, then drops the row and the
     column.  Sweeps repeat until one finds no unit entry.
 
-    Returns (rows, transform, pivots): rows[i] is row i of L @ A, transform[i]
-    is row i of L, and pivots lists (row, column) in pivot order.  L is a
-    product of transvections (row s -= f * row r with r != s), so it is
-    unimodular.
+    Returns (rows, ops, pivots): rows[i] is row i as phase one left it, ops
+    lists each update row s -= f * row r as (s, r, f), and pivots lists
+    (row, column) in pivot order.  A pivot row is never touched after its
+    pivot step, so A = F @ rows, F the identity plus f at (s, r) per op.
     """
     nrows, ncols = A.shape
     rows = [
         {int(j): int(A[i, j]) for j in np.flatnonzero(A[i])} for i in range(nrows)
     ]
-    transform = [{i: 1} for i in range(nrows)]
     holders: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
     live = set(range(nrows))
+    ops: list[tuple[int, int, int]] = []
     pivots: list[tuple[int, int]] = []
     progress = True
     while progress:
@@ -403,10 +399,10 @@ def _eliminate_unit_pivots(
             for s in sorted(holders[c]):
                 f = rows[s][c] * sign
                 _subtract(rows[s], f, rows[r], holders, s)
-                _subtract(transform[s], f, transform[r])
+                ops.append((s, r, f))
             pivots.append((r, c))
             progress = True
-    return rows, transform, pivots
+    return rows, ops, pivots
 
 
 def _dense(sparse_rows: Sequence[SparseRow], width: int) -> np.ndarray:
@@ -423,33 +419,39 @@ def _dense(sparse_rows: Sequence[SparseRow], width: int) -> np.ndarray:
 def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     """(number of unit pivots k, residual R) with A equivalent to I_k (+) R.
 
-    Certificate, from one exact product L @ A with the phase-one transform:
-    the pivot rows restricted to the pivot columns, both in pivot order, form
-    an upper triangular matrix with +-1 on the diagonal; the other rows equal
-    the phase-one rows and vanish on every pivot column.  So L @ A is block
-    triangular with a unimodular block, and column operations split it into
-    I_k (+) R, where R is the surviving rows on the surviving columns.  The
-    all-zero rows of R are dropped, which leaves its SNF unchanged.
+    Certificate, from the phase-one multipliers: every op reads a row
+    earlier in the order (pivot rows in pivot order, then the others), so F
+    is unit lower triangular, and replaying the ops on the final rows M
+    rebuilds A = F @ M in Python ints.  In M the pivot rows on the pivot
+    columns form an upper triangular block with +-1 on the diagonal, and the
+    other rows vanish on every pivot column.  So column operations split M
+    into I_k (+) R, where R is the surviving rows on the surviving columns.
+    The all-zero rows of R are dropped, which leaves its SNF unchanged.
     """
     nrows, ncols = A.shape
-    rows, transform, pivots = _eliminate_unit_pivots(A)
-    LA = _exact_matmul(_dense(transform, nrows), A)
+    rows, ops, pivots = _eliminate_unit_pivots(A)
     pivot_rows = [r for r, _ in pivots]
     pivot_cols = [c for _, c in pivots]
-    U = LA[np.ix_(pivot_rows, pivot_cols)]
+    survivors = sorted(set(range(nrows)) - set(pivot_rows))
+    order = {r: i for i, r in enumerate(pivot_rows + survivors)}
+    if any(order[r] >= order[s] for s, r, _ in ops):
+        raise AssertionError("a row operation reads a later row")
+    rebuilt = [dict(row) for row in rows]
+    for s, r, f in ops:
+        for j, v in rows[r].items():
+            rebuilt[s][j] = rebuilt[s].get(j, 0) + f * v
+    if not np.array_equal(_dense(rebuilt, ncols), A):
+        raise AssertionError("row transform check failed")
+    M = _dense(rows, ncols)
+    U = M[np.ix_(pivot_rows, pivot_cols)]
     if not all(abs(int(d)) == 1 for d in np.diagonal(U)):
         raise AssertionError("unit pivot check failed")
     if np.tril(U, -1).any():
         raise AssertionError("pivot block is not triangular")
-    pivoted = set(pivot_rows)
-    survivors = [i for i in range(nrows) if i not in pivoted]
-    E = _dense([rows[i] for i in survivors], ncols)
-    if not np.array_equal(LA[survivors], E):
-        raise AssertionError("row transform check failed")
+    E = M[survivors]
     if E[:, pivot_cols].any():
         raise AssertionError("a pivot column survived")
-    pivoted_cols = set(pivot_cols)
-    keep_cols = [j for j in range(ncols) if j not in pivoted_cols]
+    keep_cols = sorted(set(range(ncols)) - set(pivot_cols))
     residual = E[np.ix_((E != 0).any(axis=1), keep_cols)]
     return len(pivots), residual
 

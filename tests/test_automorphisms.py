@@ -66,6 +66,13 @@ def test_inner_and_out(H5, G5, autsH, autsG):
         out_order(autsH[:100], inner_automorphisms(H5))
 
 
+def test_inner_checks_center_index(monkeypatch):
+    g = realize(get_presentation("S4"))
+    monkeypatch.setattr(g, "center", lambda: (0, 1))
+    with pytest.raises(AssertionError, match="Z\\(G\\)"):
+        inner_automorphisms(g)
+
+
 def test_inner_of_abelian_is_trivial():
     z6 = realize(parse_presentation("gens: x\nrel: x^6"))
     inner = inner_automorphisms(z6)

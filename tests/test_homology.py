@@ -20,6 +20,7 @@ from ddks.group_core import (
 )
 from ddks.homology import (
     HomologyInvariants,
+    Transversal,
     _unit_pivot_residual,
     abelianized_relator_matrix,
     first_homology,
@@ -127,6 +128,17 @@ def test_index_two_rewriting_by_hand():
     matrix = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
     assert matrix.tolist() == [[2], [2]]
     assert first_homology(p, hom) == HomologyInvariants(0, (2,))
+
+
+def test_non_schreier_transversal_is_rejected():
+    # x^3 represents the odd coset of Z2, but its prefixes x and x^2 are not
+    # representatives: neither pair is a tree edge, so 2 columns, not 1.
+    z2 = realize(parse_presentation("gens: y\nrel: y^2"))
+    p = Presentation(("x",), ())
+    hom = Homomorphism(p, z2, (1,))
+    t = Transversal((Word.identity(), Word.gen(0) ** 3))
+    with pytest.raises(AssertionError, match="Schreier generator count"):
+        abelianized_relator_matrix(p, hom, t)
 
 
 # ----------------------------------------------------- Smith normal form
@@ -270,30 +282,53 @@ real = h._eliminate_unit_pivots
 
 
 def tampered(A):
-    rows, transform, pivots = real(A)
-    pivoted = {r for r, _ in pivots}
-    s = min(i for i in range(len(rows)) if i not in pivoted)
-    rows[s][1] = rows[s].get(1, 0) + 1
-    return rows, transform, pivots
+    rows, ops, pivots = real(A)
+{tamper}
+    return rows, ops, pivots
 
 
 h._eliminate_unit_pivots = tampered
 try:
-    h.smith_invariants([[1, 0], [0, 2], [0, 4]])
+    h.smith_invariants([[1, 0], [1, 2], [0, 4]])
 except AssertionError as e:
     print(e)
     sys.exit(3)
 """
 
-
-def test_unit_pivot_certificate_survives_optimize():
+# The real elimination pivots row 0 on column 0 with the one op (1, 0, 1),
+# leaving the survivors [0, 2] and [0, 4]: the cokernel is Z_2, so
+# (rank, factors) is (2, (1, 2)).
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        pytest.param(
+            "    rows[1][1] += 1",
+            "row transform check failed",
+            id="survivor-row",
+        ),
+        pytest.param(
+            "    (s, r, f), = ops\n    ops[0] = (s, r, f + 1)",
+            "row transform check failed",
+            id="multiplier",
+        ),
+        # A = F @ M still holds, but F = [[1, -1], [1, 1]] on the survivors
+        # has determinant 2: without the order check the residual [[3], [1]]
+        # would report (2, (1, 1)).
+        pytest.param(
+            "    rows[1], rows[2] = {1: 3}, {1: 1}\n    ops += [(1, 2, -1), (2, 1, 1)]",
+            "a row operation reads a later row",
+            id="later-row",
+        ),
+    ],
+)
+def test_unit_pivot_certificate_survives_optimize(tamper, message):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddks.__file__)))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", TAMPERED_ELIMINATION],
+        [sys.executable, "-O", "-c", TAMPERED_ELIMINATION.replace("{tamper}", tamper)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 3, done.stderr
-    assert done.stdout.strip() == "row transform check failed"
+    assert done.stdout.strip() == message
 
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
