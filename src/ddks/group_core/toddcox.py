@@ -181,19 +181,23 @@ def _verify_table(table, rel_cols, sub_cols):
     for c in range(n):
         for col in range(ncols):
             d = table[c][col]
-            assert 0 <= d < n, "table entry out of range"
-            assert table[d][col ^ 1] == c, "columns not mutually inverse"
+            if not 0 <= d < n:
+                raise AssertionError("table entry out of range")
+            if table[d][col ^ 1] != c:
+                raise AssertionError("columns not mutually inverse")
     for r in rel_cols:
         for c in range(n):
             x = c
             for col in r:
                 x = table[x][col]
-            assert x == c, "relator does not close"
+            if x != c:
+                raise AssertionError("relator does not close")
     for w in sub_cols:
         x = 0
         for col in w:
             x = table[x][col]
-        assert x == 0, "subgroup word moves coset 0"
+        if x != 0:
+            raise AssertionError("subgroup word moves coset 0")
 
 
 def trace(table: list[list[int]], start: int, letters: Sequence[int]) -> int:

@@ -92,11 +92,13 @@ def schreier_transversal(hom: Homomorphism) -> Transversal:
                     reps[h] = Word(base.letters + (letter,))
                     frontier.append(h)
         queue = frontier
-    assert all(r is not None for r in reps)
+    if any(r is None for r in reps):
+        raise AssertionError("a coset has no representative")
     for rep in reps:
         for cut in range(len(rep)):
             prefix = Word(rep.letters[:cut])
-            assert reps[hom.image_of_word(prefix)] == prefix
+            if reps[hom.image_of_word(prefix)] != prefix:
+                raise AssertionError("a prefix of a representative is not a representative")
     return Transversal(tuple(reps))
 
 
@@ -152,7 +154,8 @@ def abelianized_relator_matrix(
                 col = columns.get(key)
                 if col is not None:
                     row[col] += sign
-            assert c == u, "relator does not map to the identity"
+            if c != u:
+                raise AssertionError("relator does not map to the identity")
     return matrix
 
 

@@ -828,16 +828,18 @@ class PrestructureReport:
     sample: tuple[tuple[int, ...], ...]
 
 
-def prestructure_report(
-    G: FiniteGroup, mode: str = "auto", sample_limit: int = 100
-) -> PrestructureReport:
+# Prestructures a report keeps as its sample.
+_REPORT_SAMPLE = 100
+
+
+def prestructure_report(G: FiniteGroup, mode: str = "auto") -> PrestructureReport:
     """Run the search to completion; certified-empty when count == 0."""
     info = prestructure_search_info(G, mode)
     count = 0
     sample: list[tuple[int, ...]] = []
     for block in _prestructure_blocks(G, info):
         count += block.shape[1]
-        sample += map(tuple, block[:, :sample_limit - len(sample)].T.tolist())
+        sample += map(tuple, block[:, :_REPORT_SAMPLE - len(sample)].T.tolist())
     return PrestructureReport(
         count=count,
         mode=info.mode,

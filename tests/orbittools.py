@@ -1,8 +1,13 @@
-"""Brute-force oracles for the automorphism action on structures.
+"""Brute-force oracles for automorphism groups and their action on
+structures.
 
+`automorphism_group` proves that its join finds exactly Aut(G), and
 `orbit_count` proves freeness from generation; these helpers check the
-same answers by applying every automorphism to every row.
+same answers by trying every generator image tuple, composing every pair
+of automorphisms and applying every automorphism to every row.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -12,6 +17,31 @@ from ddks.automorphisms import act
 def _table(perm: bytes) -> bytes:
     """Pad a permutation to the 256-byte table bytes.translate needs."""
     return perm + bytes(range(len(perm), 256))
+
+
+def automorphisms_by_brute_force(G, p) -> list[bytes]:
+    """The sorted permutations of every generator image tuple in G^ngens
+    that satisfies the relators and generates G."""
+    perms = []
+    for images in product(G.elements(), repeat=p.ngens):
+        if any(G.evaluate_word(rel, images) != 0 for rel in p.relators):
+            continue
+        if len(G.subgroup_generated(images)) != G.order:
+            continue
+        perms.append(bytes(G.evaluate_word(w, images) for w in G.element_words))
+    return sorted(perms)
+
+
+def closed_under_composition(auts) -> bool:
+    """Whether every composite a . b of two automorphisms is in the set:
+    |Aut|^2 translate calls."""
+    perms = {a.permutation for a in auts}
+    for a in auts:
+        table = _table(a.permutation)
+        for b in auts:
+            if b.permutation.translate(table) not in perms:
+                return False
+    return True
 
 
 def fixed_by_nonidentity(rows: np.ndarray, auts) -> np.ndarray:

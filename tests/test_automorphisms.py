@@ -1,7 +1,12 @@
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
+import ddks.automorphisms
 from ddks.group_core import (
+    catalog_labels,
     get_presentation,
     parse_presentation,
     realize,
@@ -19,7 +24,13 @@ from ddks.automorphisms import (
 )
 from ddks.structures import example_structure
 from ddks.symplectic import aut_order, induced_space, orthogonal_order
-from orbittools import fixed_by_nonidentity, orbit_of, orbits_via_unionfind
+from orbittools import (
+    automorphisms_by_brute_force,
+    closed_under_composition,
+    fixed_by_nonidentity,
+    orbit_of,
+    orbits_via_unionfind,
+)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +118,92 @@ def test_inner_are_among_all_automorphisms(H5, autsH):
     all_perms = {a.permutation for a in autsH}
     for a in inner_automorphisms(H5):
         assert a.permutation in all_perms
+
+
+SMALL_GROUPS = {
+    "S3": "gens: a b\nrel: a^2\nrel: b^3\nrel: a b a b",
+    "D8": "gens: r s\nrel: r^4\nrel: s^2\nrel: r s r s",
+    "Q8": "gens: i j\nrel: i^4\nrel: i^2 j^-2\nrel: j i j^-1 i",
+    "Z2xZ2xZ2": "gens: a b c\nrel: a^2\nrel: b^2\nrel: c^2\nrel: [a,b]\nrel: [a,c]\nrel: [b,c]",
+    "A4": None,
+    "S4": None,
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_GROUPS))
+def test_join_matches_brute_force_over_all_tuples(name):
+    text = SMALL_GROUPS[name]
+    p = get_presentation(name) if text is None else parse_presentation(text)
+    g = realize(p)
+    auts = automorphism_group(g, p)
+    assert [a.permutation for a in auts] == automorphisms_by_brute_force(g, p)
+    want = {"S3": 6, "D8": 8, "Q8": 24, "Z2xZ2xZ2": 168, "A4": 24, "S4": 24}
+    assert len(auts) == want[name]
+
+
+@pytest.mark.parametrize("label", ["S4", "G(32,49)", "G(32,50)"])
+def test_automorphisms_closed_under_composition(label, autsH, autsG):
+    auts = {"G(32,49)": autsH, "G(32,50)": autsG}.get(label)
+    if auts is None:
+        auts = automorphism_group(realize_label(label), get_presentation(label))
+    assert closed_under_composition(auts)
+    assert not closed_under_composition([a for a in auts if a is not auts[1]])
+
+
+def test_inner_automorphisms_in_aut_on_the_catalog():
+    for label in catalog_labels():
+        g = realize_label(label)
+        auts = automorphism_group(g, get_presentation(label))
+        inner = inner_automorphisms(g)
+        assert {a.permutation for a in inner} <= {a.permutation for a in auts}, label
+        assert len(auts) % len(inner) == 0, label
+
+
+def test_permutation_digests_are_pinned(autsH, autsG):
+    # sha256 of the concatenated permutation bytes, in the returned order
+    def digest(auts):
+        return hashlib.sha256(b"".join(a.permutation for a in auts)).hexdigest()
+
+    assert digest(autsH) == "5afe270f132bc8411f74df4cb6ef06a7262cd1a895e594401ed429a2d38103a6"
+    assert digest(autsG) == "fa9fc35e03cc64423e5105e653ad614bc7d6eba5334727aa3d215d413606c287"
+
+
+def test_frontier_cap_rejected():
+    # Z2^5 has |GL(5,2)| = 9 999 360 automorphisms; its relators prune
+    # nothing, so the fifth generator would need 31^5 rows
+    src = "gens: a b c d e\n" + "".join(f"rel: {x}^2\n" for x in "abcde") + "".join(
+        f"rel: [{x},{y}]\n" for i, x in enumerate("abcde") for y in "abcde"[i + 1:]
+    )
+    g = realize(parse_presentation(src))
+    assert g.order == 32
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="frontier cap"):
+        automorphism_group(g, parse_presentation(src))
+    assert time.perf_counter() - start < 10
+
+
+def test_non_generating_tuples_are_rejected(monkeypatch):
+    # (a, a) satisfies the relators of Z2 x Z2 but maps b and ab wrongly
+    src = "gens: a b\nrel: a^2\nrel: b^2\nrel: [a,b]"
+    g = realize(parse_presentation(src))
+    monkeypatch.setattr(
+        ddks.automorphisms, "generation_mask_filter", lambda G, rows: np.ones(len(rows), bool)
+    )
+    with pytest.raises(AssertionError, match="bijection"):
+        automorphism_group(g, parse_presentation(src))
+
+
+def test_tuples_failing_the_relators_are_rejected(monkeypatch):
+    # Z8 with y = x^2: without the relators y may be either element of
+    # order 4.  The tree extension of every tuple is then a bijection, but
+    # it is multiplicative only when y = x^2.
+    src = "gens: x y\nrel: x^8\nrel: y x^-2"
+    g = realize(parse_presentation(src))
+    monkeypatch.setattr(
+        ddks.automorphisms, "bulk_relator_filter", lambda G, rows, rels: np.ones(len(rows), bool)
+    )
+    with pytest.raises(AssertionError, match="homomorphism"):
+        automorphism_group(g, parse_presentation(src))
 
 
 def test_cap_rejected():

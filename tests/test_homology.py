@@ -331,6 +331,60 @@ def test_unit_pivot_certificate_survives_optimize(tamper, message):
     assert done.stdout.strip() == message
 
 
+TAMPERED_REWRITING = """
+import sys
+from ddks.group_core import Homomorphism, parse_presentation, realize
+from ddks.homology import abelianized_relator_matrix, schreier_transversal
+
+assert sys.flags.optimize, "run under python -O"
+z2 = realize(parse_presentation("gens: y\\nrel: y^2"))
+z4 = realize(parse_presentation("gens: y\\nrel: y^4"))
+try:
+{tamper}
+except AssertionError as e:
+    print(e)
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # x -> 1 does not reach the odd coset of Z2
+        pytest.param(
+            "    Homomorphism.is_surjective = lambda self: True\n"
+            "    schreier_transversal(Homomorphism(parse_presentation('gens: x'), z2, (0,)))",
+            "a coset has no representative",
+            id="missing-coset",
+        ),
+        # the representative x x of Z4's coset 2 has the prefix x, sent to 0
+        pytest.param(
+            "    Homomorphism.image_of_word = lambda self, w: 0\n"
+            "    schreier_transversal(Homomorphism(parse_presentation('gens: x'), z4, (1,)))",
+            "a prefix of a representative is not a representative",
+            id="prefix",
+        ),
+        # x^3 is not a relator of the map x -> y onto Z2
+        pytest.param(
+            "    hom = Homomorphism(parse_presentation('gens: x'), z2, (1,))\n"
+            "    abelianized_relator_matrix(\n"
+            "        parse_presentation('gens: x\\nrel: x^3'), hom, schreier_transversal(hom)\n"
+            "    )",
+            "relator does not map to the identity",
+            id="relator",
+        ),
+    ],
+)
+def test_rewriting_checks_survive_optimize(tamper, message):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddks.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_REWRITING.replace("{tamper}", tamper)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout.strip() == message
+
+
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
 def test_reduction_on_orbifold_matrix(label):
     g = realize_label(label)

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ddks
 from ddks.group_core import CosetEnumerationError, coset_table
 from ddks.group_core.toddcox import trace
 
@@ -65,3 +70,44 @@ def test_quaternion_indices():
     rels = [[1, 1, -2, -2], [2, 2, -1, -2, -1, -2]]
     table = coset_table(2, rels)
     assert len(table) == 8
+
+
+TAMPERED_TABLE = """
+import sys
+import ddks.group_core.toddcox as tc
+
+assert sys.flags.optimize, "run under python -O"
+real = tc._verify_table
+
+
+def tampered(table, rel_cols, sub_cols):
+{tamper}
+    real(table, rel_cols, sub_cols)
+
+
+tc._verify_table = tampered
+try:
+    tc.coset_table(1, [[1, 1, 1]])
+except AssertionError as e:
+    print(e)
+    sys.exit(3)
+"""
+
+# Z3 closes with the table [[1, 2], [2, 0], [0, 1]]: columns x, x^-1.
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        pytest.param("    table[0][0] = 3", "table entry out of range", id="range"),
+        pytest.param("    table[0][0] = 2", "columns not mutually inverse", id="inverse"),
+        pytest.param("    rel_cols = rel_cols + [[0]]", "relator does not close", id="relator"),
+        pytest.param("    sub_cols = sub_cols + [[0]]", "subgroup word moves coset 0", id="subgroup"),
+    ],
+)
+def test_table_certificate_survives_optimize(tamper, message):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddks.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_TABLE.replace("{tamper}", tamper)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stdout.strip() == message
