@@ -19,7 +19,12 @@ import numpy as np
 
 from .certify import bulk_relator_filter
 from .group_core import FiniteGroup, Presentation
-from .structures import DDKStructure, generation_mask_filter, verify_structure
+from .structures import (
+    DDKStructure,
+    generation_mask_filter,
+    inner_automorphism_table,
+    verify_structure,
+)
 
 AUT_ORDER_CAP = 32
 # Rows the generator-image join in `automorphism_group` may hold: 6x its
@@ -136,12 +141,9 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> list[GroupAutomorphis
 
 
 def inner_automorphisms(G: FiniteGroup) -> list[GroupAutomorphism]:
-    """Conjugation maps, one per coset of the center."""
-    seen = {}
-    for g in G.elements():
-        perm = bytes(G.conjugate(x, g) for x in G.elements())
-        seen.setdefault(perm, GroupAutomorphism(perm))
-    out = sorted(seen.values(), key=lambda a: a.permutation)
+    """Conjugation maps, one per coset of the center, sorted by
+    permutation bytes: the rows of `inner_automorphism_table`."""
+    out = [GroupAutomorphism(row.tobytes()) for row in inner_automorphism_table(G)]
     if len(out) != G.order // len(G.center()):
         raise AssertionError("|Inn| is not |G| / |Z(G)|")
     return out

@@ -126,11 +126,12 @@ def fibration_data(G: FiniteGroup, s: DDKStructure) -> FibrationReport:
     ks = k_subgroups(s)
     c1sq, c2, slope = chern_invariants(G.order, b, n)
     sigma = signature(G.order, b, n)
-    assert sigma == (c1sq - 2 * c2) // 3 and (c1sq - 2 * c2) % 3 == 0
-    assert sigma > 0 and sigma % 4 == 0
-    if n % 2:
-        assert sigma % 16 == 0
-    assert slope_in_window(slope)
+    if sigma * 3 != c1sq - 2 * c2:
+        raise AssertionError("sigma is not (c1^2 - 2 c2) / 3")
+    if sigma <= 0 or sigma % (16 if n % 2 else 4):
+        raise AssertionError(f"sigma = {sigma} is not a positive multiple of {16 if n % 2 else 4}")
+    if not slope_in_window(slope):
+        raise AssertionError(f"slope {slope} is outside (2, 8 - 4 sqrt 2)")
     chi = _as_integer(Fraction(c1sq + c2, 12), "chi")
     return FibrationReport(
         group_order=G.order,
@@ -168,7 +169,8 @@ def with_homology(report: FibrationReport, first_betti: int) -> FibrationReport:
     chi, q_irr, p_g, maximal = hodge_numbers(
         report.c1sq, report.c2, first_betti, report.b
     )
-    assert chi == report.chi
+    if chi != report.chi:
+        raise AssertionError("chi from the Betti number differs from the report's")
     return replace(
         report, first_betti=first_betti, q_irr=q_irr, p_g=p_g, maximal=maximal
     )

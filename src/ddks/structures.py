@@ -20,6 +20,15 @@ AND of masks from one table C[v, d] = {x : x v x^-1 = d}.  Bits expand in
 ascending order under their parent, so rows come out in depth-first order
 whatever the chunk size.
 
+`structure_rows` searches one row per Inn(G)-orbit, the least in slot
+order (McKay's minimal images): a column carries the uint64 mask of the
+inner automorphisms that fix its prefix, and a slot value x survives only
+if none of them sends x below x.  Each orbit is then rebuilt by one
+gather per inner automorphism.  This counts every structure once because
+Inn(G) acts by automorphisms, which keep a row a structure, and every
+certified row generates G, so only the identity fixes it: the action is
+free and each orbit has |Inn| distinct rows.
+
 Callers re-verify every row with `bulk_relator_filter` (from `certify`),
 which shares no code, table or cache with the plan: it compiles the
 relator words themselves into one gather program and checks that each
@@ -577,10 +586,14 @@ def _compile_level(slot: int, cases: list) -> _Level:
     return _Level(slot, tuple(c[1] for c in cases), tuple(steps), tuple(tests))
 
 
-def _candidate_masks(tab: _Tables, level: _Level, f: np.ndarray) -> np.ndarray:
-    """The bitmask of admissible values of `level.slot` for each column."""
+def _candidate_masks(
+    tab: _Tables, level: _Level, f: np.ndarray, masks: np.ndarray | None
+) -> np.ndarray:
+    """The bitmask of admissible values of `level.slot` for each column,
+    within `masks` if given."""
     regs = [*f.astype(np.uint16), np.zeros(f.shape[1], dtype=np.uint16)]
-    masks = np.full(f.shape[1], tab.C[0])  # every x fixes the identity
+    if masks is None:
+        masks = np.full(f.shape[1], tab.C[0])  # every x fixes the identity
     done = 0
     for v, d, upto in level.tests:
         if not masks.any():
@@ -609,43 +622,115 @@ def _expand(f: np.ndarray, masks: np.ndarray, counts: np.ndarray, slot: int) -> 
     return child
 
 
+class _OrbitTables:
+    """Minimal-image tables for a (k, |G|) permutation table `inn` with
+    k <= 64 and the identity as row 0, so a set of rows is a uint64 mask
+    with bit 0 for the identity.  `least(stab)` is the mask of the x with
+    h(x) >= x for every h in `stab`, one gather per byte of the mask;
+    `fixers[x]` is the mask of the h with h(x) = x."""
+
+    def __init__(self, inn: np.ndarray):
+        if len(inn) > 64:
+            raise ValueError(f"stabilizer masks hold 64 automorphisms, got {len(inn)}")
+        k, n = inn.shape
+        x = np.arange(n)
+        one = np.uint64(1)
+        bit = one << np.arange(k, dtype=np.uint64)[:, None]
+        self.fixers = np.bitwise_or.reduce(np.where(inn == x, bit, 0), axis=0)
+        rises = np.full(-(-k // 8) * 8, ~np.uint64(0))  # padded to whole bytes
+        rises[:k] = np.bitwise_or.reduce(np.where(inn >= x, one << x.astype(np.uint64), 0), axis=1)
+        byte = np.arange(256)[:, None] >> np.arange(8) & 1
+        self.bytes = [
+            np.bitwise_and.reduce(np.where(byte, r, ~np.uint64(0)), axis=1)
+            for r in rises.reshape(-1, 8)
+        ]
+
+    def least(self, stab: np.ndarray) -> np.ndarray:
+        out = self.bytes[0][stab & np.uint64(255)]
+        for k, table in enumerate(self.bytes[1:], 1):
+            out &= table[(stab >> np.uint64(8 * k)) & np.uint64(255)]
+        return out
+
+
 def _descend(
-    tab: _Tables, plan: tuple[_Level, ...], f: np.ndarray, level: int
+    tab: _Tables,
+    plan: tuple[_Level, ...],
+    f: np.ndarray,
+    level: int,
+    orbits: _OrbitTables | None = None,
+    stab: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
+    """The completions of the columns of f.  With `orbits`, `stab` holds
+    each column's stabilizer, and a slot value x is kept only if no h in
+    it has h(x) < x; a chunk whose stabilizers are all the identity
+    descends without them, since every completion of it is least."""
     if level == len(plan):
         yield f
         return
-    masks = _candidate_masks(tab, plan[level], f)
+    masks = _candidate_masks(tab, plan[level], f, None if stab is None else orbits.least(stab))
     live = masks != 0
     f, masks = f[:, live], masks[live]
+    if stab is not None:
+        stab = stab[live]
     counts = _popcount(masks)
     ends = np.cumsum(counts)
+    slot = plan[level].slot
     start = 0
     while start < len(masks):
         done = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, done + _ROW_BUDGET, side="right")), start + 1)
-        child = _expand(f[:, start:stop], masks[start:stop], counts[start:stop], plan[level].slot)
-        yield from _descend(tab, plan, child, level + 1)
+        child = _expand(f[:, start:stop], masks[start:stop], counts[start:stop], slot)
+        child_stab = None
+        if stab is not None:
+            child_stab = np.repeat(stab[start:stop], counts[start:stop])
+            child_stab &= orbits.fixers[child[slot]]
+            if (child_stab == 1).all():
+                child_stab = None
+        yield from _descend(tab, plan, child, level + 1, orbits, child_stab)
         start = stop
 
 
 def _genus2_blocks(
-    G: FiniteGroup, cells: Iterable[tuple[int, int]], relators: tuple[tuple[str, Word], ...]
+    G: FiniteGroup,
+    cells: Iterable[tuple[int, int]],
+    relators: tuple[tuple[str, Word], ...],
+    inn: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The search output as consecutive (9, k) uint8 blocks, a row per column."""
     tab = _Tables.for_group(G)
     cells = np.array(list(cells), dtype=np.uint8).reshape(-1, 2)
+    orbits = stab = None
+    if inn is not None:
+        # the same rule as in _descend, on z and then r11
+        orbits = _OrbitTables(inn)
+        stab = np.full(len(cells), np.uint64((1 << len(inn)) - 1))
+        keep = np.ones(len(cells), dtype=bool)
+        for x in cells.T:
+            keep &= (orbits.least(stab) >> x.astype(np.uint64)) & np.uint64(1) != 0
+            stab &= orbits.fixers[x]
+        cells, stab = cells[keep], stab[keep]
     f = np.zeros((9, len(cells)), dtype=np.uint8)
     f[_Z], f[_R11] = cells[:, 0], cells[:, 1]
-    yield from _descend(tab, _search_plan(relators), f, 0)
+    yield from _descend(tab, _search_plan(relators), f, 0, orbits, stab)
 
 
 def genus2_rows(
-    G: FiniteGroup, cells: Iterable[tuple[int, int]], structure_mode: bool
+    G: FiniteGroup,
+    cells: Iterable[tuple[int, int]],
+    structure_mode: bool,
+    inn: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (k, 9) uint8 rows with (z, r11) in `cells` that satisfy (R1)-(R10),
     (T1)-(T10), and in structure mode (S1), (S2); ordered by cell as given,
-    then by t21, r12, t22, t11, r21, t12, r22."""
+    then by t21, r12, t22, t11, r21, t12, r22.
+
+    With `inn`, a permutation table of automorphisms of G with the
+    identity first (at most 64, the width of the stabilizer masks, else
+    ValueError), only the rows that are least in the slot order
+    z, r11, t21, r12, t22, t11, r21, t12, r22 among their images under
+    every row of `inn` are kept (McKay's minimal images): the search
+    drops a prefix as soon as an automorphism that fixes the prefix so
+    far maps the next slot to a smaller element."""
     # One growing buffer, returned as a view without a final copy: keeping
     # the many small blocks for a concatenate, or copying the result, left
     # a fuller heap and a higher peak RSS in the enumeration that follows.
@@ -654,7 +739,7 @@ def genus2_rows(
     relators = (
         labeled_relations_for_type(_PRE_TYPE) if structure_mode else prestructure_relations()
     )
-    for block in _genus2_blocks(G, cells, relators):
+    for block in _genus2_blocks(G, cells, relators, inn):
         m = block.shape[1]
         if k + m > len(out):
             grown = np.empty((2 * (k + m), 9), dtype=np.uint8)
@@ -665,11 +750,30 @@ def genus2_rows(
     return out[:k]
 
 
+def inner_automorphism_table(G: FiniteGroup) -> np.ndarray:
+    """Inn(G) as a (|Inn|, |G|) uint8 table: the distinct maps x -> g x g^-1,
+    from the search's conjugate table, rows sorted (so the identity is
+    first).  Raises ValueError above the search cap."""
+    n = G.order
+    return np.unique(_Tables.for_group(G).conj.reshape(64, 64)[:n, :n].astype(np.uint8), axis=0)
+
+
 def structure_rows(
     G: FiniteGroup, t: StructureType, jobs: int | None = None
 ) -> np.ndarray:
     """All type-(2,n) structures as a (count, 9) array, lexicographically
     sorted; every row is re-verified against the full relation system.
+
+    The search keeps one row per Inn(G)-orbit, the least in slot order
+    (`genus2_rows` with `inn`), and each orbit is rebuilt by one gather
+    per inner automorphism.  That gives every structure exactly once by a
+    lemma: Inn(G) acts on structures, since automorphisms preserve the
+    relators, the order of z and generation; and it acts freely, since a
+    homomorphism that fixes a generating tuple is the identity and every
+    certified row generates G.  So each orbit has |Inn| distinct rows, of
+    which the search finds the least.  The premises are checked: the
+    expanded rows, once sorted, must be pairwise distinct (else
+    AssertionError), and `certify_structure_rows` checks every one.
 
     Raises for b != 2 (enumeration is genus-2 only) and for groups above
     the search cap.  `jobs` has no effect, since the search is one
@@ -677,9 +781,19 @@ def structure_rows(
     """
     if t.b != 2:
         raise ValueError("enumeration supports b = 2 only")
+    inn = inner_automorphism_table(G)
     zs = [x for x in G.elements() if G.element_order[x] == t.n]
-    rows = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], True)
+    reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], True, inn)
+    k = len(reps)
+    rows = np.empty((len(inn) * k, 9), dtype=np.uint8)
+    for i, h in enumerate(inn):
+        np.take(h, reps, out=rows[i * k:(i + 1) * k])
     rows = rows[np.lexsort(rows.T[::-1])]
+    same = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for col in rows.T:
+        same &= col[1:] == col[:-1]
+    if same.any():
+        raise AssertionError("two representatives lie in one Inn(G)-orbit")
     certify_structure_rows(G, rows, t, "backtracking emitted {} invalid tuples")
     return rows
 

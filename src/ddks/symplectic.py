@@ -70,9 +70,8 @@ class SymplecticSpace:
         quotient, proj = G.quotient(center)
         if any(quotient.element_order[x] > 2 for x in quotient.elements()):
             raise ValueError("G/Z(G) is not elementary abelian")
-        if len(derived := G.derived_subgroup()) != 2:
+        if set(G.derived_subgroup()) != set(center):
             raise ValueError("extra-special input needed: [G, G] must equal Z(G)")
-        assert set(derived) == set(center)
 
         # coordinates: basis vectors are the nonzero generator images
         basis_cosets = [

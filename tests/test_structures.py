@@ -1,3 +1,4 @@
+import hashlib
 from itertools import islice
 
 import numpy as np
@@ -25,6 +26,7 @@ from ddks.structures import (
     example_structure,
     generation_mask_filter,
     genus2_rows,
+    inner_automorphism_table,
     iter_prestructure_tuples,
     k_subgroups,
     labeled_relations_for_type,
@@ -266,6 +268,10 @@ def test_caps_raise_value_errors():
         automorphism_group(cyclic(33), parse_presentation("gens: x\nrel: x^33"))
     with pytest.raises(ValueError, match="certifier cap is order 256"):
         bulk_relator_filter(cyclic(257), np.zeros((1, 9), dtype=np.uint8), relations_for_type(T22))
+    with pytest.raises(ValueError, match="search cap"):
+        inner_automorphism_table(z65)
+    with pytest.raises(ValueError, match="stabilizer masks hold 64"):
+        genus2_rows(cyclic(4), [(2, 0)], True, np.tile(np.arange(4, dtype=np.uint8), (65, 1)))
 
 
 def test_generation_mask_filter_cyclic():
@@ -367,8 +373,13 @@ def test_no_structures_below_order_32():
         G = small_group(make)
         assert len(structure_rows(G, T22)) == 0
     s4 = realize_label("S4")
-    assert len(structure_rows(s4, T22)) == 0
     assert len(structure_rows(s4, StructureType(2, 4))) == 0
+    # |Inn| = 24 (trivial centre) and |Inn| = 1 (abelian)
+    z4 = cyclic(4)
+    assert len(inner_automorphism_table(s4)) == 24 and len(inner_automorphism_table(z4)) == 1
+    for G in (s4, z4):
+        rows = structure_rows(G, T22)
+        assert rows.dtype == np.uint8 and rows.shape == (0, 9)
 
 
 def test_structure_cell_contains_example(H5):
@@ -632,6 +643,45 @@ def test_structure_rows_determinism_across_jobs():
     assert np.array_equal(
         structure_rows(g, T22, jobs=1), structure_rows(g, T22, jobs=2)
     )
+
+
+@pytest.mark.parametrize(
+    "label, prefix",
+    [("G(32,49)", "863ecae2908f73d8"), ("G(32,50)", "9d16df7bef8ed0ea")],
+)
+def test_structure_rows_digests_are_pinned(label, prefix, rows_cache):
+    rows = rows_cache.backtrack(label)
+    assert rows.dtype == np.uint8 and rows.shape == (2211840, 9)
+    assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == prefix
+
+
+def slot_order_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one integer, comparing as the row does in slot order."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for name in SEARCH_ORDER:
+        key = key << 6 | rows[:, slot_names(2).index(name)].astype(np.int64)
+    return key
+
+
+@pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
+def test_representatives_are_minimal_images(label):
+    G = realize_label(label)
+    inn = inner_automorphism_table(G)
+    assert inn.dtype == np.uint8 and inn.shape == (16, 32)
+    assert np.array_equal(inn[0], np.arange(32))
+    zs = [z for z in G.elements() if G.element_order[z] == 2]
+    reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(32)], True, inn)
+    assert len(reps) == 138240 == 2211840 // len(inn)
+    key = slot_order_keys(reps)
+    for h in inn[1:]:
+        assert (slot_order_keys(h[reps]) > key).all()
+
+
+def test_duplicated_inner_automorphism_is_caught(monkeypatch, H5):
+    inn = inner_automorphism_table(H5)
+    monkeypatch.setattr(structures, "inner_automorphism_table", lambda G: np.vstack([inn, inn[5:6]]))
+    with pytest.raises(AssertionError, match="one Inn"):
+        structure_rows(H5, T22)
 
 
 def test_enumerate_structures_stream(H5, rows_cache):
