@@ -4,9 +4,10 @@ relator word evaluates to the identity.
 It certifies the output of the genus-2 search in `structures` and of the
 symplectic route, so it imports nothing from either.  `_relator_program`
 compiles the relator list once into a straight-line program: a commutator
-a b a^-1 b^-1 is one gather from a commutator table, and each inverse
-letter and each shared prefix is computed once for all relators (85
-gathers for the 22 structure relators, against their 140 letters).
+a b a^-1 b^-1 is one gather from a commutator table, a conjugate a b a^-1
+one gather from a conjugate table, and each inverse letter and each shared
+prefix is computed once for all relators (65 gathers for the 22 structure
+relators, against their 140 letters).
 `bulk_relator_filter` runs the program on uint8 registers, a chunk of rows
 at a time, through flat uint8 tables cached on the group.
 """
@@ -23,8 +24,8 @@ from .group_core import FiniteGroup, Word
 # The certifier keeps element indices in uint8 registers.
 CERTIFY_ORDER_CAP = 256
 # Rows the certifier evaluates at a time.  Its registers, one uint8 row of
-# this length per column and per program step (94 for the 22 structure
-# relators), then take about 1.5 MB, and each step's temporaries stay in
+# this length per column and per program step (74 for the 22 structure
+# relators), then take about 1.2 MB, and each step's temporaries stay in
 # cache.
 _CERTIFY_CHUNK = 1 << 14
 
@@ -36,9 +37,10 @@ def _relator_program(
     """The relators as one straight-line program: (columns, steps, results).
 
     Registers 0 .. columns-1 hold the row's columns; step k, (op, i, j),
-    writes register columns + k with inv[reg i], or with the `mul` / `comm`
-    table at (reg i, reg j).  Each relator is read left to right, a factor
-    at a time: a b a^-1 b^-1 is one `comm`, any other letter one factor.
+    writes register columns + k with inv[reg i], or with the `mul`, `comm`
+    or `conj` table at (reg i, reg j).  Each relator is read left to right,
+    a factor at a time: a b a^-1 b^-1 is one `comm`, else a b a^-1 one
+    `conj`, and any other letter one factor.
     Steps are hash-consed, so an inverse letter or a shared prefix is
     computed once for all relators.  A row satisfies every relator iff all
     `results` registers hold the identity (an empty relator adds none).
@@ -59,6 +61,9 @@ def _relator_program(
             if i + 3 < len(lets) and lets[i + 2] == -lets[i] and lets[i + 3] == -lets[i + 1]:
                 factor = emit("comm", letter(lets[i]), letter(lets[i + 1]))
                 i += 4
+            elif i + 2 < len(lets) and lets[i + 2] == -lets[i]:
+                factor = emit("conj", letter(lets[i]), letter(lets[i + 1]))
+                i += 3
             else:
                 factor = letter(lets[i])
                 i += 1
@@ -69,8 +74,9 @@ def _relator_program(
 
 
 def _relator_tables(G: FiniteGroup) -> tuple[int, dict[str, np.ndarray]]:
-    """(s, tables): uint8 `inv`, and flat uint8 `mul` and `comm` tables
-    indexed by (a << s) | b, with [a, b] = a b a^-1 b^-1; cached on G."""
+    """(s, tables): uint8 `inv`, and flat uint8 `mul`, `comm` and `conj`
+    tables indexed by (a << s) | b, with [a, b] = a b a^-1 b^-1 and
+    conj(a, b) = a b a^-1; cached on G."""
     cached = getattr(G, "_relator_tables", None)
     if cached is not None:
         return cached
@@ -80,8 +86,13 @@ def _relator_tables(G: FiniteGroup) -> tuple[int, dict[str, np.ndarray]]:
     inv = np.array(G.inverse, dtype=np.uint8)
     a = np.arange(n)[:, None]
     b = np.arange(n)[None, :]
+    ab = cayley[a, b]
     tables = {"inv": inv}
-    for op, table in (("mul", cayley), ("comm", cayley[cayley[a, b], cayley[inv[a], inv[b]]])):
+    for op, table in (
+        ("mul", cayley),
+        ("comm", cayley[ab, cayley[inv[a], inv[b]]]),
+        ("conj", cayley[ab, inv[a]]),
+    ):
         tables[op] = np.zeros(1 << 2 * s, dtype=np.uint8)
         tables[op][(a << s) | b] = table
     G._relator_tables = (s, tables)

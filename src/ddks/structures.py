@@ -29,10 +29,15 @@ Inn(G) acts by automorphisms, which keep a row a structure, and every
 certified row generates G, so only the identity fixes it: the action is
 free and each orbit has |Inn| distinct rows.
 
-Callers re-verify every row with `bulk_relator_filter` (from `certify`),
-which shares no code, table or cache with the plan: it compiles the
-relator words themselves into one gather program and checks that each
-evaluates to the identity.
+Both enumeration routes, this one and `symplectic`, end in
+`certify_structure_rows`.  A route hands it one uint64 key per row, 6 bits
+a slot with r11 most significant, so one sort of the keys puts the rows in
+lexicographic order; sorted neighbours must differ.  The rows unpacked
+from the keys are the array that is checked and returned: every row
+against `bulk_relator_filter` (from `certify`), which shares no code,
+table or cache with the plan (it compiles the relator words themselves
+into one gather program and checks that each evaluates to the identity),
+then o(z) and generation.
 """
 
 from __future__ import annotations
@@ -454,21 +459,43 @@ def maximal_subgroup_masks(G: FiniteGroup) -> list[int]:
     return maximal
 
 
+# Rows the generation filter, `pack_rows` and `unpack_keys` handle at a
+# time, so that each uint64 temporary (128 KB) stays in cache.
+_CHUNK = 1 << 14
+
+
 def generation_mask_filter(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows (tuples of element indices) generate G.
 
     A tuple generates G iff it is not contained in any maximal subgroup.
-    Above order 64 the uint64 masks would wrap; `all_subgroup_masks`
-    raises ValueError there.
+    Each element gets a uint64 whose bit j says it lies outside maximal
+    subgroup j, so a row generates G iff the OR over its entries has every
+    bit set.  Raises ValueError above 64 maximal subgroups; above order 64
+    `all_subgroup_masks` raises ValueError.
     """
     maximal = maximal_subgroup_masks(G)
-    masks = np.zeros(len(rows), dtype=np.uint64)
-    one = np.uint64(1)
-    for col in range(rows.shape[1]):
-        masks |= one << rows[:, col].astype(np.uint64)
-    ok = np.ones(len(rows), dtype=bool)
-    for m in maximal:
-        ok &= (masks & ~np.uint64(m)) != 0
+    if len(maximal) > 64:
+        raise ValueError(f"generation masks hold 64 maximal subgroups, got {len(maximal)}")
+    if rows.size and (rows.min() < 0 or rows.max() >= G.order):
+        raise ValueError("element index out of range for the group")
+    outside = np.array(
+        [sum(1 << j for j, m in enumerate(maximal) if not m >> x & 1) for x in G.elements()],
+        dtype=np.uint64,
+    )
+    full = np.uint64((1 << len(maximal)) - 1)
+    ok = np.empty(len(rows), dtype=bool)
+    acc = np.empty(min(_CHUNK, len(rows)), dtype=np.uint64)
+    part = np.empty_like(acc)
+    for start in range(0, len(rows), _CHUNK):
+        cols = rows[start:start + _CHUNK].T
+        a, p = acc[:cols.shape[1]], part[:cols.shape[1]]
+        a[:] = 0
+        for col in cols:
+            # mode="clip" skips the bounds check, which would also buffer `p`;
+            # every entry was checked above
+            np.take(outside, col, out=p, mode="clip")
+            a |= p
+        ok[start:start + len(a)] = a == full
     return ok
 
 
@@ -785,35 +812,75 @@ def structure_rows(
     zs = [x for x in G.elements() if G.element_order[x] == t.n]
     reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], True, inn)
     k = len(reps)
-    rows = np.empty((len(inn) * k, 9), dtype=np.uint8)
+    keys = np.empty(len(inn) * k, dtype=np.uint64)
     for i, h in enumerate(inn):
-        np.take(h, reps, out=rows[i * k:(i + 1) * k])
-    rows = rows[np.lexsort(rows.T[::-1])]
-    same = np.ones(max(len(rows) - 1, 0), dtype=bool)
-    for col in rows.T:
-        same &= col[1:] == col[:-1]
-    if same.any():
-        raise AssertionError("two representatives lie in one Inn(G)-orbit")
-    certify_structure_rows(G, rows, t, "backtracking emitted {} invalid tuples")
+        keys[i * k:(i + 1) * k] = pack_rows(G, np.take(h, reps))
+    return certify_structure_rows(
+        G, keys, t,
+        "backtracking emitted {} invalid tuples",
+        "two representatives lie in one Inn(G)-orbit",
+    )
+
+
+# Rows reach `certify_structure_rows` as uint64 keys, 6 bits per slot with
+# r11 most significant: every entry is below 64, so key order is the rows'
+# lexicographic order.
+ROW_KEY_SHIFTS = np.arange(48, -1, -6, dtype=np.uint64)
+
+
+def pack_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
+    """The (N, 9) rows of elements of G as N uint64 keys (`ROW_KEY_SHIFTS`);
+    ValueError above order 64, whose elements do not fit in 6 bits."""
+    if G.order > 64:
+        raise ValueError(f"row keys pack elements below 64, got order {G.order}")
+    keys = np.empty(len(rows), dtype=np.uint64)
+    field = np.empty(min(_CHUNK, len(rows)), dtype=np.uint64)
+    for start in range(0, len(rows), _CHUNK):
+        part, out = rows[start:start + _CHUNK], keys[start:start + _CHUNK]
+        f = field[:len(part)]
+        out[:] = 0
+        for c, shift in enumerate(ROW_KEY_SHIFTS):
+            f[:] = part[:, c]
+            f <<= shift
+            out |= f
+    return keys
+
+
+def unpack_keys(keys: np.ndarray) -> np.ndarray:
+    """The (N, 9) uint8 rows that `pack_rows` packed into `keys`."""
+    rows = np.empty((len(keys), 9), dtype=np.uint8)
+    field = np.empty(min(_CHUNK, len(keys)), dtype=np.uint64)
+    for start in range(0, len(keys), _CHUNK):
+        part, out = keys[start:start + _CHUNK], rows[start:start + _CHUNK]
+        f = field[:len(part)]
+        for c, shift in enumerate(ROW_KEY_SHIFTS):
+            np.right_shift(part, shift, out=f)
+            out[:, c] = f  # keeps the low 8 bits; masked below
+    rows &= 63
     return rows
 
 
 def certify_structure_rows(
-    G: FiniteGroup, rows: np.ndarray, t: StructureType, failure: str
-) -> None:
-    """Re-check every row against the full relator list, o(z) = t.n and
-    generation; raise AssertionError with `failure` formatted with the
-    number of bad rows if any fails.
-
-    Callers sort their rows first, rebinding their own name, so the
-    unsorted array is freed before the checks allocate.
+    G: FiniteGroup, keys: np.ndarray, t: StructureType, failure: str, duplicate: str
+) -> np.ndarray:
+    """The rows packed in `keys` (sorted in place), lexicographically
+    sorted, after checking that they are pairwise distinct (else
+    AssertionError with `duplicate`) and that every row satisfies the full
+    relator list, o(z) = t.n and generation (else AssertionError with
+    `failure` formatted with the number of bad rows).  The returned array
+    is the one checked.
     """
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        raise AssertionError(duplicate)
+    rows = unpack_keys(keys)
     ok = bulk_relator_filter(G, rows, relations_for_type(t))
     orders = np.array(G.element_order, dtype=np.int32)
     ok &= orders[rows[:, -1]] == t.n
     ok &= generation_mask_filter(G, rows)
     if not ok.all():
         raise AssertionError(failure.format(int((~ok).sum())))
+    return rows
 
 
 # -- prestructure search ----------------------------------------------

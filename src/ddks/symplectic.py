@@ -19,9 +19,11 @@ import numpy as np
 
 from .group_core import FiniteGroup
 from .structures import (
+    ROW_KEY_SHIFTS,
     DDKStructure,
     StructureType,
     certify_structure_rows,
+    pack_rows,
     verify_structure,
 )
 
@@ -376,16 +378,16 @@ def symplectic_structure_rows(G: FiniteGroup) -> np.ndarray:
     mulz = np.array(
         [G.mul(x, space.z_element) for x in G.elements()], dtype=np.uint8
     )
-    masks = np.arange(256, dtype=np.uint16)
-    patterns = ((masks[:, None] >> np.arange(8)[None, :]) & 1).astype(bool)
-    # Rebinding one name frees each 2.2 M-row stage once the next exists.
-    rows = np.where(patterns[None, :, :], mulz[base][:, None, :], base[:, None, :])
-    rows = rows.reshape(-1, 8)
-    rows = np.concatenate(
-        [rows, np.full((len(rows), 1), space.z_element, dtype=np.uint8)], axis=1
+    # Lift mask m takes slot i from mulz[base] where bit i of m is set: its
+    # key is the base row's key with slot i's field XORed with base ^ mulz[base].
+    keys = np.empty((len(base), 256), dtype=np.uint64)
+    z = np.full(len(base), space.z_element, dtype=np.uint8)
+    keys[:, 0] = pack_rows(G, np.column_stack([base, z]))
+    flips = (base ^ mulz[base]).astype(np.uint64) << ROW_KEY_SHIFTS[:8]
+    for i in range(8):
+        np.bitwise_xor(keys[:, :1 << i], flips[:, i, None], out=keys[:, 1 << i:2 << i])
+    return certify_structure_rows(
+        G, keys.reshape(-1), StructureType(2, 2),
+        "{} lifted candidates failed verification",
+        "two lifts give the same row",
     )
-    rows = rows[np.lexsort(rows.T[::-1])]
-    certify_structure_rows(
-        G, rows, StructureType(2, 2), "{} lifted candidates failed verification"
-    )
-    return rows

@@ -23,6 +23,7 @@ from ddks.structures import (
     all_subgroup_masks,
     braid_presentation,
     bulk_relator_filter,
+    certify_structure_rows,
     example_structure,
     generation_mask_filter,
     genus2_rows,
@@ -32,6 +33,7 @@ from ddks.structures import (
     labeled_relations_for_type,
     labeled_simplified_relations_for_type,
     maximal_subgroup_masks,
+    pack_rows,
     prestructure_relations,
     prestructure_report,
     prestructure_search_info,
@@ -43,6 +45,7 @@ from ddks.structures import (
     structure_rows,
     structure_to_dict,
     structure_to_hom,
+    unpack_keys,
     verify_prestructure,
     verify_structure,
 )
@@ -279,6 +282,63 @@ def test_generation_mask_filter_cyclic():
     rows = np.array([[g] for g in range(6)], dtype=np.uint8)
     ok = generation_mask_filter(z6, rows)
     assert [bool(v) for v in ok] == [z6.element_order[g] == 6 for g in range(6)]
+
+
+def scan_generation_mask(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
+    """The oracle for `generation_mask_filter`: each row's element set as
+    one uint64, tested against every maximal subgroup in turn."""
+    maximal = maximal_subgroup_masks(G)
+    masks = np.zeros(len(rows), dtype=np.uint64)
+    one = np.uint64(1)
+    for col in range(rows.shape[1]):
+        masks |= one << rows[:, col].astype(np.uint64)
+    ok = np.ones(len(rows), dtype=bool)
+    for m in maximal:
+        ok &= (masks & ~np.uint64(m)) != 0
+    return ok
+
+
+def generation_rows(G: FiniteGroup, columns: int, seed: int) -> np.ndarray:
+    """Seeded random rows, then as many drawn inside random maximal subgroups."""
+    rng = np.random.default_rng(seed)
+    inside = []
+    for m in rng.choice(maximal_subgroup_masks(G), size=200):
+        members = [x for x in range(G.order) if int(m) >> x & 1]
+        inside.append(rng.choice(members, size=columns))
+    free = rng.integers(0, G.order, size=(200, columns))
+    return np.concatenate([free, np.array(inside)]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("label", ["S4", "A4", "Q8", "G(32,49)", "G(32,50)", "order 64"])
+def test_generation_filter_matches_subgroup_scan(label):
+    G, _ = certifier_group(label)
+    for columns in (5, 9):
+        rows = generation_rows(G, columns, seed=columns)
+        want = scan_generation_mask(G, rows)
+        assert want.any() and not want.all(), columns
+        assert np.array_equal(generation_mask_filter(G, rows), want), columns
+        assert np.array_equal(generation_mask_filter(G, rows[::-1].T.copy().T), want[::-1])
+
+
+def test_generation_filter_on_the_strong_generation_slices(H5, rows_cache, monkeypatch):
+    rows = rows_cache.backtrack("G(32,49)")[::61]
+    monkeypatch.setattr("ddks.structures._CHUNK", 1000)  # several partial chunks
+    for cols in ([0, 1, 2, 3, 8], [4, 5, 6, 7, 8], [0, 2, 4, 8], [1, 8]):
+        part = rows[:, cols]
+        want = scan_generation_mask(H5, part)
+        assert np.array_equal(generation_mask_filter(H5, part), want), cols
+    assert not scan_generation_mask(H5, rows[:, [1, 8]]).all()
+
+
+def test_generation_filter_caps(monkeypatch):
+    s4 = realize_label("S4")
+    with pytest.raises(ValueError, match="out of range"):
+        generation_mask_filter(s4, np.full((1, 9), 24, dtype=np.uint8))
+    empty = generation_mask_filter(s4, np.zeros((0, 9), dtype=np.uint8))
+    assert empty.dtype == bool and empty.shape == (0,)
+    monkeypatch.setattr(structures, "maximal_subgroup_masks", lambda G: [0] * 65)
+    with pytest.raises(ValueError, match="64 maximal subgroups, got 65"):
+        generation_mask_filter(s4, np.zeros((1, 9), dtype=np.uint8))
 
 
 # ------------------------------------------------ backtracking searches
@@ -582,7 +642,12 @@ def test_certifier_edge_cases():
     rows = certifier_rows(G, [], seed=5)
     words = [
         Word((1, 2, -1, -2, 1)),  # [a, b] overlaps [b, a^-1]
-        Word((1, 2, -1)),  # an incomplete commutator
+        Word((1, 2, -1)),  # a conjugate
+        Word((1, 2, -1, 3)),  # a conjugate, then a letter
+        Word((-1, 2, 1)),  # a conjugate by an inverse letter
+        Word((1, 2, -1, -2, -1)),  # a commutator, then an inverse letter
+        Word((1, 2, 1)),  # not a conjugate
+        Word((-1, 2, -1)),
         Word((2, 1, 2, -1, -2)),  # a commutator after one letter
         Word((1, 2, -1, -2, 1, 2, -1, -2)),
         Word((-1, -2, 1, 2, 9)),
@@ -606,9 +671,10 @@ def test_certifier_program_shares_inverses_and_prefixes():
     relators = tuple(relations_for_type(T22))
     columns, steps, results = certify._relator_program(relators)
     ops = [op for op, _, _ in steps]
-    # the 140 letters need 9 distinct inverses, 18 commutators and 58 products
+    # the 140 letters need 9 distinct inverses, 18 commutators, 14 conjugates
+    # and 24 products
     assert columns == 9 and len(results) == 22
-    assert (ops.count("inv"), ops.count("comm"), ops.count("mul")) == (9, 18, 58)
+    assert [ops.count(op) for op in ("inv", "comm", "conj", "mul")] == [9, 18, 14, 24]
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -650,9 +716,39 @@ def test_structure_rows_determinism_across_jobs():
     [("G(32,49)", "863ecae2908f73d8"), ("G(32,50)", "9d16df7bef8ed0ea")],
 )
 def test_structure_rows_digests_are_pinned(label, prefix, rows_cache):
-    rows = rows_cache.backtrack(label)
-    assert rows.dtype == np.uint8 and rows.shape == (2211840, 9)
-    assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == prefix
+    for rows in (rows_cache.backtrack(label), rows_cache.symplectic(label)):
+        assert rows.dtype == np.uint8 and rows.shape == (2211840, 9)
+        assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize("chunk", [700, 1 << 14])
+def test_row_keys_sort_as_the_rows(monkeypatch, chunk):
+    monkeypatch.setattr("ddks.structures._CHUNK", chunk)
+    G = cyclic(64)
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 64, size=(3000, 9)).astype(np.uint8)
+    rows[:1000, :6] = rows[0, :6]  # long shared prefixes
+    rows[1000] = 63
+    rows[1001:1010] = np.where(np.eye(9, dtype=bool), 63, 0)
+    keys = pack_rows(G, rows)
+    assert keys.dtype == np.uint64 and keys.max() == (1 << 54) - 1
+    assert np.array_equal(unpack_keys(keys), rows)
+    assert np.array_equal(unpack_keys(np.sort(keys)), rows[np.lexsort(rows.T[::-1])])
+    assert unpack_keys(pack_rows(G, rows[:0])).shape == (0, 9)
+    with pytest.raises(ValueError, match="below 64, got order 65"):
+        pack_rows(cyclic(65), rows)
+
+
+def test_certify_tail_rejects_bad_and_repeated_rows(H5):
+    good = np.array([example_structure(H5).elements], dtype=np.uint8)
+    bad = good.copy()
+    bad[0, 8] = 0  # z = 1 breaks o(z) = 2
+    rows = certify_structure_rows(H5, pack_rows(H5, good), T22, "{} bad", "repeated")
+    assert np.array_equal(rows, good)
+    with pytest.raises(AssertionError, match="^1 bad$"):
+        certify_structure_rows(H5, pack_rows(H5, np.vstack([bad, good])), T22, "{} bad", "repeated")
+    with pytest.raises(AssertionError, match="^repeated$"):
+        certify_structure_rows(H5, pack_rows(H5, np.vstack([good, good])), T22, "{} bad", "repeated")
 
 
 def slot_order_keys(rows: np.ndarray) -> np.ndarray:
@@ -682,6 +778,33 @@ def test_duplicated_inner_automorphism_is_caught(monkeypatch, H5):
     monkeypatch.setattr(structures, "inner_automorphism_table", lambda G: np.vstack([inn, inn[5:6]]))
     with pytest.raises(AssertionError, match="one Inn"):
         structure_rows(H5, T22)
+
+
+def test_duplicated_representative_is_caught(monkeypatch, H5):
+    search = structures.genus2_rows
+
+    def doubled(*args):
+        reps = search(*args)
+        return np.concatenate([reps, reps[-3:-2]])
+
+    monkeypatch.setattr(structures, "genus2_rows", doubled)
+    with pytest.raises(AssertionError, match="one Inn"):
+        structure_rows(H5, T22)
+
+
+def test_certified_rows_are_the_returned_rows(monkeypatch):
+    G = realize_label("G(32,50)")
+    seen = []
+    for name in ("bulk_relator_filter", "generation_mask_filter"):
+        check = getattr(structures, name)
+
+        def spy(G, rows, *args, check=check):
+            seen.append(rows)
+            return check(G, rows, *args)
+
+        monkeypatch.setattr(structures, name, spy)
+    rows = structure_rows(G, T22)
+    assert len(seen) == 2 and all(r is rows for r in seen)
 
 
 def test_enumerate_structures_stream(H5, rows_cache):

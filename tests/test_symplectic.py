@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddks import symplectic
 from ddks.group_core import parse_presentation, realize, realize_label
 from ddks.structures import example_structure
 from ddks.symplectic import (
@@ -15,6 +16,7 @@ from ddks.symplectic import (
     orthogonal_order,
     reduce_structure,
     sp_order,
+    symplectic_structure_rows,
     verify_reduced,
 )
 
@@ -285,3 +287,15 @@ def test_symplectic_route_matches_backtracking(label, rows_cache):
     assert via_lifts.shape == (2211840, 9)
     via_backtracking = rows_cache.backtrack(label)
     assert np.array_equal(via_lifts, via_backtracking)
+
+
+def test_duplicated_lift_is_caught(monkeypatch, H5):
+    enumerate_all = symplectic.enumerate_reduced_structures
+
+    def doubled(space):
+        reduced = list(enumerate_all(space))
+        return reduced + reduced[7:8]  # its 256 lifts are already there
+
+    monkeypatch.setattr(symplectic, "enumerate_reduced_structures", doubled)
+    with pytest.raises(AssertionError, match="two lifts give the same row"):
+        symplectic_structure_rows(H5)
