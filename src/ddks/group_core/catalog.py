@@ -63,7 +63,8 @@ def extra_special_text(b: int, p: int, variant: str) -> str:
 def extra_special(b: int, p: int, variant: str, max_cosets: int | None = None) -> FiniteGroup:
     """Realize the extra-special group of order p^(2b+1), variant H or G."""
     g = realize(parse_presentation(extra_special_text(b, p, variant)), max_cosets)
-    assert g.order == p ** (2 * b + 1)
+    if g.order != p ** (2 * b + 1):
+        raise AssertionError(f"extra-special group has order {g.order}, not {p ** (2 * b + 1)}")
     return g
 
 

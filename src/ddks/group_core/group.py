@@ -224,8 +224,9 @@ class FiniteGroup:
         if not nset.is_normal():
             raise ValueError("quotient requires a normal subgroup")
         rep = [min(self.cayley[x][n] for n in members) for x in range(self.order)]
+        if rep[0] != 0:
+            raise AssertionError("the identity's coset is not represented by the identity")
         reps = sorted(set(rep))
-        assert reps[0] == 0
         index_of = {r: i for i, r in enumerate(reps)}
         proj = [index_of[rep[x]] for x in range(self.order)]
         cay = [
@@ -276,7 +277,8 @@ class ElementSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        assert tuple(sorted(set(self.members))) == self.members
+        if tuple(sorted(set(self.members))) != self.members:
+            raise ValueError("members must be sorted and distinct")
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -366,7 +368,8 @@ def realize(p: Presentation, max_cosets: int | None = None) -> FiniteGroup:
             if word_to[d] is None:
                 word_to[d] = word_to[c] + [col]
                 queue.append(d)
-    assert all(w is not None for w in word_to)
+    if any(w is None for w in word_to):
+        raise AssertionError("a coset is not reachable from coset 0")
 
     cayley = []
     for i in range(n):

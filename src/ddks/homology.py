@@ -11,20 +11,26 @@ The relator matrix is large and sparse (736 x 257 with about 4 000
 nonzeros for the order-32 groups), so H_1 reduces it in two phases, as for
 badly presented Z-modules (Havas, Holt & Rees 1993).  Phase one eliminates
 every +-1 pivot on rows held as dicts of Python ints, recording each row
-operation and dropping each pivot row and column; phase two runs the dense
-`smith_normal_form` on the small residual R only.  Then
-rank = pivots + rank(R) and the invariant factors are those of R after as
-many 1s as there were pivots.  The certificate is the elimination's own
-multipliers, which rebuild A = F @ M from the final rows M with F unit lower
-triangular; M's pivot rows form a unit upper triangular block on the pivot
-columns, and its other rows vanish there and equal R elsewhere; the
-residual SNF keeps its own transform check.
+operation and dropping each pivot row and column.  Its certificate is the
+elimination's own multipliers, replayed as array code: F is unit lower
+triangular by one comparison of row ranks, one scatter rebuilds
+A = F @ M from the final rows M, M's pivot rows form a unit upper
+triangular block on the pivot columns, and its other rows vanish there and
+equal the residual R elsewhere.  Phase two cuts the tall R (about 330 x 12)
+to an echelon basis of its row lattice (4 x 12 on the order-32 matrices)
+by elementary row operations, certified by replaying them in reverse to R,
+and runs the dense `smith_normal_form` on that basis, which keeps its own
+transform check.  Then rank = pivots + rank(R) and the invariant factors
+are those of R after as many 1s as there were pivots.  Every exact product
+is int64 under a stated bound or Python ints, never floating point, so no
+product goes through BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -198,21 +204,15 @@ def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def _entry_max(x: np.ndarray) -> int:
-    if x.size == 0:
-        return 0
-    if x.dtype == object:
-        return max(abs(int(v)) for v in x.flat)
-    return int(np.abs(x).max())
+    return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
 def _exact_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X @ Y exactly: float64 (BLAS) when every intermediate integer stays
-    below 2^53, int64 when below 2^63, arbitrary precision otherwise."""
+    """X @ Y exactly: int64 when every partial sum stays below 2^63 (also
+    for object arrays whose entries fit), Python ints otherwise.  No product
+    goes through floating point, so none reaches BLAS."""
     bound = _entry_max(X) * _entry_max(Y) * max(X.shape[1], 1)
-    if bound < 2 ** 53:
-        product = X.astype(np.float64) @ Y.astype(np.float64)
-        return product.astype(np.int64)
-    if bound < 2 ** 63 and X.dtype != object and Y.dtype != object:
+    if bound < 2 ** 63:
         return X.astype(np.int64) @ Y.astype(np.int64)
     return X.astype(object) @ Y.astype(object)
 
@@ -309,6 +309,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
         rank += 1
 
     # Enforce the divisibility chain d_1 | d_2 | ... with tracked operations.
+    # Re-eliminating at i can fill M[i + 1:, i + 1:] again, so every later
+    # position is eliminated anew.
     done = False
     while not done:
         done = True
@@ -317,7 +319,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
                 M[:, i] += M[:, i + 1]
                 R[:, i] += R[:, i + 1]
                 upcast_if_needed()
-                eliminate(i)
+                for k in range(i, rank):
+                    eliminate(k)
                 done = False
                 break
     for i in range(rank):
@@ -328,6 +331,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
     factors = tuple(int(M[i, i]) for i in range(rank))
     if not all(d > 0 for d in factors):
         raise AssertionError("invariant factor is not positive")
+    if np.count_nonzero(M) != rank:
+        raise AssertionError("the reduced matrix is not diagonal")
     if not all(factors[i + 1] % factors[i] == 0 for i in range(rank - 1)):
         raise AssertionError("invariant factors do not form a divisibility chain")
     if not np.array_equal(_product_check(L, original, R), M.astype(object)):
@@ -408,24 +413,16 @@ def _eliminate_unit_pivots(
     return rows, ops, pivots
 
 
-def _dense(sparse_rows: Sequence[SparseRow], width: int) -> np.ndarray:
-    """Sparse rows as a dense int64 array, or object when an entry needs it."""
-    big = max((abs(v) for row in sparse_rows for v in row.values()), default=0)
-    dtype = np.int64 if big < 2 ** 63 else object
-    out = np.zeros((len(sparse_rows), width), dtype=dtype)
-    for i, row in enumerate(sparse_rows):
-        for j, v in row.items():
-            out[i, j] = v
-    return out
-
-
 def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     """(number of unit pivots k, residual R) with A equivalent to I_k (+) R.
 
-    Certificate, from the phase-one multipliers: every op reads a row
-    earlier in the order (pivot rows in pivot order, then the others), so F
-    is unit lower triangular, and replaying the ops on the final rows M
-    rebuilds A = F @ M in Python ints.  In M the pivot rows on the pivot
+    Certificate, from the phase-one multipliers, as array code on the
+    nonzeros of the final rows M: every op reads a row earlier in the order
+    (pivot rows in pivot order, then the others), so F is unit lower
+    triangular; and subtracting M and then f * M[r] from row s, for each op,
+    leaves A - F @ M, which must vanish.  That runs on int64 when
+    |M| (1 + sum |f|), which bounds every partial sum of F @ M, is below
+    2^63, and on Python ints otherwise.  In M the pivot rows on the pivot
     columns form an upper triangular block with +-1 on the diagonal, and the
     other rows vanish on every pivot column.  So column operations split M
     into I_k (+) R, where R is the surviving rows on the surviving columns.
@@ -433,30 +430,133 @@ def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     """
     nrows, ncols = A.shape
     rows, ops, pivots = _eliminate_unit_pivots(A)
-    pivot_rows = [r for r, _ in pivots]
-    pivot_cols = [c for _, c in pivots]
-    survivors = sorted(set(range(nrows)) - set(pivot_rows))
-    order = {r: i for i, r in enumerate(pivot_rows + survivors)}
-    if any(order[r] >= order[s] for s, r, _ in ops):
+    k = len(pivots)
+    pivot_rows = np.array([r for r, _ in pivots], dtype=np.intp)
+    pivot_cols = np.array([c for _, c in pivots], dtype=np.intp)
+    if len(np.unique(pivot_rows)) < k or len(np.unique(pivot_cols)) < k:
+        raise AssertionError("a pivot row or column repeats")
+    step_of_row = np.full(nrows, -1, dtype=np.intp)
+    step_of_row[pivot_rows] = np.arange(k)
+    step_of_col = np.full(ncols, -1, dtype=np.intp)
+    step_of_col[pivot_cols] = np.arange(k)
+    order = step_of_row.copy()
+    survivors = order < 0
+    order[survivors] = np.arange(k, nrows)
+    s, r, f = (list(column) for column in zip(*ops)) if ops else ([], [], [])
+    s = np.array(s, dtype=np.intp)
+    r = np.array(r, dtype=np.intp)
+    if (order[r] >= order[s]).any():
         raise AssertionError("a row operation reads a later row")
-    rebuilt = [dict(row) for row in rows]
-    for s, r, f in ops:
-        for j, v in rows[r].items():
-            rebuilt[s][j] = rebuilt[s].get(j, 0) + f * v
-    if not np.array_equal(_dense(rebuilt, ncols), A):
+
+    # M's nonzeros, row by row: row i holds cols and values [start[i], start[i + 1])
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=nrows)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    row_of = np.repeat(np.arange(nrows), counts)
+    cols = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(start[-1]))
+    values = list(chain.from_iterable(row.values() for row in rows))
+    bound = max(map(abs, values), default=0) * (1 + sum(map(abs, f)))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    values = np.array(values, dtype=dtype)
+    f = np.array(f, dtype=dtype)
+
+    residue = A.astype(dtype)
+    residue[row_of, cols] -= values
+    # the ops of one pivot step read one row r and come one after another
+    cuts = [0, *(np.flatnonzero(np.diff(r)) + 1), len(r)] if ops else []
+    for a, b in zip(cuts, cuts[1:]):
+        read = slice(start[r[a]], start[r[a] + 1])
+        np.subtract.at(residue, (s[a:b, None], cols[read]), f[a:b, None] * values[read])
+    if residue.any():
         raise AssertionError("row transform check failed")
-    M = _dense(rows, ncols)
-    U = M[np.ix_(pivot_rows, pivot_cols)]
-    if not all(abs(int(d)) == 1 for d in np.diagonal(U)):
-        raise AssertionError("unit pivot check failed")
-    if np.tril(U, -1).any():
+
+    i, j = step_of_row[row_of], step_of_col[cols]
+    in_block = (i >= 0) & (j >= 0)
+    if (i[in_block] > j[in_block]).any():
         raise AssertionError("pivot block is not triangular")
-    E = M[survivors]
-    if E[:, pivot_cols].any():
+    diagonal = in_block & (i == j)
+    if np.count_nonzero(diagonal) != k or (np.abs(values[diagonal]) != 1).any():
+        raise AssertionError("unit pivot check failed")
+    if ((i < 0) & (j >= 0)).any():
         raise AssertionError("a pivot column survived")
-    keep_cols = sorted(set(range(ncols)) - set(pivot_cols))
-    residual = E[np.ix_((E != 0).any(axis=1), keep_cols)]
-    return len(pivots), residual
+    rest = i < 0
+    keep_cols = np.flatnonzero(step_of_col < 0)
+    kept_rows, at = np.unique(row_of[rest], return_inverse=True)
+    residual = np.zeros((len(kept_rows), len(keep_cols)), dtype=dtype)
+    residual[at, np.searchsorted(keep_cols, cols[rest])] = values[rest]
+    return k, residual
+
+
+def _add_rows(
+    M: np.ndarray, targets: np.ndarray, q: np.ndarray, p: int
+) -> np.ndarray:
+    """M[targets] += q * M[p], first moving M to Python ints when an int64
+    entry could reach 2^63; returns M, which may be a new array."""
+    if M.dtype != object and (
+        _entry_max(q) * _entry_max(M[p]) + _entry_max(M[targets]) >= 2 ** 63
+    ):
+        M = M.astype(object)
+    M[targets] += q.astype(M.dtype)[:, None] * M[p]
+    return M
+
+
+def _row_lattice_echelon(
+    R: np.ndarray,
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]], list[int]]:
+    """Row-echelon basis of the lattice spanned by R's rows.
+
+    Column by column, the live row p with the least nonzero |entry| (ties
+    by index) reduces every other live row T nonzero there by T -= q * p,
+    q = T // p on that column, which leaves |T| < |p| there.  Once p is the
+    only live row left in the column it becomes a basis row and leaves the
+    live rows.
+
+    Returns (M, ops, basis): M is R after the ops, ops lists each step as
+    (p, T, q), and basis lists the basis rows in column order.  Every row of
+    M outside the basis is zero.
+    """
+    M = R.copy()
+    live = np.ones(len(M), dtype=bool)
+    ops: list[tuple[int, np.ndarray, np.ndarray]] = []
+    basis: list[int] = []
+    for c in range(M.shape[1]):
+        while True:
+            hits = np.flatnonzero(live & (M[:, c] != 0))
+            if not len(hits):
+                break
+            p = int(hits[np.argmin(np.abs(M[hits, c]))])
+            targets = hits[hits != p]
+            if not len(targets):
+                live[p] = False
+                basis.append(p)
+                break
+            q = M[targets, c] // M[p, c]
+            M = _add_rows(M, targets, -q, p)
+            ops.append((p, targets, q))
+    return M, ops, basis
+
+
+def _row_lattice_basis(R: np.ndarray) -> np.ndarray:
+    """Rows spanning the same lattice as R's rows, as many as R's rank.
+
+    Certificate: no op updates its own pivot row, so each is unimodular;
+    replaying the ops in reverse (T += q * p) on the final rows rebuilds R
+    exactly; and no row outside the basis survives.  So R and the basis
+    have the same rank and invariant factors.
+    """
+    M, ops, basis = _row_lattice_echelon(R)
+    n = len(M)
+    rebuilt = M.copy()
+    for p, targets, q in reversed(ops):
+        if (np.asarray(targets) % n == p % n).any():
+            raise AssertionError("a row operation updates its own pivot row")
+        rebuilt = _add_rows(rebuilt, targets, q, p)
+    if not np.array_equal(rebuilt, R):
+        raise AssertionError("row lattice check failed")
+    outside = np.ones(n, dtype=bool)
+    outside[basis] = False
+    if M[outside].any():
+        raise AssertionError("a row outside the basis survived")
+    return M[basis]
 
 
 def smith_invariants(
@@ -465,9 +565,10 @@ def smith_invariants(
     """(rank, invariant factors) of an integer matrix, without transforms.
 
     Two phases: sparse elimination of the +-1 pivots (each contributes an
-    invariant factor 1), then the dense `smith_normal_form` of the small
-    residual, which keeps its own transform check.  Equal to the rank and
-    invariant factors of `smith_normal_form(matrix)`.
+    invariant factor 1), then the dense `smith_normal_form` of an echelon
+    basis of the residual's row lattice, which keeps its own transform
+    check.  Equal to the rank and invariant factors of
+    `smith_normal_form(matrix)`.
     """
     if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
         A = matrix
@@ -476,7 +577,7 @@ def smith_invariants(
     if A.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     units, residual = _unit_pivot_residual(A)
-    snf = smith_normal_form(residual)
+    snf = smith_normal_form(_row_lattice_basis(residual))
     return units + snf.rank, (1,) * units + snf.invariant_factors
 
 

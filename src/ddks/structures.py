@@ -203,7 +203,8 @@ def labeled_relations_for_type(t: StructureType) -> tuple[tuple[str, Word], ...]
         idx += 1
         out.append((f"T{idx}", commutator(_t(1, j, b), z) * commutator(_t(2, j, b).inverse(), z).inverse()))
 
-    assert len(out) == 4 * b * b + 2 * b + 2
+    if len(out) != 4 * b * b + 2 * b + 2:
+        raise AssertionError(f"{len(out)} relations, expected {4 * b * b + 2 * b + 2}")
     return tuple(out)
 
 

@@ -28,26 +28,6 @@ from .structures import (
 )
 
 
-def sp_order(b: int) -> int:
-    """|Sp(2b, F2)| by the standard product formula."""
-    if b < 1:
-        raise ValueError("b >= 1 required")
-    out = 2 ** (b * b)
-    for i in range(1, b + 1):
-        out *= 4**i - 1
-    return out
-
-
-def orthogonal_order(b: int, epsilon: int) -> int:
-    """|O_epsilon(2b, F2)|."""
-    if b < 1 or epsilon not in (1, -1):
-        raise ValueError("need b >= 1 and epsilon in {+1, -1}")
-    out = 2 ** (b * (b - 1) + 1) * (2**b - epsilon)
-    for i in range(1, b):
-        out *= 4**i - 1
-    return out
-
-
 def aut_order(b: int, epsilon: int) -> int:
     """|Aut(G)| for the extra-special group of order 2^(2b+1) and type epsilon."""
     if b < 1 or epsilon not in (1, -1):
@@ -200,27 +180,6 @@ def induced_space(G: FiniteGroup) -> SymplecticSpace:
     return SymplecticSpace(G)
 
 
-def form_type(space: SymplecticSpace) -> int:
-    """epsilon from the zero count of q: #zeros = 2^(2b-1) + epsilon 2^(b-1)."""
-    zeros = sum(1 for v in space.vectors() if space.q(v) == 0)
-    half = 2 ** (space.dim - 1)
-    step = 2 ** (space.b - 1)
-    if zeros == half + step:
-        return 1
-    if zeros == half - step:
-        return -1
-    raise ValueError(f"zero count {zeros} matches neither form type")
-
-
-def arf_invariant(space: SymplecticSpace) -> int:
-    """Sum of q(e)q(f) over the dual pairs of one symplectic basis."""
-    basis = next(enumerate_symplectic_bases(space))
-    return (
-        sum(space.q(basis[2 * i]) * space.q(basis[2 * i + 1]) for i in range(space.b))
-        % 2
-    )
-
-
 def enumerate_symplectic_bases(space: SymplecticSpace) -> Iterator[tuple[int, ...]]:
     """All ordered symplectic bases (e1, f1, e2, f2) of a dim-4 space."""
     if space.dim != 4:
@@ -334,16 +293,6 @@ def enumerate_reduced_structures(space: SymplecticSpace) -> Iterator[ReducedStru
                 if space.pair(vectors[0], vectors[1]) != (1 if case == "a" else 0):
                     raise AssertionError("case tag disagrees with pairing pattern")
                 yield ReducedStructure(vectors, case)
-
-
-def reduce_structure(space: SymplecticSpace, s: DDKStructure) -> ReducedStructure:
-    """Project a verified structure to V."""
-    vectors = tuple(space.projection(e) for e in s.elements[:8])
-    ok, diag = verify_reduced(space, vectors)
-    if not ok:
-        raise ValueError(f"projection is not a reduced structure: {diag}")
-    tag = "a" if space.pair(vectors[0], vectors[1]) == 1 else "b"
-    return ReducedStructure(vectors, tag)
 
 
 def lift_reduced(

@@ -1,0 +1,67 @@
+"""Closed-form orders and invariants of F2 quadratic spaces, and the
+projection of a structure to V, used only to check the symplectic route.
+
+`symplectic_structure_rows` never needs them: the tests use them to check
+the space's form type against the group's variant, the Sp and O orders
+against the counts of bases and outer automorphisms, and the reduced
+structures against projections of known structures.
+"""
+
+from ddks.structures import DDKStructure
+from ddks.symplectic import (
+    ReducedStructure,
+    SymplecticSpace,
+    enumerate_symplectic_bases,
+    verify_reduced,
+)
+
+
+def sp_order(b: int) -> int:
+    """|Sp(2b, F2)| by the standard product formula."""
+    if b < 1:
+        raise ValueError("b >= 1 required")
+    out = 2 ** (b * b)
+    for i in range(1, b + 1):
+        out *= 4**i - 1
+    return out
+
+
+def orthogonal_order(b: int, epsilon: int) -> int:
+    """|O_epsilon(2b, F2)|."""
+    if b < 1 or epsilon not in (1, -1):
+        raise ValueError("need b >= 1 and epsilon in {+1, -1}")
+    out = 2 ** (b * (b - 1) + 1) * (2**b - epsilon)
+    for i in range(1, b):
+        out *= 4**i - 1
+    return out
+
+
+def form_type(space: SymplecticSpace) -> int:
+    """epsilon from the zero count of q: #zeros = 2^(2b-1) + epsilon 2^(b-1)."""
+    zeros = sum(1 for v in space.vectors() if space.q(v) == 0)
+    half = 2 ** (space.dim - 1)
+    step = 2 ** (space.b - 1)
+    if zeros == half + step:
+        return 1
+    if zeros == half - step:
+        return -1
+    raise ValueError(f"zero count {zeros} matches neither form type")
+
+
+def arf_invariant(space: SymplecticSpace) -> int:
+    """Sum of q(e)q(f) over the dual pairs of one symplectic basis."""
+    basis = next(enumerate_symplectic_bases(space))
+    return (
+        sum(space.q(basis[2 * i]) * space.q(basis[2 * i + 1]) for i in range(space.b))
+        % 2
+    )
+
+
+def reduce_structure(space: SymplecticSpace, s: DDKStructure) -> ReducedStructure:
+    """Project a verified structure to V."""
+    vectors = tuple(space.projection(e) for e in s.elements[:8])
+    ok, diag = verify_reduced(space, vectors)
+    if not ok:
+        raise ValueError(f"projection is not a reduced structure: {diag}")
+    tag = "a" if space.pair(vectors[0], vectors[1]) == 1 else "b"
+    return ReducedStructure(vectors, tag)

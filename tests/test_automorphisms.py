@@ -23,7 +23,7 @@ from ddks.automorphisms import (
     out_order,
 )
 from ddks.structures import example_structure
-from ddks.symplectic import aut_order, induced_space, orthogonal_order
+from ddks.symplectic import aut_order, induced_space
 from orbittools import (
     automorphisms_by_brute_force,
     closed_under_composition,
@@ -31,6 +31,7 @@ from orbittools import (
     orbit_of,
     orbits_via_unionfind,
 )
+from symplectictools import orthogonal_order
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from ddks.group_core import (
     resolve_label,
 )
 from permtools import perm_from_cycles, perm_group, perm_mul
+from optimizetools import raised_under_optimize
 
 
 def test_catalog_shape():
@@ -196,3 +197,16 @@ def test_q8_factor_of_catalog_entry_has_unique_involution():
     sub = g.subgroup_generated(g.generator_elements[1:])
     assert len(sub) == 8
     assert sum(1 for x in sub if g.element_order[x] == 2) == 1
+
+
+def test_extra_special_order_check_survives_optimize():
+    snippet = """
+from importlib import import_module
+catalog = import_module("ddks.group_core.catalog")  # the package exports a function of that name
+z2 = catalog.realize(catalog.parse_presentation("gens: y\\nrel: y^2"))
+catalog.realize = lambda *args: z2
+catalog.extra_special(1, 2, "H")
+"""
+    assert raised_under_optimize(snippet) == (
+        "AssertionError extra-special group has order 2, not 8"
+    )

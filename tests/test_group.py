@@ -8,6 +8,7 @@ from ddks.group_core import (
     realize,
     realize_label,
 )
+from optimizetools import raised_under_optimize
 
 
 def klein_four():
@@ -181,3 +182,40 @@ def test_is_cct():
         klein_four().is_cct()
     assert realize_label("G(24,6)").is_cct()
     assert not realize_label("S4").is_cct()
+
+
+@pytest.mark.parametrize(
+    "snippet, raised",
+    [
+        # {1} is not a subgroup of Z2, so the coset of the identity is {1}
+        pytest.param(
+            """
+import ddks.group_core.group as group
+group.ElementSet.is_subgroup = group.ElementSet.is_normal = lambda self: True
+group.realize(group.Presentation(("y",), (group.Word.gen(0) ** 2,))).quotient((1,))
+""",
+            "AssertionError the identity's coset is not represented by the identity",
+            id="quotient",
+        ),
+        pytest.param(
+            """
+from ddks.group_core import ElementSet, realize_label
+ElementSet(realize_label("S4"), (1, 0))
+""",
+            "ValueError members must be sorted and distinct",
+            id="element-set",
+        ),
+        # a table whose second coset no column reaches
+        pytest.param(
+            """
+import ddks.group_core.group as group
+group.toddcox.coset_table = lambda *args: [[0, 0], [1, 1]]
+group.realize(group.Presentation(("x",), ()))
+""",
+            "AssertionError a coset is not reachable from coset 0",
+            id="unreachable-coset",
+        ),
+    ],
+)
+def test_group_checks_survive_optimize(snippet, raised):
+    assert raised_under_optimize(snippet) == raised

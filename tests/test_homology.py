@@ -18,9 +18,12 @@ from ddks.group_core import (
     realize,
     realize_label,
 )
+from ddks import homology
 from ddks.homology import (
     HomologyInvariants,
     Transversal,
+    _exact_matmul,
+    _row_lattice_basis,
     _unit_pivot_residual,
     abelianized_relator_matrix,
     first_homology,
@@ -32,6 +35,7 @@ from ddks.homology import (
 )
 from ddks.invariants import fibration_data, with_homology
 from ddks.structures import DDKStructure, StructureType, example_structure
+from optimizetools import raised_under_optimize
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +210,25 @@ def test_snf_matches_gcd_of_minors(size):
             assert _minor_gcd(A, snf.rank + 1) == 0
 
 
+def test_snf_rediagonalizes_after_a_divisibility_fix():
+    # The divisibility fix at position 2 used to refill the 3 x 3 block
+    # below it without eliminating it again, and the diagonal of that block
+    # gave (1, 1, 2, 2, 19128), whose product is twice |det|.
+    A = [
+        [6, 12, 6, 2, 6],
+        [0, 0, 0, 2, -2],
+        [0, 5, 0, 12, 12],
+        [5, 12, 0, -2, 12],
+        [12, 0, -9, 2, 0],
+    ]
+    snf = smith_normal_form(A)
+    assert np.count_nonzero(snf.diagonal) == snf.rank == 5
+    product = 1
+    for k, d in enumerate(snf.invariant_factors, start=1):
+        product *= d
+        assert product == _minor_gcd(A, k)
+
+
 # ------------------------------------------- unit-pivot reduction oracle
 
 def _dense_oracle(A) -> tuple[int, tuple[int, ...]]:
@@ -232,8 +255,9 @@ def test_reduction_matches_dense_snf_on_random_sparse():
         [[0, 2, -1, 3, 1]],
         [[2, 4, 0], [6, -2, 2], [0, 4, 8]],
         [[2 ** 40, 3], [5, 2 ** 40]],
+        [[1, 2 ** 70, 0], [2, 3, 2 ** 65], [0, 1, 5], [-1, 4, 2 ** 64]],
     ],
-    ids=["zero", "one-row", "no-unit", "huge"],
+    ids=["zero", "one-row", "no-unit", "huge", "huge-with-units"],
 )
 def test_reduction_matches_dense_snf_on_edge_cases(A):
     assert smith_invariants(A) == _dense_oracle(A)
@@ -331,6 +355,46 @@ def test_unit_pivot_certificate_survives_optimize(tamper, message):
     assert done.stdout.strip() == message
 
 
+FORGED_ELIMINATION = """
+import ddks.homology as h
+
+h._eliminate_unit_pivots = lambda A: ({rows}, {ops}, {pivots})
+h.smith_invariants({matrix})
+"""
+
+
+# Each forged certificate rebuilds its matrix exactly (A = F @ M), so only
+# the checks on M's pivot block and pivot columns can refuse it; the
+# answers in the comments are what it would give without them.
+@pytest.mark.parametrize(
+    "matrix, rows, ops, pivots, raised",
+    [
+        # true (2, (1, 2)); would give (2, (1, 1))
+        pytest.param(
+            [[1, 0], [1, 2], [0, 4]], [{0: 1}, {1: 2}, {1: 4}], [(1, 0, 1)],
+            [(0, 0), (1, 1)], "unit pivot check failed", id="non-unit",
+        ),
+        # true rank 1; would give 2
+        pytest.param(
+            [[1, 1], [1, 1]], [{0: 1, 1: 1}, {0: 1, 1: 1}], [],
+            [(0, 0), (1, 1)], "pivot block is not triangular", id="lower-entry",
+        ),
+        # true rank 1; would give 2
+        pytest.param(
+            [[1, 0], [1, 0]], [{0: 1}, {0: 1}], [],
+            [(0, 0)], "a pivot column survived", id="pivot-column",
+        ),
+        pytest.param(
+            [[1, 0], [1, 2], [0, 4]], [{0: 1}, {1: 2}, {1: 4}], [(1, 0, 1)],
+            [(0, 0), (0, 0)], "a pivot row or column repeats", id="repeat",
+        ),
+    ],
+)
+def test_unit_pivot_block_checks_survive_optimize(matrix, rows, ops, pivots, raised):
+    snippet = FORGED_ELIMINATION.format(rows=rows, ops=ops, pivots=pivots, matrix=matrix)
+    assert raised_under_optimize(snippet) == "AssertionError " + raised
+
+
 TAMPERED_REWRITING = """
 import sys
 from ddks.group_core import Homomorphism, parse_presentation, realize
@@ -383,6 +447,162 @@ def test_rewriting_checks_survive_optimize(tamper, message):
     )
     assert done.returncode == 3, done.stderr
     assert done.stdout.strip() == message
+
+
+# ------------------------------------------------ residual row lattice
+
+LATTICE_ENTRIES = (0, 0, 0, 2, -2, 3, -4, 6, -9, 12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_lattice_basis_matches_dense_snf(seed):
+    # tall matrices without unit entries, with zero rows and zero columns
+    rng = random.Random(300 + seed)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 8)
+        R = np.array(
+            [[rng.choice(LATTICE_ENTRIES) for _ in range(ncols)] for _ in range(nrows)],
+            dtype=np.int64,
+        )
+        R[rng.sample(range(nrows), nrows // 4)] = 0
+        R[:, rng.sample(range(ncols), ncols // 4)] = 0
+        B = _row_lattice_basis(R)
+        snf = smith_normal_form(B)
+        assert B.shape == (snf.rank, ncols)
+        assert (snf.rank, snf.invariant_factors) == _dense_oracle(R), R.tolist()
+
+
+@pytest.mark.parametrize(
+    "R",
+    [
+        # int64 rows whose first update, q * p with q about 2^61 / 3, needs
+        # Python ints
+        np.array([[2 ** 61, 3], [2 ** 61 + 1, 5], [3, 2 ** 61]], dtype=np.int64),
+        np.array([[2 ** 70, 6], [2 ** 70 + 4, 10], [0, 0]], dtype=object),
+    ],
+    ids=["int64-overflows", "object"],
+)
+def test_row_lattice_basis_in_python_ints(R):
+    B = _row_lattice_basis(R)
+    assert B.dtype == object
+    snf = smith_normal_form(B)
+    assert (snf.rank, snf.invariant_factors) == _dense_oracle(R)
+
+
+def test_row_lattice_basis_of_panel_residuals(orbifold_hom):
+    g, p, hom = orbifold_hom
+    A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    units, residual = _unit_pivot_residual(A)
+    B = _row_lattice_basis(residual)
+    assert residual.shape[0] > 300 and B.shape == (4, residual.shape[1])
+    assert smith_normal_form(B).invariant_factors == smith_normal_form(residual).invariant_factors
+
+
+TAMPERED_LATTICE = """
+import numpy as np
+import ddks.homology as h
+
+real = h._row_lattice_echelon
+
+
+def tampered(R):
+    M, ops, basis = real(R)
+{tamper}
+    return M, ops, basis
+
+
+h._row_lattice_echelon = tampered
+h.smith_invariants([[2, 0], [4, 0], [0, 3]])
+"""
+
+
+# Phase one finds no unit entry, so the residual is the matrix itself; its
+# echelon basis is rows 0 and 2 after the one op row 1 -= 2 * row 0, and
+# (rank, factors) is (2, (1, 6)).
+@pytest.mark.parametrize(
+    "tamper, raised",
+    [
+        pytest.param(
+            "    p, T, q = ops[0]\n    ops[0] = (p, T, q + 1)",
+            "row lattice check failed",
+            id="multiplier",
+        ),
+        pytest.param(
+            "    M[basis[0], 1] += 1",
+            "row lattice check failed",
+            id="basis-row",
+        ),
+        # without the check the basis [[2, 0]] would give (1, (2,))
+        pytest.param(
+            "    basis.pop()",
+            "a row outside the basis survived",
+            id="dropped-basis-row",
+        ),
+        # row 0 += row 0 doubles it: the replay rebuilds R from the basis
+        # [[1, 0], [0, 3]], which would give (2, (1, 3))
+        pytest.param(
+            "    M[0] = (1, 0)\n"
+            "    ops[:] = [(0, np.array([0]), np.array([1])), (0, np.array([1]), np.array([4]))]",
+            "a row operation updates its own pivot row",
+            id="own-row",
+        ),
+    ],
+)
+def test_row_lattice_certificate_survives_optimize(tamper, raised):
+    assert smith_invariants([[2, 0], [4, 0], [0, 3]]) == (2, (1, 6))
+    snippet = TAMPERED_LATTICE.replace("{tamper}", tamper)
+    assert raised_under_optimize(snippet) == "AssertionError " + raised
+
+
+# ------------------------------------------------------ exact products
+
+def _python_product(X, Y) -> list[list[int]]:
+    return [
+        [sum(int(X[i, k]) * int(Y[k, j]) for k in range(X.shape[1])) for j in range(Y.shape[1])]
+        for i in range(X.shape[0])
+    ]
+
+
+def test_exact_matmul_takes_int64_for_object_arrays_that_fit():
+    rng = np.random.default_rng(3)
+    X = rng.integers(-2 ** 20, 2 ** 20, size=(7, 5)).astype(object)
+    Y = rng.integers(-2 ** 20, 2 ** 20, size=(5, 4)).astype(object)
+    product = _exact_matmul(X, Y)
+    assert product.dtype == np.int64
+    assert product.tolist() == _python_product(X, Y)
+
+
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        # the sum is exactly 2^63, one past int64
+        (np.array([[2 ** 31, 2 ** 31]]), np.array([[2 ** 31], [2 ** 31]])),
+        (np.array([[2 ** 62, -3]]), np.array([[4], [2 ** 62]])),
+        (np.array([[2 ** 70, 1]], dtype=object), np.array([[3], [2 ** 65]], dtype=object)),
+    ],
+    ids=["sum", "int64-inputs", "object"],
+)
+def test_exact_matmul_stays_exact_above_2_63(X, Y):
+    product = _exact_matmul(X, Y)
+    assert product.dtype == object
+    assert product.tolist() == _python_product(X, Y)
+
+
+def test_first_homology_multiplies_no_floats(orbifold_hom, monkeypatch):
+    g, p, hom = orbifold_hom
+    calls = []
+    real = homology._exact_matmul
+
+    def integer_only(X, Y):
+        product = real(X, Y)
+        for array in (X, Y, product):
+            assert array.dtype == np.int64 or array.dtype == object, array.dtype
+        calls.append(product.shape)
+        return product
+
+    monkeypatch.setattr(homology, "_exact_matmul", integer_only)
+    assert first_homology(p, hom) == HomologyInvariants(8, (2, 2, 2, 2))
+    assert calls == [(4, 12), (4, 12)]
 
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])

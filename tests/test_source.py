@@ -1,0 +1,69 @@
+"""Checks on the source text of `src/ddks`: every check there must raise
+explicitly, so it survives `python -O`, and no exact integer product may
+pass through floating point (and so through BLAS)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ddks
+
+SRC = Path(ddks.__file__).parent
+MODULES = sorted(SRC.rglob("*.py"))
+FLOAT_DTYPES = {
+    "float", "float_", "float16", "float32", "float64", "double", "half",
+    "single", "longdouble", "f2", "f4", "f8",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _float_dtypes(tree: ast.Module):
+    """Nodes naming a floating dtype: np.float64 and the like anywhere, and
+    float or a float dtype string given to astype or as dtype=."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FLOAT_DTYPES:
+            yield node
+        if not isinstance(node, ast.Call):
+            continue
+        given = [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            given += node.args
+        for arg in given:
+            if isinstance(arg, ast.Name) and arg.id == "float":
+                yield arg
+            if isinstance(arg, ast.Constant) and arg.value in FLOAT_DTYPES:
+                yield arg
+
+
+def test_sources_are_found():
+    assert {"homology.py", "structures.py", "catalog.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_bare_asserts(path):
+    found = [node.lineno for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
+    assert found == [], f"{path.name}: bare assert on lines {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_float_dtypes(path):
+    found = [node.lineno for node in _float_dtypes(_parse(path))]
+    assert found == [], f"{path.name}: floating dtype on lines {found}"
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("x.astype(np.float64) @ y", 1),
+        ("x.astype(float) @ y", 1),
+        ("np.zeros(3, dtype='float64')", 1),
+        ("x.astype(np.int64) @ y.astype(object)", 0),
+        ("float(t)", 0),
+    ],
+)
+def test_float_dtype_scan_finds_casts(source, hits):
+    assert len(list(_float_dtypes(ast.parse(source)))) == hits

@@ -49,6 +49,7 @@ from ddks.structures import (
     verify_prestructure,
     verify_structure,
 )
+from optimizetools import raised_under_optimize
 
 T22 = StructureType(2, 2)
 
@@ -831,3 +832,15 @@ def test_structure_round_trip(H5):
         structure_from_dict(H5, {"b": 2, "n": 2})
     with pytest.raises(ValueError, match="out of range"):
         structure_from_dict(H5, {"b": 2, "n": 2, "elements": [99] * 9})
+
+
+def test_relation_count_check_survives_optimize():
+    # every loop of the relation builder skips its first index
+    snippet = """
+import builtins
+from ddks import structures
+t = structures.StructureType(2, 2)
+structures.range = lambda *args: builtins.range(*args)[1:]
+structures.labeled_relations_for_type(t)
+"""
+    assert raised_under_optimize(snippet) == "AssertionError 8 relations, expected 22"

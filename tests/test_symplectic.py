@@ -6,18 +6,20 @@ from ddks.group_core import parse_presentation, realize, realize_label
 from ddks.structures import example_structure
 from ddks.symplectic import (
     ReducedStructure,
-    arf_invariant,
     aut_order,
     enumerate_reduced_structures,
     enumerate_symplectic_bases,
-    form_type,
     induced_space,
     lift_reduced,
+    symplectic_structure_rows,
+    verify_reduced,
+)
+from symplectictools import (
+    arf_invariant,
+    form_type,
     orthogonal_order,
     reduce_structure,
     sp_order,
-    symplectic_structure_rows,
-    verify_reduced,
 )
 
 
