@@ -1,13 +1,13 @@
-"""Automorphism groups, their action on structures, and orbits.
+"""Automorphism groups and their orbits on structures.
 
 Automorphisms are found by a join over the presentation generators: each
 generator's candidate images are the elements of its order, and the
 relators filter the tuples as soon as their last generator is assigned.
 The tuples that generate G extend to element permutations, each checked
 to be an automorphism, and that set is Aut(G) (`automorphism_group` states
-the proof).  Permutations are stored as bytes so composition is a single
-translate call.  Orbits are counted as |structures| / |Aut|, the action
-being free because every structure generates G (`orbit_count`).
+the proof).  Each is stored as its permutation bytes.  Orbits are
+counted as |structures| / |Aut|, the action being free because every
+structure generates G (`orbit_count`).
 """
 
 from __future__ import annotations
@@ -19,25 +19,12 @@ import numpy as np
 
 from .certify import bulk_relator_filter
 from .group_core import FiniteGroup, Presentation
-from .structures import (
-    DDKStructure,
-    generation_mask_filter,
-    inner_automorphism_table,
-    verify_structure,
-)
+from .structures import generation_mask_filter, inner_automorphism_table
 
 AUT_ORDER_CAP = 32
 # Rows the generator-image join in `automorphism_group` may hold: 6x its
 # largest frontier on the catalog (677 376 rows, on G(32,47)).
 AUT_FRONTIER_CAP = 1 << 22
-
-
-_IDENTITY_256 = bytes(range(256))
-
-
-def _translation_table(perm: bytes) -> bytes:
-    """Pad a permutation to the 256-byte table bytes.translate needs."""
-    return perm + _IDENTITY_256[len(perm):]
 
 
 @dataclass(frozen=True)
@@ -46,22 +33,6 @@ class GroupAutomorphism:
 
     def __call__(self, x: int) -> int:
         return self.permutation[x]
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        return GroupAutomorphism(
-            other.permutation.translate(_translation_table(self.permutation))
-        )
-
-    def inverse(self) -> "GroupAutomorphism":
-        inv = bytearray(len(self.permutation))
-        for i, j in enumerate(self.permutation):
-            inv[j] = i
-        return GroupAutomorphism(bytes(inv))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.permutation))
 
 
 def automorphism_group(G: FiniteGroup, p: Presentation) -> list[GroupAutomorphism]:
@@ -158,15 +129,6 @@ def out_order(
     return len(auts) // len(inner)
 
 
-def act(phi: GroupAutomorphism, s: DDKStructure) -> DDKStructure:
-    """Apply an automorphism slotwise; the image is re-verified."""
-    elems = tuple(phi(e) for e in s.elements)
-    ok, diag = verify_structure(s.ambient, elems, s.stype)
-    if not ok:
-        raise AssertionError(f"automorphism image is not a structure: {diag}")
-    return DDKStructure(s.ambient, s.stype, elems)
-
-
 class FreenessError(AssertionError):
     pass
 
@@ -195,10 +157,13 @@ def orbit_count(
     (c) each checked row generates G.
 
     The mode chooses the rows of (c): "full" checks every row, "sample"
-    checks sample_size of them at deterministic, evenly spaced indices.
+    checks sample_size of them at deterministic, evenly spaced indices
+    (ValueError below 1, which would check none).
     """
     if freeness not in ("sample", "full"):
         raise ValueError(f"unknown freeness mode {freeness!r}")
+    if freeness == "sample" and sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     if len(rows) == 0:
         return 0
     checked = rows
@@ -218,20 +183,3 @@ def orbit_count(
             f"|Aut| = {len(auts)} does not divide {len(rows)} structures"
         )
     return len(rows) // len(auts)
-
-
-def induced_symplectic_map(space, phi: GroupAutomorphism) -> list[int]:
-    """The linear map on V = G/Z induced by an automorphism, as a value
-    table over all vectors."""
-    table = [0] * (2**space.dim)
-    for v in space.vectors():
-        table[v] = space.projection(phi(space.section(v)))
-    basis_images = [table[1 << i] for i in range(space.dim)]
-    for v in space.vectors():
-        acc = 0
-        for i in range(space.dim):
-            if (v >> i) & 1:
-                acc ^= basis_images[i]
-        if acc != table[v]:
-            raise AssertionError("induced map on V is not linear")
-    return table

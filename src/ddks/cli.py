@@ -3,14 +3,15 @@
 JSON run reports go to standard output, human diagnostics to standard
 error.  Exit codes: 0 for pass/count, 1 for fail, 2 for usage errors.
 The environment variable DDK_COSETS overrides the coset-table cap used
-when realizing catalog presentations.
+when realizing catalog presentations.  `verify-paper` runs the registry
+of the paper's criteria in `paper` and adds only the stderr timing table
+and the report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 
@@ -19,99 +20,26 @@ import numpy as np
 from .automorphisms import automorphism_group, inner_automorphisms, orbit_count, out_order
 from .group_core import (
     CosetEnumerationError,
-    EXPECTED_ORDER,
     FiniteGroup,
     PresentationError,
     catalog_labels,
     get_presentation,
-    parse_presentation,
-    realize,
     realize_label,
     resolve_label,
 )
-from .homology import h1_of_surface, integer_determinant, smith_normal_form
-from .invariants import (
-    chern_invariants,
-    fibration_data,
-    fibre_genus,
-    report_to_dict,
-    signature,
-    signature_scan,
-    with_homology,
-)
+from .homology import h1_of_surface
+from .invariants import fibration_data, report_to_dict, with_homology
+from .paper import CRITERIA, Rows, h1_dict, sample_indices
 from .structures import (
     DDKStructure,
     StructureType,
-    bulk_relator_filter,
     example_structure,
-    generation_mask_filter,
-    iter_prestructure_tuples,
     prestructure_report,
-    reference_prestructures,
-    relations_for_type,
     structure_from_dict,
     structure_rows,
     structure_to_dict,
 )
-from .symplectic import aut_order, induced_space, symplectic_structure_rows
-
-EXPECTED_STRUCTURES = 2211840
-NON_CCT_LABELS = (
-    "S4",
-    "G(32,6)",
-    "G(32,7)",
-    "G(32,8)",
-    "G(32,43)",
-    "G(32,44)",
-    "G(32,49)",
-    "G(32,50)",
-)
-PRESTRUCTURE_FREE_LABELS = (
-    "S4",
-    "G(24,3)",
-    "G(32,6)",
-    "G(32,7)",
-    "G(32,8)",
-    "G(32,43)",
-    "G(32,44)",
-)
-EXAMPLE_REPORT = {
-    "group_order": 32,
-    "b": 2,
-    "n": 2,
-    "frak_n": "1/2",
-    "m1": 1,
-    "m2": 1,
-    "b1": 2,
-    "b2": 2,
-    "g1": 41,
-    "g2": 41,
-    "c1sq": 368,
-    "c2": 160,
-    "slope": "23/10",
-    "sigma": 16,
-    "chi": 44,
-}
-SMALL_GROUP_SOURCES = {
-    "Z1": "gens: e\nrel: e",
-    "Z2": "gens: x\nrel: x^2",
-    "Z3": "gens: x\nrel: x^3",
-    "Z4": "gens: x\nrel: x^4",
-    "V4": "gens: x y\nrel: x^2\nrel: y^2\nrel: [x,y]",
-    "Z5": "gens: x\nrel: x^5",
-    "Z6": "gens: x\nrel: x^6",
-    "S3": "gens: r s\nrel: r^3\nrel: s^2\nrel: s r s^-1 r",
-    "Z7": "gens: x\nrel: x^7",
-    "Z8": "gens: x\nrel: x^8",
-    "Z4xZ2": "gens: x y\nrel: x^4\nrel: y^2\nrel: [x,y]",
-    "Z2xZ2xZ2": (
-        "gens: x y z\nrel: x^2\nrel: y^2\nrel: z^2\n"
-        "rel: [x,y]\nrel: [x,z]\nrel: [y,z]"
-    ),
-    "D8": "gens: r s\nrel: r^4\nrel: s^2\nrel: s r s^-1 r",
-    "Q8": "gens: i j\nrel: i^4\nrel: j^2 i^-2\nrel: j i j^-1 i",
-}
-
+from .symplectic import symplectic_structure_rows
 
 # --------------------------------------------------------------- helpers
 
@@ -121,32 +49,6 @@ def _structure_for_args(args, G: FiniteGroup) -> DDKStructure:
             data = json.load(handle)
         return structure_from_dict(G, data)
     return example_structure(G)
-
-
-def _order32_rows(context: dict, label: str, prefer: str) -> np.ndarray:
-    """Canonical sorted row array for an order-32 group, cached per run."""
-    cell = context.setdefault(label, {})
-    if prefer == "backtrack" and "backtrack" not in cell:
-        cell["backtrack"] = structure_rows(realize_label(label), StructureType(2, 2))
-    if prefer == "symplectic" and "symplectic" not in cell:
-        cell["symplectic"] = symplectic_structure_rows(realize_label(label))
-    for key in (prefer, "backtrack", "symplectic"):
-        if key in cell:
-            return cell[key]
-    raise AssertionError("unreachable")
-
-
-def _h1_dict(G: FiniteGroup, s: DDKStructure) -> dict:
-    invariants, maximal = h1_of_surface(G, s)
-    out = invariants.to_dict()
-    out["maximal"] = bool(maximal)
-    return out
-
-
-def _sample_indices(total: int, k: int) -> list[int]:
-    if total <= 0 or k <= 0:
-        return []
-    return sorted({int(i) for i in np.linspace(0, total - 1, min(k, total))})
 
 
 # ------------------------------------------------------------- commands
@@ -266,9 +168,9 @@ def _cmd_homology(args) -> tuple[dict, str]:
     if args.samples is not None:
         rows = symplectic_structure_rows(g)
         samples = []
-        for i in _sample_indices(len(rows), args.samples):
+        for i in sample_indices(len(rows), args.samples):
             s = DDKStructure(g, StructureType(2, 2), tuple(int(v) for v in rows[i]))
-            samples.append(_h1_dict(g, s))
+            samples.append(h1_dict(g, s))
         all_equal = all(d == samples[0] for d in samples) if samples else True
         return {
             "label": args.label,
@@ -276,232 +178,21 @@ def _cmd_homology(args) -> tuple[dict, str]:
             "all_equal": all_equal,
         }, "pass"
     s = _structure_for_args(args, g)
-    out = _h1_dict(g, s)
+    out = h1_dict(g, s)
     out["label"] = args.label
     return out, "pass"
 
 
 # ----------------------------------------------------- paper verification
 
-def _check_catalog(context, quick):
-    for label in catalog_labels():
-        g = realize_label(label)
-        if g.order != EXPECTED_ORDER[label]:
-            return False, {"failed_label": label, "order": g.order}
-    center_expect = {
-        "S4": 1,
-        "G(24,3)": 2,
-        "G(32,6)": 2,
-        "G(32,7)": 2,
-        "G(32,8)": 2,
-        "G(32,43)": 2,
-        "G(32,44)": 2,
-        "G(32,49)": 2,
-        "G(32,50)": 2,
-    }
-    for label, expected in center_expect.items():
-        if len(realize_label(label).center()) != expected:
-            return False, {"failed_center": label}
-    for label in ("G(32,6)", "G(32,7)", "G(32,8)", "G(32,43)", "G(32,44)"):
-        g = realize_label(label)
-        if g.nilpotency_class() != 3 or len(g.derived_subgroup()) != 4:
-            return False, {"failed_class": label}
-    for label in ("G(32,49)", "G(32,50)"):
-        if realize_label(label).nilpotency_class() != 2:
-            return False, {"failed_class": label}
-    return True, {
-        "groups_realized": len(list(catalog_labels())),
-        "center_checks": len(center_expect),
-    }
-
-
-def _check_cct(context, quick):
-    non_cct = [l for l in catalog_labels() if not realize_label(l).is_cct()]
-    ok = sorted(non_cct) == sorted(NON_CCT_LABELS)
-    return ok, {"non_cct": non_cct}
-
-
-def _check_prestructures(context, quick):
-    counts, modes = {}, {}
-    for label in PRESTRUCTURE_FREE_LABELS:
-        report = prestructure_report(realize_label(label), mode="auto")
-        counts[label] = report.count
-        modes[label] = report.mode
-    ok = all(v == 0 for v in counts.values())
-    return ok, {"counts": counts, "modes": modes}
-
-
-def _check_structure_count(context, quick):
-    details: dict = {"mode": "quick" if quick else "full", "counts": {}}
-    relators = relations_for_type(StructureType(2, 2))
-    for label in ("G(32,49)", "G(32,50)"):
-        g = realize_label(label)
-        rows_sp = _order32_rows(context, label, "symplectic")
-        if len(rows_sp) != EXPECTED_STRUCTURES:
-            return False, {"label": label, "symplectic": int(len(rows_sp))}
-        if quick:
-            rows = rows_sp[_sample_indices(len(rows_sp), 10000)]
-            verified = "sample-10000"
-        else:
-            rows_bt = _order32_rows(context, label, "backtrack")
-            if not np.array_equal(rows_bt, rows_sp):
-                return False, {"label": label, "sets_agree": False}
-            rows = rows_bt
-            verified = "full-set-equality"
-        if not bulk_relator_filter(g, rows, relators).all():
-            return False, {"label": label, "relators": "violated"}
-        if not generation_mask_filter(g, rows).all():
-            return False, {"label": label, "generation": "violated"}
-        orders = np.array(g.element_order, dtype=np.int64)
-        if not (orders[rows[:, 8].astype(np.int64)] == 2).all():
-            return False, {"label": label, "oz": "violated"}
-        halves = generation_mask_filter(g, rows[:, [0, 1, 2, 3, 8]]) & (
-            generation_mask_filter(g, rows[:, [4, 5, 6, 7, 8]])
-        )
-        if not halves.all():
-            return False, {"label": label, "strong": "violated"}
-        details["counts"][label] = int(len(rows_sp))
-        details["verification"] = verified
-    details["sigma"] = signature(32, 2, 2)
-    return details["sigma"] == 16, details
-
-
-def _check_orbits(context, quick):
-    expected = {"G(32,49)": (1152, 1, 1920), "G(32,50)": (1920, -1, 1152)}
-    details = {}
-    for label, (aut, eps, orbits) in expected.items():
-        g = realize_label(label)
-        auts = automorphism_group(g, get_presentation(label))
-        if len(auts) != aut or aut_order(2, eps) != aut:
-            return False, {"label": label, "aut_order": len(auts)}
-        if len(inner_automorphisms(g)) != 16:
-            return False, {"label": label, "inner": "not 16"}
-        rows = _order32_rows(context, label, "symplectic")
-        got = orbit_count(g, rows, auts, freeness="sample", sample_size=1000)
-        if got != orbits:
-            return False, {"label": label, "orbits": int(got)}
-        details[label] = {"aut_order": aut, "orbits": orbits}
-    return True, details
-
-
-def _check_invariants(context, quick):
-    for label in ("G(32,49)", "G(32,50)"):
-        g = realize_label(label)
-        report = report_to_dict(fibration_data(g, example_structure(g)))
-        if report != EXAMPLE_REPORT:
-            return False, {"label": label, "report": report}
-    legacy = {
-        "sigma": signature(243, 2, 3),
-        "fibre_genus": fibre_genus(243, 2, 3, 1),
-        "chern": chern_invariants(243, 2, 3)[:2],
-    }
-    if legacy["sigma"] != 144 or legacy["fibre_genus"] != 325:
-        return False, legacy
-    table = signature_scan()
-    minimizers = sorted(k for k, v in table.items() if v == min(table.values()))
-    if min(table.values()) != 16 or minimizers != [(32, 2, 2)]:
-        return False, {"minimizers": [list(k) for k in minimizers]}
-    return True, {
-        "example_report": EXAMPLE_REPORT,
-        "legacy_sigma": legacy["sigma"],
-        "legacy_fibre_genus": legacy["fibre_genus"],
-        "scan_minimum": 16,
-        "scan_minimizer": [32, 2, 2],
-    }
-
-
-def _check_homology(context, quick):
-    per_group = 2 if quick else 10
-    expected = {"free_rank": 8, "torsion": [2, 2, 2, 2], "maximal": True}
-    details = {"random_structures_per_group": per_group}
-    for label in ("G(32,49)", "G(32,50)"):
-        g = realize_label(label)
-        if _h1_dict(g, example_structure(g)) != expected:
-            return False, {"label": label, "structure": "example"}
-        rows = _order32_rows(context, label, "symplectic")
-        for i in _sample_indices(len(rows), per_group):
-            s = DDKStructure(g, StructureType(2, 2), tuple(int(v) for v in rows[i]))
-            if _h1_dict(g, s) != expected:
-                return False, {"label": label, "row_index": int(i)}
-    details["h1"] = expected
-    return True, details
-
-
-def _minor_gcd_matches(matrix, factors, rank) -> bool:
-    from itertools import combinations
-    from math import gcd
-
-    size = len(matrix)
-    product = 1
-    for k in range(1, rank + 1):
-        product *= factors[k - 1]
-        g = 0
-        for rsel in combinations(range(size), k):
-            for csel in combinations(range(len(matrix[0])), k):
-                sub = [[matrix[r][c] for c in csel] for r in rsel]
-                g = gcd(g, abs(integer_determinant(sub)))
-        if g != product:
-            return False
-    return True
-
-
-def _check_property_suites(context, quick):
-    n_matrices = 100 if quick else 500
-    rng = random.Random(0)
-    for _ in range(n_matrices):
-        size = rng.randint(2, 4)
-        matrix = [
-            [rng.randint(-9, 9) for _ in range(size)] for _ in range(size)
-        ]
-        snf = smith_normal_form(matrix)
-        if not _minor_gcd_matches(matrix, snf.invariant_factors, snf.rank):
-            return False, {"snf_oracle": matrix}
-
-    for label in ("G(32,49)", "G(32,50)"):
-        space = induced_space(realize_label(label))
-        for u in space.vectors():
-            for v in space.vectors():
-                lhs = (space.q(u ^ v) + space.q(u) + space.q(v)) % 2
-                if lhs != space.pair(u, v):
-                    return False, {"parallelogram": label}
-
-    oracle_counts = {}
-    for name, source in SMALL_GROUP_SOURCES.items():
-        g = realize(parse_presentation(source))
-        if g.order > 8:
-            return False, {"small_group": name}
-        engine = sorted(iter_prestructure_tuples(g, mode="full"))
-        reference = reference_prestructures(g)
-        if engine != reference:
-            return False, {"prestructure_oracle": name}
-        oracle_counts[name] = len(reference)
-    return True, {
-        "snf_matrices": n_matrices,
-        "parallelogram_pairs": 256,
-        "small_groups": oracle_counts,
-    }
-
-
-_CRITERIA = (
-    ("catalog-realization", _check_catalog),
-    ("cct-classification", _check_cct),
-    ("prestructure-nonexistence", _check_prestructures),
-    ("structure-count-2211840", _check_structure_count),
-    ("orbit-counts-1152-1920", _check_orbits),
-    ("invariants-and-sharp-bound", _check_invariants),
-    ("homology-Z8-Z2^4", _check_homology),
-    ("property-suites", _check_property_suites),
-)
-
-
 def _cmd_verify_paper(args) -> tuple[dict, str]:
-    context: dict = {}
+    rows = Rows()
     criteria = []
     all_pass = True
     sys.stderr.write(f"{'criterion':34s} {'status':8s} seconds\n")
-    for name, check in _CRITERIA:
+    for name, check in CRITERIA:
         started = time.monotonic()
-        ok, details = check(context, args.quick)
+        ok, details = check(rows, args.quick)
         elapsed = time.monotonic() - started
         all_pass &= bool(ok)
         criteria.append(

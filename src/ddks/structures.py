@@ -861,6 +861,11 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return rows
 
 
+def z_order_filter(G: FiniteGroup, rows: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask: rows whose last slot, z, has order n."""
+    return np.array(G.element_order, dtype=np.int32)[rows[:, -1]] == n
+
+
 def certify_structure_rows(
     G: FiniteGroup, keys: np.ndarray, t: StructureType, failure: str, duplicate: str
 ) -> np.ndarray:
@@ -876,8 +881,7 @@ def certify_structure_rows(
         raise AssertionError(duplicate)
     rows = unpack_keys(keys)
     ok = bulk_relator_filter(G, rows, relations_for_type(t))
-    orders = np.array(G.element_order, dtype=np.int32)
-    ok &= orders[rows[:, -1]] == t.n
+    ok &= z_order_filter(G, rows, t.n)
     ok &= generation_mask_filter(G, rows)
     if not ok.all():
         raise AssertionError(failure.format(int((~ok).sum())))

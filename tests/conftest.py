@@ -1,31 +1,10 @@
 import pytest
 
-from ddks.group_core import realize_label
-from ddks.structures import StructureType, structure_rows
-from ddks.symplectic import symplectic_structure_rows
-
-
-class _RowsCache:
-    """Session-wide memo for the heavy order-32 structure enumerations."""
-
-    def __init__(self):
-        self._data = {}
-
-    def backtrack(self, label, n=2):
-        key = ("backtrack", label, n)
-        if key not in self._data:
-            self._data[key] = structure_rows(
-                realize_label(label), StructureType(2, n)
-            )
-        return self._data[key]
-
-    def symplectic(self, label):
-        key = ("symplectic", label)
-        if key not in self._data:
-            self._data[key] = symplectic_structure_rows(realize_label(label))
-        return self._data[key]
+from ddks.paper import Rows
 
 
 @pytest.fixture(scope="session")
 def rows_cache():
-    return _RowsCache()
+    """Session-wide memo of both routes' order-32 rows: the one
+    `verify-paper` uses."""
+    return Rows()

@@ -1,5 +1,6 @@
 """Brute-force oracles for automorphism groups and their action on
-structures.
+structures, and the group operations on automorphisms that only the
+tests use.
 
 `automorphism_group` proves that its join finds exactly Aut(G), and
 `orbit_count` proves freeness from generation; these helpers check the
@@ -11,12 +12,57 @@ from itertools import product
 
 import numpy as np
 
-from ddks.automorphisms import act
+from ddks.automorphisms import GroupAutomorphism
+from ddks.structures import DDKStructure, verify_structure
+
+_IDENTITY_256 = bytes(range(256))
 
 
-def _table(perm: bytes) -> bytes:
+def translation_table(perm: bytes) -> bytes:
     """Pad a permutation to the 256-byte table bytes.translate needs."""
-    return perm + bytes(range(len(perm), 256))
+    return perm + _IDENTITY_256[len(perm):]
+
+
+def compose(a: GroupAutomorphism, b: GroupAutomorphism) -> GroupAutomorphism:
+    """a after b: compose(a, b)(x) = a(b(x)), one translate call."""
+    return GroupAutomorphism(b.permutation.translate(translation_table(a.permutation)))
+
+
+def inverse(a: GroupAutomorphism) -> GroupAutomorphism:
+    inv = bytearray(len(a.permutation))
+    for i, j in enumerate(a.permutation):
+        inv[j] = i
+    return GroupAutomorphism(bytes(inv))
+
+
+def is_identity(a: GroupAutomorphism) -> bool:
+    return all(i == j for i, j in enumerate(a.permutation))
+
+
+def act(phi: GroupAutomorphism, s: DDKStructure) -> DDKStructure:
+    """Apply an automorphism slotwise; the image is re-verified."""
+    elems = tuple(phi(e) for e in s.elements)
+    ok, diag = verify_structure(s.ambient, elems, s.stype)
+    if not ok:
+        raise AssertionError(f"automorphism image is not a structure: {diag}")
+    return DDKStructure(s.ambient, s.stype, elems)
+
+
+def induced_symplectic_map(space, phi: GroupAutomorphism) -> list[int]:
+    """The linear map on V = G/Z induced by an automorphism, as a value
+    table over all vectors."""
+    table = [0] * (2**space.dim)
+    for v in space.vectors():
+        table[v] = space.projection(phi(space.section(v)))
+    basis_images = [table[1 << i] for i in range(space.dim)]
+    for v in space.vectors():
+        acc = 0
+        for i in range(space.dim):
+            if (v >> i) & 1:
+                acc ^= basis_images[i]
+        if acc != table[v]:
+            raise AssertionError("induced map on V is not linear")
+    return table
 
 
 def automorphisms_by_brute_force(G, p) -> list[bytes]:
@@ -37,7 +83,7 @@ def closed_under_composition(auts) -> bool:
     |Aut|^2 translate calls."""
     perms = {a.permutation for a in auts}
     for a in auts:
-        table = _table(a.permutation)
+        table = translation_table(a.permutation)
         for b in auts:
             if b.permutation.translate(table) not in perms:
                 return False
@@ -49,7 +95,7 @@ def fixed_by_nonidentity(rows: np.ndarray, auts) -> np.ndarray:
     columns = rows.T.copy()  # one contiguous array per slot: about 3x faster
     fixed = np.zeros(len(rows), dtype=bool)
     for a in auts:
-        if not a.is_identity:
+        if not is_identity(a):
             table = np.frombuffer(a.permutation, dtype=np.uint8)
             fixes = np.ones(len(rows), dtype=bool)
             for column in columns:
@@ -69,7 +115,7 @@ def orbits_via_unionfind(rows: np.ndarray, auts) -> int:
             i = parent[i]
         return i
 
-    tables = [_table(a.permutation) for a in auts]
+    tables = [translation_table(a.permutation) for a in auts]
     for i, row in enumerate(rows):
         rb = row.tobytes()
         for table in tables:

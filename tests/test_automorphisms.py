@@ -15,9 +15,7 @@ from ddks.group_core import (
 from ddks.automorphisms import (
     FreenessError,
     GroupAutomorphism,
-    act,
     automorphism_group,
-    induced_symplectic_map,
     inner_automorphisms,
     orbit_count,
     out_order,
@@ -25,11 +23,17 @@ from ddks.automorphisms import (
 from ddks.structures import example_structure
 from ddks.symplectic import aut_order, induced_space
 from orbittools import (
+    act,
     automorphisms_by_brute_force,
     closed_under_composition,
+    compose,
     fixed_by_nonidentity,
+    induced_symplectic_map,
+    inverse,
+    is_identity,
     orbit_of,
     orbits_via_unionfind,
+    translation_table,
 )
 from symplectictools import orthogonal_order
 
@@ -88,7 +92,7 @@ def test_inner_checks_center_index(monkeypatch):
 def test_inner_of_abelian_is_trivial():
     z6 = realize(parse_presentation("gens: x\nrel: x^6"))
     inner = inner_automorphisms(z6)
-    assert len(inner) == 1 and inner[0].is_identity
+    assert len(inner) == 1 and is_identity(inner[0])
 
 
 def test_automorphisms_are_multiplicative(H5, autsH):
@@ -109,10 +113,10 @@ def test_automorphisms_preserve_element_orders(H5, autsH):
 
 def test_compose_and_inverse(autsH):
     a, b = autsH[3], autsH[1101]
-    c = a.compose(b)
+    c = compose(a, b)
     assert all(c(x) == a(b(x)) for x in range(32))
-    assert a.compose(a.inverse()).is_identity
-    assert a.inverse().compose(a).is_identity
+    assert is_identity(compose(a, inverse(a)))
+    assert is_identity(compose(inverse(a), a))
 
 
 def test_inner_are_among_all_automorphisms(H5, autsH):
@@ -219,7 +223,7 @@ def test_cap_rejected():
 
 def test_act_identity_and_images(H5, autsH):
     s = example_structure(H5)
-    identity = next(a for a in autsH if a.is_identity)
+    identity = next(a for a in autsH if is_identity(a))
     assert act(identity, s).elements == s.elements
     for a in autsH[::149]:
         image = act(a, s)  # re-verified inside
@@ -253,6 +257,9 @@ def test_freeness_mode_chooses_the_rows(H5, autsH, rows_cache):
     assert orbit_count(H5, rows, autsH, freeness="sample") == 2
     with pytest.raises(FreenessError, match="generate"):
         orbit_count(H5, rows, autsH, freeness="full")
+    for sample_size in (0, -1):  # no sample would check no row
+        with pytest.raises(ValueError, match="sample_size"):
+            orbit_count(H5, rows, autsH, freeness="sample", sample_size=sample_size)
 
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
@@ -288,7 +295,7 @@ def test_union_find_on_known_orbits(H5, autsH, rows_cache):
     for seed in seeds:
         rb = seed.tobytes()
         for t in tables:
-            closed.add(rb.translate(t + bytes(range(len(t), 256))))
+            closed.add(rb.translate(translation_table(t)))
     arr = np.frombuffer(b"".join(sorted(closed)), dtype=np.uint8).reshape(-1, 9)
     n_orbits = orbits_via_unionfind(arr, autsH)
     assert len(arr) % 1152 == 0

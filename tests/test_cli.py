@@ -240,13 +240,3 @@ def test_report_shape(capsys):
     assert report["inputs"]["label"] == "S4"
     assert "jobs" not in report["inputs"]
 
-
-def test_verify_paper_quick(capsys):
-    code, report = run_cli(capsys, "verify-paper", "--quick")
-    assert code == 0
-    d = report["results"]
-    assert d["all_pass"] is True
-    assert d["mode"] == "quick"
-    names = [c["name"] for c in d["criteria"]]
-    assert len(names) == 8 and len(set(names)) == 8
-    assert all(c["status"] == "pass" for c in d["criteria"])

@@ -1,6 +1,7 @@
 """Checks on the source text of `src/ddks`: every check there must raise
-explicitly, so it survives `python -O`, and no exact integer product may
-pass through floating point (and so through BLAS)."""
+explicitly, so it survives `python -O`, no exact integer product may
+pass through floating point (and so through BLAS), and the paper's
+criteria live only in the registry of `ddks.paper`."""
 
 import ast
 from pathlib import Path
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import ddks
+from ddks.paper import CRITERIA
 
 SRC = Path(ddks.__file__).parent
 MODULES = sorted(SRC.rglob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 FLOAT_DTYPES = {
     "float", "float_", "float16", "float32", "float64", "double", "half",
     "single", "longdouble", "f2", "f4", "f8",
@@ -67,3 +70,37 @@ def test_no_float_dtypes(path):
 )
 def test_float_dtype_scan_finds_casts(source, hits):
     assert len(list(_float_dtypes(ast.parse(source)))) == hits
+
+
+def _criterion_names(tree: ast.Module):
+    """String literals that spell a criterion name of the registry."""
+    names = {name for name, _ in CRITERIA}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in names:
+            yield node
+
+
+def test_criterion_names_only_in_the_registry():
+    found = [
+        f"{path.parent.name}/{path.name}:{node.lineno}"
+        for path in MODULES + TESTS
+        if path != SRC / "paper.py"
+        for node in _criterion_names(_parse(path))
+    ]
+    assert found == [], f"criterion names outside ddks/paper.py: {found}"
+
+
+def test_criterion_name_scan_finds_literals():
+    name = CRITERIA[3][0]
+    assert len(list(_criterion_names(ast.parse(f"check = {name!r}")))) == 1
+    assert len(list(_criterion_names(ast.parse(f"check = {name[:-1]!r}")))) == 0
+    assert len(list(_criterion_names(_parse(SRC / "paper.py")))) == len(CRITERIA)
+
+
+def test_cli_defines_no_criterion_checks():
+    found = [
+        node.name
+        for node in ast.walk(_parse(SRC / "cli.py"))
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("check")
+    ]
+    assert found == [], f"cli.py defines criterion checks {found}"

@@ -15,7 +15,7 @@ from ddks.group_core import (
 )
 from ddks import certify, structures
 from ddks.automorphisms import automorphism_group
-from ddks.cli import SMALL_GROUP_SOURCES
+from ddks.paper import SMALL_GROUP_SOURCES
 from ddks.group_core.catalog import extra_special_text
 from ddks.structures import (
     DDKStructure,
@@ -49,6 +49,7 @@ from ddks.structures import (
     verify_prestructure,
     verify_structure,
 )
+from ddks.symplectic import symplectic_structure_rows
 from optimizetools import raised_under_optimize
 
 T22 = StructureType(2, 2)
@@ -793,19 +794,49 @@ def test_duplicated_representative_is_caught(monkeypatch, H5):
         structure_rows(H5, T22)
 
 
-def test_certified_rows_are_the_returned_rows(monkeypatch):
-    G = realize_label("G(32,50)")
-    seen = []
-    for name in ("bulk_relator_filter", "generation_mask_filter"):
+TAIL_CHECKS = ("bulk_relator_filter", "z_order_filter", "generation_mask_filter")
+ROUTES = (lambda G: structure_rows(G, T22), symplectic_structure_rows)
+
+
+def certified_once(monkeypatch, route, G) -> np.ndarray:
+    """route(G), after asserting that each check of the certify tail ran
+    once, on the returned array itself, and so saw every returned row once."""
+    seen = {name: [] for name in TAIL_CHECKS}
+    for name in TAIL_CHECKS:
         check = getattr(structures, name)
 
-        def spy(G, rows, *args, check=check):
-            seen.append(rows)
+        def spy(G, rows, *args, check=check, calls=seen[name]):
+            calls.append(rows)
             return check(G, rows, *args)
 
         monkeypatch.setattr(structures, name, spy)
-    rows = structure_rows(G, T22)
-    assert len(seen) == 2 and all(r is rows for r in seen)
+    rows = route(G)
+    for name, calls in seen.items():
+        assert len(calls) == 1 and calls[0] is rows, name
+    return rows
+
+
+def test_certified_rows_are_the_returned_rows(monkeypatch, H5):
+    for route in ROUTES:
+        with monkeypatch.context() as m:
+            assert certified_once(m, route, H5).shape == (2211840, 9)
+
+
+def test_certified_once_fails_on_a_tail_that_checks_part_of_the_keys(monkeypatch, H5):
+    def tail_checking_half(G, keys, t, failure, duplicate):
+        keys.sort()
+        rows = unpack_keys(keys)
+        part = rows[: len(rows) // 2]
+        ok = structures.bulk_relator_filter(G, part, relations_for_type(t))
+        ok &= structures.z_order_filter(G, part, t.n)
+        ok &= structures.generation_mask_filter(G, part)
+        if not ok.all():
+            raise AssertionError(failure.format(int((~ok).sum())))
+        return rows
+
+    monkeypatch.setattr(structures, "certify_structure_rows", tail_checking_half)
+    with pytest.raises(AssertionError, match="bulk_relator_filter"):
+        certified_once(monkeypatch, ROUTES[0], H5)
 
 
 def test_enumerate_structures_stream(H5, rows_cache):
