@@ -3,11 +3,14 @@ relator word evaluates to the identity.
 
 It certifies the output of the genus-2 search in `structures` and of the
 symplectic route, so it imports nothing from either.  `_relator_program`
-compiles the relator list once into a straight-line program: a commutator
-a b a^-1 b^-1 is one gather from a commutator table, a conjugate a b a^-1
-one gather from a conjugate table, and each inverse letter and each shared
-prefix is computed once for all relators (65 gathers for the 22 structure
-relators, against their 140 letters).
+compiles the relator list once into a straight-line program of table
+gathers and equality tests.  A relator w holds iff, for a cyclic rotation of
+w split as A B^-1, A and B have the same value; each relator takes the
+rotation and split that add the fewest gathers to those already emitted.
+A commutator a b a^-1 b^-1 is one gather from a commutator table, a
+conjugate a b a^-1 one gather from a conjugate table, and the tables take
+each operand as x or x^-1, so an inverse letter costs no gather (39 gathers
+and 22 tests for the 22 structure relators, against their 140 letters).
 `bulk_relator_filter` runs the program on uint8 registers, a chunk of rows
 at a time, through flat uint8 tables cached on the group.
 """
@@ -15,7 +18,7 @@ at a time, through flat uint8 tables cached on the group.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -24,59 +27,100 @@ from .group_core import FiniteGroup, Word
 # The certifier keeps element indices in uint8 registers.
 CERTIFY_ORDER_CAP = 256
 # Rows the certifier evaluates at a time.  Its registers, one uint8 row of
-# this length per column and per program step (74 for the 22 structure
-# relators), then take about 1.2 MB, and each step's temporaries stay in
+# this length per column and per program step (48 for the 22 structure
+# relators), then take about 0.8 MB, and each step's temporaries stay in
 # cache.
 _CERTIFY_CHUNK = 1 << 14
+
+
+def _letter(l: int) -> tuple[int, int]:
+    return (abs(l) - 1, 1 if l > 0 else -1)
+
+
+def _word_value(lets: tuple[int, ...], made: list) -> Optional[tuple[object, int]]:
+    """The word's value as (node, sign), the node's value or its inverse;
+    None for the empty word.  A node is a column index or a step (op,
+    value, value).  The word is read left to right, a factor at a time:
+    a b a^-1 b^-1 is one `comm`, else a b a^-1 one `conj`, else a letter.
+    Each step is appended to `made` after the steps it reads."""
+    acc, i = None, 0
+    while i < len(lets):
+        factor = _letter(lets[i])
+        if i + 3 < len(lets) and lets[i + 2] == -lets[i] and lets[i + 3] == -lets[i + 1]:
+            made.append(("comm", factor, _letter(lets[i + 1])))
+            factor, i = (made[-1], 1), i + 4
+        elif i + 2 < len(lets) and lets[i + 2] == -lets[i]:
+            made.append(("conj", factor, _letter(lets[i + 1])))
+            factor, i = (made[-1], 1), i + 3
+        else:
+            i += 1
+        if acc is not None:
+            made.append(("mul", acc, factor))
+            factor = (made[-1], 1)
+        acc = factor
+    return acc
+
+
+def _equality(w: tuple[int, ...], cut: int, made: list) -> Optional[tuple[object, object]]:
+    """(p, q): w = 1 iff nodes p and q have the same value (q None: the
+    identity), from w = A B^-1 with A = w[:cut].  None when exactly one
+    side is an inverse letter, which no register holds; a cut at either end
+    of w always gives a test."""
+    a = _word_value(w[:cut], made)
+    b = _word_value(tuple(-l for l in reversed(w[cut:])), made)
+    if a is None or b is None:
+        return (a or b)[0], None
+    return (a[0], b[0]) if a[1] == b[1] else None
 
 
 @lru_cache(maxsize=None)
 def _relator_program(
     relators: tuple[Word, ...]
-) -> tuple[int, tuple[tuple[str, int, int], ...], tuple[int, ...]]:
-    """The relators as one straight-line program: (columns, steps, results).
+) -> tuple[
+    int,
+    tuple[tuple[str, int, int, int, int], ...],
+    tuple[tuple[int, Optional[int]], ...],
+]:
+    """The relators as one straight-line program: (columns, steps, tests).
 
-    Registers 0 .. columns-1 hold the row's columns; step k, (op, i, j),
-    writes register columns + k with inv[reg i], or with the `mul`, `comm`
-    or `conj` table at (reg i, reg j).  Each relator is read left to right,
-    a factor at a time: a b a^-1 b^-1 is one `comm`, else a b a^-1 one
-    `conj`, and any other letter one factor.
-    Steps are hash-consed, so an inverse letter or a shared prefix is
-    computed once for all relators.  A row satisfies every relator iff all
-    `results` registers hold the identity (an empty relator adds none).
+    Registers 0 .. columns-1 hold the row's columns; step k, (op, si, sj,
+    i, j), writes register columns + k with the `mul`, `comm` or `conj` table
+    at (reg i ** si, reg j ** sj), signs si, sj in {1, -1}.  Steps are
+    hash-consed across relators.  Each nonempty relator adds one test
+    (i, j): registers i and j must be equal (j None: register i must be the
+    identity).  A row satisfies every relator iff it passes every test.
     """
     columns = max((abs(l) for w in relators for l in w.letters), default=0)
-    steps: dict[tuple[str, int, int], int] = {}  # each step and its register
-
-    def emit(op: str, i: int, j: int = 0) -> int:
-        return steps.setdefault((op, i, j), columns + len(steps))
-
-    def letter(l: int) -> int:
-        return l - 1 if l > 0 else emit("inv", -l - 1)
-
-    results = set()
+    steps: dict[tuple, int] = {}  # each step node and its register
+    tests: list[tuple[object, object]] = []
     for w in relators:
-        lets, acc, i = w.letters, None, 0
-        while i < len(lets):
-            if i + 3 < len(lets) and lets[i + 2] == -lets[i] and lets[i + 3] == -lets[i + 1]:
-                factor = emit("comm", letter(lets[i]), letter(lets[i + 1]))
-                i += 4
-            elif i + 2 < len(lets) and lets[i + 2] == -lets[i]:
-                factor = emit("conj", letter(lets[i]), letter(lets[i + 1]))
-                i += 3
-            else:
-                factor = letter(lets[i])
-                i += 1
-            acc = factor if acc is None else emit("mul", acc, factor)
-        if acc is not None:
-            results.add(acc)
-    return columns, tuple(steps), tuple(sorted(results))
+        lets, best = w.letters, None
+        for rot in range(len(lets)):
+            rotated = lets[rot:] + lets[:rot]
+            for cut in range(len(lets) + 1):
+                made: list = []
+                test = _equality(rotated, cut, made)
+                cost = len({m for m in made if m not in steps})
+                if test is not None and (best is None or cost < best[0]):
+                    best = (cost, made, test)
+        if best is not None:
+            for m in best[1]:
+                steps.setdefault(m, columns + len(steps))
+            tests.append(best[2])
+
+    def reg(node: object) -> Optional[int]:
+        return node if node is None or isinstance(node, int) else steps[node]
+
+    program = tuple(
+        (op, si, sj, reg(i), reg(j)) for op, (i, si), (j, sj) in steps
+    )
+    return columns, program, tuple((reg(p), reg(q)) for p, q in tests)
 
 
-def _relator_tables(G: FiniteGroup) -> tuple[int, dict[str, np.ndarray]]:
-    """(s, tables): uint8 `inv`, and flat uint8 `mul`, `comm` and `conj`
-    tables indexed by (a << s) | b, with [a, b] = a b a^-1 b^-1 and
-    conj(a, b) = a b a^-1; cached on G."""
+def _relator_tables(G: FiniteGroup) -> tuple[int, dict[tuple[str, int, int], np.ndarray]]:
+    """(s, tables): flat uint8 tables indexed by (a << s) | b, one for each
+    op in `mul`, `comm`, `conj` and signs si, sj, holding op(a ** si, b ** sj)
+    with [a, b] = a b a^-1 b^-1 and conj(a, b) = a b a^-1; cached on G."""
     cached = getattr(G, "_relator_tables", None)
     if cached is not None:
         return cached
@@ -87,14 +131,19 @@ def _relator_tables(G: FiniteGroup) -> tuple[int, dict[str, np.ndarray]]:
     a = np.arange(n)[:, None]
     b = np.arange(n)[None, :]
     ab = cayley[a, b]
-    tables = {"inv": inv}
+    tables = {}
     for op, table in (
         ("mul", cayley),
         ("comm", cayley[ab, cayley[inv[a], inv[b]]]),
         ("conj", cayley[ab, inv[a]]),
     ):
-        tables[op] = np.zeros(1 << 2 * s, dtype=np.uint8)
-        tables[op][(a << s) | b] = table
+        for si in (1, -1):
+            for sj in (1, -1):
+                flat = np.zeros(1 << 2 * s, dtype=np.uint8)
+                flat[(a << s) | b] = table[
+                    a if si > 0 else inv[a], b if sj > 0 else inv[b]
+                ]
+                tables[op, si, sj] = flat
     G._relator_tables = (s, tables)
     return G._relator_tables
 
@@ -112,27 +161,29 @@ def bulk_relator_filter(
         raise ValueError(
             f"relator certifier cap is order {CERTIFY_ORDER_CAP}, got {G.order}"
         )
-    columns, steps, results = _relator_program(tuple(relators))
+    columns, steps, tests = _relator_program(tuple(relators))
     if rows.size and (rows.min() < 0 or rows.max() >= G.order):
         raise ValueError("element index out of range for the group")
     ok = np.empty(len(rows), dtype=bool)
     s, tables = _relator_tables(G)
+    program = [(tables[op, si, sj], i, j) for op, si, sj, i, j in steps]
     shift = np.uint16(s)
     chunk = max(1, min(_CERTIFY_CHUNK, len(rows)))
     regs = np.empty((columns + len(steps), chunk), dtype=np.uint8)
     index = np.empty(chunk, dtype=np.uint16)
+    bad = np.empty(chunk, dtype=np.uint8)
     for start in range(0, len(rows), chunk):
         m = min(chunk, len(rows) - start)
-        r, ix = regs[:, :m], index[:m]
+        r, ix, nz = regs[:, :m], index[:m], bad[:m]
         r[:columns] = rows[start:start + m, :columns].T
         # mode="clip" skips the bounds check, which would also buffer `out`:
         # every index is in range, since rows and tables hold elements of G
-        for k, (op, i, j) in enumerate(steps, columns):
-            if op == "inv":
-                np.take(tables[op], r[i], out=r[k], mode="clip")
-            else:
-                np.left_shift(r[i], shift, out=ix, dtype=np.uint16)
-                np.bitwise_or(ix, r[j], out=ix)
-                np.take(tables[op], ix, out=r[k], mode="clip")
-        ok[start:start + m] = np.bitwise_or.reduce(r[list(results)], axis=0) == 0  # identity is 0
+        for k, (table, i, j) in enumerate(program, columns):
+            np.left_shift(r[i], shift, out=ix, dtype=np.uint16)
+            np.bitwise_or(ix, r[j], out=ix)
+            np.take(table, ix, out=r[k], mode="clip")
+        nz[:] = 0
+        for i, j in tests:  # the identity is 0
+            np.bitwise_or(nz, r[i] if j is None else r[i] ^ r[j], out=nz)
+        ok[start:start + m] = nz == 0
     return ok

@@ -222,7 +222,7 @@ def check_orbits(rows: Rows, quick: bool):
         got = orbit_count(g, rows.symplectic(label), auts, freeness="sample", sample_size=1000)
         if got != orbits:
             return False, {"label": label, "orbits": int(got)}
-        details[label] = {"aut_order": aut, "orbits": orbits}
+        details[label] = {"aut_order": len(auts), "orbits": int(got)}
     return True, details
 
 
@@ -240,15 +240,16 @@ def check_invariants(rows: Rows, quick: bool):
     if legacy["sigma"] != 144 or legacy["fibre_genus"] != 325:
         return False, legacy
     table = signature_scan()
-    minimizers = sorted(k for k, v in table.items() if v == min(table.values()))
-    if min(table.values()) != 16 or minimizers != [(32, 2, 2)]:
+    minimum = min(table.values())
+    minimizers = sorted(k for k, v in table.items() if v == minimum)
+    if minimum != 16 or minimizers != [(32, 2, 2)]:
         return False, {"minimizers": [list(k) for k in minimizers]}
     return True, {
-        "example_report": EXAMPLE_REPORT,
+        "example_report": report,
         "legacy_sigma": legacy["sigma"],
         "legacy_fibre_genus": legacy["fibre_genus"],
-        "scan_minimum": 16,
-        "scan_minimizer": [32, 2, 2],
+        "scan_minimum": minimum,
+        "scan_minimizer": list(minimizers[0]),
     }
 
 
@@ -257,14 +258,16 @@ def check_homology(rows: Rows, quick: bool):
     details = {"random_structures_per_group": per_group}
     for label in ORDER32:
         g = realize_label(label)
-        if h1_dict(g, example_structure(g)) != H1:
+        h1 = h1_dict(g, example_structure(g))
+        if h1 != H1:
             return False, {"label": label, "structure": "example"}
         rows_sp = rows.symplectic(label)
         for i in sample_indices(len(rows_sp), per_group):
             s = DDKStructure(g, StructureType(2, 2), tuple(int(v) for v in rows_sp[i]))
-            if h1_dict(g, s) != H1:
+            h1 = h1_dict(g, s)
+            if h1 != H1:
                 return False, {"label": label, "row_index": int(i)}
-    details["h1"] = H1
+    details["h1"] = h1
     return True, details
 
 
@@ -296,6 +299,7 @@ def check_property_suites(rows: Rows, quick: bool):
         if not minor_gcds_match(matrix, snf.invariant_factors, snf.rank):
             return False, {"snf_oracle": matrix}
 
+    pairs = 0
     for label in ORDER32:
         space = induced_space(realize_label(label))
         for u in space.vectors():
@@ -303,6 +307,7 @@ def check_property_suites(rows: Rows, quick: bool):
                 lhs = (space.q(u ^ v) + space.q(u) + space.q(v)) % 2
                 if lhs != space.pair(u, v):
                     return False, {"parallelogram": label}
+                pairs += 1
 
     oracle_counts = {}
     for name, source in SMALL_GROUP_SOURCES.items():
@@ -316,7 +321,7 @@ def check_property_suites(rows: Rows, quick: bool):
         oracle_counts[name] = len(reference)
     return True, {
         "snf_matrices": n_matrices,
-        "parallelogram_pairs": 256,
+        "parallelogram_pairs": pairs // len(ORDER32),
         "small_groups": oracle_counts,
     }
 

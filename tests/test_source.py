@@ -1,9 +1,11 @@
 """Checks on the source text of `src/ddks`: every check there must raise
 explicitly, so it survives `python -O`, no exact integer product may
-pass through floating point (and so through BLAS), and the paper's
-criteria live only in the registry of `ddks.paper`."""
+pass through floating point (and so through BLAS), the paper's criteria
+live only in the registry of `ddks.paper`, and the relator certifier
+imports neither enumeration route."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +106,31 @@ def test_cli_defines_no_criterion_checks():
         if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("check")
     ]
     assert found == [], f"cli.py defines criterion checks {found}"
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The modules a source file imports, relative ones with their dots."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("." * node.level + (node.module or ""))
+    return found
+
+
+def test_certifier_imports_neither_route():
+    """The certifier checks both enumeration routes, so it may import only
+    numpy, the standard library and the group core."""
+    found = _imports(_parse(SRC / "certify.py"))
+    allowed = {"numpy", ".group_core"}
+    outside = {
+        name for name in found
+        if name not in allowed and name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert outside == set(), f"certify.py imports {sorted(outside)}"
+
+
+def test_import_scan_finds_relative_imports():
+    tree = ast.parse("from .structures import x\nimport numpy as np\nfrom . import symplectic")
+    assert _imports(tree) == {".structures", "numpy", "."}

@@ -1,8 +1,11 @@
 import hashlib
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddks.group_core import (
     FiniteGroup,
@@ -31,26 +34,28 @@ from ddks.structures import (
     iter_prestructure_tuples,
     k_subgroups,
     labeled_relations_for_type,
-    labeled_simplified_relations_for_type,
     maximal_subgroup_masks,
     pack_rows,
     prestructure_relations,
     prestructure_report,
     prestructure_search_info,
     relations_for_type,
-    simplified_relations_for_type,
     slot_index,
-    slot_names,
     structure_from_dict,
     structure_rows,
     structure_to_dict,
-    structure_to_hom,
     unpack_keys,
-    verify_prestructure,
     verify_structure,
 )
 from ddks.symplectic import symplectic_structure_rows
 from optimizetools import raised_under_optimize
+from structuretools import (
+    labeled_simplified_relations_for_type,
+    simplified_relations_for_type,
+    slot_names,
+    structure_to_hom,
+    verify_prestructure,
+)
 
 T22 = StructureType(2, 2)
 
@@ -669,14 +674,54 @@ def test_certifier_edge_cases():
         bulk_relator_filter(G, rows + 24, words)
 
 
-def test_certifier_program_shares_inverses_and_prefixes():
+def test_certifier_program_shape():
     relators = tuple(relations_for_type(T22))
-    columns, steps, results = certify._relator_program(relators)
-    ops = [op for op, _, _ in steps]
-    # the 140 letters need 9 distinct inverses, 18 commutators, 14 conjugates
-    # and 24 products
-    assert columns == 9 and len(results) == 22
-    assert [ops.count(op) for op in ("inv", "comm", "conj", "mul")] == [9, 18, 14, 24]
+    columns, steps, tests = certify._relator_program(relators)
+    # the 140 letters take at most 40 table gathers, each reading earlier
+    # registers, and one equality test per relator
+    assert columns == 9 and len(tests) == 22
+    assert len(steps) <= 40
+    for k, (op, si, sj, i, j) in enumerate(steps, columns):
+        assert op in ("mul", "comm", "conj") and {si, sj} <= {1, -1}
+        assert 0 <= i < k and 0 <= j < k
+    assert all(0 <= i < columns + len(steps) for test in tests for i in test if i is not None)
+    # an inverse letter is a table operand, or compared as it stands
+    assert certify._relator_program((Word((-3,)),)) == (3, (), ((2, None),))
+    assert certify._relator_program((Word((1, -2)),)) == (2, (), ((0, 1),))
+
+
+LETTERS = st.sampled_from([l for g in range(1, 10) for l in (g, -g)])
+
+
+@st.composite
+def relator_words(draw) -> Word:
+    """Words over letters 1-9 of both signs, 0-12 letters long: random
+    ones, single inverse letters, and a commutator or a conjugate split
+    across the word's wrap-around, so only a rotation shows it whole."""
+    shape = draw(st.sampled_from(["random", "inverse letter", "comm", "conj"]))
+    if shape == "random":
+        return Word(tuple(draw(st.lists(LETTERS, max_size=12))))
+    if shape == "inverse letter":
+        return Word((-draw(st.integers(1, 9)),))
+    a, b = draw(LETTERS), draw(LETTERS)
+    core = [a, b, -a, -b] if shape == "comm" else [a, b, -a]
+    lets = core + draw(st.lists(LETTERS, max_size=12 - len(core)))
+    k = draw(st.integers(1, len(core) - 1))
+    return Word(tuple(lets[k:] + lets[:k]))
+
+
+@lru_cache(maxsize=None)
+def hypothesis_rows(label: str) -> tuple[FiniteGroup, np.ndarray]:
+    G, good = certifier_group(label)
+    return G, certifier_rows(G, good, seed=17)
+
+
+@pytest.mark.parametrize("label", ["S4", "G(32,50)"])
+@settings(max_examples=60, deadline=None)
+@given(relators=st.lists(relator_words(), min_size=1, max_size=4))
+def test_certifier_matches_word_evaluation_on_random_words(label, relators):
+    G, rows = hypothesis_rows(label)
+    assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators))
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
