@@ -1,8 +1,7 @@
 """Automorphism groups and their orbits on structures.
 
-Automorphisms are found by a join over the presentation generators: each
-generator's candidate images are the elements of its order, and the
-relators filter the tuples as soon as their last generator is assigned.
+Automorphisms are found by `certify.relator_join` over the presentation
+generators, the candidate images of each being the elements of its order.
 The tuples that generate G extend to element permutations, each checked
 to be an automorphism, and that set is Aut(G) (`automorphism_group` states
 the proof).  Each is stored as its permutation bytes.  Orbits are
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .certify import bulk_relator_filter
+from .certify import relator_join
 from .group_core import FiniteGroup, Presentation
 from .structures import generation_mask_filter, inner_automorphism_table
 
@@ -39,14 +38,13 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> list[GroupAutomorphis
     """All automorphisms of G, realized from presentation p, sorted by
     permutation bytes.
 
-    A join over the generators g_1 .. g_n builds the candidate image
-    tuples: level i appends every element of the order of g_i and drops
-    the rows that fail a relator whose last generator is g_i.  Rows that
-    do not generate G are dropped at the end.  Each surviving row is
-    extended to a permutation of G by one gather per edge of a BFS tree
-    of G over the generators, and every permutation is checked to be a
-    bijection that sends g_i to the row's i-th entry and is multiplicative
-    on the Cayley table; a failure raises AssertionError.
+    `relator_join` builds the image tuples of the generators g_1 .. g_n
+    that satisfy the relators, g_i's image ranging over the elements of
+    its order, and the rows that do not generate G are dropped.  Each
+    surviving row is extended to a permutation of G by one gather per
+    edge of a BFS tree of G over the generators, and every permutation is
+    checked to be a bijection that sends g_i to the row's i-th entry and
+    is multiplicative on the Cayley table; a failure raises AssertionError.
 
     These are exactly Aut(G), so no closure scan is needed.  An
     automorphism sends the generators to a tuple of elements of the same
@@ -68,22 +66,8 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> list[GroupAutomorphis
 
     gens = G.generator_elements
     orders = np.array(G.element_order)
-    closing: list[list] = [[] for _ in gens]  # relators by last generator
-    for rel in p.relators:
-        if rel.letters:
-            closing[rel.max_generator()].append(rel)
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    for i, g in enumerate(gens):
-        images = np.flatnonzero(orders == orders[g]).astype(np.uint8)
-        if len(rows) * len(images) > AUT_FRONTIER_CAP:
-            raise ValueError(
-                f"automorphism search frontier cap is {AUT_FRONTIER_CAP} rows, "
-                f"generator {i} needs {len(rows) * len(images)}"
-            )
-        rows = np.column_stack(
-            (np.repeat(rows, len(images), axis=0), np.tile(images, len(rows)))
-        )
-        rows = rows[bulk_relator_filter(G, rows, closing[i])]
+    images = [np.flatnonzero(orders == orders[g]) for g in gens]
+    rows = relator_join(G, images, p.relators, AUT_FRONTIER_CAP)
     rows = rows[generation_mask_filter(G, rows)]
 
     cayley = np.array(G.cayley, dtype=np.uint8)  # order <= AUT_ORDER_CAP

@@ -12,13 +12,14 @@ conjugate a b a^-1 one gather from a conjugate table, and the tables take
 each operand as x or x^-1, so an inverse letter costs no gather (39 gathers
 and 22 tests for the 22 structure relators, against their 140 letters).
 `bulk_relator_filter` runs the program on uint8 registers, a chunk of rows
-at a time, through flat uint8 tables cached on the group.
+at a time, through flat uint8 tables cached on the group.  `relator_join`
+joins candidate columns, filtering by each relator at its last column.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -154,14 +155,16 @@ def bulk_relator_filter(
     """Boolean mask: rows under which every relator evaluates to identity.
 
     Runs `_relator_program` over at most `_CERTIFY_CHUNK` rows at a time.
-    Raises ValueError above order `CERTIFY_ORDER_CAP` and for entries that
-    are not elements of G.
+    Raises ValueError above order `CERTIFY_ORDER_CAP`, for rows narrower
+    than the relators and for entries that are not elements of G.
     """
     if G.order > CERTIFY_ORDER_CAP:
         raise ValueError(
             f"relator certifier cap is order {CERTIFY_ORDER_CAP}, got {G.order}"
         )
     columns, steps, tests = _relator_program(tuple(relators))
+    if rows.shape[1] < columns:
+        raise ValueError(f"the relators use {columns} columns, the rows have {rows.shape[1]}")
     if rows.size and (rows.min() < 0 or rows.max() >= G.order):
         raise ValueError("element index out of range for the group")
     ok = np.empty(len(rows), dtype=bool)
@@ -187,3 +190,28 @@ def bulk_relator_filter(
             np.bitwise_or(nz, r[i] if j is None else r[i] ^ r[j], out=nz)
         ok[start:start + m] = nz == 0
     return ok
+
+
+def relator_join(
+    G: FiniteGroup, candidates: Sequence[np.ndarray], relators: Iterable[Word], cap: int
+) -> np.ndarray:
+    """The uint8 rows, column i from `candidates[i]` in lexicographic order,
+    under which every relator is the identity; a relator drops rows once its
+    last column is added.  Raises ValueError for a relator past the last
+    column and for a level above `cap` rows."""
+    closing: list[list[Word]] = [[] for _ in candidates]  # relators by last column
+    for rel in relators:
+        top = rel.max_generator()
+        if top >= len(candidates):
+            raise ValueError(f"a relator uses generator {top + 1} of {len(candidates)} columns")
+        if top >= 0:
+            closing[top].append(rel)
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for i, values in enumerate(candidates):
+        need = len(rows) * len(values)
+        if need > cap:
+            raise ValueError(f"relator join frontier cap is {cap} rows, column {i} needs {need}")
+        column = np.tile(np.asarray(values, dtype=np.uint8), len(rows))
+        rows = np.column_stack((np.repeat(rows, len(values), axis=0), column))
+        rows = rows[bulk_relator_filter(G, rows, closing[i])]
+    return rows

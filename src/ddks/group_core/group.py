@@ -240,18 +240,21 @@ class FiniteGroup:
         )
         return q, proj
 
-    def normal_subgroups(self) -> list["ElementSet"]:
-        """All normal subgroups, as the join-closure of the cyclic closures."""
-        atoms = {frozenset(self.normal_closure((g,))) for g in range(1, self.order)}
+    def join_closure(self, atoms: Iterable[Iterable[int]]) -> set[frozenset[int]]:
+        """The trivial subgroup and every join of the subgroups `atoms`."""
+        atoms = {frozenset(a) for a in atoms}
         found = {frozenset({0})} | atoms
         frontier = list(atoms)
         while frontier:
             h = frontier.pop()
-            for a in atoms:
-                j = frozenset(self.subgroup_generated(h | a))
-                if j not in found:
-                    found.add(j)
-                    frontier.append(j)
+            new = {frozenset(self.subgroup_generated(h | a)) for a in atoms if not a <= h} - found
+            found |= new
+            frontier += new
+        return found
+
+    def normal_subgroups(self) -> list["ElementSet"]:
+        """All normal subgroups: the joins of the elements' normal closures."""
+        found = self.join_closure(self.normal_closure((g,)) for g in range(1, self.order))
         return [ElementSet(self, tuple(sorted(s))) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
     def nilpotency_class(self) -> int | None:

@@ -55,9 +55,11 @@ from .group_core import (
     Word,
     commutator,
 )
-from .certify import bulk_relator_filter
+from .certify import bulk_relator_filter, relator_join
 
 SEARCH_ORDER_CAP = 64
+# Rows a level of `reference_prestructures` may hold (order 16: 15 * 16^4).
+REFERENCE_FRONTIER_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -328,36 +330,15 @@ def example_structure(G: FiniteGroup, n: int = 2) -> DDKStructure:
 # -- subgroup lattice helpers (for bulk generation tests) -------------
 
 def all_subgroup_masks(G: FiniteGroup) -> list[int]:
-    """Bitmasks of every subgroup, via incremental generator extension."""
+    """Sorted bitmasks of every subgroup: the joins of the cyclic subgroups."""
     if G.order > 64:
         raise ValueError(f"mask representation requires order <= 64, got {G.order}")
     cached = getattr(G, "_subgroup_masks", None)
     if cached is not None:
         return cached
-    closures: dict[int, int] = {}
-
-    def close(members: Iterable[int]) -> int:
-        sub = G.subgroup_generated(members)
-        mask = 0
-        for m in sub:
-            mask |= 1 << m
-        return mask
-
-    found = {close({g}) for g in G.elements()}
-    work = list(found)
-    while work:
-        h = work.pop()
-        members = [i for i in range(G.order) if h >> i & 1]
-        for g in G.elements():
-            if h >> g & 1:
-                continue
-            k = close(members + [g])
-            if k not in found:
-                found.add(k)
-                work.append(k)
-    out = sorted(found)
-    G._subgroup_masks = out
-    return out
+    found = G.join_closure(G.subgroup_generated((g,)) for g in G.elements())
+    G._subgroup_masks = sorted(sum(1 << m for m in h) for h in found)
+    return G._subgroup_masks
 
 
 def maximal_subgroup_masks(G: FiniteGroup) -> list[int]:
@@ -885,38 +866,16 @@ def _prestructure_blocks(
 
 
 def reference_prestructures(G: FiniteGroup) -> list[tuple[int, ...]]:
-    """Slow reference search used to cross-check the production engine.
-
-    Assigns slots in the fixed order r11, t11, r21, t21, r22, t22, r12,
-    t12 with z outermost, testing each conjugacy relation by direct word
-    evaluation as soon as all its slots are filled.  No solution tables,
-    no bit masks, no batching.  Intended for very small groups.
-    """
-    slot_order = [0, 1, 4, 5, 6, 7, 2, 3]
-    ready: list[list[Word]] = [[] for _ in range(8)]
-    for _, rel in prestructure_relations():
-        slots = {abs(letter) - 1 for letter in rel if abs(letter) - 1 != 8}
-        ready[max(slot_order.index(s) for s in slots)].append(rel)
-    found: list[tuple[int, ...]] = []
-    assign = [0] * 9
-
-    def extend(pos: int) -> None:
-        if pos == 8:
-            found.append(tuple(assign))
-            return
-        slot = slot_order[pos]
-        for g in range(G.order):
-            assign[slot] = g
-            if all(G.evaluate_word(rel, assign) == 0 for rel in ready[pos]):
-                extend(pos + 1)
-        assign[slot] = 0
-
-    for z in range(G.order):
-        if G.element_order[z] < 2:
-            continue
-        assign[8] = z
-        extend(0)
-    return sorted(found)
+    """The sorted prestructures of a small group by `relator_join` over the
+    columns z (of order >= 2), r11, t11, r21, t21, r22, t22, r12, t12: a
+    search sharing no plan, table or mask with `_genus2_blocks`, to check
+    it.  Raises ValueError above `REFERENCE_FRONTIER_CAP` rows at a level."""
+    order = (_Z, _R11, _T11, _R21, _T21, _R22, _T22, _R12, _T12)
+    column = {e * (slot + 1): e * (i + 1) for i, slot in enumerate(order) for e in (1, -1)}
+    relators = [Word(tuple(map(column.get, rel))) for _, rel in prestructure_relations()]
+    zs = np.flatnonzero(np.array(G.element_order) >= 2)
+    rows = relator_join(G, [zs] + [np.arange(G.order)] * 8, relators, REFERENCE_FRONTIER_CAP)
+    return sorted(map(tuple, rows[:, np.argsort(order)].tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Structure helpers that only the tests use: slot names, the class-2
-(simplified) relation system, the per-tuple prestructure check and the
-braid-group surjection a structure defines.
+(simplified) relation system, the per-tuple prestructure check, the
+braid-group surjection a structure defines and an oracle for the subgroup
+lattice.
 
 The simplified relation system states the paper's relations for groups
 with [G,G] central; the tests hold it against the full relator list.
@@ -110,3 +111,25 @@ def structure_to_hom(s: DDKStructure) -> Homomorphism:
     if s.ambient.element_order[s.z] != s.stype.n:
         raise AssertionError("verified structure has wrong o(z)")
     return hom
+
+
+def oracle_subgroup_masks(G: FiniteGroup) -> list[int]:
+    """Sorted bitmasks of every subgroup, by extending each subgroup found
+    with one element at a time, starting from the cyclic subgroups."""
+
+    def close(members) -> int:
+        return sum(1 << m for m in G.subgroup_generated(members))
+
+    found = {close({g}) for g in G.elements()}
+    work = list(found)
+    while work:
+        h = work.pop()
+        members = [i for i in range(G.order) if h >> i & 1]
+        for g in G.elements():
+            if h >> g & 1:
+                continue
+            k = close(members + [g])
+            if k not in found:
+                found.add(k)
+                work.append(k)
+    return sorted(found)

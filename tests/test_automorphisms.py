@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ddks.automorphisms
+import ddks.certify
 from ddks.group_core import (
     catalog_labels,
     get_presentation,
@@ -205,7 +206,7 @@ def test_tuples_failing_the_relators_are_rejected(monkeypatch):
     src = "gens: x y\nrel: x^8\nrel: y x^-2"
     g = realize(parse_presentation(src))
     monkeypatch.setattr(
-        ddks.automorphisms, "bulk_relator_filter", lambda G, rows, rels: np.ones(len(rows), bool)
+        ddks.certify, "bulk_relator_filter", lambda G, rows, rels: np.ones(len(rows), bool)
     )
     with pytest.raises(AssertionError, match="homomorphism"):
         automorphism_group(g, parse_presentation(src))

@@ -1,8 +1,9 @@
 """Checks on the source text of `src/ddks`: every check there must raise
 explicitly, so it survives `python -O`, no exact integer product may
 pass through floating point (and so through BLAS), the paper's criteria
-live only in the registry of `ddks.paper`, and the relator certifier
-imports neither enumeration route."""
+live only in the registry of `ddks.paper`, the relator certifier
+imports neither enumeration route, and the small-group prestructure
+reference names no part of the search engine."""
 
 import ast
 import sys
@@ -134,3 +135,35 @@ def test_certifier_imports_neither_route():
 def test_import_scan_finds_relative_imports():
     tree = ast.parse("from .structures import x\nimport numpy as np\nfrom . import symplectic")
     assert _imports(tree) == {".structures", "numpy", "."}
+
+
+ENGINE_NAMES = {
+    "_genus2_blocks", "genus2_rows", "_descend", "_search_plan", "_candidate_masks", "_Tables",
+}
+
+
+def _names_in(tree: ast.Module, function: str) -> set[str]:
+    """The names and attribute names used by a top-level function."""
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_reference_search_names_no_engine_part():
+    """`reference_prestructures` cross-checks the search engine, so it may
+    share no plan, table or mask with it."""
+    used = _names_in(_parse(SRC / "structures.py"), "reference_prestructures")
+    assert used & ENGINE_NAMES == set(), f"the reference uses {sorted(used & ENGINE_NAMES)}"
+
+
+def test_engine_name_scan_finds_names_and_attributes():
+    tree = ast.parse(
+        "def reference_prestructures(G):\n"
+        "    return structures._descend(G) + genus2_rows(G, [])\n"
+        "def other(G):\n"
+        "    return _Tables(G)\n"
+    )
+    assert _names_in(tree, "reference_prestructures") & ENGINE_NAMES == {"_descend", "genus2_rows"}

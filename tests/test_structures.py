@@ -1,6 +1,6 @@
 import hashlib
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from ddks.structures import (
     prestructure_relations,
     prestructure_report,
     prestructure_search_info,
+    reference_prestructures,
     relations_for_type,
     slot_index,
     structure_from_dict,
@@ -51,6 +52,7 @@ from ddks.symplectic import symplectic_structure_rows
 from optimizetools import raised_under_optimize
 from structuretools import (
     labeled_simplified_relations_for_type,
+    oracle_subgroup_masks,
     simplified_relations_for_type,
     slot_names,
     structure_to_hom,
@@ -260,6 +262,20 @@ def test_subgroup_mask_counts():
     assert len(maximal_subgroup_masks(q8)) == 3
 
 
+@pytest.mark.parametrize("label", ["S4", "G(24,3)", "G(32,6)", "G(32,49)", "G(32,50)"])
+def test_subgroup_lattices_match_the_extension_oracle(label):
+    G = realize_label(label)
+    masks = oracle_subgroup_masks(G)
+    assert all_subgroup_masks(G) == masks
+    members = [[x for x in G.elements() if m >> x & 1] for m in masks]
+    normal = [
+        h for h in members
+        if all({G.conjugate(x, g) for x in h} == set(h) for g in G.elements())
+    ]
+    normal.sort(key=lambda h: (len(h), h))
+    assert [list(n) for n in G.normal_subgroups()] == normal
+
+
 def cyclic(order: int) -> FiniteGroup:
     return realize(parse_presentation(f"gens: x\nrel: x^{order}"))
 
@@ -413,6 +429,28 @@ def test_prestructures_abelian_empty():
     z4 = realize(parse_presentation("gens: x\nrel: x^4"))
     assert list(iter_prestructure_tuples(z4, mode="full")) == []
     assert oracle_prestructures(z4) == []
+
+
+@pytest.mark.parametrize("name", [*SMALL_GROUP_SOURCES, "H", "G"])
+def test_reference_matches_the_scalar_oracle(name):
+    if name in SMALL_GROUP_SOURCES:
+        G = realize(parse_presentation(SMALL_GROUP_SOURCES[name]))
+    else:
+        G = small_group(name)
+    assert reference_prestructures(G) == oracle_prestructures(G)
+
+
+@pytest.mark.parametrize("name", ["S3", "D8"])
+def test_reference_matches_the_oracle_on_a_relator_subset(monkeypatch, name):
+    # no small group has a prestructure; under R1-R5 and T1-T5 alone these
+    # have 648 and 24 576 tuples, so the comparison sees every slot
+    part = tuple((label, w) for label, w in prestructure_relations() if int(label[1:]) <= 5)
+    monkeypatch.setattr(structures, "prestructure_relations", lambda: part)
+    monkeypatch.setitem(globals(), "prestructure_relations", lambda: part)
+    G = realize(parse_presentation(SMALL_GROUP_SOURCES[name]))
+    found = reference_prestructures(G)
+    assert len(found) >= 600
+    assert found == oracle_prestructures(G)
 
 
 def test_prestructure_report_s4_empty():
@@ -672,6 +710,8 @@ def test_certifier_edge_cases():
     assert empty.dtype == bool and empty.shape == (0,)
     with pytest.raises(ValueError, match="out of range"):
         bulk_relator_filter(G, rows + 24, words)
+    with pytest.raises(ValueError, match="relators use 5 columns, the rows have 2"):
+        bulk_relator_filter(G, rows[:, :2], [Word((1, 5))])
 
 
 def test_certifier_program_shape():
@@ -745,6 +785,57 @@ def test_certifier_is_independent_of_the_search_plan(monkeypatch):
     for name, relators in RELATOR_LISTS.items():
         assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators)), name
     assert getattr(G, "_search_tables", None) is None
+
+
+def join_relators(rng: np.random.Generator, columns: int) -> list[Word]:
+    """Seeded relators over `columns` letters: commutators, powers and
+    conjugates a b a^-1 = c, with the empty word."""
+    def letter() -> int:
+        return int(rng.integers(1, columns + 1)) * int(rng.choice([1, -1]))
+
+    out = [Word(())]
+    for shape in rng.choice(["comm", "power", "conj"], size=3):
+        a, b, c = letter(), letter(), letter()
+        if shape == "comm":
+            out.append(Word((a, b, -a, -b)))
+        elif shape == "power":
+            out.append(Word((a,) * int(rng.integers(2, 5))))
+        else:
+            out.append(Word((a, b, -a, -c)))
+    return out
+
+
+@pytest.mark.parametrize("label", ["S4", "G(32,50)"])
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
+def test_relator_join_matches_a_scalar_product(label, seed):
+    G = realize_label(label)
+    rng = np.random.default_rng(seed)
+    columns = 3 + seed % 2
+    candidates = [rng.permutation(G.order)[:rng.integers(6, 11)] for _ in range(columns)]
+    relators = join_relators(rng, columns)
+    want = [
+        row for row in product(*candidates)
+        if all(G.evaluate_word(w, row) == 0 for w in relators)
+    ]
+    assert want
+    rows = certify.relator_join(G, candidates, relators, cap=1 << 16)
+    assert rows.dtype == np.uint8 and rows.shape == (len(want), columns)
+    assert rows.tolist() == [list(row) for row in want]
+    candidates[1] = np.zeros(0, dtype=np.int64)  # an empty column leaves no row
+    assert certify.relator_join(G, candidates, relators, cap=1 << 16).shape == (0, columns)
+
+
+def test_relator_join_cases_with_a_known_answer():
+    G = realize_label("S4")
+    elements = np.arange(G.order)
+    assert len(certify.relator_join(G, [elements] * 3, [], cap=G.order ** 3)) == G.order ** 3
+    squares = certify.relator_join(G, [elements], [Word((1, 1))], cap=G.order)
+    assert squares[:, 0].tolist() == [x for x in G.elements() if G.element_order[x] <= 2]
+    assert certify.relator_join(G, [], [Word(())], cap=1).shape == (1, 0)
+    with pytest.raises(ValueError, match="frontier cap is 100 rows, column 1 needs 576"):
+        certify.relator_join(G, [elements] * 3, [], cap=100)
+    with pytest.raises(ValueError, match="uses generator 3 of 2 columns"):
+        certify.relator_join(G, [elements] * 2, [Word((1, -3))], cap=1 << 16)
 
 
 def test_structure_rows_determinism_across_jobs():
