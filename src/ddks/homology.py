@@ -7,30 +7,34 @@ elements of G (the coset action is g -> g * phi(x)), so a Schreier
 transversal, the abelianized rewritten relators, and an integer Smith
 normal form give H_1 directly.
 
-The relator matrix is large and sparse (736 x 257 with about 4 000
-nonzeros for the order-32 groups), so H_1 reduces it in two phases, as for
-badly presented Z-modules (Havas, Holt & Rees 1993).  Phase one eliminates
-every +-1 pivot on rows held as dicts of Python ints, recording each row
-operation and dropping each pivot row and column.  Its certificate is the
-elimination's own multipliers, replayed as array code: F is unit lower
+The relator matrix is built by tracing every relator from all cosets at
+once over the Cayley table, one gather a letter.  It is large and sparse
+(736 x 257 with about 4 000 nonzeros for the order-32 groups), so H_1
+reduces it in two phases, as for badly presented Z-modules (Havas, Holt &
+Rees 1993).  Phase one eliminates +-1 pivots on the nonzeros held as
+sorted (row, column, value) arrays, in rounds of pivots that do not
+interfere: each round picks them by Markowitz's fill score (Markowitz
+1957), one local minimum per conflict, and applies all of its row
+operations with one sort and one `np.add.reduceat`.  Its certificate is
+the elimination's own multipliers, replayed as array code: F is unit lower
 triangular by one comparison of row ranks, one scatter rebuilds
-A = F @ M from the final rows M, M's pivot rows form a unit upper
-triangular block on the pivot columns, and its other rows vanish there and
-equal the residual R elsewhere.  Phase two cuts the tall R (about 330 x 12)
-to an echelon basis of its row lattice (4 x 12 on the order-32 matrices)
-by elementary row operations, certified by replaying them in reverse to R,
-and runs the dense `smith_normal_form` on that basis, which keeps its own
-transform check.  Then rank = pivots + rank(R) and the invariant factors
-are those of R after as many 1s as there were pivots.  Every exact product
-is int64 under a stated bound or Python ints, never floating point, so no
-product goes through BLAS.
+A = F @ M from the final rows M, M's pivot rows form a block on the pivot
+columns that is upper triangular by round with a +-1 diagonal, and its
+other rows vanish there and equal the residual R elsewhere.  Phase two
+cuts the tall R (about 330 x 12) to an echelon basis of its row lattice
+(4 x 12 on the order-32 matrices) by elementary row operations, certified
+by replaying them in reverse to R, and runs the dense `smith_normal_form`
+on that basis, which keeps its own transform check.  Then rank = pivots +
+rank(R) and the invariant factors are those of R after as many 1s as there
+were pivots.  Every exact product is int64 under a stated bound or Python
+ints, never floating point, so no product goes through BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -56,9 +60,6 @@ __all__ = [
     "smith_invariants",
     "smith_normal_form",
 ]
-
-_INT64_GUARD = 2 ** 31  # keep |entry| below this so one update round cannot overflow
-
 
 # ------------------------------------------------------------ transversal
 
@@ -110,27 +111,30 @@ def schreier_transversal(hom: Homomorphism) -> Transversal:
 
 # -------------------------------------------------------- relator matrix
 
-def _schreier_columns(
-    hom: Homomorphism, t: Transversal
-) -> dict[tuple[int, int], int]:
-    """Map non-tree (coset, generator) pairs to column indices.
+def _schreier_columns(hom: Homomorphism, t: Transversal) -> np.ndarray:
+    """(coset, generator) -> column of its Schreier generator, -1 on tree
+    edges.
 
-    A pair (u, x) is a tree edge exactly when rep(u) * x is itself a
-    representative (of the coset u * phi(x)); those Schreier generators are
-    trivial and get no column.
+    Each representative w other than the identity gives one tree edge from
+    its last letter: (prefix coset, x) when w = prefix * x, and (coset of
+    w, x) when w = prefix * x^-1, provided the prefix is the representative
+    of its coset.  The other pairs get columns in (coset, generator) order.
     """
     G = hom.target
-    columns: dict[tuple[int, int], int] = {}
-    for u, rep in enumerate(t.representative_words):
-        for x, image in enumerate(hom.images):
-            v = G.mul(u, image)
-            if Word(rep.letters + (x + 1,)) == t.representative_words[v]:
-                continue
-            if Word(t.representative_words[v].letters + (-(x + 1),)) == rep:
-                continue
-            columns[(u, x)] = len(columns)
-    if len(columns) != G.order * (len(hom.images) - 1) + 1:
+    tree = np.zeros((G.order, len(hom.images)), dtype=bool)
+    for v, rep in enumerate(t.representative_words):
+        if rep.is_identity:
+            continue
+        letter = rep.letters[-1]
+        x = abs(letter) - 1
+        image = G.inverse[hom.images[x]] if letter > 0 else hom.images[x]
+        prefix = G.mul(v, image)
+        if t.representative_words[prefix] == Word(rep.letters[:-1]):
+            tree[prefix if letter > 0 else v, x] = True
+    if tree.size - np.count_nonzero(tree) != G.order * (len(hom.images) - 1) + 1:
         raise AssertionError("Schreier generator count is not |G|(gens - 1) + 1")
+    columns = np.full(tree.shape, -1)
+    columns[~tree] = np.arange(tree.size - np.count_nonzero(tree))
     return columns
 
 
@@ -138,30 +142,39 @@ def abelianized_relator_matrix(
     p: Presentation, hom: Homomorphism, t: Transversal
 ) -> np.ndarray:
     """One row per (coset, relator): exponent sums of Schreier generators
-    in the rewritten conjugate rep * r * rep^-1 (tree edges excluded)."""
+    in the rewritten conjugate rep * r * rep^-1 (tree edges excluded).
+
+    Each relator is traced from all cosets at once over the right-action
+    tables u -> u * phi(x)^(+-1), one gather a letter; the entries are added
+    with one scatter at the end."""
     G = hom.target
     columns = _schreier_columns(hom, t)
-    matrix = np.zeros((G.order * len(p.relators), len(columns)), dtype=np.int64)
-    inverse_images = [G.inverse[image] for image in hom.images]
-    for u in range(G.order):
-        for j, rel in enumerate(p.relators):
-            row = matrix[u * len(p.relators) + j]
-            c = u
-            for letter in rel.letters:
-                x = abs(letter) - 1
-                if letter > 0:
-                    key = (c, x)
-                    c = G.mul(c, hom.images[x])
-                    sign = 1
-                else:
-                    c = G.mul(c, inverse_images[x])
-                    key = (c, x)
-                    sign = -1
-                col = columns.get(key)
-                if col is not None:
-                    row[col] += sign
-            if c != u:
-                raise AssertionError("relator does not map to the identity")
+    cayley = np.array(G.cayley)
+    step = cayley[:, list(hom.images)].T
+    back = cayley[:, [G.inverse[image] for image in hom.images]].T
+    cosets = np.arange(G.order)
+    nrel = len(p.relators)
+    rows, cols, signs = [], [], []
+    for j, rel in enumerate(p.relators):
+        c = cosets
+        for letter in rel.letters:
+            x = abs(letter) - 1
+            if letter > 0:
+                cols.append(columns[c, x])
+                c = step[x][c]
+            else:
+                c = back[x][c]
+                cols.append(columns[c, x])
+        if (c != cosets).any():
+            raise AssertionError("relator does not map to the identity")
+        rows.append(np.tile(cosets * nrel + j, len(rel)))
+        signs += [1 if letter > 0 else -1 for letter in rel.letters]
+    matrix = np.zeros((G.order * nrel, np.count_nonzero(columns >= 0)), dtype=np.int64)
+    if cols:
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        signs = np.repeat(np.array(signs, dtype=np.int64), G.order)
+        edge = cols >= 0
+        np.add.at(matrix, (rows[edge], cols[edge]), signs[edge])
     return matrix
 
 
@@ -209,12 +222,21 @@ def _entry_max(x: np.ndarray) -> int:
 
 def _exact_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X @ Y exactly: int64 when every partial sum stays below 2^63 (also
-    for object arrays whose entries fit), Python ints otherwise.  No product
-    goes through floating point, so none reaches BLAS."""
-    bound = _entry_max(X) * _entry_max(Y) * max(X.shape[1], 1)
-    if bound < 2 ** 63:
+    for object arrays whose entries fit).  Otherwise the columns of Y where
+    that holds still run on int64, the others on Python ints, and the
+    product is an object array.  No product goes through floating point,
+    so none reaches BLAS."""
+    row_bound = _entry_max(X) * max(X.shape[1], 1)
+    if row_bound * _entry_max(Y) < 2 ** 63:
         return X.astype(np.int64) @ Y.astype(np.int64)
-    return X.astype(object) @ Y.astype(object)
+    Y = Y.astype(object)
+    column_max = np.maximum(Y.max(axis=0, initial=0), -Y.min(axis=0, initial=0))
+    fits = (row_bound * column_max < 2 ** 63) & (_entry_max(X) < 2 ** 63)
+    product = np.empty((X.shape[0], Y.shape[1]), dtype=object)
+    if fits.any():
+        product[:, fits] = X.astype(np.int64) @ Y[:, fits].astype(np.int64)
+    product[:, ~fits] = X.astype(object) @ Y[:, ~fits]
+    return product
 
 
 def _product_check(L: np.ndarray, A: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -232,38 +254,47 @@ def _pivot_position(M: np.ndarray, k: int) -> tuple[int, int] | None:
     return int(r) + k, int(c) + k
 
 
+def _add_rows(
+    M: np.ndarray, targets: np.ndarray, q: np.ndarray, p: int
+) -> np.ndarray:
+    """M[targets] += q * M[p], first moving M to Python ints when an int64
+    entry could reach 2^63; returns M, which may be a new array."""
+    if M.dtype != object and (
+        _entry_max(q) * _entry_max(M[p]) + _entry_max(M[targets]) >= 2 ** 63
+    ):
+        M = M.astype(object)
+    M[targets] += q.astype(M.dtype, copy=False)[:, None] * M[p]
+    return M
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDecomposition:
     """Exact SNF with unimodular transforms: left @ input @ right == diagonal.
 
-    Runs on int64 with an overflow guard; silently upcasts the whole state
-    to arbitrary-precision integers if any intermediate approaches 2^31.
+    M, L and R each stay int64 until an update could take one of their
+    entries to 2^63, and only the array it would overflow moves to Python
+    ints.  Each array carries a cap on its entries, which an update by
+    multipliers q raises to cap (1 + max|q|); once that could reach 2^63,
+    each update bounds exactly the rows (or columns) it touches.
     """
     A = np.array(matrix, dtype=object)
     if A.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     original = A.copy()
     nrows, ncols = A.shape
-    if A.size and all(abs(int(v)) < _INT64_GUARD for v in A.flat):
-        M = A.astype(np.int64)
-        L = np.eye(nrows, dtype=np.int64)
-        R = np.eye(ncols, dtype=np.int64)
-    else:
-        M = A.copy()
-        L = np.eye(nrows, dtype=object)
-        R = np.eye(ncols, dtype=object)
+    M = A.astype(np.int64) if _entry_max(A) < 2 ** 63 else A
+    L = np.eye(nrows, dtype=np.int64)
+    R = np.eye(ncols, dtype=np.int64)
+    caps = [_entry_max(M), 1, 1]  # >= max|entry| of M, L, R
 
-    def upcast_if_needed():
-        nonlocal M, L, R
-        if M.dtype == object:
-            return
-        if (
-            np.abs(M).max(initial=0) >= _INT64_GUARD
-            or np.abs(L).max(initial=0) >= _INT64_GUARD
-            or np.abs(R).max(initial=0) >= _INT64_GUARD
-        ):
-            M = M.astype(object)
-            L = L.astype(object)
-            R = R.astype(object)
+    def add(which, X, targets, q, most, p):
+        """X[targets] += q * X[p], X = (M, L, R)[which] or its transpose,
+        most = max|q|."""
+        grown = caps[which] * (1 + most)
+        caps[which] = grown
+        if grown >= 2 ** 63:
+            return _add_rows(X, targets, q, p)
+        X[targets] += q.astype(X.dtype, copy=False)[:, None] * X[p]
+        return X
 
     def eliminate(k: int) -> bool:
         """Clear row and column k; False when M[k:, k:] is all zero."""
@@ -283,21 +314,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
                 M[k] = -M[k]
                 L[k] = -L[k]
             pivot = M[k, k]
-            upcast_if_needed()
-            changed = False
-            q = M[k + 1:, k] // pivot
-            if np.any(q != 0):
-                M[k + 1:, :] -= q[:, None] * M[k, :]
-                L[k + 1:, :] -= q[:, None] * L[k, :]
-                changed = True
+            q = -(M[k + 1:, k] // pivot)
+            hit = np.flatnonzero(q)
+            if len(hit):
+                update = (hit + k + 1, q[hit], _entry_max(q), k)
+                M = add(0, M, *update)
+                L = add(1, L, *update)
             if np.any(M[k + 1:, k] != 0):
                 continue
-            upcast_if_needed()
-            q = M[k, k + 1:] // pivot
-            if np.any(q != 0):
-                M[:, k + 1:] -= M[:, k:k + 1] * q[None, :]
-                R[:, k + 1:] -= R[:, k:k + 1] * q[None, :]
-                changed = True
+            q = -(M[k, k + 1:] // pivot)
+            hit = np.flatnonzero(q)
+            if len(hit):
+                update = (hit + k + 1, q[hit], _entry_max(q), k)
+                M = add(0, M.T, *update).T
+                R = add(2, R.T, *update).T
             if np.any(M[k, k + 1:] != 0):
                 continue
             return True
@@ -316,9 +346,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
         done = True
         for i in range(rank - 1):
             if M[i + 1, i + 1] % M[i, i]:
-                M[:, i] += M[:, i + 1]
-                R[:, i] += R[:, i + 1]
-                upcast_if_needed()
+                update = (np.array([i]), np.ones(1, dtype=np.int64), 1, i + 1)
+                M = add(0, M.T, *update).T
+                R = add(2, R.T, *update).T
                 for k in range(i, rank):
                     eliminate(k)
                 done = False
@@ -348,91 +378,162 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
 
 # ------------------------------------------- sparse unit-pivot reduction
 
-SparseRow = dict[int, int]
+def _merge(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, ncols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries summed at equal (row, col), zeros dropped, sorted by
+    row * ncols + col.
+
+    One sort of the keys, each with its index in its low bits: keys stay
+    below 2^31 (see `_eliminate_unit_pivots`), so this fits int64 for
+    fewer than 2^32 entries."""
+    shift = len(rows).bit_length()
+    packed = np.sort(((rows * ncols + cols) << shift) | np.arange(len(rows)))
+    key = packed >> shift
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    values = np.add.reduceat(values[packed & ((1 << shift) - 1)], first) if len(first) else values[:0]
+    nonzero = values != 0
+    rows, cols = np.divmod(key[first[nonzero]], ncols)
+    return rows, cols, values[nonzero]
 
 
-def _subtract(
-    target: SparseRow, f: int, source: SparseRow, holders: list[set[int]], owner: int
-) -> None:
-    """target -= f * source in place; holders[j] tracks the rows nonzero at j."""
-    for j, v in source.items():
-        w = target.get(j, 0) - f * v
-        if w:
-            target[j] = w
-            holders[j].add(owner)
-        else:  # f * v != 0, so j was present
-            del target[j]
-            holders[j].discard(owner)
+def _row_entries(start: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(which, at): the entries of rows r[0], r[1], ... one after another,
+    where row i holds entries [start[i], start[i + 1]); which[t] is the
+    index into r whose row holds entry at[t]."""
+    length = start[r + 1] - start[r]
+    which = np.repeat(np.arange(len(r)), length)
+    at = np.arange(len(which)) - np.repeat(np.cumsum(length) - length, length)
+    return which, at + start[r][which]
 
 
 def _eliminate_unit_pivots(
     A: np.ndarray,
-) -> tuple[list[SparseRow], list[tuple[int, int, int]], list[tuple[int, int]]]:
+) -> tuple[
+    tuple[np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray, np.ndarray],
+]:
     """Phase one: clear every column that some row can pivot on with +-1.
 
-    Rows are dicts of Python ints, so nothing overflows.  Sweeps the live
-    rows by (nnz, index); in each row it takes the unit column held by the
-    fewest live rows (ties by column index), subtracts multiples of the row
-    from the other rows holding that column, then drops the row and the
-    column.  Sweeps repeat until one finds no unit entry.
+    The live rows' nonzeros are three arrays (row, column, value), sorted
+    by row * ncols + column.  Each round picks a set of independent unit
+    pivots.  Every +-1 entry is a candidate, ranked by its Markowitz score
+    (row nnz - 1)(column nnz - 1) with ties by (row, column), packed into
+    one int64 rank below (nrows ncols)^2.  Each column keeps its best
+    candidate, then each row its best, and a candidate is dropped when a
+    better one conflicts with it (one's row is nonzero in the other's
+    column).  The best candidate always survives, and no survivor's row is
+    nonzero in another survivor's column.  So every update of the round,
+    row s -= (a * sign) * pivot row r for each entry a of a live row s in
+    a pivot column, is one concatenation and one merge, and the pivot rows
+    then leave the live rows as they are.  Rounds repeat until no unit
+    entry is left; each takes at least one row away.
 
-    Returns (rows, ops, pivots): rows[i] is row i as phase one left it, ops
-    lists each update row s -= f * row r as (s, r, f), and pivots lists
-    (row, column) in pivot order.  A pivot row is never touched after its
-    pivot step, so A = F @ rows, F the identity plus f at (s, r) per op.
+    Values are int64 while max|entry| (1 + max|entry| * hits), with hits
+    the most pivot columns one row meets in a round, stays below 2^63,
+    which bounds every entry the round can make; from the first round where
+    it does not, they are Python ints.
+
+    Returns (M, ops, pivots) as triples of arrays.  M = (rows, cols,
+    values) are the nonzeros of the final rows, sorted by position; ops =
+    (s, r, f) lists each update row s -= f * row r; pivots = (rows, cols,
+    rounds) lists each pivot and its round, round by round.  A pivot row is
+    never touched after its round, so A = F @ M, F the identity plus f at
+    (s, r) per op.
     """
     nrows, ncols = A.shape
-    rows = [
-        {int(j): int(A[i, j]) for j in np.flatnonzero(A[i])} for i in range(nrows)
-    ]
-    holders: list[set[int]] = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
-    live = set(range(nrows))
-    ops: list[tuple[int, int, int]] = []
-    pivots: list[tuple[int, int]] = []
-    progress = True
-    while progress:
-        progress = False
-        for r in sorted(live, key=lambda i: (len(rows[i]), i)):
-            units = [j for j, v in rows[r].items() if v == 1 or v == -1]
-            if not units:
-                continue
-            c = min(units, key=lambda j: (len(holders[j]), j))
-            sign = rows[r][c]
-            live.discard(r)
-            for j in rows[r]:
-                holders[j].discard(r)
-            for s in sorted(holders[c]):
-                f = rows[s][c] * sign
-                _subtract(rows[s], f, rows[r], holders, s)
-                ops.append((s, r, f))
-            pivots.append((r, c))
-            progress = True
-    return rows, ops, pivots
+    if nrows * ncols >= 2 ** 31:
+        raise ValueError("the pivot ranks need fewer than 2^31 matrix entries")
+    rows, cols = np.nonzero(A)
+    values = A[rows, cols]
+    values = values.astype(np.int64 if _entry_max(values) < 2 ** 63 else object)
+    done = [(rows[:0], cols[:0], values[:0])]
+    ops = [(rows[:0], rows[:0], values[:0])]
+    pivots = [(rows[:0], rows[:0], rows[:0])]
+    for round_ in count():
+        unit = np.flatnonzero(np.abs(values) == 1)
+        if not len(unit):
+            break
+        row_nnz = np.bincount(rows, minlength=nrows)
+        col_nnz = np.bincount(cols, minlength=ncols)
+        score = (row_nnz[rows[unit]] - 1) * (col_nnz[cols[unit]] - 1)
+        rank = score * (nrows * ncols) + rows[unit] * ncols + cols[unit]
+        for line, size in ((cols, ncols), (rows, nrows)):
+            best = np.full(size, np.iinfo(np.int64).max)
+            np.minimum.at(best, line[unit], rank)
+            kept = rank == best[line[unit]]
+            unit, rank = unit[kept], rank[kept]
+        n = len(unit)
+        candidate_of_row = np.full(nrows, -1)
+        candidate_of_row[rows[unit]] = np.arange(n)
+        candidate_of_col = np.full(ncols, -1)
+        candidate_of_col[cols[unit]] = np.arange(n)
+        i, j = candidate_of_col[cols], candidate_of_row[rows]
+        clash = (i >= 0) & (j >= 0) & (i != j)
+        i, j = i[clash], j[clash]
+        beaten = np.zeros(n, dtype=bool)
+        beaten[np.where(rank[i] > rank[j], i, j)] = True
+        unit = unit[~beaten]
+        pr, pc, sign = rows[unit], cols[unit], values[unit]
+
+        pivot_of_col = np.full(ncols, -1)
+        pivot_of_col[pc] = np.arange(len(unit))
+        on_pivot_row = np.zeros(nrows, dtype=bool)
+        on_pivot_row[pr] = True
+        on_pivot_row = on_pivot_row[rows]
+        target = np.flatnonzero((pivot_of_col[cols] >= 0) & ~on_pivot_row)
+        if values.dtype != object:
+            most = _entry_max(values)
+            hits = int(np.bincount(rows[target]).max(initial=0))
+            if most * (1 + most * hits) >= 2 ** 63:
+                values, sign = values.astype(object), sign.astype(object)
+        s, jt = rows[target], pivot_of_col[cols[target]]
+        f = values[target] * sign[jt]
+        start = np.concatenate(([0], np.cumsum(row_nnz)))
+        which, at = _row_entries(start, pr[jt])
+
+        done.append((rows[on_pivot_row], cols[on_pivot_row], values[on_pivot_row]))
+        ops.append((s, pr[jt], f))
+        pivots.append((pr, pc, np.full(len(unit), round_)))
+        live = ~on_pivot_row
+        rows, cols, values = _merge(
+            np.concatenate((rows[live], s[which])),
+            np.concatenate((cols[live], cols[at])),
+            np.concatenate((values[live], -f[which] * values[at])),
+            ncols,
+        )
+    done.append((rows, cols, values))
+    M = _merge(*(np.concatenate(part) for part in zip(*done)), ncols)
+    return (
+        M,
+        tuple(np.concatenate(part) for part in zip(*ops)),
+        tuple(np.concatenate(part) for part in zip(*pivots)),
+    )
 
 
 def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     """(number of unit pivots k, residual R) with A equivalent to I_k (+) R.
 
     Certificate, from the phase-one multipliers, as array code on the
-    nonzeros of the final rows M: every op reads a row earlier in the order
-    (pivot rows in pivot order, then the others), so F is unit lower
-    triangular; and subtracting M and then f * M[r] from row s, for each op,
-    leaves A - F @ M, which must vanish.  That runs on int64 when
-    |M| (1 + sum |f|), which bounds every partial sum of F @ M, is below
+    nonzeros of the final rows M, which must be sorted by position with no
+    position repeated: every op reads a row earlier in the order (pivot
+    rows in pivot order, then the others), so F is unit lower triangular;
+    and one scatter of M and of f * M[r] into row s, for each op, leaves
+    A - F @ M, which must vanish.  That runs on int64 when
+    |A| + |M| (1 + max|f| * ops), which bounds every partial sum, is below
     2^63, and on Python ints otherwise.  In M the pivot rows on the pivot
-    columns form an upper triangular block with +-1 on the diagonal, and the
-    other rows vanish on every pivot column.  So column operations split M
-    into I_k (+) R, where R is the surviving rows on the surviving columns.
-    The all-zero rows of R are dropped, which leaves its SNF unchanged.
+    columns form a block that is upper triangular by round, with +-1 on
+    the diagonal and no other entry inside a round, and the other rows
+    vanish on every pivot column.  So column operations split M into
+    I_k (+) R, where R is the surviving rows on the surviving columns.  The
+    all-zero rows of R are dropped, which leaves its SNF unchanged.
     """
     nrows, ncols = A.shape
-    rows, ops, pivots = _eliminate_unit_pivots(A)
-    k = len(pivots)
-    pivot_rows = np.array([r for r, _ in pivots], dtype=np.intp)
-    pivot_cols = np.array([c for _, c in pivots], dtype=np.intp)
+    (rows, cols, values), (s, r, f), (pivot_rows, pivot_cols, rounds) = (
+        _eliminate_unit_pivots(A)
+    )
+    k = len(pivot_rows)
     if len(np.unique(pivot_rows)) < k or len(np.unique(pivot_cols)) < k:
         raise AssertionError("a pivot row or column repeats")
     step_of_row = np.full(nrows, -1, dtype=np.intp)
@@ -442,37 +543,33 @@ def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     order = step_of_row.copy()
     survivors = order < 0
     order[survivors] = np.arange(k, nrows)
-    s, r, f = (list(column) for column in zip(*ops)) if ops else ([], [], [])
-    s = np.array(s, dtype=np.intp)
-    r = np.array(r, dtype=np.intp)
     if (order[r] >= order[s]).any():
         raise AssertionError("a row operation reads a later row")
+    key = rows * ncols + cols
+    if len(key) and not (
+        (np.diff(key) > 0).all()
+        and 0 <= cols.min() <= cols.max() < ncols
+        and 0 <= key[0] <= key[-1] < nrows * ncols
+    ):
+        raise AssertionError("the final rows are not sorted by position")
 
-    # M's nonzeros, row by row: row i holds cols and values [start[i], start[i + 1])
-    counts = np.fromiter(map(len, rows), dtype=np.intp, count=nrows)
-    start = np.concatenate(([0], np.cumsum(counts)))
-    row_of = np.repeat(np.arange(nrows), counts)
-    cols = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(start[-1]))
-    values = list(chain.from_iterable(row.values() for row in rows))
-    bound = max(map(abs, values), default=0) * (1 + sum(map(abs, f)))
+    bound = _entry_max(A) + _entry_max(values) * (1 + _entry_max(f) * len(f))
     dtype = np.int64 if bound < 2 ** 63 else object
-    values = np.array(values, dtype=dtype)
-    f = np.array(f, dtype=dtype)
-
+    values, f = values.astype(dtype), f.astype(dtype)
     residue = A.astype(dtype)
-    residue[row_of, cols] -= values
-    # the ops of one pivot step read one row r and come one after another
-    cuts = [0, *(np.flatnonzero(np.diff(r)) + 1), len(r)] if ops else []
-    for a, b in zip(cuts, cuts[1:]):
-        read = slice(start[r[a]], start[r[a] + 1])
-        np.subtract.at(residue, (s[a:b, None], cols[read]), f[a:b, None] * values[read])
+    residue[rows, cols] -= values
+    which, at = _row_entries(np.searchsorted(rows, np.arange(nrows + 1)), r)
+    np.subtract.at(residue.reshape(-1), s[which] * ncols + cols[at], f[which] * values[at])
     if residue.any():
         raise AssertionError("row transform check failed")
 
-    i, j = step_of_row[row_of], step_of_col[cols]
+    i, j = step_of_row[rows], step_of_col[cols]
     in_block = (i >= 0) & (j >= 0)
-    if (i[in_block] > j[in_block]).any():
+    row_round, col_round = rounds[i[in_block]], rounds[j[in_block]]
+    if (row_round > col_round).any():
         raise AssertionError("pivot block is not triangular")
+    if ((row_round == col_round) & (i[in_block] != j[in_block])).any():
+        raise AssertionError("two pivots of one round conflict")
     diagonal = in_block & (i == j)
     if np.count_nonzero(diagonal) != k or (np.abs(values[diagonal]) != 1).any():
         raise AssertionError("unit pivot check failed")
@@ -480,23 +577,10 @@ def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
         raise AssertionError("a pivot column survived")
     rest = i < 0
     keep_cols = np.flatnonzero(step_of_col < 0)
-    kept_rows, at = np.unique(row_of[rest], return_inverse=True)
+    kept_rows, at = np.unique(rows[rest], return_inverse=True)
     residual = np.zeros((len(kept_rows), len(keep_cols)), dtype=dtype)
     residual[at, np.searchsorted(keep_cols, cols[rest])] = values[rest]
     return k, residual
-
-
-def _add_rows(
-    M: np.ndarray, targets: np.ndarray, q: np.ndarray, p: int
-) -> np.ndarray:
-    """M[targets] += q * M[p], first moving M to Python ints when an int64
-    entry could reach 2^63; returns M, which may be a new array."""
-    if M.dtype != object and (
-        _entry_max(q) * _entry_max(M[p]) + _entry_max(M[targets]) >= 2 ** 63
-    ):
-        M = M.astype(object)
-    M[targets] += q.astype(M.dtype)[:, None] * M[p]
-    return M
 
 
 def _row_lattice_echelon(

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from ddks import homology
 from ddks.homology import (
     HomologyInvariants,
     Transversal,
+    _eliminate_unit_pivots,
     _exact_matmul,
     _row_lattice_basis,
     _unit_pivot_residual,
@@ -35,7 +36,11 @@ from ddks.homology import (
 )
 from ddks.invariants import fibration_data, with_homology
 from ddks.structures import DDKStructure, StructureType, example_structure
+from ddks.symplectic import enumerate_reduced_structures, induced_space, lift_reduced
 from optimizetools import raised_under_optimize
+
+# (reduced structure, lift mask) pairs of the benchmark's fixed H1 panel
+H1_PANEL = ((0, 0x00), (2880, 0x5A), (5760, 0xA5))
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +53,24 @@ def orbifold_hom():
     g = realize_label("G(32,49)")
     p = orbifold_presentation(2, 2)
     return g, p, Homomorphism(p, g, example_structure(g).elements)
+
+
+@pytest.fixture(scope="module")
+def panel_homs():
+    """(label, homomorphism) for the example structure and the H1_PANEL
+    lifts of both extra-special groups of order 32."""
+    p = orbifold_presentation(2, 2)
+    homs = []
+    for label in ("G(32,49)", "G(32,50)"):
+        g = realize_label(label)
+        structures = [example_structure(g)]
+        space = induced_space(g)
+        reduced = list(enumerate_reduced_structures(space))
+        for index, mask in H1_PANEL:
+            lifts = lift_reduced(space, reduced[index], g)
+            structures.append(next(islice(lifts, mask, None)))
+        homs += [(label, Homomorphism(p, g, s.elements)) for s in structures]
+    return p, homs
 
 
 # ----------------------------------------------------------- transversal
@@ -134,6 +157,71 @@ def test_index_two_rewriting_by_hand():
     assert first_homology(p, hom) == HomologyInvariants(0, (2,))
 
 
+def _relator_matrix_by_words(
+    p: Presentation, hom: Homomorphism, t: Transversal
+) -> np.ndarray:
+    """Reference rewriting, one coset and one letter at a time: (u, x) is a
+    tree edge when the word rep(u) x is rep(u x), or rep(u x) x^-1 is
+    rep(u), tested by building the words."""
+    G = hom.target
+    reps = t.representative_words
+    columns = {}
+    for u, rep in enumerate(reps):
+        for x, image in enumerate(hom.images):
+            v = G.mul(u, image)
+            if Word(rep.letters + (x + 1,)) == reps[v]:
+                continue
+            if Word(reps[v].letters + (-(x + 1),)) == rep:
+                continue
+            columns[(u, x)] = len(columns)
+    matrix = np.zeros((G.order * len(p.relators), len(columns)), dtype=np.int64)
+    for u in range(G.order):
+        for j, rel in enumerate(p.relators):
+            c = u
+            for letter in rel.letters:
+                x = abs(letter) - 1
+                if letter > 0:
+                    key, sign = (c, x), 1
+                    c = G.mul(c, hom.images[x])
+                else:
+                    c = G.mul(c, G.inverse[hom.images[x]])
+                    key, sign = (c, x), -1
+                if key in columns:
+                    matrix[u * len(p.relators) + j, columns[key]] += sign
+            assert c == u
+    return matrix
+
+
+def test_relator_matrix_matches_word_rewriting(panel_homs):
+    p, homs = panel_homs
+    assert len(homs) == 8
+    for label, hom in homs:
+        t = schreier_transversal(hom)
+        matrix = abelianized_relator_matrix(p, hom, t)
+        assert matrix.dtype == np.int64 and matrix.shape == (736, 257)
+        assert np.array_equal(matrix, _relator_matrix_by_words(p, hom, t)), label
+
+
+def test_relator_matrix_of_small_presentations_matches_word_rewriting(trivial_group):
+    z2 = realize(parse_presentation("gens: y\nrel: y^2"))
+    s3 = realize(parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: a b a b"))
+    cases = [
+        (parse_presentation("gens: a b\nrel: a^2 b^-3\nrel: [a,b]"), trivial_group, (0, 0)),
+        (parse_presentation("gens: x\nrel: x^4"), z2, (1,)),
+        (parse_presentation("gens: x y\nrel: x^2\nrel: y^3\nrel: x y x y"), s3, s3.generator_elements),
+        (
+            parse_presentation("gens: x y\nrel: x^-2\nrel: y^-3 x^4 y^3\nrel: x^-1 y^-2 x^-1 y^-2"),
+            s3, s3.generator_elements,
+        ),
+    ]
+    for p, target, images in cases:
+        hom = Homomorphism(p, target, images)
+        t = schreier_transversal(hom)
+        assert np.array_equal(
+            abelianized_relator_matrix(p, hom, t), _relator_matrix_by_words(p, hom, t)
+        )
+
+
 def test_non_schreier_transversal_is_rejected():
     # x^3 represents the odd coset of Z2, but its prefixes x and x^2 are not
     # representatives: neither pair is a tree edge, so 2 columns, not 1.
@@ -184,6 +272,15 @@ def test_snf_deterministic():
 def test_snf_huge_entries_stay_exact():
     snf = smith_normal_form([[2 ** 40, 1], [1, 2 ** 40]])
     assert snf.invariant_factors == (1, 2 ** 80 - 1)
+
+
+def test_snf_moves_only_the_array_that_overflows():
+    # M reaches 2^80 - 1, while the transforms keep entries of at most 2^40
+    snf = smith_normal_form([[2 ** 40, 1], [1, 2 ** 40]])
+    assert snf.diagonal.dtype == object
+    assert snf.left.dtype == snf.right.dtype == np.int64
+    product = snf.left.astype(object) @ np.array([[2 ** 40, 1], [1, 2 ** 40]], dtype=object)
+    assert np.array_equal(product @ snf.right.astype(object), snf.diagonal)
 
 
 def _minor_gcd(A: list[list[int]], k: int) -> int:
@@ -263,6 +360,53 @@ def test_reduction_matches_dense_snf_on_edge_cases(A):
     assert smith_invariants(A) == _dense_oracle(A)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_rounds_engine_matches_dense_snf(seed):
+    # sparse matrices up to 40 x 30 whose unit pivots take several rounds
+    rng = random.Random(400 + seed)
+    several = 0
+    for _ in range(25):
+        rows, cols = rng.randint(10, 40), rng.randint(8, 30)
+        density = rng.choice((0.08, 0.15, 0.3))
+        A = np.array(
+            [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)],
+            dtype=np.int64,
+        )
+        rounds = _eliminate_unit_pivots(A)[2][2]
+        several += len(rounds) > 0 and rounds.max() > 0
+        assert smith_invariants(A) == _dense_oracle(A), A.tolist()
+    assert several >= 20
+
+
+def test_rounds_engine_moves_to_python_ints_in_a_later_round():
+    # Each row meets one pivot column a round, so round 0 makes entries of
+    # at most B (1 + B) < 2^63 in int64; round 1 multiplies B^2 by B^2 and
+    # must run on Python ints.  det = 1 - B^4.
+    B = 2 ** 30
+    A = np.array([[1, B, 0, 0], [0, 1, B, 0], [0, 0, 1, B], [B, 0, 0, 1]], dtype=np.int64)
+    (rows, cols, values), ops, (_, _, rounds) = _eliminate_unit_pivots(A)
+    assert rounds.tolist() == [0, 1, 2]
+    assert values.dtype == object and max(abs(v) for v in values) == B ** 4 - 1
+    assert smith_invariants(A) == _dense_oracle(A) == (4, (1, 1, 1, B ** 4 - 1))
+
+
+def test_rounds_engine_refuses_matrices_its_ranks_cannot_order():
+    A = np.broadcast_to(np.int64(0), (2 ** 16, 2 ** 15))
+    with pytest.raises(ValueError, match="2\\^31 matrix entries"):
+        _eliminate_unit_pivots(A)
+
+
+def test_rounds_engine_is_deterministic(orbifold_hom):
+    g, p, hom = orbifold_hom
+    A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    first, second = _eliminate_unit_pivots(A), _eliminate_unit_pivots(A)
+    for part, again in zip(first, second):
+        for x, y in zip(part, again):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert len(first[2][0]) == 245
+
+
 @pytest.mark.parametrize(
     "A, torsion",
     [
@@ -299,6 +443,7 @@ def _rank_mod2(A: np.ndarray) -> int:
 
 TAMPERED_ELIMINATION = """
 import sys
+import numpy as np
 import ddks.homology as h
 
 assert sys.flags.optimize, "run under python -O"
@@ -306,9 +451,10 @@ real = h._eliminate_unit_pivots
 
 
 def tampered(A):
-    rows, ops, pivots = real(A)
+    M, ops, pivots = real(A)
+    rows, cols, values = M
 {tamper}
-    return rows, ops, pivots
+    return M, ops, pivots
 
 
 h._eliminate_unit_pivots = tampered
@@ -319,19 +465,20 @@ except AssertionError as e:
     sys.exit(3)
 """
 
-# The real elimination pivots row 0 on column 0 with the one op (1, 0, 1),
-# leaving the survivors [0, 2] and [0, 4]: the cokernel is Z_2, so
-# (rank, factors) is (2, (1, 2)).
+# The real elimination pivots row 0 on column 0 in round 0 with the one op
+# (1, 0, 1), leaving the survivors [0, 2] and [0, 4]: the cokernel is Z_2,
+# so (rank, factors) is (2, (1, 2)).  M = (rows, cols, values) holds the
+# final nonzeros (0, 0, 1), (1, 1, 2) and (2, 1, 4); ops = (s, r, f).
 @pytest.mark.parametrize(
     "tamper, message",
     [
         pytest.param(
-            "    rows[1][1] += 1",
+            "    values[(rows == 1) & (cols == 1)] += 1",
             "row transform check failed",
             id="survivor-row",
         ),
         pytest.param(
-            "    (s, r, f), = ops\n    ops[0] = (s, r, f + 1)",
+            "    ops[2][0] += 1",
             "row transform check failed",
             id="multiplier",
         ),
@@ -339,7 +486,8 @@ except AssertionError as e:
         # has determinant 2: without the order check the residual [[3], [1]]
         # would report (2, (1, 1)).
         pytest.param(
-            "    rows[1], rows[2] = {1: 3}, {1: 1}\n    ops += [(1, 2, -1), (2, 1, 1)]",
+            "    values[rows == 1], values[rows == 2] = 3, 1\n"
+            "    ops = tuple(np.append(a, b) for a, b in zip(ops, ([1, 2], [2, 1], [-1, 1])))",
             "a row operation reads a later row",
             id="later-row",
         ),
@@ -356,42 +504,61 @@ def test_unit_pivot_certificate_survives_optimize(tamper, message):
 
 
 FORGED_ELIMINATION = """
+import numpy as np
 import ddks.homology as h
 
-h._eliminate_unit_pivots = lambda A: ({rows}, {ops}, {pivots})
+forged = tuple(
+    tuple(np.array(a, dtype=np.int64) for a in part) for part in ({M}, {ops}, {pivots})
+)
+h._eliminate_unit_pivots = lambda A: forged
 h.smith_invariants({matrix})
 """
 
 
 # Each forged certificate rebuilds its matrix exactly (A = F @ M), so only
-# the checks on M's pivot block and pivot columns can refuse it; the
-# answers in the comments are what it would give without them.
+# the checks on M's entries, its pivot block and its pivot columns can
+# refuse it; the answers in the comments are what it would give without
+# them.  M = (rows, cols, values), ops = (s, r, f), pivots = (rows, cols,
+# rounds).
 @pytest.mark.parametrize(
-    "matrix, rows, ops, pivots, raised",
+    "matrix, M, ops, pivots, raised",
     [
         # true (2, (1, 2)); would give (2, (1, 1))
         pytest.param(
-            [[1, 0], [1, 2], [0, 4]], [{0: 1}, {1: 2}, {1: 4}], [(1, 0, 1)],
-            [(0, 0), (1, 1)], "unit pivot check failed", id="non-unit",
+            [[1, 0], [1, 2], [0, 4]], ([0, 1, 2], [0, 1, 1], [1, 2, 4]), ([1], [0], [1]),
+            ([0, 1], [0, 1], [0, 1]), "unit pivot check failed", id="non-unit",
         ),
         # true rank 1; would give 2
         pytest.param(
-            [[1, 1], [1, 1]], [{0: 1, 1: 1}, {0: 1, 1: 1}], [],
-            [(0, 0), (1, 1)], "pivot block is not triangular", id="lower-entry",
+            [[1, 1], [1, 1]], ([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1]), ([], [], []),
+            ([0, 1], [0, 1], [0, 1]), "pivot block is not triangular", id="lower-entry",
+        ),
+        # the same two pivots in one round, each row nonzero in the other's
+        # column: true rank 1; would give 2
+        pytest.param(
+            [[1, 1], [1, 1]], ([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1]), ([], [], []),
+            ([0, 1], [0, 1], [0, 0]), "two pivots of one round conflict", id="round-conflict",
         ),
         # true rank 1; would give 2
         pytest.param(
-            [[1, 0], [1, 0]], [{0: 1}, {0: 1}], [],
-            [(0, 0)], "a pivot column survived", id="pivot-column",
+            [[1, 0], [1, 0]], ([0, 1], [0, 0], [1, 1]), ([], [], []),
+            ([0], [0], [0]), "a pivot column survived", id="pivot-column",
         ),
         pytest.param(
-            [[1, 0], [1, 2], [0, 4]], [{0: 1}, {1: 2}, {1: 4}], [(1, 0, 1)],
-            [(0, 0), (0, 0)], "a pivot row or column repeats", id="repeat",
+            [[1, 0], [1, 2], [0, 4]], ([0, 1, 2], [0, 1, 1], [1, 2, 4]), ([1], [0], [1]),
+            ([0, 0], [0, 0], [0, 0]), "a pivot row or column repeats", id="repeat",
+        ),
+        # row 0 lists (0, 1) twice, as 1 and 0: the replay of row 0 reads
+        # the last, the op's product reads both, so the survivor is [0, 1]:
+        # true (2, (1, 2)); would give (2, (1, 1))
+        pytest.param(
+            [[1, 0], [1, 2]], ([0, 0, 0, 1], [0, 1, 1, 1], [1, 1, 0, 1]), ([1], [0], [1]),
+            ([0], [0], [0]), "the final rows are not sorted by position", id="repeated-entry",
         ),
     ],
 )
-def test_unit_pivot_block_checks_survive_optimize(matrix, rows, ops, pivots, raised):
-    snippet = FORGED_ELIMINATION.format(rows=rows, ops=ops, pivots=pivots, matrix=matrix)
+def test_unit_pivot_block_checks_survive_optimize(matrix, M, ops, pivots, raised):
+    snippet = FORGED_ELIMINATION.format(M=M, ops=ops, pivots=pivots, matrix=matrix)
     assert raised_under_optimize(snippet) == "AssertionError " + raised
 
 
@@ -588,6 +755,16 @@ def test_exact_matmul_stays_exact_above_2_63(X, Y):
     assert product.tolist() == _python_product(X, Y)
 
 
+def test_exact_matmul_keeps_int64_in_the_columns_that_fit():
+    # column 0 fits int64, column 1 needs Python ints: 2^62 * 3 + 5 * 2^62
+    X = np.array([[3, 5], [-7, 1]])
+    Y = np.array([[1, 2 ** 62], [-2, 2 ** 62]], dtype=object)
+    product = _exact_matmul(X, Y)
+    assert product.dtype == object
+    assert product.tolist() == _python_product(X, Y)
+    assert all(type(v) is int for v in product.flat)
+
+
 def test_first_homology_multiplies_no_floats(orbifold_hom, monkeypatch):
     g, p, hom = orbifold_hom
     calls = []
@@ -678,6 +855,12 @@ def test_surface_homology_stable_across_structures(rows_cache):
             inv, maximal = h1_of_surface(g, s)
             assert inv == HomologyInvariants(8, (2, 2, 2, 2))
             assert maximal
+
+
+def test_first_homology_on_the_benchmark_panel(panel_homs):
+    p, homs = panel_homs
+    for label, hom in homs:
+        assert first_homology(p, hom) == HomologyInvariants(8, (2, 2, 2, 2)), label
 
 
 def test_surface_homology_rejects_non_structures():
