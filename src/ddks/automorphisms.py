@@ -4,21 +4,20 @@ Automorphisms are found by `certify.relator_join` over the presentation
 generators, the candidate images of each being the elements of its order.
 The tuples that generate G extend to element permutations, each checked
 to be an automorphism, and that set is Aut(G) (`automorphism_group` states
-the proof).  Each is stored as its permutation bytes.  Orbits are
-counted as |structures| / |Aut|, the action being free because every
-structure generates G (`orbit_count`).
+the proof).  An automorphism is a row of one sorted (|Aut|, |G|) uint8
+table, its images of the elements 0 .. |G| - 1; Inn(G) is the same kind
+of table (`structures.inner_automorphism_table`).  Orbits are counted as
+|structures| / |Aut|, the action being free because every structure
+generates G (`orbit_count`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .certify import relator_join
 from .group_core import FiniteGroup, Presentation
-from .structures import generation_mask_filter, inner_automorphism_table
+from .structures import generation_mask_filter
 
 AUT_ORDER_CAP = 32
 # Rows the generator-image join in `automorphism_group` may hold: 6x its
@@ -26,17 +25,9 @@ AUT_ORDER_CAP = 32
 AUT_FRONTIER_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    permutation: bytes
-
-    def __call__(self, x: int) -> int:
-        return self.permutation[x]
-
-
-def automorphism_group(G: FiniteGroup, p: Presentation) -> list[GroupAutomorphism]:
-    """All automorphisms of G, realized from presentation p, sorted by
-    permutation bytes.
+def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
+    """All automorphisms of G, realized from presentation p, as a read-only
+    (|Aut|, |G|) uint8 table of element permutations, rows sorted.
 
     `relator_join` builds the image tuples of the generators g_1 .. g_n
     that satisfy the relators, g_i's image ranging over the elements of
@@ -87,26 +78,15 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> list[GroupAutomorphis
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise AssertionError("a generator image tuple does not give a homomorphism")
     perms = perms[np.lexsort(perms.T[::-1])]
-    results = [GroupAutomorphism(row.tobytes()) for row in perms]
+    perms.flags.writeable = False  # the cache hands this array to every caller
 
     if cached is None:
         cached = G._aut_cache = {}
-    cached[p] = results
-    return results
+    cached[p] = perms
+    return perms
 
 
-def inner_automorphisms(G: FiniteGroup) -> list[GroupAutomorphism]:
-    """Conjugation maps, one per coset of the center, sorted by
-    permutation bytes: the rows of `inner_automorphism_table`."""
-    out = [GroupAutomorphism(row.tobytes()) for row in inner_automorphism_table(G)]
-    if len(out) != G.order // len(G.center()):
-        raise AssertionError("|Inn| is not |G| / |Z(G)|")
-    return out
-
-
-def out_order(
-    auts: Sequence[GroupAutomorphism], inner: Sequence[GroupAutomorphism]
-) -> int:
+def out_order(auts: np.ndarray, inner: np.ndarray) -> int:
     """|Out| = |Aut| / |Inn|, checking that |Inn| divides |Aut|."""
     if len(auts) % len(inner) != 0:
         raise AssertionError("|Inn| does not divide |Aut|")
@@ -120,14 +100,15 @@ class FreenessError(AssertionError):
 def orbit_count(
     G: FiniteGroup,
     rows: np.ndarray,
-    auts: Sequence[GroupAutomorphism],
+    auts: np.ndarray,
     freeness: str = "sample",
     sample_size: int = 1000,
 ) -> int:
     """The number of Aut-orbits on `rows`: |rows| / |Aut|, exactly.
 
     `rows` must be a union of orbits, as the certified set of all
-    structures is, and `auts` a group, as `automorphism_group` certifies.
+    structures is, and `auts` a group of permutations of G, one per row, as
+    `automorphism_group` certifies.
     The quotient counts orbits only if the action is free, and freeness
     follows from a lemma: a homomorphism that fixes a generating tuple
     pointwise is the identity (Holt, Eick and O'Brien, Handbook of
@@ -136,7 +117,7 @@ def orbit_count(
     The lemma's premises are checked, and a failed one raises
     FreenessError:
 
-    (a) the permutations in `auts` are pairwise distinct;
+    (a) the rows of `auts` are pairwise distinct;
     (b) each is multiplicative on the Cayley table of G;
     (c) each checked row generates G.
 
@@ -153,11 +134,10 @@ def orbit_count(
     checked = rows
     if freeness == "sample" and sample_size < len(rows):
         checked = rows[np.linspace(0, len(rows) - 1, sample_size).astype(np.int64)]
-    if len({a.permutation for a in auts}) != len(auts):
+    perms = auts[np.lexsort(auts.T[::-1])]
+    if not (perms[1:] != perms[:-1]).any(axis=1).all():
         raise FreenessError("two automorphisms have the same permutation")
-    perms = np.frombuffer(b"".join(a.permutation for a in auts), dtype=np.uint8)
-    perms = perms.reshape(len(auts), G.order)
-    cayley = np.array(G.cayley, dtype=np.uint8)  # permutations are bytes: order <= 256
+    cayley = np.array(G.cayley, dtype=np.uint8)  # uint8 permutations: order <= 256
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise FreenessError("an automorphism is not multiplicative")
     if not generation_mask_filter(G, checked).all():

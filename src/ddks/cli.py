@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .automorphisms import automorphism_group, inner_automorphisms, orbit_count, out_order
+from .automorphisms import automorphism_group, orbit_count, out_order
 from .group_core import (
     CosetEnumerationError,
     FiniteGroup,
@@ -34,6 +34,7 @@ from .structures import (
     DDKStructure,
     StructureType,
     example_structure,
+    inner_automorphism_table,
     prestructure_report,
     structure_from_dict,
     structure_rows,
@@ -136,7 +137,7 @@ def _cmd_orbits(args) -> tuple[dict, str]:
     g = realize_label(label)
     rows = structure_rows(g, StructureType(2, 2))
     auts = automorphism_group(g, get_presentation(label))
-    inner = inner_automorphisms(g)
+    inner = inner_automorphism_table(g)
     orbits = orbit_count(g, rows, auts, freeness=args.freeness)
     return {
         "label": args.label,
@@ -156,7 +157,7 @@ def _cmd_invariants(args) -> tuple[dict, str]:
     report = fibration_data(g, s)
     if args.with_homology:
         invariants, _ = h1_of_surface(g, s)
-        report = with_homology(report, invariants.first_betti)
+        report = with_homology(report, invariants.free_rank)
     out = report_to_dict(report)
     out["structure"] = structure_to_dict(s, label)
     return out, "pass"
@@ -218,22 +219,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="inspect the group catalog")
+    p.set_defaults(handler=_cmd_catalog)
     catalog_sub = p.add_subparsers(dest="action", required=True)
     catalog_sub.add_parser("list", help="list all labels")
     show = catalog_sub.add_parser("show", help="presentation and basic data")
     show.add_argument("label")
 
     p = sub.add_parser("cct", help="centre-commutative-transitivity test")
+    p.set_defaults(handler=_cmd_cct)
     p.add_argument("label", nargs="?")
     p.add_argument("--all", action="store_true")
 
     p = sub.add_parser("search", help="enumerate prestructures or structures")
     search_sub = p.add_subparsers(dest="target", required=True)
     pre = search_sub.add_parser("prestructures")
+    pre.set_defaults(handler=_cmd_search_prestructures)
     pre.add_argument("label")
     pre.add_argument("--full", action="store_true",
                      help="disable the socle shortcut")
     st = search_sub.add_parser("structures")
+    st.set_defaults(handler=_cmd_search_structures)
     st.add_argument("label")
     st.add_argument("--b", type=int, required=True)
     st.add_argument("--n", type=int, required=True)
@@ -243,16 +248,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count structures by one or both methods")
     count_sub = p.add_subparsers(dest="target", required=True)
     ct = count_sub.add_parser("structures")
+    ct.set_defaults(handler=_cmd_count_structures)
     ct.add_argument("label")
     ct.add_argument("--method", choices=("backtrack", "symplectic", "both"),
                     default="both")
     ct.add_argument("--n", type=int, default=2)
 
     p = sub.add_parser("orbits", help="count orbits of the automorphism action")
+    p.set_defaults(handler=_cmd_orbits)
     p.add_argument("label")
     p.add_argument("--freeness", choices=("sample", "full"), default="sample")
 
     p = sub.add_parser("invariants", help="numeric report for one structure")
+    p.set_defaults(handler=_cmd_invariants)
     p.add_argument("label")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--structure", metavar="FILE")
@@ -261,6 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also compute q and p_g via the homology pipeline")
 
     p = sub.add_parser("homology", help="H1 of the covering surface")
+    p.set_defaults(handler=_cmd_homology)
     p.add_argument("label")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--structure", metavar="FILE")
@@ -268,18 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--samples", type=int, default=None)
 
     p = sub.add_parser("verify-paper", help="run the acceptance checks")
+    p.set_defaults(handler=_cmd_verify_paper)
     p.add_argument("--quick", action="store_true")
     return parser
-
-
-_DISPATCH = {
-    "catalog": _cmd_catalog,
-    "cct": _cmd_cct,
-    "orbits": _cmd_orbits,
-    "invariants": _cmd_invariants,
-    "homology": _cmd_homology,
-    "verify-paper": _cmd_verify_paper,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -289,17 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("cct needs exactly one of LABEL or --all")
     started = time.monotonic()
     try:
-        if args.command == "search":
-            handler = (
-                _cmd_search_prestructures
-                if args.target == "prestructures"
-                else _cmd_search_structures
-            )
-        elif args.command == "count":
-            handler = _cmd_count_structures
-        else:
-            handler = _DISPATCH[args.command]
-        results, status = handler(args)
+        results, status = args.handler(args)
     except (
         ValueError,
         KeyError,
@@ -314,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     inputs = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("command", "target")
+        if k not in ("command", "target", "handler")
     }
     report = {
         "command": args.command,

@@ -1,15 +1,14 @@
 """Core group machinery: words, presentations, realization, subgroups, CCT."""
 
-from .words import Word, commutator, free_reduce, product
+from .words import Word, commutator, free_reduce
 from .presentation import (
     Presentation,
     PresentationError,
     parse_presentation,
     word_from_str,
 )
-from .toddcox import CosetEnumerationError, coset_table
+from .toddcox import DEFAULT_MAX_COSETS, CosetEnumerationError, coset_table
 from .group import (
-    DEFAULT_MAX_COSETS,
     ElementSet,
     FiniteGroup,
     Homomorphism,
@@ -30,10 +29,10 @@ from .catalog import (
 )
 
 __all__ = [
-    "Word", "commutator", "free_reduce", "product",
+    "Word", "commutator", "free_reduce",
     "Presentation", "PresentationError", "parse_presentation", "word_from_str",
-    "CosetEnumerationError", "coset_table",
-    "DEFAULT_MAX_COSETS", "ElementSet", "FiniteGroup", "Homomorphism",
+    "DEFAULT_MAX_COSETS", "CosetEnumerationError", "coset_table",
+    "ElementSet", "FiniteGroup", "Homomorphism",
     "is_cct", "realize",
     "ALIASES", "CATALOG_SOURCES", "EXPECTED_ORDER", "catalog",
     "catalog_labels", "extra_special", "extra_special_text",

@@ -60,9 +60,9 @@ def extra_special_text(b: int, p: int, variant: str) -> str:
     return "gens: " + " ".join(gens) + "\n" + "".join(f"rel: {r}\n" for r in rels)
 
 
-def extra_special(b: int, p: int, variant: str, max_cosets: int | None = None) -> FiniteGroup:
+def extra_special(b: int, p: int, variant: str) -> FiniteGroup:
     """Realize the extra-special group of order p^(2b+1), variant H or G."""
-    g = realize(parse_presentation(extra_special_text(b, p, variant)), max_cosets)
+    g = realize(parse_presentation(extra_special_text(b, p, variant)))
     if g.order != p ** (2 * b + 1):
         raise AssertionError(f"extra-special group has order {g.order}, not {p ** (2 * b + 1)}")
     return g
@@ -680,15 +680,15 @@ def catalog() -> list[tuple[str, Presentation]]:
     return [(label, get_presentation(label)) for label in CATALOG_SOURCES]
 
 
-def realize_label(label: str, max_cosets: int | None = None) -> FiniteGroup:
-    # the cap (DDK_COSETS when not given) is part of the cache key, so a
-    # later change to the variable is honoured
-    return _realize_label(label, _coset_cap(max_cosets))
+def realize_label(label: str) -> FiniteGroup:
+    # the coset cap `realize` reads from DDK_COSETS is part of the cache
+    # key, so a later change to the variable is honoured
+    return _realize_label(label, _coset_cap())
 
 
 @lru_cache(maxsize=None)
-def _realize_label(label: str, max_cosets: int) -> FiniteGroup:
-    g = realize(get_presentation(label), max_cosets)
+def _realize_label(label: str, coset_cap: int) -> FiniteGroup:
+    g = realize(get_presentation(label))
     expected = EXPECTED_ORDER[resolve_label(label)]
     if g.order != expected:
         raise AssertionError(

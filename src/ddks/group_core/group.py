@@ -19,13 +19,9 @@ from . import toddcox
 from .presentation import Presentation
 from .words import Word
 
-DEFAULT_MAX_COSETS = 4096
 
-
-def _coset_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    return int(os.environ.get("DDK_COSETS", DEFAULT_MAX_COSETS))
+def _coset_cap() -> int:
+    return int(os.environ.get("DDK_COSETS", toddcox.DEFAULT_MAX_COSETS))
 
 
 class FiniteGroup:
@@ -36,7 +32,6 @@ class FiniteGroup:
         cayley: Sequence[Sequence[int]],
         generator_elements: Sequence[int] = (),
         generator_names: Sequence[str] | None = None,
-        check_associativity: bool | None = None,
         element_words: Sequence[Word] | None = None,
     ):
         self.cayley = [list(row) for row in cayley]
@@ -61,9 +56,7 @@ class FiniteGroup:
                 raise ValueError("one-sided inverse; table is not a group")
             self.inverse[a] = b
 
-        if check_associativity is None:
-            check_associativity = self.order <= 64
-        if check_associativity:
+        if self.order <= 64:
             cay = self.cayley
             for a in rng:
                 row_a = cay[a]
@@ -96,14 +89,6 @@ class FiniteGroup:
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
-        out = 0
-        for _ in range(k % self.element_order[a]):
-            out = self.cayley[out][a]
-        return out
 
     def commutator(self, a: int, b: int) -> int:
         cay = self.cayley
@@ -347,18 +332,16 @@ class Homomorphism:
         return len(self.image_elements()) == self.target.order
 
 
-def realize(p: Presentation, max_cosets: int | None = None) -> FiniteGroup:
+def realize(p: Presentation) -> FiniteGroup:
     """Realize a presentation as a concrete group via coset enumeration.
 
     Enumerates cosets of the trivial subgroup (so cosets are exactly the
     group elements), then converts the regular action into a Cayley table.
     A degenerate presentation collapsing to the trivial group returns the
-    order-1 group, not an error.
+    order-1 group, not an error.  The coset cap is DDK_COSETS, else
+    DEFAULT_MAX_COSETS.
     """
-    cap = _coset_cap(max_cosets)
-    table = toddcox.coset_table(
-        p.ngens, [r.letters for r in p.relators], (), cap
-    )
+    table = toddcox.coset_table(p.ngens, [r.letters for r in p.relators], _coset_cap())
     n = len(table)
     # a word (as column indices) reaching each coset from 0, by BFS
     word_to: list[list[int] | None] = [None] * n

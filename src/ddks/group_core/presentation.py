@@ -62,15 +62,6 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.generators)
 
-    def word(self, text: str) -> Word:
-        """Parse a word in this presentation's alphabet."""
-        return word_from_str(text, self.generators)
-
-    def to_text(self) -> str:
-        lines = ["gens: " + " ".join(self.generators)]
-        lines += [f"rel: {r.format(self.generators)}" for r in self.relators]
-        return "\n".join(lines) + "\n"
-
 
 class _Cursor:
     """Character cursor over one line, tracking 1-based columns for errors."""

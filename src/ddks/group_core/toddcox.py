@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+DEFAULT_MAX_COSETS = 4096
+
 
 class CosetEnumerationError(RuntimeError):
     """Raised when the live-coset cap is exceeded before closure."""
@@ -121,27 +123,23 @@ class _Enumerator:
 def coset_table(
     ngens: int,
     relators: Sequence[Sequence[int]],
-    subgroup_words: Sequence[Sequence[int]] = (),
-    max_cosets: int = 4096,
+    max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> list[list[int]]:
-    """Enumerate cosets of <subgroup_words> in <gens | relators>.
+    """Enumerate the cosets of the trivial subgroup in <gens | relators>,
+    that is, the group elements.
 
     Words are sequences of signed 1-based generator numbers.  Returns the
     compacted coset table: row per coset, ``2*ngens`` columns in the order
-    g0, g0^-1, g1, g1^-1, ...; coset 0 is the subgroup itself.
+    g0, g0^-1, g1, g1^-1, ...; coset 0 is the identity.
 
     The table is verified before returning: complete, mutually inverse
-    columns, every relator closing at every coset, and every subgroup word
-    fixing coset 0.
+    columns, and every relator closing at every coset.
     """
     if ngens <= 0:
         raise ValueError("need at least one generator")
     enum = _Enumerator(ngens, max_cosets)
     rel_cols = [[_letter_to_col(l) for l in r] for r in relators]
-    sub_cols = [[_letter_to_col(l) for l in w] for w in subgroup_words]
 
-    for w in sub_cols:
-        enum.scan_and_fill(0, w)
     alpha = 0
     while alpha < len(enum.table):
         if enum.rep(alpha) != alpha:
@@ -171,11 +169,11 @@ def coset_table(
             new_row.append(renumber[enum.rep(entry)])
         out.append(new_row)
 
-    _verify_table(out, rel_cols, sub_cols)
+    _verify_table(out, rel_cols)
     return out
 
 
-def _verify_table(table, rel_cols, sub_cols):
+def _verify_table(table, rel_cols):
     n = len(table)
     ncols = len(table[0]) if table else 0
     for c in range(n):
@@ -192,17 +190,3 @@ def _verify_table(table, rel_cols, sub_cols):
                 x = table[x][col]
             if x != c:
                 raise AssertionError("relator does not close")
-    for w in sub_cols:
-        x = 0
-        for col in w:
-            x = table[x][col]
-        if x != 0:
-            raise AssertionError("subgroup word moves coset 0")
-
-
-def trace(table: list[list[int]], start: int, letters: Sequence[int]) -> int:
-    """Apply a word (signed 1-based letters) to a coset."""
-    c = start
-    for l in letters:
-        c = table[c][_letter_to_col(l)]
-    return c

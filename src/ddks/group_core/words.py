@@ -61,10 +61,6 @@ class Word:
         base = self if k > 0 else self.inverse()
         return Word(base.letters * abs(k))
 
-    def conjugated_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -103,10 +99,3 @@ class Word:
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()
-
-
-def product(words: Iterable[Word]) -> Word:
-    out = Word(())
-    for w in words:
-        out = out * w
-    return out

@@ -534,12 +534,16 @@ def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
         _eliminate_unit_pivots(A)
     )
     k = len(pivot_rows)
-    if len(np.unique(pivot_rows)) < k or len(np.unique(pivot_cols)) < k:
-        raise AssertionError("a pivot row or column repeats")
     step_of_row = np.full(nrows, -1, dtype=np.intp)
     step_of_row[pivot_rows] = np.arange(k)
     step_of_col = np.full(ncols, -1, dtype=np.intp)
     step_of_col[pivot_cols] = np.arange(k)
+    # a repeated index keeps only its last step; read back rather than
+    # np.unique, which imports numpy.ma on first use
+    if (step_of_row[pivot_rows] != np.arange(k)).any() or (
+        step_of_col[pivot_cols] != np.arange(k)
+    ).any():
+        raise AssertionError("a pivot row or column repeats")
     order = step_of_row.copy()
     survivors = order < 0
     order[survivors] = np.arange(k, nrows)
@@ -680,10 +684,6 @@ class HomologyInvariants:
                 raise ValueError("torsion coefficients must be >= 2")
             if i and d % self.torsion[i - 1]:
                 raise ValueError("torsion coefficients must form a chain")
-
-    @property
-    def first_betti(self) -> int:
-        return self.free_rank
 
     def to_dict(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .group_core import FiniteGroup
 from .structures import DDKStructure, k_subgroups, verify_structure
@@ -188,16 +188,18 @@ def report_to_dict(report: FibrationReport) -> dict:
     return out
 
 
-def signature_scan(
-    orders: Iterable[int] = range(32, 65),
-    genera: Iterable[int] = (2, 3),
-    branch_orders: Iterable[int] = (2, 3),
-) -> Mapping[tuple[int, int, int], int]:
-    """All integral signatures over the given parameter box."""
+SCAN_ORDERS = range(32, 65)
+SCAN_GENERA = (2, 3)
+SCAN_BRANCH_ORDERS = (2, 3)
+
+
+def signature_scan() -> Mapping[tuple[int, int, int], int]:
+    """All integral signatures over the box |G| in SCAN_ORDERS, b in
+    SCAN_GENERA and n in SCAN_BRANCH_ORDERS."""
     table: dict[tuple[int, int, int], int] = {}
-    for order in orders:
-        for b in genera:
-            for n in branch_orders:
+    for order in SCAN_ORDERS:
+        for b in SCAN_GENERA:
+            for n in SCAN_BRANCH_ORDERS:
                 try:
                     table[(order, b, n)] = signature(order, b, n)
                 except ValueError:

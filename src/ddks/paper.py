@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .automorphisms import automorphism_group, inner_automorphisms, orbit_count
+from .automorphisms import automorphism_group, orbit_count
 from .group_core import (
     EXPECTED_ORDER,
     FiniteGroup,
@@ -41,6 +41,7 @@ from .structures import (
     StructureType,
     example_structure,
     generation_mask_filter,
+    inner_automorphism_table,
     iter_prestructure_tuples,
     prestructure_report,
     reference_prestructures,
@@ -217,7 +218,7 @@ def check_orbits(rows: Rows, quick: bool):
         auts = automorphism_group(g, get_presentation(label))
         if len(auts) != aut or aut_order(2, eps) != aut:
             return False, {"label": label, "aut_order": len(auts)}
-        if len(inner_automorphisms(g)) != 16:
+        if len(inner_automorphism_table(g)) != 16:
             return False, {"label": label, "inner": "not 16"}
         got = orbit_count(g, rows.symplectic(label), auts, freeness="sample", sample_size=1000)
         if got != orbits:

@@ -305,8 +305,8 @@ def k_subgroups(s: DDKStructure) -> KSubgroupData:
     return KSubgroupData(k1, k2, m1, m2, strong=(m1 == 1 and m2 == 1))
 
 
-def example_structure(G: FiniteGroup, n: int = 2) -> DDKStructure:
-    """The explicit genus-2 structure on an extra-special group of order 32.
+def example_structure(G: FiniteGroup) -> DDKStructure:
+    """The explicit type-(2, 2) structure on an extra-special group of order 32.
 
     Built from the presentation generators (r1, t1, r2, t2, z) as
     r11 = r1, t11 = t1, r12 = r2 t1, t12 = r1 t2,
@@ -320,7 +320,7 @@ def example_structure(G: FiniteGroup, n: int = 2) -> DDKStructure:
         G.mul(r1, t2), G.mul(r2, t1), r2, t2,
         z,
     )
-    s = DDKStructure(G, StructureType(2, n), elems)
+    s = DDKStructure(G, StructureType(2, 2), elems)
     ok, diag = verify_structure(G, elems, s.stype)
     if not ok:
         raise AssertionError(f"example structure invalid: {diag}")
@@ -676,9 +676,16 @@ def genus2_rows(
 def inner_automorphism_table(G: FiniteGroup) -> np.ndarray:
     """Inn(G) as a (|Inn|, |G|) uint8 table: the distinct maps x -> g x g^-1,
     from the search's conjugate table, rows sorted (so the identity is
-    first).  Raises ValueError above the search cap."""
+    first).  Raises ValueError above the search cap, and AssertionError
+    unless |Inn| = |G| / |Z(G)|."""
     n = G.order
-    return np.unique(_Tables.for_group(G).conj.reshape(64, 64)[:n, :n].astype(np.uint8), axis=0)
+    conj = _Tables.for_group(G).conj.reshape(64, 64)[:n, :n].astype(np.uint8)
+    # a lexsort, not np.unique(axis=0), which imports numpy.ma on first use
+    conj = conj[np.lexsort(conj.T[::-1])]
+    inn = conj[np.concatenate(([True], (conj[1:] != conj[:-1]).any(axis=1)))]
+    if len(inn) != n // len(G.center()):
+        raise AssertionError("|Inn| is not |G| / |Z(G)|")
+    return inn
 
 
 def structure_rows(

@@ -1,6 +1,7 @@
 """Brute-force oracles for automorphism groups and their action on
 structures, and the group operations on automorphisms that only the
-tests use.
+tests use.  An automorphism is a row of an automorphism table: a uint8
+array of the images of the elements 0 .. |G| - 1.
 
 `automorphism_group` proves that its join finds exactly Aut(G), and
 `orbit_count` proves freeness from generation; these helpers check the
@@ -12,7 +13,6 @@ from itertools import product
 
 import numpy as np
 
-from ddks.automorphisms import GroupAutomorphism
 from ddks.structures import DDKStructure, verify_structure
 
 _IDENTITY_256 = bytes(range(256))
@@ -23,37 +23,37 @@ def translation_table(perm: bytes) -> bytes:
     return perm + _IDENTITY_256[len(perm):]
 
 
-def compose(a: GroupAutomorphism, b: GroupAutomorphism) -> GroupAutomorphism:
-    """a after b: compose(a, b)(x) = a(b(x)), one translate call."""
-    return GroupAutomorphism(b.permutation.translate(translation_table(a.permutation)))
+def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a after b: compose(a, b)[x] = a[b[x]], one translate call."""
+    translated = b.tobytes().translate(translation_table(a.tobytes()))
+    return np.frombuffer(translated, dtype=np.uint8)
 
 
-def inverse(a: GroupAutomorphism) -> GroupAutomorphism:
-    inv = bytearray(len(a.permutation))
-    for i, j in enumerate(a.permutation):
-        inv[j] = i
-    return GroupAutomorphism(bytes(inv))
+def inverse(a: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(a)
+    inv[a] = np.arange(len(a))
+    return inv
 
 
-def is_identity(a: GroupAutomorphism) -> bool:
-    return all(i == j for i, j in enumerate(a.permutation))
+def is_identity(a: np.ndarray) -> bool:
+    return bool((a == np.arange(len(a))).all())
 
 
-def act(phi: GroupAutomorphism, s: DDKStructure) -> DDKStructure:
+def act(phi: np.ndarray, s: DDKStructure) -> DDKStructure:
     """Apply an automorphism slotwise; the image is re-verified."""
-    elems = tuple(phi(e) for e in s.elements)
+    elems = tuple(int(phi[e]) for e in s.elements)
     ok, diag = verify_structure(s.ambient, elems, s.stype)
     if not ok:
         raise AssertionError(f"automorphism image is not a structure: {diag}")
     return DDKStructure(s.ambient, s.stype, elems)
 
 
-def induced_symplectic_map(space, phi: GroupAutomorphism) -> list[int]:
+def induced_symplectic_map(space, phi: np.ndarray) -> list[int]:
     """The linear map on V = G/Z induced by an automorphism, as a value
     table over all vectors."""
     table = [0] * (2**space.dim)
     for v in space.vectors():
-        table[v] = space.projection(phi(space.section(v)))
+        table[v] = space.projection(int(phi[space.section(v)]))
     basis_images = [table[1 << i] for i in range(space.dim)]
     for v in space.vectors():
         acc = 0
@@ -81,11 +81,12 @@ def automorphisms_by_brute_force(G, p) -> list[bytes]:
 def closed_under_composition(auts) -> bool:
     """Whether every composite a . b of two automorphisms is in the set:
     |Aut|^2 translate calls."""
-    perms = {a.permutation for a in auts}
-    for a in auts:
-        table = translation_table(a.permutation)
-        for b in auts:
-            if b.permutation.translate(table) not in perms:
+    perms = [a.tobytes() for a in auts]
+    members = set(perms)
+    for a in perms:
+        table = translation_table(a)
+        for b in perms:
+            if b.translate(table) not in members:
                 return False
     return True
 
@@ -96,10 +97,9 @@ def fixed_by_nonidentity(rows: np.ndarray, auts) -> np.ndarray:
     fixed = np.zeros(len(rows), dtype=bool)
     for a in auts:
         if not is_identity(a):
-            table = np.frombuffer(a.permutation, dtype=np.uint8)
             fixes = np.ones(len(rows), dtype=bool)
             for column in columns:
-                fixes &= table[column] == column
+                fixes &= a[column] == column
             fixed |= fixes
     return fixed
 
@@ -115,7 +115,7 @@ def orbits_via_unionfind(rows: np.ndarray, auts) -> int:
             i = parent[i]
         return i
 
-    tables = [translation_table(a.permutation) for a in auts]
+    tables = [translation_table(a.tobytes()) for a in auts]
     for i, row in enumerate(rows):
         rb = row.tobytes()
         for table in tables:

@@ -13,15 +13,8 @@ from ddks.group_core import (
     realize,
     realize_label,
 )
-from ddks.automorphisms import (
-    FreenessError,
-    GroupAutomorphism,
-    automorphism_group,
-    inner_automorphisms,
-    orbit_count,
-    out_order,
-)
-from ddks.structures import example_structure
+from ddks.automorphisms import FreenessError, automorphism_group, orbit_count, out_order
+from ddks.structures import example_structure, inner_automorphism_table
 from ddks.symplectic import aut_order, induced_space
 from orbittools import (
     act,
@@ -66,40 +59,49 @@ def test_aut_orders_match_closed_formulas(autsH, autsG):
     assert len(autsG) == 1920 == aut_order(2, -1)
 
 
+def test_aut_table_is_sorted_read_only_and_cached(H5, autsH):
+    assert autsH.dtype == np.uint8 and autsH.shape == (1152, 32)
+    order = np.lexsort(autsH.T[::-1])
+    assert (order == np.arange(len(autsH))).all()
+    with pytest.raises(ValueError, match="read-only"):
+        autsH[0, 0] = 1
+    assert automorphism_group(H5, get_presentation("G(32,49)")) is autsH
+
+
 def test_s4_is_complete():
     g = realize_label("S4")
     auts = automorphism_group(g, get_presentation("S4"))
     assert len(auts) == 24
-    assert len(inner_automorphisms(g)) == 24
-    assert out_order(auts, inner_automorphisms(g)) == 1
+    assert len(inner_automorphism_table(g)) == 24
+    assert out_order(auts, inner_automorphism_table(g)) == 1
 
 
 def test_inner_and_out(H5, G5, autsH, autsG):
-    assert len(inner_automorphisms(H5)) == 16
-    assert len(inner_automorphisms(G5)) == 16
-    assert out_order(autsH, inner_automorphisms(H5)) == 72 == orthogonal_order(2, 1)
-    assert out_order(autsG, inner_automorphisms(G5)) == 120 == orthogonal_order(2, -1)
+    assert len(inner_automorphism_table(H5)) == 16
+    assert len(inner_automorphism_table(G5)) == 16
+    assert out_order(autsH, inner_automorphism_table(H5)) == 72 == orthogonal_order(2, 1)
+    assert out_order(autsG, inner_automorphism_table(G5)) == 120 == orthogonal_order(2, -1)
     with pytest.raises(AssertionError, match="divide"):
-        out_order(autsH[:100], inner_automorphisms(H5))
+        out_order(autsH[:100], inner_automorphism_table(H5))
 
 
 def test_inner_checks_center_index(monkeypatch):
     g = realize(get_presentation("S4"))
     monkeypatch.setattr(g, "center", lambda: (0, 1))
     with pytest.raises(AssertionError, match="Z\\(G\\)"):
-        inner_automorphisms(g)
+        inner_automorphism_table(g)
 
 
 def test_inner_of_abelian_is_trivial():
     z6 = realize(parse_presentation("gens: x\nrel: x^6"))
-    inner = inner_automorphisms(z6)
+    inner = inner_automorphism_table(z6)
     assert len(inner) == 1 and is_identity(inner[0])
 
 
 def test_automorphisms_are_multiplicative(H5, autsH):
     cayley = np.array(H5.cayley, dtype=np.int64)
     for a in autsH:
-        perm = np.frombuffer(a.permutation, dtype=np.uint8).astype(np.int64)
+        perm = a.astype(np.int64)
         assert perm[0] == 0
         # phi(xy) = phi(x) phi(y) for all 1024 pairs
         assert np.array_equal(perm[cayley], cayley[perm][:, perm])
@@ -109,21 +111,21 @@ def test_automorphisms_preserve_element_orders(H5, autsH):
     orders = H5.element_order
     for a in autsH[::97]:
         for x in H5.elements():
-            assert orders[a(x)] == orders[x]
+            assert orders[a[x]] == orders[x]
 
 
 def test_compose_and_inverse(autsH):
     a, b = autsH[3], autsH[1101]
     c = compose(a, b)
-    assert all(c(x) == a(b(x)) for x in range(32))
+    assert all(c[x] == a[b[x]] for x in range(32))
     assert is_identity(compose(a, inverse(a)))
     assert is_identity(compose(inverse(a), a))
 
 
 def test_inner_are_among_all_automorphisms(H5, autsH):
-    all_perms = {a.permutation for a in autsH}
-    for a in inner_automorphisms(H5):
-        assert a.permutation in all_perms
+    all_perms = {a.tobytes() for a in autsH}
+    for a in inner_automorphism_table(H5):
+        assert a.tobytes() in all_perms
 
 
 SMALL_GROUPS = {
@@ -142,7 +144,7 @@ def test_join_matches_brute_force_over_all_tuples(name):
     p = get_presentation(name) if text is None else parse_presentation(text)
     g = realize(p)
     auts = automorphism_group(g, p)
-    assert [a.permutation for a in auts] == automorphisms_by_brute_force(g, p)
+    assert [a.tobytes() for a in auts] == automorphisms_by_brute_force(g, p)
     want = {"S3": 6, "D8": 8, "Q8": 24, "Z2xZ2xZ2": 168, "A4": 24, "S4": 24}
     assert len(auts) == want[name]
 
@@ -153,22 +155,22 @@ def test_automorphisms_closed_under_composition(label, autsH, autsG):
     if auts is None:
         auts = automorphism_group(realize_label(label), get_presentation(label))
     assert closed_under_composition(auts)
-    assert not closed_under_composition([a for a in auts if a is not auts[1]])
+    assert not closed_under_composition(np.delete(auts, 1, axis=0))
 
 
 def test_inner_automorphisms_in_aut_on_the_catalog():
     for label in catalog_labels():
         g = realize_label(label)
         auts = automorphism_group(g, get_presentation(label))
-        inner = inner_automorphisms(g)
-        assert {a.permutation for a in inner} <= {a.permutation for a in auts}, label
+        inner = inner_automorphism_table(g)
+        assert {a.tobytes() for a in inner} <= {a.tobytes() for a in auts}, label
         assert len(auts) % len(inner) == 0, label
 
 
 def test_permutation_digests_are_pinned(autsH, autsG):
-    # sha256 of the concatenated permutation bytes, in the returned order
+    # sha256 of the table's bytes: its rows, in the returned order
     def digest(auts):
-        return hashlib.sha256(b"".join(a.permutation for a in auts)).hexdigest()
+        return hashlib.sha256(auts.tobytes()).hexdigest()
 
     assert digest(autsH) == "5afe270f132bc8411f74df4cb6ef06a7262cd1a895e594401ed429a2d38103a6"
     assert digest(autsG) == "fa9fc35e03cc64423e5105e653ad614bc7d6eba5334727aa3d215d413606c287"
@@ -275,14 +277,12 @@ def test_freeness_proof_matches_permutation_scan(label, H5, G5, autsH, autsG, ro
 @pytest.mark.parametrize("freeness", ["sample", "full"])
 def test_orbit_count_checks_the_automorphisms(H5, autsH, rows_cache, freeness):
     rows = rows_cache.backtrack("G(32,49)")
-    swapped = bytearray(autsH[5].permutation)
-    swapped[1], swapped[2] = swapped[2], swapped[1]
-    assert bytes(swapped) not in {a.permutation for a in autsH}
-    broken = list(autsH)
-    broken[5] = GroupAutomorphism(bytes(swapped))
+    broken = autsH.copy()
+    broken[5, [1, 2]] = broken[5, [2, 1]]
+    assert broken[5].tobytes() not in {a.tobytes() for a in autsH}
     with pytest.raises(FreenessError, match="multiplicative"):
         orbit_count(H5, rows, broken, freeness=freeness)
-    doubled = list(autsH)
+    doubled = autsH.copy()
     doubled[7] = doubled[8]
     with pytest.raises(FreenessError, match="same permutation"):
         orbit_count(H5, rows, doubled, freeness=freeness)
@@ -291,7 +291,7 @@ def test_orbit_count_checks_the_automorphisms(H5, autsH, rows_cache, freeness):
 def test_union_find_on_known_orbits(H5, autsH, rows_cache):
     rows = rows_cache.backtrack("G(32,49)")
     seeds = [rows[0], rows[len(rows) // 2], rows[-1]]
-    tables = [a.permutation for a in autsH]
+    tables = [a.tobytes() for a in autsH]
     closed = set()
     for seed in seeds:
         rb = seed.tobytes()
@@ -322,6 +322,6 @@ def test_induced_maps_preserve_forms(fixture, H5, G5, autsH, autsG):
 
 def test_induced_map_of_inner_is_identity(H5):
     space = induced_space(H5)
-    for a in inner_automorphisms(H5):
+    for a in inner_automorphism_table(H5):
         table = induced_symplectic_map(space, a)
         assert table == list(space.vectors())

@@ -92,6 +92,9 @@ def test_search_structures_small_sample(capsys):
     )
     assert code == 0
     assert report["results"]["count"] == 0
+    # the subcommand's handler is not an input
+    assert report["command"] == "search"
+    assert report["inputs"] == {"b": 2, "label": "S4", "limit": 10, "n": 2}
 
 
 def test_count_structures_both(capsys):
@@ -112,6 +115,8 @@ def test_count_structures_symplectic_rejects_other_n(capsys):
     )
     assert code == 1
     assert "n = 2" in report["results"]["error"]
+    assert report["command"] == "count"
+    assert report["inputs"] == {"label": "G(32,49)", "method": "symplectic", "n": 3}
 
 
 def test_invariants_example(capsys):

@@ -25,7 +25,6 @@ def test_identity_and_inverse_invariants():
         assert g.mul(0, x) == x == g.mul(x, 0)
         assert g.mul(x, g.inv(x)) == 0
         assert g.element_order[x] >= 1
-        assert g.power(x, g.element_order[x]) == 0
 
 
 def test_latin_square_validation():
@@ -56,8 +55,6 @@ def test_associativity_validation():
 def test_power_and_commutator():
     g = realize_label("S4")
     x, y = g.generator_elements
-    assert g.power(y, -1) == g.inv(y)
-    assert g.power(y, 5) == y
     assert g.commutator(x, x) == 0
     # conjugation convention: conjugate(x, g) = g x g^-1
     assert g.conjugate(x, y) == g.mul(g.mul(y, x), g.inv(y))

@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ddks
 from ddks.group_core import realize_label
 from ddks.invariants import (
     FibrationReport,
@@ -28,6 +24,7 @@ from ddks.structures import (
     StructureType,
     example_structure,
 )
+from optimizetools import raised_under_optimize
 
 admissible = st.tuples(
     st.integers(min_value=1, max_value=500),
@@ -213,19 +210,13 @@ def test_with_homology_and_serialization():
 
 
 TAMPERED_IDENTITIES = """
-import sys
 from fractions import Fraction
 from ddks import invariants, symplectic
 from ddks.group_core import realize_label
 from ddks.structures import example_structure
 
-assert sys.flags.optimize, "run under python -O"
 g = realize_label("G(32,49)")
-try:
 {tamper}
-except (AssertionError, ValueError) as e:
-    print(e)
-    sys.exit(3)
 """
 
 
@@ -235,47 +226,42 @@ except (AssertionError, ValueError) as e:
     "tamper, message",
     [
         pytest.param(
-            "    invariants.signature = lambda *a: 12\n"
-            "    invariants.fibration_data(g, example_structure(g))",
+            "invariants.signature = lambda *a: 12\n"
+            "invariants.fibration_data(g, example_structure(g))",
             "sigma is not (c1^2 - 2 c2) / 3",
             id="sigma",
         ),
         pytest.param(
-            "    invariants.signature = lambda *a: 6\n"
-            "    invariants.chern_invariants = lambda *a: (58, 20, Fraction(29, 10))\n"
-            "    invariants.fibration_data(g, example_structure(g))",
+            "invariants.signature = lambda *a: 6\n"
+            "invariants.chern_invariants = lambda *a: (58, 20, Fraction(29, 10))\n"
+            "invariants.fibration_data(g, example_structure(g))",
             "sigma = 6 is not a positive multiple of 4",
             id="sigma-mod-4",
         ),
         pytest.param(
-            "    invariants.slope_in_window = lambda slope: False\n"
-            "    invariants.fibration_data(g, example_structure(g))",
+            "invariants.slope_in_window = lambda slope: False\n"
+            "invariants.fibration_data(g, example_structure(g))",
             "slope 23/10 is outside (2, 8 - 4 sqrt 2)",
             id="slope",
         ),
         pytest.param(
-            "    invariants.hodge_numbers = lambda *a: (45, 4, 48, True)\n"
-            "    invariants.with_homology(invariants.fibration_data(g, example_structure(g)), 8)",
+            "invariants.hodge_numbers = lambda *a: (45, 4, 48, True)\n"
+            "invariants.with_homology(invariants.fibration_data(g, example_structure(g)), 8)",
             "chi from the Betti number differs from the report's",
             id="chi",
         ),
         # a subgroup of order 2 that is not the centre
         pytest.param(
-            "    g.derived_subgroup = lambda: (0, g.generator_elements[0])\n"
-            "    symplectic.SymplecticSpace(g)",
+            "g.derived_subgroup = lambda: (0, g.generator_elements[0])\n"
+            "symplectic.SymplecticSpace(g)",
             "extra-special input needed: [G, G] must equal Z(G)",
             id="derived-subgroup",
         ),
     ],
 )
 def test_identity_checks_survive_optimize(tamper, message):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ddks.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", TAMPERED_IDENTITIES.replace("{tamper}", tamper)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 3, done.stderr
-    assert done.stdout.strip() == message
+    raised = raised_under_optimize(TAMPERED_IDENTITIES.replace("{tamper}", tamper))
+    assert raised.partition(" ")[2] == message
 
 
 # ------------------------------------------------------------------ scan

@@ -107,8 +107,9 @@ def test_relator_index_validation():
         Presentation(("x",), (Word((2,)),))
 
 
-def test_round_trip_via_to_text():
+def test_round_trip_via_format():
     src = "gens: x y\nrel: x^4\nrel: y^2\nrel: x y x^-1 y"
     p = parse_presentation(src)
-    again = parse_presentation(p.to_text())
+    text = "gens: x y\n" + "".join(f"rel: {r.format(p.generators)}\n" for r in p.relators)
+    again = parse_presentation(text)
     assert again == p

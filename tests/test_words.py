@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from ddks.group_core import Word, commutator, free_reduce, product
+from ddks.group_core import Word, commutator, free_reduce
 
 letters = st.integers(min_value=-5, max_value=5).filter(lambda x: x != 0)
 
@@ -37,20 +37,10 @@ def test_commutator_expansion():
     assert commutator(x, y).letters == (1, 2, -1, -2)
 
 
-def test_conjugation():
-    x, g = Word.gen(0), Word.gen(1)
-    assert x.conjugated_by(g).letters == (2, 1, -2)
-
-
 def test_format():
     names = ("x", "y")
     assert (Word.gen(0) ** 2 * Word.gen(1) ** -1).format(names) == "x^2 y^-1"
     assert Word(()).format(names) == "1"
-
-
-def test_product_helper():
-    x, y = Word.gen(0), Word.gen(1)
-    assert product([x, y, y]).letters == (1, 2, 2)
 
 
 @given(st.lists(letters, max_size=30))
