@@ -105,28 +105,53 @@ def fixed_by_nonidentity(rows: np.ndarray, auts) -> np.ndarray:
 
 
 def orbits_via_unionfind(rows: np.ndarray, auts) -> int:
-    """Exact orbit count by union-find; rows must be closed under the action."""
-    index = {bytes(row.tobytes()): i for i, row in enumerate(rows)}
-    parent = list(range(len(rows)))
+    """Exact orbit count by merging labels; rows must be distinct and
+    closed under the action.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    The images of every row under a block of automorphisms are one gather
+    a[rows] a slot, packed into one uint64 key a row and found among the
+    sorted keys of the rows by searchsorted.  A row and its image both
+    take the smaller of their labels, automorphism after automorphism, in
+    passes until no label changes.  Then each row's label is the least
+    index in its orbit, so the orbits are the rows labelled with their
+    own index."""
+    width = (auts.shape[1] - 1).bit_length()
+    if width * rows.shape[1] > 64:
+        raise ValueError("rows too wide for one uint64 key")
+    shifts = np.arange(rows.shape[1] - 1, -1, -1, dtype=np.uint64) * np.uint64(width)
+    columns = rows.T.copy()
 
-    tables = [translation_table(a.tobytes()) for a in auts]
-    for i, row in enumerate(rows):
-        rb = row.tobytes()
-        for table in tables:
-            image = rb.translate(table)
-            j = index.get(image)
-            if j is None:
-                raise ValueError("row set is not closed under the action")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return len({find(i) for i in range(len(rows))})
+    def keys(block: np.ndarray) -> np.ndarray:
+        """(len(block), len(rows)) keys of the rows' images under each
+        automorphism of the block."""
+        wide = block.astype(np.uint64)
+        out = np.zeros((len(block), len(rows)), dtype=np.uint64)
+        for column, shift in zip(columns, shifts):
+            out |= (wide << shift)[:, column]
+        return out
+
+    own = keys(np.arange(auts.shape[1])[None, :])[0]
+    order = np.argsort(own)
+    sorted_keys = own[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise ValueError("rows are not distinct")
+    targets = []  # per automorphism, the index of each row's image
+    for start in range(0, len(auts), 32):  # blocks of 32 keep keys() in cache
+        images = keys(auts[start:start + 32])
+        at = np.minimum(np.searchsorted(sorted_keys, images), len(rows) - 1)
+        if not np.array_equal(sorted_keys[at], images):
+            raise ValueError("row set is not closed under the action")
+        targets.extend(order[at].astype(np.int32))
+    labels = np.arange(len(rows))
+    changed = True
+    while changed:
+        changed = False
+        for j in targets:  # a permutation of the rows, as they are distinct
+            merged = np.minimum(labels, labels[j])
+            merged[j] = np.minimum(merged[j], merged)
+            if not np.array_equal(merged, labels):
+                labels, changed = merged, True
+    return int(np.count_nonzero(labels == np.arange(len(rows))))
 
 
 def orbit_of(s, auts) -> list:

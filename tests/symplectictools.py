@@ -1,5 +1,6 @@
-"""Closed-form orders and invariants of F2 quadratic spaces, and the
-projection of a structure to V, used only to check the symplectic route.
+"""Closed-form orders and invariants of F2 quadratic spaces, the scalar
+enumeration of symplectic bases, and the projection of a structure to V,
+used only to check the symplectic route.
 
 `symplectic_structure_rows` never needs them: the tests use them to check
 the space's form type against the group's variant, the Sp and O orders
@@ -7,11 +8,12 @@ against the counts of bases and outer automorphisms, and the reduced
 structures against projections of known structures.
 """
 
+from typing import Iterator
+
 from ddks.structures import DDKStructure
 from ddks.symplectic import (
     ReducedStructure,
     SymplecticSpace,
-    enumerate_symplectic_bases,
     verify_reduced,
 )
 
@@ -34,6 +36,26 @@ def orthogonal_order(b: int, epsilon: int) -> int:
     for i in range(1, b):
         out *= 4**i - 1
     return out
+
+
+def enumerate_symplectic_bases(space: SymplecticSpace) -> Iterator[tuple[int, ...]]:
+    """All ordered symplectic bases (e1, f1, e2, f2) of a dim-4 space, in
+    lexicographic order, one pairing at a time."""
+    if space.dim != 4:
+        raise ValueError("basis enumeration supports dim 4 only")
+    pair = space.pair
+    for e1 in range(1, 16):
+        for f1 in range(1, 16):
+            if pair(e1, f1) != 1:
+                continue
+            perp = [
+                v for v in range(1, 16)
+                if pair(e1, v) == 0 and pair(f1, v) == 0
+            ]
+            for e2 in perp:
+                for f2 in perp:
+                    if pair(e2, f2) == 1:
+                        yield (e1, f1, e2, f2)
 
 
 def form_type(space: SymplecticSpace) -> int:

@@ -2,8 +2,10 @@
 explicitly, so it survives `python -O`, no exact integer product may
 pass through floating point (and so through BLAS), the paper's criteria
 live only in the registry of `ddks.paper`, the relator certifier
-imports neither enumeration route, and the small-group prestructure
-reference names no part of the search engine."""
+imports neither enumeration route, the small-group prestructure
+reference names no part of the search engine, and the symplectic route
+shares with the backtracking route only the certify tail and the key
+format."""
 
 import ast
 import sys
@@ -167,3 +169,56 @@ def test_engine_name_scan_finds_names_and_attributes():
         "    return _Tables(G)\n"
     )
     assert _names_in(tree, "reference_prestructures") & ENGINE_NAMES == {"_descend", "genus2_rows"}
+
+
+SYMPLECTIC_MAY_IMPORT = {
+    "ROW_KEY_SHIFTS", "DDKStructure", "StructureType", "certify_structure_rows", "pack_rows",
+    "verify_structure",
+}
+
+
+def _route_independence_breaches(tree: ast.Module) -> list[str]:
+    """What a symplectic route module takes from the backtracking route or
+    from Aut(G): a name from `.structures` outside SYMPLECTIC_MAY_IMPORT,
+    any import of `.automorphisms`, and any use of a search-engine name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("ddks").lstrip(".")
+            names = {alias.name for alias in node.names}
+            if module == "structures":
+                found += sorted(f"structures.{n}" for n in names - SYMPLECTIC_MAY_IMPORT)
+            elif module == "automorphisms" or (module == "" and "automorphisms" in names):
+                found.append("automorphisms")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.endswith("automorphisms")]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in ENGINE_NAMES:
+                found.append(name)
+    return found
+
+
+def test_symplectic_route_is_independent():
+    """The symplectic route cross-checks the backtracking route and Aut(G),
+    so it shares only the certify tail and the key format with them."""
+    breaches = _route_independence_breaches(_parse(SRC / "symplectic.py"))
+    assert breaches == [], f"symplectic.py uses {breaches}"
+
+
+@pytest.mark.parametrize(
+    "source, breaches",
+    [
+        ("from .structures import pack_rows, structure_rows", ["structures.structure_rows"]),
+        ("from ddks.structures import example_structure", ["structures.example_structure"]),
+        ("from ddks import automorphisms", ["automorphisms"]),
+        ("from .automorphisms import orbit_count", ["automorphisms"]),
+        ("from . import automorphisms", ["automorphisms"]),
+        ("import ddks.automorphisms", ["ddks.automorphisms"]),
+        ("rows = structures.genus2_rows(G, [])", ["genus2_rows"]),
+        ("from .structures import ROW_KEY_SHIFTS, verify_structure", []),
+        ("from .group_core import FiniteGroup", []),
+    ],
+)
+def test_route_independence_scan_finds_breaches(source, breaches):
+    assert _route_independence_breaches(ast.parse(source)) == breaches

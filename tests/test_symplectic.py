@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -5,17 +8,22 @@ from ddks import symplectic
 from ddks.group_core import parse_presentation, realize, realize_label
 from ddks.structures import example_structure
 from ddks.symplectic import (
+    REDUCED_CONDITIONS,
     ReducedStructure,
+    _f2_rank,
+    _span_dim,
     aut_order,
     enumerate_reduced_structures,
-    enumerate_symplectic_bases,
     induced_space,
     lift_reduced,
+    reduced_structure_array,
+    reduced_violations,
     symplectic_structure_rows,
     verify_reduced,
 )
 from symplectictools import (
     arf_invariant,
+    enumerate_symplectic_bases,
     form_type,
     orthogonal_order,
     reduce_structure,
@@ -152,6 +160,10 @@ def test_symplectic_bases(spaceH):
         assert spaceH.pair(e1, f1) == 1 and spaceH.pair(e2, f2) == 1
         assert spaceH.pair(e1, e2) == 0 and spaceH.pair(e1, f2) == 0
         assert spaceH.pair(f1, e2) == 0 and spaceH.pair(f1, f2) == 0
+    # the array's case-(a) rows run over the same bases in the same order,
+    # six coefficient matrices each, with (r11, t11, r22, t22) = (e1, f1, e2, f2)
+    case_a = reduced_structure_array(spaceH)[:4320]
+    assert case_a[::6][:, [0, 1, 6, 7]].tolist() == [list(b) for b in bases]
 
 
 # ---------------------------------------------------- reduced structures
@@ -217,6 +229,71 @@ def test_reduced_structures_against_staged_filter(fixture, request):
     assert set(tuples) == staged_filter_reduced(space)
 
 
+@pytest.mark.parametrize("fixture", ["spaceH", "spaceG"])
+def test_reduced_structure_order_is_pinned(fixture, request):
+    """The order of the reduced structures in V-coordinates, the same on
+    both groups; the benchmark's H1 panel picks structures by index."""
+    space = request.getfixturevalue(fixture)
+    produced = list(enumerate_reduced_structures(space))
+    vectors = np.array([r.vectors for r in produced], dtype=np.uint8)
+    assert hashlib.sha256(vectors.tobytes()).hexdigest()[:16] == "876a2bf04703b23b"
+    assert "".join(r.case_tag for r in produced) == "a" * 4320 + "b" * 4320
+    array = reduced_structure_array(space)
+    assert array.dtype == np.uint8 and not array.flags.writeable
+    assert np.array_equal(array, vectors)
+
+
+def _oracle_codes(space, rows) -> list[int]:
+    """verify_reduced's verdict on each row, as an index in REDUCED_CONDITIONS
+    or -1."""
+    codes = []
+    for row in rows.tolist():
+        ok, diag = verify_reduced(space, row)
+        codes.append(-1 if ok else REDUCED_CONDITIONS.index(diag))
+    return codes
+
+
+@pytest.mark.parametrize("fixture", ["spaceH", "spaceG"])
+def test_array_check_agrees_with_oracle(fixture, request):
+    """On every reduced structure and on one single-slot perturbation of
+    each (row i has slot i mod 8 XORed with the nonzero vector
+    (i div 8) mod 15 + 1, so every slot meets every vector), the array
+    check finds the first condition verify_reduced reports."""
+    space = request.getfixturevalue(fixture)
+    rows = reduced_structure_array(space)
+    assert reduced_violations(space, rows).tolist() == [-1] * len(rows)
+    i = np.arange(len(rows))
+    perturbed = rows.copy()
+    perturbed[i, i % 8] ^= (i // 8 % 15 + 1).astype(np.uint8)
+    codes = reduced_violations(space, perturbed)
+    assert codes.tolist() == _oracle_codes(space, perturbed)
+    # every pairing condition is the first to fail somewhere; spanning
+    # never is, since the pairing conditions imply it
+    assert set(codes.tolist()) == set(range(len(REDUCED_CONDITIONS) - 1))
+
+
+def test_f2_rank_is_the_span_dimension(spaceH):
+    """The rank behind the spanning check, on rows masked down to every
+    coordinate subspace, so that each rank 0 .. 4 occurs."""
+    rows = reduced_structure_array(spaceH)[::7]
+    masked = np.concatenate([rows & np.uint8(m) for m in range(16)])
+    ranks = _f2_rank(masked, spaceH.dim).tolist()
+    assert ranks == [_span_dim(spaceH, row) for row in masked.tolist()]
+    assert set(ranks) == {0, 1, 2, 3, 4}
+
+
+def test_forged_rows_raise_in_the_array_path(monkeypatch, spaceH):
+    # ad + bc = 0: r12, t12 = r22, t22 and r21, t21 = r11, t11
+    monkeypatch.setattr(symplectic, "_COEFF_MATRICES", ((0, 0, 0, 0),))
+    with pytest.raises(AssertionError, match=re.escape(REDUCED_CONDITIONS[0])):
+        reduced_structure_array(spaceH)
+    monkeypatch.undo()
+    # case (b) rows equal to case (a) ones pass the table but carry tag b
+    monkeypatch.setattr(symplectic, "_J_SWAP", tuple(range(8)))
+    with pytest.raises(AssertionError, match="case tag disagrees"):
+        reduced_structure_array(spaceH)
+
+
 def test_reduced_case_patterns_and_isotropy(spaceH):
     seen_patterns = set()
     for r in enumerate_reduced_structures(spaceH):
@@ -231,8 +308,6 @@ def test_reduced_case_patterns_and_isotropy(spaceH):
     # cases (c) and (d) never occur
     assert seen_patterns == {(0, 1, 0, 1), (1, 0, 1, 0)}
     # case (a): the non-basis quadruple spans a 2-dim isotropic subspace
-    from ddks.symplectic import _span_dim
-
     for r in enumerate_reduced_structures(spaceH):
         if r.case_tag != "a":
             continue
@@ -292,12 +367,12 @@ def test_symplectic_route_matches_backtracking(label, rows_cache):
 
 
 def test_duplicated_lift_is_caught(monkeypatch, H5):
-    enumerate_all = symplectic.enumerate_reduced_structures
+    reduced_all = symplectic.reduced_structure_array
 
     def doubled(space):
-        reduced = list(enumerate_all(space))
-        return reduced + reduced[7:8]  # its 256 lifts are already there
+        reduced = reduced_all(space)
+        return np.concatenate([reduced, reduced[7:8]])  # its 256 lifts are already there
 
-    monkeypatch.setattr(symplectic, "enumerate_reduced_structures", doubled)
+    monkeypatch.setattr(symplectic, "reduced_structure_array", doubled)
     with pytest.raises(AssertionError, match="two lifts give the same row"):
         symplectic_structure_rows(H5)
