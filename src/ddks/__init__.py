@@ -15,8 +15,8 @@ Subpackages / modules:
   fibred surfaces
 - ``homology``     Schreier rewriting and Smith normal form: first homology of
   finite covers of the configuration space, by sparse elimination of the
-  unit pivots, certified by one exact product, then a dense SNF of the small
-  residual
+  unit pivots, certified by replaying its multipliers as one scatter, then a
+  dense SNF of the residual's distinct rows
 - ``cli``          the ``ddks`` command-line interface
 """
 

@@ -21,13 +21,11 @@ triangular by one comparison of row ranks, one scatter rebuilds
 A = F @ M from the final rows M, M's pivot rows form a block on the pivot
 columns that is upper triangular by round with a +-1 diagonal, and its
 other rows vanish there and equal the residual R elsewhere.  Phase two
-cuts the tall R (about 330 x 12) to an echelon basis of its row lattice
-(4 x 12 on the order-32 matrices) by elementary row operations, certified
-by replaying them in reverse to R, and runs the dense `smith_normal_form`
-on that basis, which keeps its own transform check.  Then rank = pivots +
-rank(R) and the invariant factors are those of R after as many 1s as there
-were pivots.  Every exact product is int64 under a stated bound or Python
-ints, never floating point, so no product goes through BLAS.
+runs the dense `smith_normal_form` on R's distinct rows up to sign.  Then
+rank = pivots + rank(R) and the invariant factors are those of R after as
+many 1s as there were pivots.  Every exact product is int64 under a stated
+bound or Python ints, never floating point, so no product goes through
+BLAS.
 """
 
 from __future__ import annotations
@@ -239,10 +237,6 @@ def _exact_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return product
 
 
-def _product_check(L: np.ndarray, A: np.ndarray, R: np.ndarray) -> np.ndarray:
-    return _exact_matmul(_exact_matmul(L, A), R)
-
-
 def _pivot_position(M: np.ndarray, k: int) -> tuple[int, int] | None:
     """Smallest nonzero |entry| in M[k:, k:], ties by row-major position."""
     sub = np.abs(M[k:, k:])
@@ -252,19 +246,6 @@ def _pivot_position(M: np.ndarray, k: int) -> tuple[int, int] | None:
     smallest = sub[mask].min()
     r, c = np.argwhere(mask & (sub == smallest))[0]
     return int(r) + k, int(c) + k
-
-
-def _add_rows(
-    M: np.ndarray, targets: np.ndarray, q: np.ndarray, p: int
-) -> np.ndarray:
-    """M[targets] += q * M[p], first moving M to Python ints when an int64
-    entry could reach 2^63; returns M, which may be a new array."""
-    if M.dtype != object and (
-        _entry_max(q) * _entry_max(M[p]) + _entry_max(M[targets]) >= 2 ** 63
-    ):
-        M = M.astype(object)
-    M[targets] += q.astype(M.dtype, copy=False)[:, None] * M[p]
-    return M
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDecomposition:
@@ -289,10 +270,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
     def add(which, X, targets, q, most, p):
         """X[targets] += q * X[p], X = (M, L, R)[which] or its transpose,
         most = max|q|."""
-        grown = caps[which] * (1 + most)
-        caps[which] = grown
-        if grown >= 2 ** 63:
-            return _add_rows(X, targets, q, p)
+        caps[which] *= 1 + most
+        if caps[which] >= 2 ** 63 and X.dtype != object and (
+            most * _entry_max(X[p]) + _entry_max(X[targets]) >= 2 ** 63
+        ):
+            X = X.astype(object)
         X[targets] += q.astype(X.dtype, copy=False)[:, None] * X[p]
         return X
 
@@ -365,7 +347,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDeco
         raise AssertionError("the reduced matrix is not diagonal")
     if not all(factors[i + 1] % factors[i] == 0 for i in range(rank - 1)):
         raise AssertionError("invariant factors do not form a divisibility chain")
-    if not np.array_equal(_product_check(L, original, R), M.astype(object)):
+    if not np.array_equal(_exact_matmul(_exact_matmul(L, original), R), M.astype(object)):
         raise AssertionError("transform check failed")
     return SmithDecomposition(
         invariant_factors=factors,
@@ -587,64 +569,27 @@ def _unit_pivot_residual(A: np.ndarray) -> tuple[int, np.ndarray]:
     return k, residual
 
 
-def _row_lattice_echelon(
-    R: np.ndarray,
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray]], list[int]]:
-    """Row-echelon basis of the lattice spanned by R's rows.
+def _distinct_rows(R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, at, source): D holds each row of R once up to sign, with its
+    first nonzero entry positive, in lexicographic order; row i of R is
+    +-D[at[i]], and row j of D is +-R[source[j]].  Phase one leaves no zero
+    row in the residual (one would stay as one zero row of D).
 
-    Column by column, the live row p with the least nonzero |entry| (ties
-    by index) reduces every other live row T nonzero there by T -= q * p,
-    q = T // p on that column, which leaves |T| < |p| there.  Once p is the
-    only live row left in the column it becomes a basis row and leaves the
-    live rows.
-
-    Returns (M, ops, basis): M is R after the ops, ops lists each step as
-    (p, T, q), and basis lists the basis rows in column order.  Every row of
-    M outside the basis is zero.
+    Negating an int64 row cannot overflow: phase one keeps every int64
+    entry's magnitude below 2^63, so no entry is -2^63.
     """
-    M = R.copy()
-    live = np.ones(len(M), dtype=bool)
-    ops: list[tuple[int, np.ndarray, np.ndarray]] = []
-    basis: list[int] = []
-    for c in range(M.shape[1]):
-        while True:
-            hits = np.flatnonzero(live & (M[:, c] != 0))
-            if not len(hits):
-                break
-            p = int(hits[np.argmin(np.abs(M[hits, c]))])
-            targets = hits[hits != p]
-            if not len(targets):
-                live[p] = False
-                basis.append(p)
-                break
-            q = M[targets, c] // M[p, c]
-            M = _add_rows(M, targets, -q, p)
-            ops.append((p, targets, q))
-    return M, ops, basis
-
-
-def _row_lattice_basis(R: np.ndarray) -> np.ndarray:
-    """Rows spanning the same lattice as R's rows, as many as R's rank.
-
-    Certificate: no op updates its own pivot row, so each is unimodular;
-    replaying the ops in reverse (T += q * p) on the final rows rebuilds R
-    exactly; and no row outside the basis survives.  So R and the basis
-    have the same rank and invariant factors.
-    """
-    M, ops, basis = _row_lattice_echelon(R)
-    n = len(M)
-    rebuilt = M.copy()
-    for p, targets, q in reversed(ops):
-        if (np.asarray(targets) % n == p % n).any():
-            raise AssertionError("a row operation updates its own pivot row")
-        rebuilt = _add_rows(rebuilt, targets, q, p)
-    if not np.array_equal(rebuilt, R):
-        raise AssertionError("row lattice check failed")
-    outside = np.ones(n, dtype=bool)
-    outside[basis] = False
-    if M[outside].any():
-        raise AssertionError("a row outside the basis survived")
-    return M[basis]
+    r, c = np.nonzero(R)
+    lead = np.flatnonzero(np.diff(r, prepend=-1))
+    flip = r[lead][R[r[lead], c[lead]] < 0]
+    S = R.copy()
+    S[flip] = -S[flip]
+    order = np.lexsort(S.T[::-1]) if S.shape[1] else np.arange(len(S))
+    S = S[order]
+    new = np.ones(len(S), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    at = np.empty(len(R), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return S[new], at, order[new]
 
 
 def smith_invariants(
@@ -653,10 +598,9 @@ def smith_invariants(
     """(rank, invariant factors) of an integer matrix, without transforms.
 
     Two phases: sparse elimination of the +-1 pivots (each contributes an
-    invariant factor 1), then the dense `smith_normal_form` of an echelon
-    basis of the residual's row lattice, which keeps its own transform
-    check.  Equal to the rank and invariant factors of
-    `smith_normal_form(matrix)`.
+    invariant factor 1), then the dense `smith_normal_form`, which keeps
+    its own transform check, of the residual's distinct rows up to sign.
+    Equal to the rank and invariant factors of `smith_normal_form(matrix)`.
     """
     if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
         A = matrix
@@ -665,7 +609,14 @@ def smith_invariants(
     if A.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
     units, residual = _unit_pivot_residual(A)
-    snf = smith_normal_form(_row_lattice_basis(residual))
+    distinct, at, source = _distinct_rows(residual)
+    # two gathers: every residual row is +-1 times a distinct row and every
+    # distinct row +-1 times a residual row, so both span one lattice and
+    # have one SNF
+    for X, Y in ((distinct[at], residual), (residual[source], distinct)):
+        if not ((X == Y).all(axis=1) | (X == -Y).all(axis=1)).all():
+            raise AssertionError("distinct row check failed")
+    snf = smith_normal_form(distinct)
     return units + snf.rank, (1,) * units + snf.invariant_factors
 
 

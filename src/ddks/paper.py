@@ -220,7 +220,7 @@ def check_orbits(rows: Rows, quick: bool):
             return False, {"label": label, "aut_order": len(auts)}
         if len(inner_automorphism_table(g)) != 16:
             return False, {"label": label, "inner": "not 16"}
-        got = orbit_count(g, rows.symplectic(label), auts, freeness="sample", sample_size=1000)
+        got = orbit_count(g, rows.symplectic(label), auts, freeness="full")
         if got != orbits:
             return False, {"label": label, "orbits": int(got)}
         details[label] = {"aut_order": len(auts), "orbits": int(got)}

@@ -640,12 +640,11 @@ def _genus2_blocks(
 def genus2_rows(
     G: FiniteGroup,
     cells: Iterable[tuple[int, int]],
-    structure_mode: bool,
     inn: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (k, 9) uint8 rows with (z, r11) in `cells` that satisfy (R1)-(R10),
-    (T1)-(T10), and in structure mode (S1), (S2); ordered by cell as given,
-    then by t21, r12, t22, t11, r21, t12, r22.
+    (T1)-(T10), (S1) and (S2); ordered by cell as given, then by t21, r12,
+    t22, t11, r21, t12, r22.
 
     With `inn`, a permutation table of automorphisms of G with the
     identity first (at most 64, the width of the stabilizer masks, else
@@ -659,10 +658,7 @@ def genus2_rows(
     # a fuller heap and a higher peak RSS in the enumeration that follows.
     out = np.empty((_ROW_BUDGET, 9), dtype=np.uint8)
     k = 0
-    relators = (
-        labeled_relations_for_type(_PRE_TYPE) if structure_mode else prestructure_relations()
-    )
-    for block in _genus2_blocks(G, cells, relators, inn):
+    for block in _genus2_blocks(G, cells, labeled_relations_for_type(_PRE_TYPE), inn):
         m = block.shape[1]
         if k + m > len(out):
             grown = np.empty((2 * (k + m), 9), dtype=np.uint8)
@@ -713,7 +709,7 @@ def structure_rows(
         raise ValueError("enumeration supports b = 2 only")
     inn = inner_automorphism_table(G)
     zs = [x for x in G.elements() if G.element_order[x] == t.n]
-    reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], True, inn)
+    reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], inn)
     k = len(reps)
     keys = np.empty(len(inn) * k, dtype=np.uint64)
     for i, h in enumerate(inn):

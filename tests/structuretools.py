@@ -1,19 +1,22 @@
 """Structure helpers that only the tests use: slot names, the class-2
 (simplified) relation system, the per-tuple prestructure check, the
-braid-group surjection a structure defines and an oracle for the subgroup
-lattice.
+search's rows in prestructure mode, the braid-group surjection a structure
+defines and an oracle for the subgroup lattice.
 
 The simplified relation system states the paper's relations for groups
 with [G,G] central; the tests hold it against the full relator list.
 """
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from ddks.group_core import FiniteGroup, Homomorphism, Word, commutator
 from ddks.structures import (
     DDKStructure,
     StructureType,
+    _genus2_blocks,
     braid_presentation,
     prestructure_relations,
     slot_index,
@@ -101,6 +104,14 @@ def verify_prestructure(
         if G.evaluate_word(rel, elements) != 0:
             return False, f"relation {label} violated"
     return True, None
+
+
+def prestructure_rows(G: FiniteGroup, cells: Iterable[tuple[int, int]]) -> np.ndarray:
+    """`genus2_rows` under the twenty prestructure relations alone: the
+    (k, 9) uint8 rows with (z, r11) in `cells` that satisfy (R1)-(R10) and
+    (T1)-(T10), in the search's order."""
+    blocks = [block.T for block in _genus2_blocks(G, cells, prestructure_relations())]
+    return np.concatenate(blocks) if blocks else np.zeros((0, 9), dtype=np.uint8)
 
 
 def structure_to_hom(s: DDKStructure) -> Homomorphism:

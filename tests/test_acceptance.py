@@ -18,7 +18,9 @@ import time
 from fractions import Fraction
 
 import ddks
-from ddks.group_core import EXPECTED_ORDER, catalog_labels, realize_label
+from ddks import automorphisms
+from ddks.automorphisms import automorphism_group
+from ddks.group_core import EXPECTED_ORDER, catalog_labels, get_presentation, realize_label
 from ddks.invariants import chern_invariants, fibration_data, with_homology
 from ddks.paper import (
     CENTER_ORDERS,
@@ -150,6 +152,26 @@ def test_criterion_5_orbit_counts(rows_cache):
         assert details[label]["aut_order"] == aut_expected == aut_order(2, eps), label
         assert STRUCTURE_COUNT % aut_expected == 0
         assert details[label]["orbits"] == orbits_expected == STRUCTURE_COUNT // aut_expected
+
+
+def test_criterion_5_checks_generation_on_every_row(rows_cache, monkeypatch):
+    # freeness premise (c), that every structure generates G, holds on all
+    # rows; Aut(G) is built first, so only orbit_count calls the filter
+    for label in ORDER32:
+        automorphism_group(realize_label(label), get_presentation(label))
+    seen = []
+    real = automorphisms.generation_mask_filter
+
+    def spy(G, rows):
+        seen.append(rows)
+        return real(G, rows)
+
+    monkeypatch.setattr(automorphisms, "generation_mask_filter", spy)
+    ok, details = check_orbits(rows_cache, False)
+    assert ok, details
+    assert [len(rows) for rows in seen] == [STRUCTURE_COUNT] * 2
+    for rows, label in zip(seen, ORDER32):
+        assert rows is rows_cache.symplectic(label)
 
 
 def test_criterion_6_invariants(rows_cache):

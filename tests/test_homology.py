@@ -22,9 +22,9 @@ from ddks import homology
 from ddks.homology import (
     HomologyInvariants,
     Transversal,
+    _distinct_rows,
     _eliminate_unit_pivots,
     _exact_matmul,
-    _row_lattice_basis,
     _unit_pivot_residual,
     abelianized_relator_matrix,
     first_homology,
@@ -611,12 +611,29 @@ def test_rewriting_checks_survive_optimize(tamper, message):
 
 # ------------------------------------------------ residual row lattice
 
+# Phase two hands the SNF the residual's distinct rows up to sign, which
+# span its row lattice; the tests keep the names of the echelon basis
+# that step replaced.
+
 LATTICE_ENTRIES = (0, 0, 0, 2, -2, 3, -4, 6, -9, 12)
+
+
+def _assert_distinct_rows(R, D, at, source):
+    """D is R's rows up to sign, each once with its first nonzero entry
+    positive, sorted; R[i] = +-D[at[i]] and D[j] = +-R[source[j]]."""
+    assert D.dtype == R.dtype and D.shape[1] == R.shape[1]
+    signed = {max(row, tuple(-v for v in row)) for row in map(tuple, R.tolist())}
+    assert D.tolist() == [list(row) for row in sorted(signed)]
+    for i, row in enumerate(R.tolist()):
+        assert D[at[i]].tolist() in (row, [-v for v in row])
+    for j, row in enumerate(D.tolist()):
+        assert R[source[j]].tolist() in (row, [-v for v in row])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_row_lattice_basis_matches_dense_snf(seed):
-    # tall matrices without unit entries, with zero rows and zero columns
+    # tall matrices without unit entries, with zero rows and zero columns:
+    # phase one pivots on nothing and drops the zero rows
     rng = random.Random(300 + seed)
     for _ in range(40):
         nrows, ncols = rng.randint(1, 40), rng.randint(1, 8)
@@ -626,92 +643,79 @@ def test_row_lattice_basis_matches_dense_snf(seed):
         )
         R[rng.sample(range(nrows), nrows // 4)] = 0
         R[:, rng.sample(range(ncols), ncols // 4)] = 0
-        B = _row_lattice_basis(R)
-        snf = smith_normal_form(B)
-        assert B.shape == (snf.rank, ncols)
-        assert (snf.rank, snf.invariant_factors) == _dense_oracle(R), R.tolist()
+        units, residual = _unit_pivot_residual(R)
+        assert units == 0 and residual.shape == (np.count_nonzero(R.any(axis=1)), ncols)
+        D, at, source = _distinct_rows(residual)
+        _assert_distinct_rows(residual, D, at, source)
+        snf = smith_normal_form(D)
+        assert (snf.rank, snf.invariant_factors) == _dense_oracle(R) == smith_invariants(R), R.tolist()
 
 
 @pytest.mark.parametrize(
     "R",
     [
-        # int64 rows whose first update, q * p with q about 2^61 / 3, needs
-        # Python ints
-        np.array([[2 ** 61, 3], [2 ** 61 + 1, 5], [3, 2 ** 61]], dtype=np.int64),
-        np.array([[2 ** 70, 6], [2 ** 70 + 4, 10], [0, 0]], dtype=object),
+        # int64 rows, one repeated with its sign flipped, whose SNF's first
+        # update, q * p with q about 2^61 / 3, needs Python ints
+        np.array([[2 ** 61, 3], [2 ** 61 + 1, 5], [3, 2 ** 61], [-2 ** 61 - 1, -5]], dtype=np.int64),
+        np.array([[2 ** 70, 6], [2 ** 70 + 4, 10], [0, 0], [-2 ** 70, -6]], dtype=object),
     ],
     ids=["int64-overflows", "object"],
 )
 def test_row_lattice_basis_in_python_ints(R):
-    B = _row_lattice_basis(R)
-    assert B.dtype == object
-    snf = smith_normal_form(B)
-    assert (snf.rank, snf.invariant_factors) == _dense_oracle(R)
+    D, at, source = _distinct_rows(R)
+    _assert_distinct_rows(R, D, at, source)
+    assert len(D) == 3
+    snf = smith_normal_form(D)
+    assert (snf.rank, snf.invariant_factors) == _dense_oracle(R) == smith_invariants(R)
 
 
 def test_row_lattice_basis_of_panel_residuals(orbifold_hom):
     g, p, hom = orbifold_hom
     A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
     units, residual = _unit_pivot_residual(A)
-    B = _row_lattice_basis(residual)
-    assert residual.shape[0] > 300 and B.shape == (4, residual.shape[1])
-    assert smith_normal_form(B).invariant_factors == smith_normal_form(residual).invariant_factors
+    D, at, source = _distinct_rows(residual)
+    _assert_distinct_rows(residual, D, at, source)
+    assert residual.shape[0] > 300 and D.shape == (123, residual.shape[1])
+    assert smith_normal_form(D).invariant_factors == smith_normal_form(residual).invariant_factors
 
 
-TAMPERED_LATTICE = """
+TAMPERED_DISTINCT = """
 import numpy as np
 import ddks.homology as h
 
-real = h._row_lattice_echelon
+real = h._distinct_rows
 
 
 def tampered(R):
-    M, ops, basis = real(R)
+    D, at, source = real(R)
 {tamper}
-    return M, ops, basis
+    return D, at, source
 
 
-h._row_lattice_echelon = tampered
-h.smith_invariants([[2, 0], [4, 0], [0, 3]])
+h._distinct_rows = tampered
+h.smith_invariants([[2, 0], [4, 0], [0, 3], [-2, 0]])
 """
 
 
 # Phase one finds no unit entry, so the residual is the matrix itself; its
-# echelon basis is rows 0 and 2 after the one op row 1 -= 2 * row 0, and
-# (rank, factors) is (2, (1, 6)).
+# distinct rows are D = [[0, 3], [2, 0], [4, 0]] with at = [1, 2, 0, 1] and
+# source = [2, 0, 1], and (rank, factors) is (2, (1, 6)).  The answers in
+# the comments are what each forged step would give without the check.
 @pytest.mark.parametrize(
-    "tamper, raised",
+    "tamper",
     [
-        pytest.param(
-            "    p, T, q = ops[0]\n    ops[0] = (p, T, q + 1)",
-            "row lattice check failed",
-            id="multiplier",
-        ),
-        pytest.param(
-            "    M[basis[0], 1] += 1",
-            "row lattice check failed",
-            id="basis-row",
-        ),
-        # without the check the basis [[2, 0]] would give (1, (2,))
-        pytest.param(
-            "    basis.pop()",
-            "a row outside the basis survived",
-            id="dropped-basis-row",
-        ),
-        # row 0 += row 0 doubles it: the replay rebuilds R from the basis
-        # [[1, 0], [0, 3]], which would give (2, (1, 3))
-        pytest.param(
-            "    M[0] = (1, 0)\n"
-            "    ops[:] = [(0, np.array([0]), np.array([1])), (0, np.array([1]), np.array([4]))]",
-            "a row operation updates its own pivot row",
-            id="own-row",
-        ),
+        # (1, (2,))
+        pytest.param("    D, at, source = D[1:], np.maximum(at - 1, 0), source[1:]", id="dropped-basis-row"),
+        # (2, (2, 6))
+        pytest.param("    D[0, 1] = 6", id="basis-row"),
+        # every residual row is still +-1 times a row of D: (2, (1, 3))
+        pytest.param("    D, source = np.vstack([D, [1, 0]]), np.append(source, 0)", id="extra-row"),
     ],
 )
-def test_row_lattice_certificate_survives_optimize(tamper, raised):
-    assert smith_invariants([[2, 0], [4, 0], [0, 3]]) == (2, (1, 6))
-    snippet = TAMPERED_LATTICE.replace("{tamper}", tamper)
-    assert raised_under_optimize(snippet) == "AssertionError " + raised
+def test_row_lattice_certificate_survives_optimize(tamper):
+    assert smith_invariants([[2, 0], [4, 0], [0, 3], [-2, 0]]) == (2, (1, 6))
+    snippet = TAMPERED_DISTINCT.replace("{tamper}", tamper)
+    assert raised_under_optimize(snippet) == "AssertionError distinct row check failed"
 
 
 # ------------------------------------------------------ exact products
@@ -772,7 +776,7 @@ def test_first_homology_multiplies_no_floats(orbifold_hom, monkeypatch):
 
     monkeypatch.setattr(homology, "_exact_matmul", integer_only)
     assert first_homology(p, hom) == HomologyInvariants(8, (2, 2, 2, 2))
-    assert calls == [(4, 12), (4, 12)]
+    assert calls == [(123, 12), (123, 12)]
 
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])

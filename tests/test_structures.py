@@ -53,6 +53,7 @@ from optimizetools import raised_under_optimize
 from structuretools import (
     labeled_simplified_relations_for_type,
     oracle_subgroup_masks,
+    prestructure_rows,
     simplified_relations_for_type,
     slot_names,
     structure_to_hom,
@@ -297,7 +298,7 @@ def test_caps_raise_value_errors():
     with pytest.raises(ValueError, match="search cap"):
         inner_automorphism_table(z65)
     with pytest.raises(ValueError, match="stabilizer masks hold 64"):
-        genus2_rows(cyclic(4), [(2, 0)], True, np.tile(np.arange(4, dtype=np.uint8), (65, 1)))
+        genus2_rows(cyclic(4), [(2, 0)], np.tile(np.arange(4, dtype=np.uint8), (65, 1)))
 
 
 def test_generation_mask_filter_cyclic():
@@ -489,7 +490,7 @@ def test_no_structures_below_order_32():
 
 def test_structure_cell_contains_example(H5):
     s = example_structure(H5)
-    arr = genus2_rows(H5, [(s.z, s.elements[0])], True)
+    arr = genus2_rows(H5, [(s.z, s.elements[0])])
     assert arr.dtype == np.uint8 and arr.shape[1] == 9
     assert s.elements in set(map(tuple, arr.tolist()))
     assert bulk_relator_filter(H5, arr, relations_for_type(T22)).all()
@@ -509,7 +510,7 @@ def test_prestructure_stream_prefix_in_dfs_order(H5):
 
 def test_cell_rows_match_structure_rows(H5, rows_cache):
     s = example_structure(H5)
-    cell = genus2_rows(H5, [(s.z, s.elements[0])], True)
+    cell = genus2_rows(H5, [(s.z, s.elements[0])])
     rows = rows_cache.backtrack("G(32,49)")
     mine = rows[(rows[:, 8] == s.z) & (rows[:, 0] == s.elements[0])]
     assert len(cell) == len(mine) > 0
@@ -521,21 +522,23 @@ def test_cell_rows_match_structure_rows(H5, rows_cache):
 def test_row_budget_does_not_change_output_small(monkeypatch, label, budget):
     G = small_group(label) if len(label) == 1 else realize_label(label)
     cells = [(z, r11) for z in range(1, G.order) for r11 in range(G.order)]
-    expected = {mode: genus2_rows(G, cells, mode) for mode in (True, False)}
+    searches = (genus2_rows, prestructure_rows)
+    expected = [search(G, cells) for search in searches]
     monkeypatch.setattr("ddks.structures._ROW_BUDGET", budget)
-    for mode in (True, False):
-        got = genus2_rows(G, cells, mode)
-        assert got.dtype == np.uint8 and got.tobytes() == expected[mode].tobytes()
+    for search, want in zip(searches, expected):
+        got = search(G, cells)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("structure_mode", [True, False])
 def test_row_budget_does_not_change_output_order32(monkeypatch, H5, structure_mode):
     s = example_structure(H5)
     cells = [(s.z, s.elements[0])]
-    expected = genus2_rows(H5, cells, structure_mode)
+    search = genus2_rows if structure_mode else prestructure_rows
+    expected = search(H5, cells)
     assert len(expected) > 0
     monkeypatch.setattr("ddks.structures._ROW_BUDGET", 97)
-    got = genus2_rows(H5, cells, structure_mode)
+    got = search(H5, cells)
     assert got.dtype == np.uint8 and got.tobytes() == expected.tobytes()
 
 
@@ -543,10 +546,10 @@ def test_row_budget_does_not_change_output_order32(monkeypatch, H5, structure_mo
 def test_search_empties_mid_way(label):
     G = cyclic(4) if label == "Z4" else realize_label(label)
     cells = [(z, r11) for z in range(1, G.order) for r11 in range(G.order)]
-    for mode in (True, False):
-        rows = genus2_rows(G, cells, mode)
+    for search in (genus2_rows, prestructure_rows):
+        rows = search(G, cells)
         assert rows.dtype == np.uint8 and rows.shape == (0, 9)
-    assert genus2_rows(G, [], True).shape == (0, 9)
+    assert genus2_rows(G, []).shape == (0, 9)
 
 
 # ------------------------------------------------------ the search plan
@@ -904,7 +907,7 @@ def test_representatives_are_minimal_images(label):
     assert inn.dtype == np.uint8 and inn.shape == (16, 32)
     assert np.array_equal(inn[0], np.arange(32))
     zs = [z for z in G.elements() if G.element_order[z] == 2]
-    reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(32)], True, inn)
+    reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(32)], inn)
     assert len(reps) == 138240 == 2211840 // len(inn)
     key = slot_order_keys(reps)
     for h in inn[1:]:
