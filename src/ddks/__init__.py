@@ -2,8 +2,9 @@
 
 Subpackages / modules:
 
-- ``group_core``   presentations, coset enumeration, Cayley tables, the group
-  catalog, subgroup/quotient machinery and the CCT test
+- ``group_core``   presentations, coset enumeration, the group catalog, one
+  checked read-only Cayley table per group (the only one any module reads),
+  subgroup/quotient machinery and the CCT test
 - ``structures``   prestructures and diagonal double Kodaira structures of a
   finite group, plus the backtracking enumerator
 - ``certify``      the relator certifier that re-checks every enumerated row,

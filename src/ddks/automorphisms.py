@@ -56,12 +56,11 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
         return cached[p]
 
     gens = G.generator_elements
-    orders = np.array(G.element_order)
-    images = [np.flatnonzero(orders == orders[g]) for g in gens]
+    images = [np.flatnonzero(G.orders == G.orders[g]) for g in gens]
     rows = relator_join(G, images, p.relators, AUT_FRONTIER_CAP)
     rows = rows[generation_mask_filter(G, rows)]
 
-    cayley = np.array(G.cayley, dtype=np.uint8)  # order <= AUT_ORDER_CAP
+    cayley = G.table  # uint8: order <= AUT_ORDER_CAP
     perms = np.zeros((len(rows), G.order), dtype=np.uint8)
     reached = [0]
     for x in reached:  # BFS over G: perm(x g_k) = perm(x) perm(g_k)
@@ -137,7 +136,7 @@ def orbit_count(
     perms = auts[np.lexsort(auts.T[::-1])]
     if not (perms[1:] != perms[:-1]).any(axis=1).all():
         raise FreenessError("two automorphisms have the same permutation")
-    cayley = np.array(G.cayley, dtype=np.uint8)  # uint8 permutations: order <= 256
+    cayley = G.table  # uint8, as the permutations are: order <= 256
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise FreenessError("an automorphism is not multiplicative")
     if not generation_mask_filter(G, checked).all():

@@ -127,8 +127,7 @@ def _relator_tables(G: FiniteGroup) -> tuple[int, dict[tuple[str, int, int], np.
         return cached
     n = G.order
     s = max(1, (n - 1).bit_length())
-    cayley = np.array(G.cayley, dtype=np.uint8)
-    inv = np.array(G.inverse, dtype=np.uint8)
+    cayley, inv = G.table, G.inverses  # uint8: order <= CERTIFY_ORDER_CAP
     a = np.arange(n)[:, None]
     b = np.arange(n)[None, :]
     ab = cayley[a, b]

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import toddcox
 from .presentation import Presentation
 from .words import Word
@@ -25,47 +27,51 @@ def _coset_cap() -> int:
 
 
 class FiniteGroup:
-    """A finite group as a dense Cayley table."""
+    """A finite group as a dense Cayley table.
+
+    The constructor checks the table once and keeps three read-only arrays:
+    `table` (|G| x |G|) and `inverses` in the smallest unsigned dtype that
+    holds |G| - 1, and `orders`, the element orders, in the smallest that
+    holds |G|.  `cayley`, `inverse` and `element_order` are the same data
+    as lists, for scalar code, where a list index beats a numpy scalar."""
 
     def __init__(
         self,
-        cayley: Sequence[Sequence[int]],
+        cayley: Sequence[Sequence[int]] | np.ndarray,
         generator_elements: Sequence[int] = (),
         generator_names: Sequence[str] | None = None,
         element_words: Sequence[Word] | None = None,
     ):
-        self.cayley = [list(row) for row in cayley]
-        self.order = len(self.cayley)
-        if self.order == 0:
+        n = self.order = len(cayley)
+        if n == 0:
             raise ValueError("empty Cayley table")
-        rng = range(self.order)
-        full = set(rng)
-        for row in self.cayley:
-            if len(row) != self.order or set(row) != full:
-                raise ValueError("Cayley table is not a Latin square")
-        for j in rng:
-            if len({self.cayley[i][j] for i in rng}) != self.order:
-                raise ValueError("Cayley table is not a Latin square")
-        if any(self.cayley[0][x] != x or self.cayley[x][0] != x for x in rng):
+        if any(len(row) != n for row in cayley):
+            raise ValueError("Cayley table is not a Latin square")
+        raw = np.asarray(cayley)
+        rng = np.arange(n)
+        if raw.dtype.kind not in "iu" or not (
+            (np.sort(raw, axis=1) == rng).all() and (np.sort(raw, axis=0) == rng[:, None]).all()
+        ):
+            raise ValueError("Cayley table is not a Latin square")
+        table = np.array(raw, dtype=np.min_scalar_type(n - 1), order="C")
+        if not ((table[0] == rng).all() and (table[:, 0] == rng).all()):
             raise ValueError("identity is not at index 0")
-
-        self.inverse = [0] * self.order
-        for a in rng:
-            b = self.cayley[a].index(0)
-            if self.cayley[b][a] != 0:
-                raise ValueError("one-sided inverse; table is not a group")
-            self.inverse[a] = b
-
-        if self.order <= 64:
-            cay = self.cayley
-            for a in rng:
-                row_a = cay[a]
-                for b in rng:
-                    ab = row_a[b]
-                    row_b = cay[b]
-                    for c in rng:
-                        if cay[ab][c] != row_a[row_b[c]]:
-                            raise ValueError("Cayley table is not associative")
+        inverses = table.argmin(axis=1).astype(table.dtype)  # each row's one 0
+        if (table[inverses, rng] != 0).any():
+            raise ValueError("one-sided inverse; table is not a group")
+        if n <= 64 and (table[table] != table[:, table]).any():  # (ab)c against a(bc)
+            raise ValueError("Cayley table is not associative")
+        # x^k by right multiplication, which permutes G, so it returns to 0
+        orders = np.ones(n, dtype=np.min_scalar_type(n))
+        power, live = rng, rng != 0
+        while live.any():
+            power = table[power, rng]
+            orders += live
+            live &= power != 0
+        for a in (table, inverses, orders):
+            a.flags.writeable = False
+        self.table, self.inverses, self.orders = table, inverses, orders
+        self.cayley, self.inverse, self.element_order = table.tolist(), inverses.tolist(), orders.tolist()
 
         self.generator_elements = tuple(generator_elements)
         if generator_names is None:
@@ -73,14 +79,6 @@ class FiniteGroup:
         self.generator_names = tuple(generator_names)
         # optional: a word in the generators reaching each element
         self.element_words = tuple(element_words) if element_words is not None else None
-
-        self.element_order = [0] * self.order
-        for x in rng:
-            k, y = 1, x
-            while y != 0:
-                y = self.cayley[y][x]
-                k += 1
-            self.element_order[x] = k
 
     # -- basic operations ---------------------------------------------
 
@@ -121,26 +119,13 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        cay = self.cayley
-        return all(
-            cay[a][b] == cay[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        return bool((self.table == self.table.T).all())
 
     def center(self) -> "ElementSet":
-        cay = self.cayley
-        members = [
-            g
-            for g in range(self.order)
-            if all(cay[g][x] == cay[x][g] for x in range(self.order))
-        ]
-        return ElementSet(self, tuple(members))
+        return _element_set(self, (self.table == self.table.T).all(axis=1))
 
     def centralizer(self, x: int) -> "ElementSet":
-        cay = self.cayley
-        members = [g for g in range(self.order) if cay[g][x] == cay[x][g]]
-        return ElementSet(self, tuple(members))
+        return _element_set(self, self.table[:, x] == self.table[x])
 
     def subgroup_generated(self, gens: Iterable[int]) -> "ElementSet":
         gens = sorted(set(gens) | {0})
@@ -156,19 +141,16 @@ class FiniteGroup:
                     frontier.append(y)
         return ElementSet(self, tuple(sorted(seen)))
 
+    def conjugates(self, xs: Iterable[int]) -> np.ndarray:
+        """g x g^-1 for every g (rows) and every x in xs (columns)."""
+        return self.table[self.table[:, list(xs)], self.inverses[:, None]]
+
     def normal_closure(self, seed: Iterable[int]) -> "ElementSet":
-        conjugates = {
-            self.conjugate(s, g) for s in seed for g in range(self.order)
-        }
-        return self.subgroup_generated(conjugates)
+        return self.subgroup_generated(self.conjugates(seed).ravel().tolist())
 
     def derived_subgroup(self) -> "ElementSet":
-        comms = {
-            self.commutator(a, b)
-            for a in range(self.order)
-            for b in range(self.order)
-        }
-        return self.subgroup_generated(comms)
+        t, inv = self.table, self.inverses  # [a, b] = ((a b) a^-1) b^-1
+        return self.subgroup_generated(t[t[t, inv[:, None]], inv].ravel().tolist())
 
     def socle(self) -> "ElementSet":
         """Intersection of the normal closures of all non-identity elements.
@@ -191,14 +173,8 @@ class FiniteGroup:
         every non-central element has abelian centralizer."""
         if self.is_abelian:
             raise ValueError("CCT undefined for abelian groups")
-        centre = set(self.center())
-        for x in range(self.order):
-            if x in centre:
-                continue
-            cent = self.centralizer(x)
-            if not cent.is_abelian():
-                return False
-        return True
+        commute = self.table == self.table.T
+        return all(commute[np.ix_(c, c)].all() for c in commute[~commute.all(axis=1)])
 
     def quotient(self, n_set: "ElementSet | Iterable[int]") -> tuple["FiniteGroup", list[int]]:
         """Quotient by a normal subgroup; returns (G/N, projection map)."""
@@ -208,22 +184,19 @@ class FiniteGroup:
             raise ValueError("quotient requires a subgroup")
         if not nset.is_normal():
             raise ValueError("quotient requires a normal subgroup")
-        rep = [min(self.cayley[x][n] for n in members) for x in range(self.order)]
+        rep = self.table[:, members].min(axis=1)  # each coset xN's least element
         if rep[0] != 0:
             raise AssertionError("the identity's coset is not represented by the identity")
-        reps = sorted(set(rep))
-        index_of = {r: i for i, r in enumerate(reps)}
-        proj = [index_of[rep[x]] for x in range(self.order)]
-        cay = [
-            [proj[self.cayley[a][b]] for b in reps]
-            for a in reps
-        ]
+        is_rep = np.zeros(self.order, dtype=bool)
+        is_rep[rep] = True
+        proj = (np.cumsum(is_rep) - 1)[rep]
+        reps = np.flatnonzero(is_rep)
         q = FiniteGroup(
-            cay,
-            generator_elements=tuple(proj[g] for g in self.generator_elements),
+            proj[self.table[np.ix_(reps, reps)]],
+            generator_elements=tuple(proj[list(self.generator_elements)].tolist()),
             generator_names=self.generator_names,
         )
-        return q, proj
+        return q, proj.tolist()
 
     def join_closure(self, atoms: Iterable[Iterable[int]]) -> set[frozenset[int]]:
         """The trivial subgroup and every join of the subgroups `atoms`."""
@@ -267,6 +240,8 @@ class ElementSet:
     def __post_init__(self):
         if tuple(sorted(set(self.members))) != self.members:
             raise ValueError("members must be sorted and distinct")
+        if self.members and not (0 <= self.members[0] and self.members[-1] < self.ambient.order):
+            raise ValueError("members must be elements of the ambient group")
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -277,26 +252,27 @@ class ElementSet:
     def __len__(self) -> int:
         return len(self.members)
 
+    def _inside(self) -> np.ndarray:
+        inside = np.zeros(self.ambient.order, dtype=bool)
+        inside[list(self.members)] = True
+        return inside
+
+    def _products(self) -> np.ndarray:
+        return self.ambient.table[np.ix_(self.members, self.members)]
+
     def is_subgroup(self) -> bool:
-        g = self.ambient
-        mem = set(self.members)
-        if 0 not in mem:
-            return False
-        return all(g.cayley[a][b] in mem for a in mem for b in mem)
+        return 0 in self.members and bool(self._inside()[self._products()].all())
 
     def is_normal(self) -> bool:
-        g = self.ambient
-        mem = set(self.members)
-        return all(g.conjugate(x, h) in mem for x in mem for h in range(g.order))
+        return bool(self._inside()[self.ambient.conjugates(self.members)].all())
 
     def is_abelian(self) -> bool:
-        g = self.ambient
-        return all(
-            g.cayley[a][b] == g.cayley[b][a]
-            for a in self.members
-            for b in self.members
-            if a < b
-        )
+        products = self._products()
+        return bool((products == products.T).all())
+
+
+def _element_set(G: FiniteGroup, mask: np.ndarray) -> ElementSet:
+    return ElementSet(G, tuple(np.flatnonzero(mask).tolist()))
 
 
 @dataclass(frozen=True)
@@ -343,29 +319,23 @@ def realize(p: Presentation) -> FiniteGroup:
     """
     table = toddcox.coset_table(p.ngens, [r.letters for r in p.relators], _coset_cap())
     n = len(table)
-    # a word (as column indices) reaching each coset from 0, by BFS
+    action = np.array(table, dtype=np.min_scalar_type(n - 1))
+    # BFS from coset 0: a word (as column indices) reaching each coset d, and
+    # column d of the Cayley table, the cosets times that word, one gather each
     word_to: list[list[int] | None] = [None] * n
     word_to[0] = []
-    queue = [0]
-    while queue:
-        c = queue.pop(0)
+    columns = np.empty((n, n), dtype=action.dtype)
+    columns[0] = np.arange(n)
+    reached = [0]
+    for c in reached:
         for col in range(2 * p.ngens):
             d = table[c][col]
             if word_to[d] is None:
                 word_to[d] = word_to[c] + [col]
-                queue.append(d)
-    if any(w is None for w in word_to):
+                columns[d] = action[columns[c], col]
+                reached.append(d)
+    if len(reached) != n:
         raise AssertionError("a coset is not reachable from coset 0")
-
-    cayley = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = i
-            for col in word_to[j]:
-                c = table[c][col]
-            row.append(c)
-        cayley.append(row)
 
     def cols_to_word(cols: list[int]) -> Word:
         return Word(tuple(
@@ -373,7 +343,7 @@ def realize(p: Presentation) -> FiniteGroup:
         ))
 
     return FiniteGroup(
-        cayley,
+        columns.T,
         generator_elements=tuple(table[0][2 * g] for g in range(p.ngens)),
         generator_names=p.generators,
         element_words=[cols_to_word(w) for w in word_to],

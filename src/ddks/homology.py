@@ -147,9 +147,8 @@ def abelianized_relator_matrix(
     with one scatter at the end."""
     G = hom.target
     columns = _schreier_columns(hom, t)
-    cayley = np.array(G.cayley)
-    step = cayley[:, list(hom.images)].T
-    back = cayley[:, [G.inverse[image] for image in hom.images]].T
+    step = G.table[:, list(hom.images)].T
+    back = G.table[:, G.inverses[list(hom.images)]].T
     cosets = np.arange(G.order)
     nrel = len(p.relators)
     rows, cols, signs = [], [], []

@@ -281,6 +281,8 @@ def verify_structure(
             f"expected {t.tuple_length} elements for type ({t.b},{t.n}), "
             f"got {len(elements)}"
         )
+    if not all(0 <= x < G.order for x in elements):
+        raise ValueError("element index out of range for the group")
     oz = G.element_order[elements[-1]]
     if oz < 2:
         return False, "o(z) >= 2 violated"
@@ -416,8 +418,8 @@ class _Tables:
         n = G.order
         if n > SEARCH_ORDER_CAP:
             raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-        cayley = np.array(G.cayley, dtype=np.uint16)
-        self.inv = inv = np.array(G.inverse, dtype=np.uint16)
+        cayley = G.table.astype(np.uint16)
+        self.inv = inv = G.inverses.astype(np.uint16)
         a = np.arange(n, dtype=np.uint16)[:, None]
         b = np.arange(n, dtype=np.uint16)[None, :]
         conj = cayley[cayley[a, b], inv[a]]
@@ -761,7 +763,7 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
 
 def z_order_filter(G: FiniteGroup, rows: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask: rows whose last slot, z, has order n."""
-    return np.array(G.element_order, dtype=np.int32)[rows[:, -1]] == n
+    return G.orders[rows[:, -1]] == n
 
 
 def certify_structure_rows(
@@ -876,7 +878,7 @@ def reference_prestructures(G: FiniteGroup) -> list[tuple[int, ...]]:
     order = (_Z, _R11, _T11, _R21, _T21, _R22, _T22, _R12, _T12)
     column = {e * (slot + 1): e * (i + 1) for i, slot in enumerate(order) for e in (1, -1)}
     relators = [Word(tuple(map(column.get, rel))) for _, rel in prestructure_relations()]
-    zs = np.flatnonzero(np.array(G.element_order) >= 2)
+    zs = np.flatnonzero(G.orders >= 2)
     rows = relator_join(G, [zs] + [np.arange(G.order)] * 8, relators, REFERENCE_FRONTIER_CAP)
     return sorted(map(tuple, rows[:, np.argsort(order)].tolist()))
 

@@ -62,7 +62,7 @@ class SymplecticSpace:
 
         # V must be elementary abelian; label cosets by the projection
         quotient, proj = G.quotient(center)
-        if any(quotient.element_order[x] > 2 for x in quotient.elements()):
+        if (quotient.orders > 2).any():
             raise ValueError("G/Z(G) is not elementary abelian")
         if set(G.derived_subgroup()) != set(center):
             raise ValueError("extra-special input needed: [G, G] must equal Z(G)")
@@ -408,9 +408,7 @@ def symplectic_structure_rows(G: FiniteGroup) -> np.ndarray:
     space = induced_space(G)
     section = np.array([space.section(v) for v in space.vectors()], dtype=np.uint8)
     base = section[reduced_structure_array(space)]
-    mulz = np.array(
-        [G.mul(x, space.z_element) for x in G.elements()], dtype=np.uint8
-    )
+    mulz = G.table[:, space.z_element]  # x -> x z, uint8 below order 256
     # Lift mask m takes slot i from mulz[base] where bit i of m is set: its
     # key is the base row's key with slot i's field XORed with base ^ mulz[base].
     keys = np.empty((len(base), 256), dtype=np.uint64)

@@ -1,14 +1,31 @@
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from ddks.group_core import (
     FiniteGroup,
     Homomorphism,
     Word,
+    catalog,
     parse_presentation,
     realize,
     realize_label,
 )
 from optimizetools import raised_under_optimize
+
+
+LATIN = "Cayley table is not a Latin square"
+# a Latin square with two-sided identity that is not a group: smallest
+# examples live at order 5
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 
 def klein_four():
@@ -39,17 +56,47 @@ def test_identity_position_validation():
 
 
 def test_associativity_validation():
-    # a Latin square with two-sided identity that is not a group: smallest
-    # examples live at order 5
-    q = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(ValueError, match="associative"):
-        FiniteGroup(q)
+        FiniteGroup(NON_ASSOCIATIVE_LOOP)
+
+
+@pytest.mark.parametrize("n", [1, 6, 255, 256, 300])
+def test_checked_arrays_match_the_lists(n):
+    """`table` and `inverses` hold |G| - 1, `orders` holds |G| (the order
+    of a generator of Z_256 does not fit in uint8); all three are read-only."""
+    g = cyclic(n)
+    small = np.uint8 if n <= 256 else np.uint16
+    assert (g.table.dtype, g.inverses.dtype) == (small, small)
+    assert g.orders.dtype == (np.uint8 if n <= 255 else np.uint16)
+    assert g.table.tolist() == g.cayley
+    assert g.inverses.tolist() == g.inverse
+    assert g.orders.tolist() == g.element_order
+    assert max(g.element_order) == n
+    for a in (g.table, g.inverses, g.orders):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_catalog_digest_is_pinned():
+    """One SHA-256 over every catalog group's table, inverses, orders,
+    generators, words, normal subgroups, centre, derived subgroup, socle,
+    CCT verdict and quotient by the centre: any change to what the group
+    core computes on the catalog shows here."""
+    h = hashlib.sha256()
+    for label, p in catalog():
+        G = realize(p)
+        q, proj = G.quotient(G.center())
+        record = [
+            label, G.cayley, G.inverse, G.element_order, list(G.generator_elements),
+            [list(w.letters) for w in G.element_words],
+            [list(N) for N in G.normal_subgroups()],
+            list(G.center()), list(G.derived_subgroup()),
+            list(G.socle()) if G.order > 1 else None,
+            G.is_abelian, None if G.is_abelian else G.is_cct(),
+            q.cayley, proj,
+        ]
+        h.update(json.dumps(record).encode())
+    assert h.hexdigest()[:16] == "a63c02b94983e389"
 
 
 def test_power_and_commutator():
@@ -202,6 +249,23 @@ ElementSet(realize_label("S4"), (1, 0))
             "ValueError members must be sorted and distinct",
             id="element-set",
         ),
+        # the array predicates would read -1 as the last element
+        pytest.param(
+            """
+from ddks.group_core import ElementSet, realize_label
+ElementSet(realize_label("S4"), (-1, 0))
+""",
+            "ValueError members must be elements of the ambient group",
+            id="element-set-range",
+        ),
+        pytest.param(
+            """
+from ddks.group_core import ElementSet, realize_label
+ElementSet(realize_label("S4"), (0, 24))
+""",
+            "ValueError members must be elements of the ambient group",
+            id="element-set-above",
+        ),
         # a table whose second coset no column reaches
         pytest.param(
             """
@@ -216,3 +280,19 @@ group.realize(group.Presentation(("x",), ()))
 )
 def test_group_checks_survive_optimize(snippet, raised):
     assert raised_under_optimize(snippet) == raised
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        pytest.param([[0, 0], [1, 1]], LATIN, id="latin-row"),
+        pytest.param([[0, 1, 2], [1, 2, 0], [2, 1, 0]], LATIN, id="latin-column"),
+        pytest.param([[0, 1], [1]], LATIN, id="ragged"),
+        pytest.param([[0, -1], [-1, 0]], LATIN, id="negative-entry"),
+        pytest.param([[1, 0], [0, 1]], "identity is not at index 0", id="identity"),
+        pytest.param(NON_ASSOCIATIVE_LOOP, "Cayley table is not associative", id="associativity"),
+    ],
+)
+def test_table_checks_survive_optimize(table, message):
+    snippet = f"from ddks.group_core import FiniteGroup\nFiniteGroup({table!r})"
+    assert raised_under_optimize(snippet) == f"ValueError {message}"

@@ -3,9 +3,10 @@ explicitly, so it survives `python -O`, no exact integer product may
 pass through floating point (and so through BLAS), the paper's criteria
 live only in the registry of `ddks.paper`, the relator certifier
 imports neither enumeration route, the small-group prestructure
-reference names no part of the search engine, and the symplectic route
+reference names no part of the search engine, the symplectic route
 shares with the backtracking route only the certify tail and the key
-format."""
+format, and no module outside the group core builds its own array of a
+group's Cayley table, inverses or element orders."""
 
 import ast
 import sys
@@ -222,3 +223,52 @@ def test_symplectic_route_is_independent():
 )
 def test_route_independence_scan_finds_breaches(source, breaches):
     assert _route_independence_breaches(ast.parse(source)) == breaches
+
+
+GROUP_LISTS = {"cayley", "inverse", "element_order"}
+
+
+def _group_list_arrays(tree: ast.Module):
+    """Attributes `cayley`, `inverse` or `element_order` (a FiniteGroup's
+    lists) inside the arguments of np.array or np.asarray; a method call
+    such as `w.inverse()` is not one."""
+    for node in ast.walk(tree):
+        func = node.func if isinstance(node, ast.Call) else None
+        if not (
+            isinstance(func, ast.Attribute) and func.attr in ("array", "asarray")
+            and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        ):
+            continue
+        called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            for n in ast.walk(arg):
+                if isinstance(n, ast.Attribute) and n.attr in GROUP_LISTS and id(n) not in called:
+                    yield n
+
+
+def test_group_arrays_come_from_the_group_core():
+    """`FiniteGroup` keeps one checked array each of the table, the
+    inverses and the element orders, so no other module builds its own."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        if "group_core" not in path.relative_to(SRC).parts
+        for node in _group_list_arrays(_parse(path))
+    ]
+    assert found == [], f"group arrays built outside ddks/group_core: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, hits",
+    [
+        ("cayley = np.array(G.cayley, dtype=np.uint8)", 1),
+        ("inv = np.asarray(G.inverse)", 1),
+        ("np.array(G.element_order, dtype=np.int32)[rows[:, -1]] == n", 1),
+        ("back = numpy.array([G.inverse[g] for g in images])", 1),
+        ("np.array([w.inverse() for w in words])", 0),
+        ("np.array(G.table)[:, G.inverses]", 0),
+        ("orders = list(G.element_order)", 0),
+    ],
+)
+def test_group_array_scan_finds_conversions(source, hits):
+    assert len(list(_group_list_arrays(ast.parse(source)))) == hits

@@ -205,6 +205,26 @@ def test_verify_structure_diagnostics(H5):
         verify_structure(H5, elems[:5], T22)
 
 
+# The example structure shifted by -32: negative indices wrap around in
+# list indexing, so without the range check these pass all 22 relators.
+SHIFTED_EXAMPLE = """
+from ddks.group_core import realize_label
+from ddks.structures import StructureType, example_structure, verify_structure
+G = realize_label("G(32,49)")
+verify_structure(G, [x - 32 for x in example_structure(G).elements], StructureType(2, 2))
+"""
+
+
+def test_verify_structure_rejects_out_of_range_elements(H5):
+    elems = example_structure(H5).elements
+    for bad in ([x - 32 for x in elems], elems[:-1] + (32,)):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_structure(H5, bad, T22)
+    assert raised_under_optimize(SHIFTED_EXAMPLE) == (
+        "ValueError element index out of range for the group"
+    )
+
+
 def order64_group_and_lift() -> tuple[FiniteGroup, tuple[int, ...]]:
     """G(32,49) x Z2 (an extra central involution), with the example
     structure's words evaluated in it."""
