@@ -21,18 +21,18 @@ triangular by one comparison of row ranks, one scatter rebuilds
 A = F @ M from the final rows M, M's pivot rows form a block on the pivot
 columns that is upper triangular by round with a +-1 diagonal, and its
 other rows vanish there and equal the residual R elsewhere.  Phase two
-runs the dense `smith_normal_form` on R's distinct rows up to sign.  Then
-rank = pivots + rank(R) and the invariant factors are those of R after as
-many 1s as there were pivots.  Every exact product is int64 under a stated
-bound or Python ints, never floating point, so no product goes through
-BLAS.
+runs `smith_normal_form`, on Python ints with sparse transforms, on R's
+distinct rows up to sign.  Then rank = pivots + rank(R) and the invariant
+factors are those of R after as many 1s as there were pivots.  Every
+exact product is int64 under a stated bound or Python ints, never
+floating point, so no product goes through BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -186,9 +186,27 @@ class SmithDecomposition:
     diagonal: np.ndarray
 
 
+def _integer(v) -> int:
+    """v as a Python int; a float, a string or a Fraction is refused."""
+    if not isinstance(v, (int, np.integer)):
+        raise ValueError(f"matrix entry {v!r} is not an integer")
+    return int(v)
+
+
+def _integer_matrix(matrix: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    """matrix as a 2-D int64 array as given, or as a new array of Python ints."""
+    int64 = isinstance(matrix, np.ndarray) and matrix.dtype == np.int64
+    A = matrix if int64 else np.array(matrix, dtype=object)
+    if A.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    if not int64:
+        A.reshape(-1)[:] = [_integer(v) for v in A.flat]
+    return A
+
+
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    M = [[int(v) for v in row] for row in matrix]
+    M = [[_integer(v) for v in row] for row in matrix]
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
@@ -236,125 +254,111 @@ def _exact_matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return product
 
 
-def _pivot_position(M: np.ndarray, k: int) -> tuple[int, int] | None:
-    """Smallest nonzero |entry| in M[k:, k:], ties by row-major position."""
-    sub = np.abs(M[k:, k:])
-    mask = sub != 0
-    if not mask.any():
-        return None
-    smallest = sub[mask].min()
-    r, c = np.argwhere(mask & (sub == smallest))[0]
-    return int(r) + k, int(c) + k
+def _add_line(target: dict[int, int], q: int, source: dict[int, int]) -> None:
+    """target += q * source, on rows of L or columns of R as {index: entry}."""
+    for c, v in source.items():
+        target[c] = target.get(c, 0) + q * v
+
+
+def _eliminate_at(M: list[list[int]], L: list[dict], R: list[dict], k: int) -> bool:
+    """Clear row and column k of M, each row operation also on L and each
+    column operation on R; False when M[k:, k:] is all zero.  Each pass
+    moves the smallest nonzero |entry| of M[k:, k:] (ties row-major) to
+    (k, k), makes it positive and subtracts its floor quotients from the
+    rows below, then, once column k is clear, from the columns to the
+    right.  Rows and columns before k are zero off the diagonal, so a
+    column swap changes rows k onward only and a column operation row k."""
+    nrows, ncols = len(M), len(R)
+    while True:
+        smallest = min(map(abs, filter(None, chain.from_iterable(M[k:]))), default=0)
+        if not smallest:
+            return False
+        for i in range(k, nrows):
+            if smallest in M[i] or -smallest in M[i]:
+                break
+        j = list(map(abs, M[i])).index(smallest)
+        M[k], M[i], L[k], L[i] = M[i], M[k], L[i], L[k]
+        if j != k:
+            for line in M[k:]:
+                line[k], line[j] = line[j], line[k]
+            R[k], R[j] = R[j], R[k]
+        if M[k][k] < 0:
+            M[k], L[k] = [-v for v in M[k]], {c: -v for c, v in L[k].items()}
+        Mk, Lk, pivot = M[k], L[k], M[k][k]
+        support = [(c, b) for c, b in enumerate(Mk) if b]
+        rest = 0  # a nonzero left in column k below the pivot
+        for t in range(k + 1, nrows):
+            Mt, q = M[t], -(M[t][k] // pivot)
+            if q:
+                for c, b in support:
+                    Mt[c] += q * b
+                _add_line(L[t], q, Lk)
+            rest = rest or Mt[k]
+        if rest:
+            continue
+        for t in range(k + 1, ncols):
+            q = -(Mk[t] // pivot)
+            if q:
+                Mk[t] += q * pivot
+                _add_line(R[t], q, R[k])
+        if not any(Mk[k + 1:]):
+            return True
+
+
+def _enforce_divisibility(M: list[list[int]], L: list[dict], R: list[dict], rank: int) -> None:
+    """Make d_1 | d_2 | ...: while d_i does not divide d_(i+1), add column i + 1
+    to column i (M changes at (i + 1, i)) and eliminate anew from i on."""
+    while broken := [i for i in range(rank - 1) if M[i + 1][i + 1] % M[i][i]]:
+        i = broken[0]
+        M[i + 1][i] += M[i + 1][i + 1]
+        _add_line(R[i], 1, R[i + 1])
+        for k in range(i, rank):
+            _eliminate_at(M, L, R, k)
+
+
+def _from_lines(lines: list[dict[int, int]]) -> np.ndarray:
+    """The square array of rows {index: entry}; int64 if every entry fits."""
+    n, values = len(lines), [v for line in lines for v in line.values()]
+    X = np.zeros((n, n), dtype=np.int64 if max(map(abs, values), default=0) < 2 ** 63 else object)
+    X.reshape(-1)[[i * n + c for i, line in enumerate(lines) for c in line]] = values
+    return X
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]] | np.ndarray) -> SmithDecomposition:
     """Exact SNF with unimodular transforms: left @ input @ right == diagonal.
 
-    M, L and R each stay int64 until an update could take one of their
-    entries to 2^63, and only the array it would overflow moves to Python
-    ints.  Each array carries a cap on its entries, which an update by
-    multipliers q raises to cap (1 + max|q|); once that could reach 2^63,
-    each update bounds exactly the rows (or columns) it touches.
-    """
-    A = np.array(matrix, dtype=object)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    original = A.copy()
+    Row and column operations on Python ints, which cannot overflow: M is a
+    list of integer rows and L's rows and R's columns are sparse dicts (see
+    `_eliminate_at`).  Checked: positive factors, a diagonal M, a
+    divisibility chain, and left @ input @ right == diagonal exactly.  Each
+    of left, right and diagonal is int64 when every entry fits (the
+    diagonal only when the input's do too), else Python ints."""
+    A = _integer_matrix(matrix)
     nrows, ncols = A.shape
-    M = A.astype(np.int64) if _entry_max(A) < 2 ** 63 else A
-    L = np.eye(nrows, dtype=np.int64)
-    R = np.eye(ncols, dtype=np.int64)
-    caps = [_entry_max(M), 1, 1]  # >= max|entry| of M, L, R
-
-    def add(which, X, targets, q, most, p):
-        """X[targets] += q * X[p], X = (M, L, R)[which] or its transpose,
-        most = max|q|."""
-        caps[which] *= 1 + most
-        if caps[which] >= 2 ** 63 and X.dtype != object and (
-            most * _entry_max(X[p]) + _entry_max(X[targets]) >= 2 ** 63
-        ):
-            X = X.astype(object)
-        X[targets] += q.astype(X.dtype, copy=False)[:, None] * X[p]
-        return X
-
-    def eliminate(k: int) -> bool:
-        """Clear row and column k; False when M[k:, k:] is all zero."""
-        nonlocal M, L, R
-        while True:
-            pos = _pivot_position(M, k)
-            if pos is None:
-                return False
-            i, j = pos
-            if i != k:
-                M[[k, i]] = M[[i, k]]
-                L[[k, i]] = L[[i, k]]
-            if j != k:
-                M[:, [k, j]] = M[:, [j, k]]
-                R[:, [k, j]] = R[:, [j, k]]
-            if M[k, k] < 0:
-                M[k] = -M[k]
-                L[k] = -L[k]
-            pivot = M[k, k]
-            q = -(M[k + 1:, k] // pivot)
-            hit = np.flatnonzero(q)
-            if len(hit):
-                update = (hit + k + 1, q[hit], _entry_max(q), k)
-                M = add(0, M, *update)
-                L = add(1, L, *update)
-            if np.any(M[k + 1:, k] != 0):
-                continue
-            q = -(M[k, k + 1:] // pivot)
-            hit = np.flatnonzero(q)
-            if len(hit):
-                update = (hit + k + 1, q[hit], _entry_max(q), k)
-                M = add(0, M.T, *update).T
-                R = add(2, R.T, *update).T
-            if np.any(M[k, k + 1:] != 0):
-                continue
-            return True
-
+    M = A.tolist()
+    wide = A.dtype == object and max(map(abs, chain.from_iterable(M)), default=0) >= 2 ** 63
+    L, R = [{i: 1} for i in range(nrows)], [{j: 1} for j in range(ncols)]
     rank = 0
-    for k in range(min(nrows, ncols)):
-        if not eliminate(k):
-            break
+    while rank < min(nrows, ncols) and _eliminate_at(M, L, R, rank):
         rank += 1
-
-    # Enforce the divisibility chain d_1 | d_2 | ... with tracked operations.
-    # Re-eliminating at i can fill M[i + 1:, i + 1:] again, so every later
-    # position is eliminated anew.
-    done = False
-    while not done:
-        done = True
-        for i in range(rank - 1):
-            if M[i + 1, i + 1] % M[i, i]:
-                update = (np.array([i]), np.ones(1, dtype=np.int64), 1, i + 1)
-                M = add(0, M.T, *update).T
-                R = add(2, R.T, *update).T
-                for k in range(i, rank):
-                    eliminate(k)
-                done = False
-                break
+    _enforce_divisibility(M, L, R, rank)
     for i in range(rank):
-        if M[i, i] < 0:  # gcd steps can leave a sign behind the pivot
-            M[i] = -M[i]
-            L[i] = -L[i]
+        if M[i][i] < 0:  # gcd steps can leave a sign behind the pivot
+            M[i], L[i] = [-v for v in M[i]], {c: -v for c, v in L[i].items()}
 
-    factors = tuple(int(M[i, i]) for i in range(rank))
+    factors = tuple(int(M[i][i]) for i in range(rank))
+    fits = not wide and max(map(abs, chain.from_iterable(M)), default=0) < 2 ** 63
+    D = np.array(M, dtype=np.int64 if fits else object).reshape(A.shape)
+    left, right = _from_lines(L), np.ascontiguousarray(_from_lines(R).T)
     if not all(d > 0 for d in factors):
         raise AssertionError("invariant factor is not positive")
-    if np.count_nonzero(M) != rank:
+    if np.count_nonzero(D) != rank:
         raise AssertionError("the reduced matrix is not diagonal")
     if not all(factors[i + 1] % factors[i] == 0 for i in range(rank - 1)):
         raise AssertionError("invariant factors do not form a divisibility chain")
-    if not np.array_equal(_exact_matmul(_exact_matmul(L, original), R), M.astype(object)):
+    if not np.array_equal(_exact_matmul(_exact_matmul(left, A), right), D):
         raise AssertionError("transform check failed")
-    return SmithDecomposition(
-        invariant_factors=factors,
-        rank=rank,
-        left=L,
-        right=R,
-        diagonal=M,
-    )
+    return SmithDecomposition(factors, rank, left, right, D)
 
 
 # ------------------------------------------- sparse unit-pivot reduction
@@ -597,17 +601,12 @@ def smith_invariants(
     """(rank, invariant factors) of an integer matrix, without transforms.
 
     Two phases: sparse elimination of the +-1 pivots (each contributes an
-    invariant factor 1), then the dense `smith_normal_form`, which keeps
-    its own transform check, of the residual's distinct rows up to sign.
-    Equal to the rank and invariant factors of `smith_normal_form(matrix)`.
+    invariant factor 1), then `smith_normal_form`, which keeps its own
+    transform check, of the residual's distinct rows up to sign.  Equal to
+    the rank and invariant factors of `smith_normal_form(matrix)`.
+    ValueError for an entry that is not an integer.
     """
-    if isinstance(matrix, np.ndarray) and matrix.dtype == np.int64:
-        A = matrix
-    else:
-        A = np.array(matrix, dtype=object)
-    if A.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    units, residual = _unit_pivot_residual(A)
+    units, residual = _unit_pivot_residual(_integer_matrix(matrix))
     distinct, at, source = _distinct_rows(residual)
     # two gathers: every residual row is +-1 times a distinct row and every
     # distinct row +-1 times a residual row, so both span one lattice and

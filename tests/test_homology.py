@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -39,6 +40,7 @@ from ddks.invariants import fibration_data, with_homology
 from ddks.structures import DDKStructure, StructureType, example_structure
 from ddks.symplectic import enumerate_reduced_structures, induced_space, lift_reduced
 from optimizetools import raised_under_optimize
+import snftools
 
 # (reduced structure, lift mask) pairs of the benchmark's fixed H1 panel
 H1_PANEL = ((0, 0x00), (2880, 0x5A), (5760, 0xA5))
@@ -322,17 +324,22 @@ def test_snf_matches_gcd_of_minors(size):
             assert _minor_gcd(A, snf.rank + 1) == 0
 
 
+# The divisibility fix at position 2 used to refill the 3 x 3 block below
+# it without eliminating it again, and the diagonal of that block gave
+# (1, 1, 2, 2, 19128), whose product is twice |det|.
+DIVISIBILITY_FIX = [
+    [6, 12, 6, 2, 6],
+    [0, 0, 0, 2, -2],
+    [0, 5, 0, 12, 12],
+    [5, 12, 0, -2, 12],
+    [12, 0, -9, 2, 0],
+]
+HUGE = [[2 ** 40, 3], [5, 2 ** 40]]
+HUGE_WITH_UNITS = [[1, 2 ** 70, 0], [2, 3, 2 ** 65], [0, 1, 5], [-1, 4, 2 ** 64]]
+
+
 def test_snf_rediagonalizes_after_a_divisibility_fix():
-    # The divisibility fix at position 2 used to refill the 3 x 3 block
-    # below it without eliminating it again, and the diagonal of that block
-    # gave (1, 1, 2, 2, 19128), whose product is twice |det|.
-    A = [
-        [6, 12, 6, 2, 6],
-        [0, 0, 0, 2, -2],
-        [0, 5, 0, 12, 12],
-        [5, 12, 0, -2, 12],
-        [12, 0, -9, 2, 0],
-    ]
+    A = DIVISIBILITY_FIX
     snf = smith_normal_form(A)
     assert np.count_nonzero(snf.diagonal) == snf.rank == 5
     product = 1
@@ -341,10 +348,132 @@ def test_snf_rediagonalizes_after_a_divisibility_fix():
         assert product == _minor_gcd(A, k)
 
 
+def _assert_matches_numpy_oracle(A):
+    """The Python-int SNF equals the numpy one of `snftools` entry for
+    entry, with the same dtypes."""
+    got, want = smith_normal_form(A), snftools.smith_normal_form(A)
+    assert (got.rank, got.invariant_factors) == (want.rank, want.invariant_factors)
+    for name in ("left", "right", "diagonal"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
+
+
+def test_snf_matches_numpy_oracle_on_small_matrices():
+    rng = random.Random(22)
+    for _ in range(200):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        _assert_matches_numpy_oracle([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize(
+    "A",
+    [DIVISIBILITY_FIX, HUGE, HUGE_WITH_UNITS, np.zeros((0, 3), dtype=np.int64),
+     np.zeros((3, 0), dtype=np.int64)],
+    ids=["divisibility-fix", "huge", "huge-with-units", "0x3", "3x0"],
+)
+def test_snf_matches_numpy_oracle_on_edge_cases(A):
+    _assert_matches_numpy_oracle(A)
+
+
+@pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
+def test_snf_matches_numpy_oracle_on_distinct_rows(label):
+    # phase two's input on each group's example structure
+    g = realize_label(label)
+    p = orbifold_presentation(2, 2)
+    hom = Homomorphism(p, g, example_structure(g).elements)
+    residual = _unit_pivot_residual(abelianized_relator_matrix(p, hom, schreier_transversal(hom)))[1]
+    D = _distinct_rows(residual)[0]
+    assert D.dtype == np.int64 and len(D) in (42, 123)
+    _assert_matches_numpy_oracle(D)
+
+
+@pytest.mark.parametrize(
+    "function", [smith_normal_form, smith_invariants, integer_determinant],
+    ids=["snf", "invariants", "determinant"],
+)
+@pytest.mark.parametrize("bad", [1.5, 2.0, "2", Fraction(3, 2)], ids=["float", "whole-float", "str", "Fraction"])
+def test_non_integer_entries_are_refused(function, bad):
+    # each entry used to be truncated or carried along: [[1.5, 0], [0, 2]]
+    # gave the factors (1, 2) and the determinant 2
+    with pytest.raises(ValueError, match="is not an integer"):
+        function([[bad, 0], [0, 2]])
+    with pytest.raises(ValueError, match="is not an integer"):
+        function(np.array([[bad, 0], [0, 2]], dtype=object))
+
+
+def test_numpy_integer_entries_are_accepted():
+    for A in ([[np.int64(2), 0], [0, np.uint8(3)]], np.array([[2, 0], [0, 3]], dtype=np.int32)):
+        assert smith_normal_form(A).invariant_factors == (1, 6)
+        assert smith_invariants(A) == (2, (1, 6))
+        assert integer_determinant(A) == 6
+    assert smith_normal_form(np.array([[2 ** 63]], dtype=np.uint64)).diagonal.dtype == object
+
+
+@pytest.mark.parametrize("call", ["smith_normal_form", "smith_invariants", "integer_determinant"])
+def test_non_integer_entries_are_refused_under_optimize(call):
+    snippet = f"import ddks.homology as h\nh.{call}([[1.5, 0], [0, 2]])"
+    assert raised_under_optimize(snippet) == "ValueError matrix entry 1.5 is not an integer"
+
+
+SNF_MUTANT = """
+import ddks.homology as h
+
+real_eliminate, real_matmul = h._eliminate_at, h._exact_matmul
+{mutant}
+h.smith_normal_form({matrix})
+"""
+
+
+# Each mutant breaks what one of the four final checks guards, and that
+# check, the first of the four to see the break, must raise.
+@pytest.mark.parametrize(
+    "mutant, matrix, message",
+    [
+        # a pivot lost after its row and column were cleared: factors (2, 0)
+        pytest.param(
+            "def lossy(M, L, R, k):\n"
+            "    done = real_eliminate(M, L, R, k)\n"
+            "    if k == 1:\n"
+            "        M[1][1] = 0\n"
+            "    return done\n"
+            "h._eliminate_at = lossy",
+            [[2, 0], [0, 4]], "invariant factor is not positive", id="positive",
+        ),
+        # an entry left beside the first pivot
+        pytest.param(
+            "def leaky(M, L, R, k):\n"
+            "    done = real_eliminate(M, L, R, k)\n"
+            "    if k == 0:\n"
+            "        M[0][1] = 1\n"
+            "    return done\n"
+            "h._eliminate_at = leaky",
+            [[2, 0], [0, 4]], "the reduced matrix is not diagonal", id="diagonal",
+        ),
+        # no divisibility fix: factors (2, 3) instead of (1, 6)
+        pytest.param(
+            "h._enforce_divisibility = lambda M, L, R, rank: None",
+            [[2, 0], [0, 3]], "invariant factors do not form a divisibility chain", id="chain",
+        ),
+        # a product with one entry off by one
+        pytest.param(
+            "def off_by_one(X, Y):\n"
+            "    product = real_matmul(X, Y).copy()\n"
+            "    product[0, 0] += 1\n"
+            "    return product\n"
+            "h._exact_matmul = off_by_one",
+            [[2, 0], [0, 4]], "transform check failed", id="transform",
+        ),
+    ],
+)
+def test_snf_checks_survive_optimize(mutant, matrix, message):
+    snippet = SNF_MUTANT.format(mutant=mutant, matrix=matrix)
+    assert raised_under_optimize(snippet) == "AssertionError " + message
+
+
 # ------------------------------------------- unit-pivot reduction oracle
 
 def _dense_oracle(A) -> tuple[int, tuple[int, ...]]:
-    snf = smith_normal_form(A)
+    snf = snftools.smith_normal_form(A)
     return snf.rank, snf.invariant_factors
 
 
@@ -366,8 +495,8 @@ def test_reduction_matches_dense_snf_on_random_sparse():
         [[0, 0, 0], [0, 0, 0]],
         [[0, 2, -1, 3, 1]],
         [[2, 4, 0], [6, -2, 2], [0, 4, 8]],
-        [[2 ** 40, 3], [5, 2 ** 40]],
-        [[1, 2 ** 70, 0], [2, 3, 2 ** 65], [0, 1, 5], [-1, 4, 2 ** 64]],
+        HUGE,
+        HUGE_WITH_UNITS,
     ],
     ids=["zero", "one-row", "no-unit", "huge", "huge-with-units"],
 )
