@@ -116,7 +116,8 @@ def orbit_count(
     The lemma's premises are checked, and a failed one raises
     FreenessError:
 
-    (a) the rows of `auts` are pairwise distinct;
+    (a) the rows of `auts` are pairwise distinct and include the
+        identity, as a group's do (so `auts` is not empty);
     (b) each is multiplicative on the Cayley table of G;
     (c) each checked row generates G.
 
@@ -134,6 +135,8 @@ def orbit_count(
     if freeness == "sample" and sample_size < len(rows):
         checked = rows[np.linspace(0, len(rows) - 1, sample_size).astype(np.int64)]
     perms = auts[np.lexsort(auts.T[::-1])]
+    if not (perms == np.arange(G.order)).all(axis=1).any():
+        raise FreenessError("the automorphisms do not include the identity")
     if not (perms[1:] != perms[:-1]).any(axis=1).all():
         raise FreenessError("two automorphisms have the same permutation")
     cayley = G.table  # uint8, as the permutations are: order <= 256

@@ -199,13 +199,23 @@ class FiniteGroup:
         return q, proj.tolist()
 
     def join_closure(self, atoms: Iterable[Iterable[int]]) -> set[frozenset[int]]:
-        """The trivial subgroup and every join of the subgroups `atoms`."""
+        """The trivial subgroup and every join of the subgroups `atoms`.
+
+        The join of H and A is the product set HA when HA = AH, since HA
+        is then a subgroup, as it always is for normal subgroups; else a
+        BFS generates it."""
+        def join(h: frozenset[int], a: frozenset[int]) -> frozenset[int]:
+            ha = frozenset(self.table[list(h)][:, list(a)].ravel().tolist())
+            if ha == frozenset(self.table[list(a)][:, list(h)].ravel().tolist()):
+                return ha
+            return frozenset(self.subgroup_generated(h | a))
+
         atoms = {frozenset(a) for a in atoms}
         found = {frozenset({0})} | atoms
         frontier = list(atoms)
         while frontier:
             h = frontier.pop()
-            new = {frozenset(self.subgroup_generated(h | a)) for a in atoms if not a <= h} - found
+            new = {join(h, a) for a in atoms if not a <= h} - found
             found |= new
             frontier += new
         return found

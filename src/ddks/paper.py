@@ -43,6 +43,7 @@ from .structures import (
     generation_mask_filter,
     inner_automorphism_table,
     iter_prestructure_tuples,
+    prestructure_relations,
     prestructure_report,
     reference_prestructures,
     structure_rows,
@@ -104,6 +105,10 @@ SMALL_GROUP_SOURCES = {
     "D8": "gens: r s\nrel: r^4\nrel: s^2\nrel: s r s^-1 r",
     "Q8": "gens: i j\nrel: i^4\nrel: j^2 i^-2\nrel: j i j^-1 i",
 }
+
+# Under (R1)-(R5) and (T1)-(T5) alone, S3 and D8 have these many rows.
+SUBSET_LABELS = tuple(f"{kind}{i}" for kind in "RT" for i in range(1, 6))
+SUBSET_ROWS = {"S3": 648, "D8": 24576}
 
 
 class Rows:
@@ -320,6 +325,14 @@ def check_property_suites(rows: Rows, quick: bool):
         if engine != reference:
             return False, {"prestructure_oracle": name}
         oracle_counts[name] = len(reference)
+    # no group of order <= 8 has a prestructure, so the lists above are
+    # empty; under a relator subset these groups have rows to compare
+    subset = tuple((label, w) for label, w in prestructure_relations() if label in SUBSET_LABELS)
+    for name, count in SUBSET_ROWS.items():
+        g = realize(parse_presentation(SMALL_GROUP_SOURCES[name]))
+        engine = sorted(iter_prestructure_tuples(g, mode="full", relators=subset))
+        if len(engine) != count or engine != reference_prestructures(g, subset):
+            return False, {"prestructure_oracle": name, "relators": list(SUBSET_LABELS)}
     return True, {
         "snf_matrices": n_matrices,
         "parallelogram_pairs": pairs // len(ORDER32),

@@ -20,6 +20,16 @@ AND of masks from one table C[v, d] = {x : x v x^-1 = d}.  Bits expand in
 ascending order under their parent, so rows come out in depth-first order
 whatever the chunk size.
 
+Each such test runs at the first level whose columns have V and D
+assigned, often before x's own level (forward checking; Haralick and
+Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", 1980).  There it ANDs into a pending mask for x that the
+column's children inherit, and a column is dropped as soon as one of its
+pending masks is empty.  No row is dropped or reordered by this: V and D
+take the same values in every descendant, so x's level expands exactly
+the AND it would have computed itself, and a column with an empty mask has
+no completion.
+
 `structure_rows` searches one row per Inn(G)-orbit, the least in slot
 order (McKay's minimal images): a column carries the uint64 mask of the
 inner automorphisms that fix its prefix, and a slot value x survives only
@@ -446,16 +456,27 @@ def _at(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Level:
-    """The relators that close at `slot`, as a program of gathers.  Step
-    (op, i, j) appends inv[reg i], or mul / conj at (reg i, reg j), to the
-    registers (nine slots, then `_ONE`); test (v, d, upto) ANDs C[reg v,
-    reg d] into the candidates once steps[:upto] have run."""
+class _Program:
+    """The tests on one target slot that run at one level, as gathers.
+    Step (op, i, j) appends inv[reg i], or mul / conj at (reg i, reg j),
+    to the registers (nine slots, then `_ONE`); test (v, d, upto) ANDs
+    C[reg v, reg d] into the target's candidates once steps[:upto] have
+    run.  `reads` are the slot registers the program reads."""
 
-    slot: int
+    target: int  # the index of the target slot's level in the plan
     labels: tuple[str, ...]
     steps: tuple[tuple[str, int, int], ...]
     tests: tuple[tuple[int, int, int], ...]
+    reads: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The level that assigns `slot`, and the programs that run on the
+    columns reaching it, for this slot and later ones, cheapest first."""
+
+    slot: int
+    programs: tuple[_Program, ...]
 
 
 @lru_cache(maxsize=None)
@@ -464,14 +485,18 @@ def _search_plan(relators: tuple[tuple[str, Word], ...]) -> tuple[_Level, ...]:
 
     A relator closes at its last-assigned slot x (r11 and z come first),
     where it must read U x^e V x^-e W with e = +-1 and no other x; it then
-    holds iff x^e V x^-e = (WU)^-1.  Raises ValueError otherwise.
+    holds iff x^e V x^-e = (WU)^-1, a test on x.  Raises ValueError
+    otherwise.  The test runs at the first level whose columns have every
+    slot of V and D assigned, which may come before x's own level: there
+    it ANDs into x's pending mask (forward checking).
     """
-    closing: dict[int, list] = {slot: [] for slot in _LEVEL_SLOTS}
+    order = (_R11, _Z) + _LEVEL_SLOTS
+    cases: list[dict[int, list]] = [{} for _ in _LEVEL_SLOTS]
     for label, rel in relators:
         lets = rel.letters
-        x = max({abs(l) - 1 for l in lets}, key=((_R11, _Z) + _LEVEL_SLOTS).index)
+        x = max({abs(l) - 1 for l in lets}, key=order.index)
         at = [i for i, l in enumerate(lets) if abs(l) == x + 1]
-        if x not in closing or len(at) != 2 or lets[at[0]] != -lets[at[1]]:
+        if x not in _LEVEL_SLOTS or len(at) != 2 or lets[at[0]] != -lets[at[1]]:
             raise ValueError(f"relator {label} is not U x^e V x^-e W at its last slot")
         p, q = at
         v, d = Word(lets[p + 1:q]), Word(lets[q + 1:] + lets[:p]).inverse()
@@ -479,12 +504,21 @@ def _search_plan(relators: tuple[tuple[str, Word], ...]) -> tuple[_Level, ...]:
             v, d = v.inverse(), d.inverse()  # the same x, with fewer inverse gathers
         if lets[p] < 0:
             v, d = d, v  # x^-1 V x = D is x D x^-1 = V
-        closing[x].append((len(v) + len(d), label, v, d))
-    return tuple(_compile_level(slot, closing[slot]) for slot in _LEVEL_SLOTS)
+        # level i's columns have r11, z and the slots of levels below i
+        known = max([0] + [order.index(abs(l) - 1) - 1 for l in v.letters + d.letters])
+        target = order.index(x) - 2
+        cases[known].setdefault(target, []).append((len(v) + len(d), label, v, d))
+    levels = []
+    for slot, here in zip(_LEVEL_SLOTS, cases):
+        programs = [_compile_level(target, here[target]) for target in sorted(here)]
+        programs.sort(key=lambda program: len(program.steps))  # so a dead level stops early
+        levels.append(_Level(slot, tuple(programs)))
+    return tuple(levels)
 
 
-def _compile_level(slot: int, cases: list) -> _Level:
-    """The level for the tests (cost, label, V, D): x V x^-1 = D."""
+def _compile_level(target: int, cases: list) -> _Program:
+    """The program for the tests (cost, label, V, D) on the slot x of
+    level `target`: x V x^-1 = D."""
     cases.sort(key=lambda c: c[0])  # cheapest first, so a dead level stops early
     steps: dict[tuple[str, int, int], int] = {}  # each step and its register, in order
 
@@ -508,26 +542,34 @@ def _compile_level(slot: int, cases: list) -> _Level:
         return acc
 
     tests = [(word(v.letters), word(d.letters), len(steps)) for _, _, v, d in cases]
-    return _Level(slot, tuple(c[1] for c in cases), tuple(steps), tuple(tests))
+    operands = [r for op, i, j in steps for r in ((i,) if op == "inv" else (i, j))]
+    reads = sorted({r for r in operands + [r for v, d, _ in tests for r in (v, d)] if r <= _ONE})
+    return _Program(target, tuple(c[1] for c in cases), tuple(steps), tuple(tests), tuple(reads))
 
 
-def _candidate_masks(
-    tab: _Tables, level: _Level, f: np.ndarray, masks: np.ndarray | None
-) -> np.ndarray:
-    """The bitmask of admissible values of `level.slot` for each column,
-    within `masks` if given."""
-    regs = [*f.astype(np.uint16), np.zeros(f.shape[1], dtype=np.uint16)]
-    if masks is None:
-        masks = np.full(f.shape[1], tab.C[0])  # every x fixes the identity
-    done = 0
-    for v, d, upto in level.tests:
-        if not masks.any():
-            break  # the rest of the steps would be wasted on dead columns
-        for op, i, j in level.steps[done:upto]:
-            regs.append(tab.inv[regs[i]] if op == "inv" else _at(getattr(tab, op), regs[i], regs[j]))
-        done = upto
-        masks &= _at(tab.C, regs[v], regs[d])
-    return masks
+def _candidate_masks(tab: _Tables, level: _Level, f: np.ndarray, pending: dict) -> bool:
+    """Run the programs of `level` on the columns of f, each ANDing its
+    tests into `pending[program.target]` (every element if absent).
+    False as soon as some target's mask is empty in every column."""
+    n = f.shape[1]
+    slots: list = [None] * (_ONE + 1)
+    for program in level.programs:
+        for s in program.reads:  # only the slots a program reads become uint16
+            if slots[s] is None:
+                slots[s] = np.zeros(n, dtype=np.uint16) if s == _ONE else f[s].astype(np.uint16)
+        regs = slots.copy()
+        if program.target not in pending:
+            pending[program.target] = np.full(n, tab.C[0])  # every x fixes the identity
+        masks = pending[program.target]
+        done = 0
+        for v, d, upto in program.tests:
+            for op, i, j in program.steps[done:upto]:
+                regs.append(tab.inv[regs[i]] if op == "inv" else _at(getattr(tab, op), regs[i], regs[j]))
+            done = upto
+            masks &= _at(tab.C, regs[v], regs[d])
+            if not masks.any():
+                return False  # the rest of the steps would be wasted on dead columns
+    return True
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -582,21 +624,46 @@ def _descend(
     plan: tuple[_Level, ...],
     f: np.ndarray,
     level: int,
+    pending: dict[int, np.ndarray],
     orbits: _OrbitTables | None = None,
     stab: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
-    """The completions of the columns of f.  With `orbits`, `stab` holds
-    each column's stabilizer, and a slot value x is kept only if no h in
-    it has h(x) < x; a chunk whose stabilizers are all the identity
-    descends without them, since every completion of it is least."""
+    """The completions of the columns of f.  `pending` maps this level
+    and later ones to each column's mask of the level's slot values that
+    pass the tests run so far (every value if absent).  The level runs
+    its programs, drops each column with an empty mask, expands its own
+    slot's mask, and hands the other masks down.  This drops or reorders
+    no row: a test reads only slots that a column shares with all its
+    descendants, so it gives each of them the mask it would give at the
+    target's own level, where the masks are ANDed anyway; and a column
+    with an empty mask has no completion.
+
+    With `orbits`, `stab` holds each column's stabilizer, and a slot value
+    x is kept only if no h in it has h(x) < x; a chunk whose stabilizers
+    are all the identity descends without them, since every completion of
+    it is least."""
     if level == len(plan):
         yield f
         return
-    masks = _candidate_masks(tab, plan[level], f, None if stab is None else orbits.least(stab))
-    live = masks != 0
-    f, masks = f[:, live], masks[live]
     if stab is not None:
-        stab = stab[live]
+        least = orbits.least(stab)
+        if level in pending:
+            least &= pending[level]
+        pending[level] = least
+    if not _candidate_masks(tab, plan[level], f, pending):
+        return
+    masks = pending.pop(level, None)
+    if masks is None:
+        masks = np.full(f.shape[1], tab.C[0])
+    live = masks != 0
+    for program in plan[level].programs:
+        if program.target != level:
+            live &= pending[program.target] != 0
+    if not live.all():
+        f, masks = f[:, live], masks[live]
+        pending = {t: m[live] for t, m in pending.items()}
+        if stab is not None:
+            stab = stab[live]
     counts = _popcount(masks)
     ends = np.cumsum(counts)
     slot = plan[level].slot
@@ -605,13 +672,14 @@ def _descend(
         done = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, done + _ROW_BUDGET, side="right")), start + 1)
         child = _expand(f[:, start:stop], masks[start:stop], counts[start:stop], slot)
+        later = {t: np.repeat(m[start:stop], counts[start:stop]) for t, m in pending.items()}
         child_stab = None
         if stab is not None:
             child_stab = np.repeat(stab[start:stop], counts[start:stop])
             child_stab &= orbits.fixers[child[slot]]
             if (child_stab == 1).all():
                 child_stab = None
-        yield from _descend(tab, plan, child, level + 1, orbits, child_stab)
+        yield from _descend(tab, plan, child, level + 1, later, orbits, child_stab)
         start = stop
 
 
@@ -636,7 +704,7 @@ def _genus2_blocks(
         cells, stab = cells[keep], stab[keep]
     f = np.zeros((9, len(cells)), dtype=np.uint8)
     f[_Z], f[_R11] = cells[:, 0], cells[:, 1]
-    yield from _descend(tab, _search_plan(relators), f, 0, orbits, stab)
+    yield from _descend(tab, _search_plan(relators), f, 0, {}, orbits, stab)
 
 
 def genus2_rows(
@@ -844,24 +912,32 @@ def prestructure_search_info(G: FiniteGroup, mode: str = "auto") -> Prestructure
 
 
 def iter_prestructure_tuples(
-    G: FiniteGroup, mode: str = "auto"
+    G: FiniteGroup,
+    mode: str = "auto",
+    relators: tuple[tuple[str, Word], ...] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Deterministic complete stream of prestructure tuples.
 
     Every yielded tuple has been re-verified (a search block at a time)
-    against the authoritative relation list.
+    against the authoritative relation list.  `relators`, (label, word)
+    pairs, replace that list in "full" mode (ValueError in another mode,
+    whose socle shortcut rests on the whole list).
     """
     if G.order > SEARCH_ORDER_CAP:
         raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-    for block in _prestructure_blocks(G, prestructure_search_info(G, mode)):
+    if relators is not None and mode != "full":
+        raise ValueError("a relator list needs mode 'full'")
+    for block in _prestructure_blocks(G, prestructure_search_info(G, mode), relators):
         yield from map(tuple, block.T.tolist())
 
 
 def _prestructure_blocks(
-    G: FiniteGroup, info: PrestructureSearchInfo
+    G: FiniteGroup,
+    info: PrestructureSearchInfo,
+    relators: tuple[tuple[str, Word], ...] | None = None,
 ) -> Iterator[np.ndarray]:
     """The stream as (9, k) blocks, each re-verified before it is yielded."""
-    rels = prestructure_relations()
+    rels = prestructure_relations() if relators is None else relators
     words = [w for _, w in rels]
     cells = ((z, r11) for z in info.z_candidates for r11 in range(G.order))
     for block in _genus2_blocks(G, cells, rels):
@@ -870,14 +946,20 @@ def _prestructure_blocks(
         yield block
 
 
-def reference_prestructures(G: FiniteGroup) -> list[tuple[int, ...]]:
+def reference_prestructures(
+    G: FiniteGroup, relators: tuple[tuple[str, Word], ...] | None = None
+) -> list[tuple[int, ...]]:
     """The sorted prestructures of a small group by `relator_join` over the
     columns z (of order >= 2), r11, t11, r21, t21, r22, t22, r12, t12: a
     search sharing no plan, table or mask with `_genus2_blocks`, to check
-    it.  Raises ValueError above `REFERENCE_FRONTIER_CAP` rows at a level."""
+    it.  `relators`, (label, word) pairs, replace the prestructure
+    relations.  Raises ValueError above `REFERENCE_FRONTIER_CAP` rows at a
+    level."""
     order = (_Z, _R11, _T11, _R21, _T21, _R22, _T22, _R12, _T12)
     column = {e * (slot + 1): e * (i + 1) for i, slot in enumerate(order) for e in (1, -1)}
-    relators = [Word(tuple(map(column.get, rel))) for _, rel in prestructure_relations()]
+    if relators is None:
+        relators = prestructure_relations()
+    relators = [Word(tuple(map(column.get, rel))) for _, rel in relators]
     zs = np.flatnonzero(G.orders >= 2)
     rows = relator_join(G, [zs] + [np.arange(G.order)] * 8, relators, REFERENCE_FRONTIER_CAP)
     return sorted(map(tuple, rows[:, np.argsort(order)].tolist()))

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 import ddks
-from ddks import automorphisms
+from ddks import automorphisms, paper
 from ddks.automorphisms import automorphism_group
 from ddks.group_core import EXPECTED_ORDER, catalog_labels, get_presentation, realize_label
 from ddks.invariants import chern_invariants, fibration_data, with_homology
@@ -26,6 +26,7 @@ from ddks.paper import (
     CENTER_ORDERS,
     CRITERIA,
     SMALL_GROUP_SOURCES,
+    SUBSET_LABELS,
     check_catalog,
     check_cct,
     check_homology,
@@ -246,3 +247,12 @@ def test_criterion_9_property_suites(rows_cache):
     assert names == [name for name, _ in CRITERIA]
     assert all(c["status"] == "pass" for c in results["criteria"])
     determinism.done()
+
+
+def test_property_suites_catch_a_reference_that_drops_its_last_row(monkeypatch, rows_cache):
+    # every order-8 comparison of full prestructures is empty; the relator
+    # subset gives S3 648 rows, so a lost row fails the check
+    reference = paper.reference_prestructures
+    monkeypatch.setattr(paper, "reference_prestructures", lambda G, *rest: reference(G, *rest)[:-1])
+    ok, details = check_property_suites(rows_cache, True)
+    assert not ok and details == {"prestructure_oracle": "S3", "relators": list(SUBSET_LABELS)}

@@ -288,6 +288,15 @@ def test_orbit_count_checks_the_automorphisms(H5, autsH, rows_cache, freeness):
         orbit_count(H5, rows, doubled, freeness=freeness)
 
 
+def test_orbit_count_needs_the_identity(H5, autsH, rows_cache):
+    # an empty table once divided by zero; every group holds the identity
+    rows = rows_cache.backtrack("G(32,49)")
+    assert (autsH[0] == np.arange(32)).all()
+    for auts in (autsH[:0], autsH[1:]):
+        with pytest.raises(FreenessError, match="identity"):
+            orbit_count(H5, rows, auts)
+
+
 def test_union_find_on_known_orbits(H5, autsH, rows_cache):
     rows = rows_cache.backtrack("G(32,49)")
     seeds = [rows[0], rows[len(rows) // 2], rows[-1]]

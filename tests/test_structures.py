@@ -18,7 +18,7 @@ from ddks.group_core import (
 )
 from ddks import certify, structures
 from ddks.automorphisms import automorphism_group
-from ddks.paper import SMALL_GROUP_SOURCES
+from ddks.paper import SMALL_GROUP_SOURCES, SUBSET_LABELS
 from ddks.group_core.catalog import extra_special_text
 from ddks.structures import (
     DDKStructure,
@@ -465,11 +465,10 @@ def test_reference_matches_the_scalar_oracle(name):
 def test_reference_matches_the_oracle_on_a_relator_subset(monkeypatch, name):
     # no small group has a prestructure; under R1-R5 and T1-T5 alone these
     # have 648 and 24 576 tuples, so the comparison sees every slot
-    part = tuple((label, w) for label, w in prestructure_relations() if int(label[1:]) <= 5)
-    monkeypatch.setattr(structures, "prestructure_relations", lambda: part)
-    monkeypatch.setitem(globals(), "prestructure_relations", lambda: part)
+    part = tuple((label, w) for label, w in prestructure_relations() if label in SUBSET_LABELS)
+    monkeypatch.setitem(globals(), "prestructure_relations", lambda: part)  # for the oracle
     G = realize(parse_presentation(SMALL_GROUP_SOURCES[name]))
-    found = reference_prestructures(G)
+    found = reference_prestructures(G, part)
     assert len(found) >= 600
     assert found == oracle_prestructures(G)
 
@@ -587,14 +586,23 @@ def test_plan_closes_each_relator_once_at_its_last_slot(relators):
     names = slot_names(2)
     plan = structures._search_plan(relators)
     assert [names[level.slot] for level in plan] == SEARCH_ORDER[2:]
-    placed = [(label, names[level.slot]) for level in plan for label in level.labels]
-    expected = [
-        (label, max((names[abs(l) - 1] for l in rel), key=SEARCH_ORDER.index))
-        for label, rel in relators
-    ]
+    placed = {}  # label -> [(its target slot, the level its test runs at)]
+    for i, level in enumerate(plan):
+        targets = [program.target for program in level.programs]
+        assert len(set(targets)) == len(targets) and all(t >= i for t in targets)
+        for program in level.programs:
+            assert len(program.tests) == len(program.labels) > 0
+            for label in program.labels:
+                placed.setdefault(label, []).append((names[plan[program.target].slot], i))
     assert len(placed) == len(relators) in (20, 22)
-    assert sorted(placed) == sorted(expected)
-    assert all(len(level.tests) == len(level.labels) for level in plan)
+    for label, rel in relators:
+        slots = {names[abs(l) - 1] for l in rel}
+        last = max(slots, key=SEARCH_ORDER.index)
+        # level i's columns hold r11, z and the slots of the levels below i
+        first = max([0] + [SEARCH_ORDER.index(s) - 1 for s in slots - {last}])
+        assert placed[label] == [(last, first)], label
+    # R7 reads r12, r21 and z, so it empties r22's candidates a level early
+    assert placed["R7"] == [("r22", SEARCH_ORDER.index("t12") - 2)]
 
 
 def test_plan_rejects_relators_it_cannot_solve():
@@ -603,6 +611,65 @@ def test_plan_rejects_relators_it_cannot_solve():
         structures._search_plan((("X", t21 * t21 * r11),))
     with pytest.raises(ValueError, match="relator Y"):
         structures._search_plan((("Y", commutator(r11, z)),))  # closes on a cell
+
+
+def test_a_column_with_an_empty_pending_mask_is_never_expanded(monkeypatch):
+    # on G(32,6) every partial tuple that reaches t12 dies at r22, and R7
+    # says so before t12 is expanded; every mask a level receives is live
+    G = realize_label("G(32,6)")
+    expanded, carried = set(), []
+    expand, descend = structures._expand, structures._descend
+
+    def spy_expand(f, masks, counts, slot):
+        expanded.add(slot_names(2)[slot])
+        return expand(f, masks, counts, slot)
+
+    def spy_descend(tab, plan, f, level, pending, *rest):
+        carried.extend(bool((m != 0).all()) for m in pending.values())
+        return descend(tab, plan, f, level, pending, *rest)
+
+    monkeypatch.setattr(structures, "_expand", spy_expand)
+    monkeypatch.setattr(structures, "_descend", spy_descend)
+    assert prestructure_report(G, "full").count == 0
+    assert expanded == {"t21", "r12", "t22", "t11", "r21"}
+    assert len(carried) > 10 and all(carried)
+
+
+# sha256 prefixes of the ordered streams, as uint8 rows, pinned before the
+# search ran its tests at the first level that knows their inputs
+SUBSET_STREAMS = [("S3", 648, "3f9ddf678dceb85c"), ("D8", 24576, "6a32703a711d3658"), ("Q8", 24576, "1e2419c93ad8fb07")]
+PREFIX_STREAMS = [("G(32,49)", "1d80ea762d04bb79"), ("G(32,50)", "963c73e9dc7e54f4")]
+REPRESENTATIVE_STREAMS = [("G(32,49)", "2fd030f06a6d3c43"), ("G(32,50)", "f950444ddefdd6e3")]
+
+
+def stream_digest(rows) -> str:
+    return hashlib.sha256(np.array(list(rows), dtype=np.uint8).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(("name", "count", "prefix"), SUBSET_STREAMS)
+def test_prestructure_stream_digest_on_a_relator_subset(name, count, prefix):
+    G = realize(parse_presentation(SMALL_GROUP_SOURCES[name]))
+    part = tuple((label, w) for label, w in prestructure_relations() if label in SUBSET_LABELS)
+    stream = list(iter_prestructure_tuples(G, "full", relators=part))
+    assert len(stream) == count
+    assert stream_digest(stream) == prefix
+    with pytest.raises(ValueError, match="mode 'full'"):
+        next(iter_prestructure_tuples(G, "socle", relators=part))
+
+
+@pytest.mark.parametrize(("label", "prefix"), PREFIX_STREAMS)
+def test_prestructure_stream_prefix_digest(label, prefix):
+    stream = islice(iter_prestructure_tuples(realize_label(label), "full"), 100000)
+    assert stream_digest(stream) == prefix
+
+
+@pytest.mark.parametrize(("label", "prefix"), REPRESENTATIVE_STREAMS)
+def test_inn_representative_stream_digest(label, prefix):
+    G = realize_label(label)
+    cells = [(z, r11) for z in G.elements() if G.element_order[z] == 2 for r11 in G.elements()]
+    rows = genus2_rows(G, cells, inner_automorphism_table(G))
+    assert len(rows) == 138240
+    assert stream_digest(rows) == prefix
 
 
 @pytest.mark.parametrize("part", [slice(0, 8), slice(8, 15), slice(15, 22)])
