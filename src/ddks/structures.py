@@ -65,7 +65,7 @@ from .group_core import (
     Word,
     commutator,
 )
-from .certify import bulk_relator_filter, relator_join
+from .certify import bulk_relator_filter, check_elements, relator_join
 
 SEARCH_ORDER_CAP = 64
 # Rows a level of `reference_prestructures` may hold (order 16: 15 * 16^4).
@@ -368,7 +368,7 @@ def maximal_subgroup_masks(G: FiniteGroup) -> list[int]:
 
 
 # Rows the generation filter, `pack_rows` and `unpack_keys` handle at a
-# time, so that each uint64 temporary (128 KB) stays in cache.
+# time, so that each temporary (at most uint64, 128 KB) stays in cache.
 _CHUNK = 1 << 14
 
 
@@ -376,23 +376,24 @@ def generation_mask_filter(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows (tuples of element indices) generate G.
 
     A tuple generates G iff it is not contained in any maximal subgroup.
-    Each element gets a uint64 whose bit j says it lies outside maximal
-    subgroup j, so a row generates G iff the OR over its entries has every
-    bit set.  Raises ValueError above 64 maximal subgroups; above order 64
-    `all_subgroup_masks` raises ValueError.
+    Each element gets a mask whose bit j says it lies outside maximal
+    subgroup j, in the smallest unsigned dtype with a bit per maximal
+    subgroup, so a row generates G iff the OR over its entries has every
+    bit set.  Raises ValueError above 64 maximal subgroups and for entries
+    that are not element indices of G; above order 64 `all_subgroup_masks`
+    raises ValueError.
     """
     maximal = maximal_subgroup_masks(G)
     if len(maximal) > 64:
         raise ValueError(f"generation masks hold 64 maximal subgroups, got {len(maximal)}")
-    if rows.size and (rows.min() < 0 or rows.max() >= G.order):
-        raise ValueError("element index out of range for the group")
+    check_elements(G, rows)
+    full = (1 << len(maximal)) - 1
     outside = np.array(
         [sum(1 << j for j, m in enumerate(maximal) if not m >> x & 1) for x in G.elements()],
-        dtype=np.uint64,
+        dtype=np.min_scalar_type(full),
     )
-    full = np.uint64((1 << len(maximal)) - 1)
     ok = np.empty(len(rows), dtype=bool)
-    acc = np.empty(min(_CHUNK, len(rows)), dtype=np.uint64)
+    acc = np.empty(min(_CHUNK, len(rows)), dtype=outside.dtype)
     part = np.empty_like(acc)
     for start in range(0, len(rows), _CHUNK):
         cols = rows[start:start + _CHUNK].T

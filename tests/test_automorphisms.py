@@ -207,8 +207,9 @@ def test_tuples_failing_the_relators_are_rejected(monkeypatch):
     # it is multiplicative only when y = x^2.
     src = "gens: x y\nrel: x^8\nrel: y x^-2"
     g = realize(parse_presentation(src))
+    join = ddks.automorphisms.relator_join
     monkeypatch.setattr(
-        ddks.certify, "bulk_relator_filter", lambda G, rows, rels: np.ones(len(rows), bool)
+        ddks.automorphisms, "relator_join", lambda G, images, rels, cap: join(G, images, [], cap)
     )
     with pytest.raises(AssertionError, match="homomorphism"):
         automorphism_group(g, parse_presentation(src))

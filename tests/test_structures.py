@@ -1,6 +1,7 @@
 import hashlib
 from functools import lru_cache
 from itertools import islice, product
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -225,13 +226,14 @@ def test_verify_structure_rejects_out_of_range_elements(H5):
     )
 
 
-def order64_group_and_lift() -> tuple[FiniteGroup, tuple[int, ...]]:
-    """G(32,49) x Z2 (an extra central involution), with the example
-    structure's words evaluated in it."""
+def product_group_and_lift(k: int = 2) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """G(32,49) x Z_k (an extra central generator of order k, an
+    involution by default), with the example structure's words evaluated
+    in it."""
     src = extra_special_text(2, 2, "H")
     p = parse_presentation(src)
     names = p.generators + ("w",)
-    rels = list(p.relators) + [Word((6, 6))]
+    rels = list(p.relators) + [Word((6,) * k)]
     for g in range(1, 6):
         rels.append(Word((g, 6, -g, -6)))
     big = realize(Presentation(names, tuple(rels)))
@@ -247,7 +249,7 @@ def order64_group_and_lift() -> tuple[FiniteGroup, tuple[int, ...]]:
 def test_generation_diagnostic():
     # embed the extra-special group in a direct product with an extra
     # central involution: all relations hold but the tuple cannot generate
-    big, lifted = order64_group_and_lift()
+    big, lifted = product_group_and_lift()
     assert big.order == 64
     ok, diag = verify_structure(big, lifted, T22)
     assert not ok and diag == "generation violated"
@@ -724,8 +726,8 @@ RELATOR_LISTS = {
 
 def certifier_group(label: str) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """The group, and rows of it that satisfy every structure relator."""
-    if label == "order 64":
-        G, lifted = order64_group_and_lift()
+    if label in ("order 64", "order 256"):
+        G, lifted = product_group_and_lift(int(label.split()[1]) // 32)
         return G, [lifted]
     if label == "Q8":
         return realize(parse_presentation(SMALL_GROUP_SOURCES[label])), []
@@ -762,7 +764,7 @@ def word_mask(G: FiniteGroup, rows: np.ndarray, relators) -> np.ndarray:
     )
 
 
-@pytest.mark.parametrize("label", ["S4", "Q8", "G(32,49)", "G(32,50)", "order 64"])
+@pytest.mark.parametrize("label", ["S4", "Q8", "G(32,49)", "G(32,50)", "order 64", "order 256"])
 def test_certifier_matches_word_evaluation(label):
     G, good = certifier_group(label)
     rows = certifier_rows(G, good, seed=11)
@@ -804,20 +806,115 @@ def test_certifier_edge_cases():
         bulk_relator_filter(G, rows[:, :2], [Word((1, 5))])
 
 
+def test_certifier_refuses_rows_that_are_not_integers(H5):
+    rows = np.array([example_structure(H5).elements]) + 0.5
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        bulk_relator_filter(H5, rows, relations_for_type(T22))
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        generation_mask_filter(H5, rows)
+    with pytest.raises(ValueError, match="must be integers, got dtype bool"):
+        bulk_relator_filter(H5, rows > 1, relations_for_type(T22))
+
+
+def stage_column(stage: certify.Stage, wide: int) -> int:
+    """The row column that wide register `wide` holds, shifted or not."""
+    if wide >= len(stage.loads):
+        wide = stage.shifts[wide - len(stage.loads)][0]
+    return stage.loads[wide]
+
+
 def test_certifier_program_shape():
-    relators = tuple(relations_for_type(T22))
-    columns, steps, tests = certify._relator_program(relators)
-    # the 140 letters take at most 40 table gathers, each reading earlier
-    # registers, and one equality test per relator
-    assert columns == 9 and len(tests) == 22
-    assert len(steps) <= 40
-    for k, (op, si, sj, i, j) in enumerate(steps, columns):
-        assert op in ("mul", "comm", "conj") and {si, sj} <= {1, -1}
-        assert 0 <= i < k and 0 <= j < k
-    assert all(0 <= i < columns + len(steps) for test in tests for i in test if i is not None)
-    # an inverse letter is a table operand, or compared as it stands
-    assert certify._relator_program((Word((-3,)),)) == (3, (), ((2, None),))
-    assert certify._relator_program((Word((1, -2)),)) == (2, (), ((0, 1),))
+    relators = relations_for_type(T22)
+    for s in (5, 6, 8):
+        width = certify.table_width(s)
+        assert width == (3 if s == 5 else 2)
+        program = certify._relator_program((tuple(relators),), width)
+        (stage,) = program.stages
+        assert program.columns == 9
+        wide = len(stage.loads) + len(stage.shifts)
+        assert all(i < len(stage.loads) and 1 <= m < width for i, m in stage.shifts)
+        for k, (table, operands) in enumerate(stage.steps):
+            # at most W earlier registers; register p at bits s * (width - 1 - p),
+            # so the packed index is below 2^(s * width) <= 2^16
+            assert len(operands) == table.width <= width and table.width * s <= 16
+            for p, (bank, i) in enumerate(operands):
+                shift = 0 if bank or i < len(stage.loads) else stage.shifts[i - len(stage.loads)][1]
+                assert shift == table.width - 1 - p
+                assert i < (k if bank else wide)
+                assert bank == 0 or p == table.width - 1  # a chain's previous value, packed last
+        # each relator over at most W columns sits in exactly one flags
+        # table, tested alone; each wider one has its own test of one or two
+        # values
+        flags = [k for k, (table, _) in enumerate(stage.steps) if table.flags]
+        folded = sorted(
+            tuple((stage_column(stage, operands[abs(l) - 1][1]) + 1) * (1 if l > 0 else -1) for l in w)
+            for table, operands in (stage.steps[k] for k in flags)
+            for w in table.words
+        )
+        narrow = [w.letters for w in relators if len({abs(l) for l in w.letters}) <= width]
+        assert folded == sorted(narrow), s
+        values = [t for t in stage.tests if not stage.steps[t[0]][0].flags]
+        assert sorted(stage.tests) == sorted([(k,) for k in flags] + values)
+        assert len(values) == len(relators) - len(narrow)
+        if s == 5:  # 11 flags tables, 13 value tables: 24 gathers, 18 tests
+            assert len(stage.steps) <= 25 and len(stage.tests) == 18
+    # an inverse letter is a one-column flags table
+    assert certify._relator_program(((Word((-3,)),),), 3) == certify.Program(
+        3, (certify.Stage((2,), (), ((certify.Table(1, ((-1,),), True), ((0, 0),)),), ((0,),)),)
+    )
+
+
+def step_indices(G: FiniteGroup, stage: certify.Stage, row: Sequence[int]) -> list[int]:
+    """The table index each step of `stage` reads on `row`, by the
+    stage's register semantics, one row at a time."""
+    s = certify.register_bits(G.order)
+    wide = [int(row[c]) for c in stage.loads]
+    wide += [wide[i] << s * m for i, m in stage.shifts]
+    narrow: list[int] = []
+    indices = []
+    for table, operands in stage.steps:
+        index = 0
+        for bank, i in operands:
+            index |= narrow[i] if bank else wide[i]
+        indices.append(index)
+        narrow.append(int(certify._group_table(G, s, table)[index]))
+    return indices
+
+
+def test_a_flipped_table_entry_is_caught(G5, monkeypatch):
+    relators = relations_for_type(T22)
+    row = np.array([example_structure(G5).elements], dtype=np.uint8)
+    assert word_mask(G5, row, relators).all() and bulk_relator_filter(G5, row, relators).all()
+    (stage,) = certify._relator_program((tuple(relators),), certify.table_width(5)).stages
+    tables = G5._certify_tables
+    for (table, _), index in zip(stage.steps, step_indices(G5, stage, row[0])):
+        original = tables[table]
+        flipped = original.copy()
+        flipped[index] ^= 1  # a flag set, or another element
+        monkeypatch.setitem(tables, table, flipped)
+        assert not bulk_relator_filter(G5, row, relators).any(), table
+        monkeypatch.setitem(tables, table, original)
+
+
+@pytest.mark.parametrize("label", ["S4", "G(32,50)"])
+def test_certifier_tables_match_word_evaluation(label):
+    G = realize_label(label)
+    s = certify.register_bits(G.order)
+    tables = {
+        table
+        for relators in RELATOR_LISTS.values()
+        for stage in certify._relator_program((tuple(relators),), certify.table_width(s)).stages
+        for table, _ in stage.steps
+    }
+    for table in tables:
+        flat = certify._group_table(G, s, table)
+        assert flat.dtype == np.uint8 and flat.shape == (1 << s * table.width,)
+        points = list(product(range(G.order), repeat=table.width))
+        index = [sum(x << s * (table.width - 1 - p) for p, x in enumerate(xs)) for xs in points]
+        values = [[G.evaluate_word(w, xs) for xs in points] for w in table.words]
+        want = np.array(values[0]) if not table.flags else np.any(np.array(values) != 0, axis=0)
+        assert np.array_equal(flat[index], want), table
+        assert not np.delete(flat, index).any(), table  # no element tuple packs there
 
 
 LETTERS = st.sampled_from([l for g in range(1, 10) for l in (g, -g)])
@@ -846,12 +943,15 @@ def hypothesis_rows(label: str) -> tuple[FiniteGroup, np.ndarray]:
     return G, certifier_rows(G, good, seed=17)
 
 
-@pytest.mark.parametrize("label", ["S4", "G(32,50)"])
+# s = 5 (tables over 3 registers), 6 and 8 (over 2, so sides of 3 columns
+# are chains; at s = 8 a packed index takes all 16 bits)
+@pytest.mark.parametrize("label", ["S4", "G(32,50)", "order 64", "order 256"])
 @settings(max_examples=60, deadline=None)
 @given(relators=st.lists(relator_words(), min_size=1, max_size=4))
 def test_certifier_matches_word_evaluation_on_random_words(label, relators):
     G, rows = hypothesis_rows(label)
     assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators))
+    G.__dict__.pop("_certify_tables", None)  # the random words' tables would pile up
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -926,6 +1026,9 @@ def test_relator_join_cases_with_a_known_answer():
         certify.relator_join(G, [elements] * 3, [], cap=100)
     with pytest.raises(ValueError, match="uses generator 3 of 2 columns"):
         certify.relator_join(G, [elements] * 2, [Word((1, -3))], cap=1 << 16)
+    for bad in (261, -255):  # as uint8, elements 5 and 1
+        with pytest.raises(ValueError, match="element index out of range for the group"):
+            certify.relator_join(G, [elements, np.array([0, bad])], [], cap=1 << 16)
 
 
 def test_structure_rows_determinism_across_jobs():
