@@ -9,7 +9,8 @@ for s the bit length of |G| - 1, so that a table index, the registers
 packed s bits apart, fits in uint16 (the Four Russians idea: Arlazarov,
 Dinic, Kronrod and Faradzev, 1970).  The program depends only on the
 relators and W, so groups share it; the tables are built once per group
-and cached on it.
+and cached on it.  Both caches have a fixed bound (`CACHED_PROGRAMS`,
+`CACHED_TABLES`).
 
 - A relator over at most W columns is a flags table over those columns,
   0 iff every relator folded into it is the identity; a relator whose
@@ -56,6 +57,11 @@ CERTIFY_ORDER_CAP = 256
 _CERTIFY_CHUNK = 1 << 14
 # Bits of a packed table index: the kernel packs into uint16.
 _INDEX_BITS = 16
+# Compiled programs kept, and tables kept per group (at most 64 KB each, at
+# order 256), oldest out first: `verify-paper` compiles 6 programs and
+# builds at most 20 tables per group, the benchmark's workloads fewer.
+CACHED_PROGRAMS = 64
+CACHED_TABLES = 64
 
 
 def register_bits(order: int) -> int:
@@ -222,7 +228,7 @@ def _stage(tests: list[tuple[_Key, ...]], order: dict) -> Stage:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_PROGRAMS)
 def _relator_program(groups: tuple[tuple[Word, ...], ...], width: int) -> Program:
     """The relator groups as a `Program` of tables over at most `width`
     registers, stage g certifying group g.  Steps are shared across
@@ -250,7 +256,8 @@ def _group_table(G: FiniteGroup, s: int, table: Table) -> np.ndarray:
     """`table` for G as a flat uint8 array of 2^(s * width) entries (those
     at no element tuple stay 0), cached on G.  Built by one gather over
     `G.table` per letter on the grid of all element tuples, register p
-    on axis p, so the C order of a (2^s, .., 2^s) array is the packing."""
+    on axis p, so the C order of a (2^s, .., 2^s) array is the packing.
+    G keeps the `CACHED_TABLES` latest built."""
     cache = G.__dict__.setdefault("_certify_tables", {})
     flat = cache.get(table)
     if flat is not None:
@@ -269,6 +276,8 @@ def _group_table(G: FiniteGroup, s: int, table: Table) -> np.ndarray:
     grid[(slice(n),) * k] = bad if table.flags else value
     flat = grid.reshape(-1)
     flat.flags.writeable = False
+    if len(cache) >= CACHED_TABLES:
+        del cache[next(iter(cache))]
     cache[table] = flat
     return flat
 
@@ -328,7 +337,7 @@ def check_elements(G: FiniteGroup, values: np.ndarray) -> None:
     """Raises ValueError unless `values` are integers in 0 .. |G| - 1."""
     if values.dtype.kind not in "iu":
         raise ValueError(f"element indices must be integers, got dtype {values.dtype}")
-    if values.size and (values.min() < 0 or values.max() >= G.order):
+    if values.size and ((values.dtype.kind == "i" and values.min() < 0) or values.max() >= G.order):
         raise ValueError("element index out of range for the group")
 
 

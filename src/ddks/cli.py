@@ -2,10 +2,8 @@
 
 JSON run reports go to standard output, human diagnostics to standard
 error.  Exit codes: 0 for pass/count, 1 for fail, 2 for usage errors.
-The environment variable DDK_COSETS overrides the coset-table cap used
-when realizing catalog presentations.  `verify-paper` runs the registry
-of the paper's criteria in `paper` and adds only the stderr timing table
-and the report.
+`verify-paper` runs the registry of the paper's criteria in `paper` and
+adds only the stderr timing table and the report.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .group import FiniteGroup, _coset_cap, realize
+from .group import FiniteGroup, realize
 from .presentation import Presentation, parse_presentation
 
 # -- extra-special groups ---------------------------------------------
@@ -680,14 +680,8 @@ def catalog() -> list[tuple[str, Presentation]]:
     return [(label, get_presentation(label)) for label in CATALOG_SOURCES]
 
 
-def realize_label(label: str) -> FiniteGroup:
-    # the coset cap `realize` reads from DDK_COSETS is part of the cache
-    # key, so a later change to the variable is honoured
-    return _realize_label(label, _coset_cap())
-
-
 @lru_cache(maxsize=None)
-def _realize_label(label: str, coset_cap: int) -> FiniteGroup:
+def realize_label(label: str) -> FiniteGroup:
     g = realize(get_presentation(label))
     expected = EXPECTED_ORDER[resolve_label(label)]
     if g.order != expected:

@@ -10,7 +10,6 @@ Conventions: ``[x, y] = x y x^-1 y^-1``; ``conjugate(x, g) = g x g^-1``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -20,10 +19,6 @@ import numpy as np
 from . import toddcox
 from .presentation import Presentation
 from .words import Word
-
-
-def _coset_cap() -> int:
-    return int(os.environ.get("DDK_COSETS", toddcox.DEFAULT_MAX_COSETS))
 
 
 class FiniteGroup:
@@ -324,10 +319,9 @@ def realize(p: Presentation) -> FiniteGroup:
     Enumerates cosets of the trivial subgroup (so cosets are exactly the
     group elements), then converts the regular action into a Cayley table.
     A degenerate presentation collapsing to the trivial group returns the
-    order-1 group, not an error.  The coset cap is DDK_COSETS, else
-    DEFAULT_MAX_COSETS.
+    order-1 group, not an error.  The coset cap is DEFAULT_MAX_COSETS.
     """
-    table = toddcox.coset_table(p.ngens, [r.letters for r in p.relators], _coset_cap())
+    table = toddcox.coset_table(p.ngens, [r.letters for r in p.relators])
     n = len(table)
     action = np.array(table, dtype=np.min_scalar_type(n - 1))
     # BFS from coset 0: a word (as column indices) reaching each coset d, and

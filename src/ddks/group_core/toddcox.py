@@ -18,8 +18,7 @@ class CosetEnumerationError(RuntimeError):
     def __init__(self, max_cosets: int):
         self.max_cosets = max_cosets
         super().__init__(
-            f"coset enumeration exceeded the cap of {max_cosets} live cosets; "
-            f"raise the cap (DDK_COSETS) if the index really is this large"
+            f"coset enumeration exceeded the cap of {max_cosets} live cosets"
         )
 
 

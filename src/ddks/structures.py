@@ -800,9 +800,11 @@ ROW_KEY_SHIFTS = np.arange(48, -1, -6, dtype=np.uint64)
 
 def pack_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     """The (N, 9) rows of elements of G as N uint64 keys (`ROW_KEY_SHIFTS`);
-    ValueError above order 64, whose elements do not fit in 6 bits."""
+    ValueError above order 64, whose elements do not fit in 6 bits, and for
+    entries that are not element indices of G."""
     if G.order > 64:
         raise ValueError(f"row keys pack elements below 64, got order {G.order}")
+    check_elements(G, rows)
     keys = np.empty(len(rows), dtype=np.uint64)
     field = np.empty(min(_CHUNK, len(rows)), dtype=np.uint64)
     for start in range(0, len(rows), _CHUNK):
@@ -831,7 +833,9 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def z_order_filter(G: FiniteGroup, rows: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask: rows whose last slot, z, has order n."""
+    """Boolean mask: rows whose last slot, z, has order n; ValueError for
+    entries that are not element indices of G."""
+    check_elements(G, rows)  # the whole rows: faster than one strided column
     return G.orders[rows[:, -1]] == n
 
 

@@ -1,13 +1,16 @@
 """The mod-center linear algebra of an extra-special 2-group.
 
 V = G/Z(G) is an F2 symplectic space: the pairing comes from commutators
-([x, y] = z^(u,v)) and the quadratic form from squares (x^2 = z^q(v)).
+([x, y] = z^(u,v)) and the quadratic form from squares (x^2 = z^q(v))
+(Winter, "The automorphism group of an extraspecial p-group", 1972).
 Structures of type (2, 2) are counted by enumerating their images in V
 ("reduced structures") and lifting each one in 2^8 ways.
 
 Vectors are bitmasks over the ordered basis (r̄1, t̄1, ..., r̄b, t̄b)
 given by the generator images; bit 2j is the r̄-coordinate, bit 2j+1 the
-t̄-coordinate of the j-th pair.
+t̄-coordinate of the j-th pair.  `SymplecticSpace` builds no quotient
+group: its pairing and form are G's commutators and squares, gathered at
+the least element over each vector.
 
 For b = 2 the 8 640 reduced structures are one uint8 array built by
 table code over the 16x16 pairing table: one mask over the 15^4
@@ -51,146 +54,80 @@ def aut_order(b: int, epsilon: int) -> int:
 
 
 class SymplecticSpace:
-    """V = G/Z(G) with pairing, quadratic form, projection and section."""
+    """V = G/Z(G) as read-only arrays from G's table: `projection_table[x]`
+    is the vector of x, `section_table[v]` the least element over v, and
+    `pair_table[u, v]` and `q_table[v]` are 1 where the commutator of the
+    lifts of u and v, and the square of the lift of v, are z.  It checks
+    that G is extra-special, that the generator images are an ordered
+    symplectic basis, and that the tables are an alternating, non-degenerate
+    pairing and its form, and give every element's commutators and square."""
 
     def __init__(self, G: FiniteGroup):
-        center = G.center()
+        T, n = G.table, G.order
+        rng = np.arange(n)
+        center = np.flatnonzero((T == T.T).all(axis=1))
         if len(center) != 2:
             raise ValueError("extra-special input needed: |Z(G)| must be 2")
         self.group = G
-        self.z_element = max(center)
-
-        # V must be elementary abelian; label cosets by the projection
-        quotient, proj = G.quotient(center)
-        if (quotient.orders > 2).any():
+        z = self.z_element = int(center[1])
+        squares = T[rng, rng]
+        commutators = T[T[T, G.inverses[:, None]], G.inverses]  # x y x^-1 y^-1
+        # G/Z(G) has exponent 2 iff every square is central; then every
+        # commutator is central too, and [G, G] is the set of the values
+        if not np.isin(squares, center).all():
             raise ValueError("G/Z(G) is not elementary abelian")
-        if set(G.derived_subgroup()) != set(center):
+        if np.flatnonzero(np.bincount(commutators.ravel(), minlength=n)).tolist() != [0, z]:
             raise ValueError("extra-special input needed: [G, G] must equal Z(G)")
-
-        # coordinates: basis vectors are the nonzero generator images
-        basis_cosets = [
-            proj[g] for g in G.generator_elements if proj[g] != 0
-        ]
-        dim = len(basis_cosets)
-        if quotient.order != 2**dim or dim % 2 != 0:
+        # coordinates: the i-th non-central generator flips bit i, z none
+        basis = [g for g in G.generator_elements if g not in (0, z)]
+        dim = len(basis)
+        if n != 2 ** (dim + 1) or dim % 2 != 0:
             raise ValueError("generator images do not give a basis of G/Z(G)")
-        self.dim = dim
-        self.b = dim // 2
-
-        coord = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for i, g in enumerate(basis_cosets):
-                    image = quotient.mul(y, g)
-                    v = coord[y] ^ (1 << i)
-                    if image in coord:
-                        if coord[image] != v:
-                            raise ValueError(
-                                "generator images do not give a basis of G/Z(G)"
-                            )
-                    else:
-                        coord[image] = v
-                        nxt.append(image)
-            frontier = nxt
-        if len(coord) != quotient.order:
-            raise ValueError("generator images do not generate G/Z(G)")
-
-        self._projection = [coord[proj[x]] for x in G.elements()]
-        section = [G.order] * (2**dim)
-        for x in G.elements():
-            v = self._projection[x]
-            if x < section[v]:
-                section[v] = x
-        self._section = section
-
-        # Gram matrix from commutators of the basis lifts
-        lifts = [section[1 << i] for i in range(dim)]
-
-        def comm_exp(x: int, y: int) -> int:
-            c = G.commutator(x, y)
-            if c == 0:
-                return 0
-            if c == self.z_element:
-                return 1
-            raise ValueError("commutator outside the center")
-
-        self.gram = [
-            [comm_exp(lifts[i], lifts[j]) for j in range(dim)]
-            for i in range(dim)
-        ]
-        expected = [
-            [
-                1 if (i // 2 == j // 2 and i != j) else 0
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-        if self.gram != expected:
-            raise ValueError(
-                "generator images are not an ordered symplectic basis"
-            )
-        # pair(u, v) = popcount(u & J v); J swaps each (r, t) bit pair
-        self._jtable = [self._apply_j(v) for v in range(2**dim)]
-        # the same pairing as one table, for the array code
-        parity = np.array([bin(w).count("1") & 1 for w in range(2**dim)], dtype=np.uint8)
-        jtable = np.array(self._jtable)
-        self.pair_table = parity[np.arange(2**dim)[:, None] & jtable[None, :]]
-        if self.pair_table.tolist() != [
-            [self.pair(u, v) for v in range(2**dim)] for u in range(2**dim)
-        ]:
-            raise AssertionError("pairing table disagrees with pair")
-
-        def square_exp(x: int) -> int:
-            s = G.mul(x, x)
-            if s == 0:
-                return 0
-            if s == self.z_element:
-                return 1
-            raise ValueError("square outside the center (exponent > 4)")
-
-        self.q_table = [square_exp(section[v]) for v in range(2**dim)]
-
-        # construction-time invariant checks
-        for v in range(2**dim):
-            if self.pair(v, v) != 0:
-                raise AssertionError("pairing is not alternating")
-        for v in range(1, 2**dim):
-            if all(self.pair(v, u) == 0 for u in range(2**dim)):
-                raise AssertionError("pairing is degenerate")
-        for u in range(2**dim):
-            for v in range(2**dim):
-                if (
-                    self.q_table[u ^ v]
-                    != (self.q_table[u] + self.q_table[v] + self.pair(u, v)) % 2
-                ):
-                    raise AssertionError("parallelogram law fails")
-        for x in G.elements():
-            for y in G.elements():
-                if self.pair(self._projection[x], self._projection[y]) != comm_exp(x, y):
-                    raise AssertionError("pairing disagrees with commutators")
-            if self.q_table[self._projection[x]] != square_exp(x):
-                raise AssertionError("form disagrees with squares")
-
-    def _apply_j(self, v: int) -> int:
-        out = 0
-        for j in range(self.b):
-            pair_bits = (v >> (2 * j)) & 3
-            out |= ((pair_bits >> 1) | ((pair_bits & 1) << 1)) << (2 * j)
-        return out
+        self.dim, self.b = dim, dim // 2
+        moves = [(g, 1 << i) for i, g in enumerate(basis)] + [(z, 0)]
+        coords = np.full(n, -1)
+        coords[0] = 0
+        for g, bit in moves:  # every x is g1^a1 .. gk^ak z^e: one pass labels G
+            known = np.flatnonzero(coords >= 0)
+            coords[T[known, g]] = coords[known] ^ bit
+        seen = coords >= 0  # all of G once the images are independent
+        if any((coords[T[seen, g]] != coords[seen] ^ bit).any() for g, bit in moves):
+            raise ValueError("generator images do not give a basis of G/Z(G)")
+        proj = self.projection_table = coords.astype(T.dtype)
+        lifts = self.section_table = np.zeros(2**dim, dtype=T.dtype)
+        lifts[coords] = np.minimum(rng, T[:, z])  # the fibre over x's vector is {x, xz}
+        pair = self.pair_table = (commutators[np.ix_(lifts, lifts)] == z).astype(np.uint8)
+        q = self.q_table = (squares[lifts] == z).astype(np.uint8)
+        for a in (proj, lifts, pair, q):
+            a.flags.writeable = False
+        bits = [1 << i for i in range(dim)]
+        self.gram = pair[np.ix_(bits, bits)].tolist()
+        # the J-form on the basis: r̄j and t̄j pair to 1, all else to 0
+        if self.gram != [[int(i ^ 1 == j) for j in range(dim)] for i in range(dim)]:
+            raise ValueError("generator images are not an ordered symplectic basis")
+        if pair.diagonal().any():
+            raise AssertionError("pairing is not alternating")
+        if not pair[1:].any(axis=1).all():
+            raise AssertionError("pairing is degenerate")
+        v = np.arange(2**dim)
+        if (q[v[:, None] ^ v] != q[:, None] ^ q ^ pair).any():
+            raise AssertionError("parallelogram law fails")
+        if (pair[np.ix_(proj, proj)] != (commutators == z)).any():
+            raise AssertionError("pairing disagrees with commutators")
+        if (q[proj] != (squares == z)).any():
+            raise AssertionError("form disagrees with squares")
 
     def pair(self, u: int, v: int) -> int:
-        return bin(u & self._jtable[v]).count("1") & 1
+        return self.pair_table.item(u, v)
 
     def q(self, v: int) -> int:
-        return self.q_table[v]
+        return self.q_table.item(v)
 
     def projection(self, x: int) -> int:
-        return self._projection[x]
+        return self.projection_table.item(x)
 
     def section(self, v: int) -> int:
-        return self._section[v]
+        return self.section_table.item(v)
 
     def vectors(self) -> range:
         return range(2**self.dim)
@@ -406,8 +343,7 @@ def symplectic_structure_rows(G: FiniteGroup) -> np.ndarray:
     """All type-(2,2) structures via the reduced-then-lift construction,
     as a lexicographically sorted (count, 9) array; bulk re-verified."""
     space = induced_space(G)
-    section = np.array([space.section(v) for v in space.vectors()], dtype=np.uint8)
-    base = section[reduced_structure_array(space)]
+    base = space.section_table[reduced_structure_array(space)]
     mulz = G.table[:, space.z_element]  # x -> x z, uint8 below order 256
     # Lift mask m takes slot i from mulz[base] where bit i of m is set: its
     # key is the base row's key with slot i's field XORed with base ^ mulz[base].

@@ -38,6 +38,7 @@ from ddks.paper import (
 )
 from ddks.structures import example_structure, prestructure_report
 from ddks.symplectic import aut_order, induced_space
+from goldentools import GOLDEN, report_text
 
 ORDER32 = ("G(32,49)", "G(32,50)")
 PRESTRUCTURE_FREE = (
@@ -234,11 +235,9 @@ def test_criterion_9_property_suites(rows_cache):
             text=True,
             check=True,
         )
-        report = json.loads(proc.stdout)
-        assert report["status"] == "pass"
-        report.pop("timing")
-        outputs.append(json.dumps(report, indent=2, sort_keys=True))
-    assert outputs[0] == outputs[1]
+        assert json.loads(proc.stdout)["status"] == "pass"
+        outputs.append(report_text(proc.stdout))
+    assert outputs[0] == outputs[1] == (GOLDEN / "verify_paper_quick.json").read_text()
     results = json.loads(outputs[0])["results"]
     assert results["mode"] == "quick"
     assert results["all_pass"] is True

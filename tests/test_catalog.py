@@ -2,7 +2,6 @@ import pytest
 
 from ddks.group_core import (
     EXPECTED_ORDER,
-    CosetEnumerationError,
     Homomorphism,
     catalog,
     catalog_labels,
@@ -35,13 +34,6 @@ def test_every_entry_realizes_to_advertised_order():
         assert g.order == EXPECTED_ORDER[label], label
         assert len(g.generator_elements) == pres.ngens
         assert not g.is_abelian, label
-
-
-def test_realize_label_honours_later_coset_cap(monkeypatch):
-    realize_label("G(32,49)")
-    monkeypatch.setenv("DDK_COSETS", "8")
-    with pytest.raises(CosetEnumerationError):
-        realize_label("G(32,49)")
 
 
 def test_g32_49_presentation_as_printed():

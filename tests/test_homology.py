@@ -1012,10 +1012,12 @@ from ddks.automorphisms import automorphism_group
 from ddks.group_core import get_presentation, realize_label
 from ddks.homology import h1_of_surface
 from ddks.structures import example_structure, inner_automorphism_table
+from ddks.symplectic import induced_space
 
 g = realize_label("G(32,49)")
 h1_of_surface(g, example_structure(g))
 inner_automorphism_table(g)
+induced_space(g)
 automorphism_group(g, get_presentation("G(32,49)"))
 print("numpy.ma" in sys.modules)
 """

@@ -48,6 +48,7 @@ from ddks.structures import (
     structure_to_dict,
     unpack_keys,
     verify_structure,
+    z_order_filter,
 )
 from ddks.symplectic import symplectic_structure_rows
 from optimizetools import raised_under_optimize
@@ -951,7 +952,20 @@ def hypothesis_rows(label: str) -> tuple[FiniteGroup, np.ndarray]:
 def test_certifier_matches_word_evaluation_on_random_words(label, relators):
     G, rows = hypothesis_rows(label)
     assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators))
-    G.__dict__.pop("_certify_tables", None)  # the random words' tables would pile up
+    assert len(G.__dict__.get("_certify_tables", ())) <= certify.CACHED_TABLES
+
+
+def test_certifier_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(certify, "CACHED_TABLES", 3)
+    G = realize(parse_presentation(extra_special_text(1, 2, "H")))  # nothing cached on it
+    rows = np.array(list(product(range(G.order), repeat=2)))
+    built = []
+    for k in range(2, 7):  # x^k, one flags table each
+        relators = [Word((1,) * k)]
+        assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators))
+        built += list(G._certify_tables.keys() - built)
+    assert len(built) == 5 and list(G._certify_tables) == built[-3:]  # oldest out first
+    assert certify._relator_program.cache_info().maxsize == certify.CACHED_PROGRAMS
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -1068,6 +1082,21 @@ def test_row_keys_sort_as_the_rows(monkeypatch, chunk):
     assert unpack_keys(pack_rows(G, rows[:0])).shape == (0, 9)
     with pytest.raises(ValueError, match="below 64, got order 65"):
         pack_rows(cyclic(65), rows)
+
+
+def test_row_keys_and_z_order_refuse_non_elements(H5):
+    """An entry of 70 used to pack as 6 and -1 as 63 in every field, and
+    z = -1 read the order of the last element."""
+    good = np.array([example_structure(H5).elements])
+    for bad in (70, -1, 32):
+        for column, check in ((0, lambda rows: pack_rows(H5, rows)), (8, lambda rows: z_order_filter(H5, rows, 2))):
+            rows = good.copy()
+            rows[0, column] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                check(rows)
+    with pytest.raises(ValueError, match="must be integers"):
+        pack_rows(H5, good.astype(float))
+    assert z_order_filter(H5, good, 2).tolist() == [True]
 
 
 def test_certify_tail_rejects_bad_and_repeated_rows(H5):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from textwrap import dedent
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ddks.symplectic import (
     symplectic_structure_rows,
     verify_reduced,
 )
+from optimizetools import raised_under_optimize
 from symplectictools import (
     arf_invariant,
     enumerate_symplectic_bases,
@@ -69,6 +71,124 @@ def test_space_rejects_non_extra_special():
         induced_space(d16)
 
 
+# Each constructor check in order, on an input that passes every check
+# before it.  The first six inputs are groups.  No group fails a later
+# check (commutators and squares are constant on the cosets of Z(G)), so
+# the other inputs are G(32,49) with forged arrays: an inverse table whose
+# flips by z add eta(x) + eta(y) to the commutator [x, y]; a table in
+# which 1 * 1 = z; and, for the squares, a table that answers the gather
+# of its diagonal with one forged square, since any table forged at x * x
+# also changes the commutator [x, x], which reads that entry.
+SPACE_CHECK_SETUP = """
+import copy
+import numpy as np
+from ddks.group_core import FiniteGroup, extra_special_text, parse_presentation, realize, realize_label
+from ddks.symplectic import SymplecticSpace
+
+g = realize_label("G(32,49)")
+space = SymplecticSpace(g)
+z, proj = space.z_element, space.projection_table
+
+
+def forged(table=None, eta=None):
+    h = copy.copy(g)
+    if table is not None:
+        h.table = table
+    if eta is not None:
+        h.inverses = np.where(eta, g.table[g.inverses, z], g.inverses)
+    return h
+"""
+
+SPACE_CHECKS = [
+    pytest.param(
+        'SymplecticSpace(realize_label("S4"))',
+        "ValueError extra-special input needed: |Z(G)| must be 2",
+        id="center",
+    ),
+    pytest.param(
+        'SymplecticSpace(realize(parse_presentation("gens: r s\\nrel: r^8\\nrel: s^2\\nrel: [s,r] r^-2")))',
+        "ValueError G/Z(G) is not elementary abelian",
+        id="exponent",
+    ),
+    pytest.param(
+        'SymplecticSpace(realize(parse_presentation("gens: x\\nrel: x^2")))',
+        "ValueError extra-special input needed: [G, G] must equal Z(G)",
+        id="derived",
+    ),
+    pytest.param(
+        "SymplecticSpace(FiniteGroup(g.table, (1, 2, 3, z)))",
+        "ValueError generator images do not give a basis of G/Z(G)",
+        id="basis-size",
+    ),
+    pytest.param(
+        "SymplecticSpace(FiniteGroup(g.table, (1, 2, 3, int(g.table[1, 3]), z)))",
+        "ValueError generator images do not give a basis of G/Z(G)",
+        id="basis-dependent",
+    ),
+    pytest.param(  # an extra-special group whose generator images pair r̄1 with bit 2
+        'text = extra_special_text(2, 2, "H").replace("gens: r1 t1 r2 t2 z", "gens: r1 r2 t1 t2 z")\n'
+        "SymplecticSpace(realize(parse_presentation(text)))",
+        "ValueError generator images are not an ordered symplectic basis",
+        id="symplectic-basis",
+    ),
+    pytest.param(
+        "t = g.table.copy()\nt[0, 0] = z\nSymplecticSpace(forged(table=t))",
+        "AssertionError pairing is not alternating",
+        id="alternating",
+    ),
+    pytest.param(
+        "SymplecticSpace(forged(eta=space.pair_table[15][proj]))",  # then 15 pairs to 0 with all of V
+        "AssertionError pairing is degenerate",
+        id="degenerate",
+    ),
+    pytest.param(
+        "SymplecticSpace(forged(eta=proj == 3))",  # then (3, 0) pairs to 1
+        "AssertionError parallelogram law fails",
+        id="parallelogram",
+    ),
+    pytest.param(
+        # one element that is not a section lift: the tables stay, its commutators move
+        "SymplecticSpace(forged(eta=np.arange(32) == g.table[space.section_table[3], z]))",
+        "AssertionError pairing disagrees with commutators",
+        id="commutators",
+    ),
+    pytest.param(
+        dedent("""
+            x0 = int(g.table[space.section_table[3], z])  # not a section lift
+
+
+            class Table(np.ndarray):
+                def __getitem__(self, index):
+                    out = np.asarray(self)[index]
+                    if isinstance(index, tuple) and all(
+                        isinstance(i, np.ndarray) and np.array_equal(i, np.arange(32)) for i in index
+                    ):
+                        out = out.copy()
+                        out[x0] = g.table[out[x0], z]
+                    return out
+
+
+            SymplecticSpace(forged(table=g.table.view(Table)))
+        """),
+        "AssertionError form disagrees with squares",
+        id="squares",
+    ),
+]
+
+
+@pytest.mark.parametrize("snippet, raised", SPACE_CHECKS)
+def test_space_checks_raise_in_order(snippet, raised):
+    kind, _, message = raised.partition(" ")
+    with pytest.raises((ValueError, AssertionError)) as info:
+        exec(SPACE_CHECK_SETUP + snippet, {})
+    assert (type(info.value).__name__, str(info.value)) == (kind, message)
+
+
+@pytest.mark.parametrize("snippet, raised", SPACE_CHECKS)
+def test_space_checks_survive_optimize(snippet, raised):
+    assert raised_under_optimize(SPACE_CHECK_SETUP + snippet) == raised
+
+
 def test_space_shape(spaceH, H5):
     assert spaceH.dim == 4 and spaceH.b == 2
     assert H5.element_order[spaceH.z_element] == 2
@@ -94,18 +214,26 @@ def test_gram_matrix_block_diagonal(spaceH, spaceG):
     assert spaceG.gram == expected
 
 
-def test_pairing_from_commutators_and_lift_independence(spaceH, H5):
-    z = spaceH.z_element
-    for x in range(0, 32, 3):
-        for y in range(0, 32, 5):
-            expected = 0 if H5.commutator(x, y) == 0 else 1
-            u, v = spaceH.projection(x), spaceH.projection(y)
-            assert spaceH.pair(u, v) == expected
-            # the pairing cannot see which lift was used
-            assert (
-                spaceH.projection(H5.mul(x, z)) == u
-                and spaceH.projection(H5.mul(y, z)) == v
-            )
+def test_pairing_from_commutators_and_lift_independence(spaceH, spaceG, H5, G5):
+    """The tables against every commutator and square of the group, by the
+    scalar group operations; each section value is the least element of
+    its fibre, and x and xz share a vector."""
+    for space, G in ((spaceH, H5), (spaceG, G5)):
+        z = space.z_element
+        assert space.pair_table.dtype == space.q_table.dtype == np.uint8
+        assert space.pair_table.shape == (16, 16) and space.q_table.shape == (16,)
+        fibres = {}
+        for x in G.elements():
+            u = space.projection(x)
+            fibres.setdefault(u, []).append(x)
+            assert space.projection(G.mul(x, z)) == u
+            assert space.q_table[u] == (G.mul(x, x) == z)
+            for y in G.elements():
+                assert space.pair_table[u, space.projection(y)] == (G.commutator(x, y) == z)
+        assert sorted(fibres) == list(space.vectors())
+        assert [space.section(v) for v in space.vectors()] == [min(fibres[v]) for v in space.vectors()]
+        assert space.section_table.tolist() == [space.section(v) for v in space.vectors()]
+        assert space.projection_table.tolist() == [space.projection(x) for x in G.elements()]
 
 
 def test_parallelogram_law(spaceH, spaceG):
