@@ -333,6 +333,15 @@ def _stage_mask(G: FiniteGroup, rows: np.ndarray, stage: Stage) -> np.ndarray:
     return ok
 
 
+def check_rows(rows: np.ndarray, columns: Optional[int] = None) -> None:
+    """Raises ValueError unless `rows` is a 2-D array, with exactly
+    `columns` columns if given.  Reads the shape only."""
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be a 2-D array, got {rows.ndim}-D")
+    if columns is not None and rows.shape[1] != columns:
+        raise ValueError(f"rows must have {columns} columns, got {rows.shape[1]}")
+
+
 def check_elements(G: FiniteGroup, values: np.ndarray) -> None:
     """Raises ValueError unless `values` are integers in 0 .. |G| - 1."""
     if values.dtype.kind not in "iu":
@@ -357,10 +366,12 @@ def bulk_relator_filter(
     per step from tables that hold each word's value, so a row passes
     exactly when `FiniteGroup.evaluate_word` gives the identity for every
     relator.  Raises ValueError above order `CERTIFY_ORDER_CAP`, for rows
-    narrower than the relators and for entries that are not element
-    indices of G (out of range, or of a non-integer dtype).
+    that are not 2-D or are narrower than the relators, and for entries
+    that are not element indices of G (out of range, or of a non-integer
+    dtype).
     """
     _check_order(G)
+    check_rows(rows)
     program = _relator_program((tuple(relators),), table_width(register_bits(G.order)))
     if rows.shape[1] < program.columns:
         raise ValueError(f"the relators use {program.columns} columns, the rows have {rows.shape[1]}")

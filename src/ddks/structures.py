@@ -33,11 +33,12 @@ no completion.
 `structure_rows` searches one row per Inn(G)-orbit, the least in slot
 order (McKay's minimal images): a column carries the uint64 mask of the
 inner automorphisms that fix its prefix, and a slot value x survives only
-if none of them sends x below x.  Each orbit is then rebuilt by one
-gather per inner automorphism.  This counts every structure once because
-Inn(G) acts by automorphisms, which keep a row a structure, and every
-certified row generates G, so only the identity fixes it: the action is
-free and each orbit has |Inn| distinct rows.
+if none of them sends x below x.  Each orbit is then rebuilt from the
+packed representatives, five gathers a key per inner automorphism
+(`_image_keys`).  This counts every structure once because Inn(G) acts
+by automorphisms, which keep a row a structure, and every certified row
+generates G, so only the identity fixes it: the action is free and each
+orbit has |Inn| distinct rows.
 
 Both enumeration routes, this one and `symplectic`, end in
 `certify_structure_rows`.  A route hands it one uint64 key per row, 6 bits
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,7 +67,7 @@ from .group_core import (
     Word,
     commutator,
 )
-from .certify import bulk_relator_filter, check_elements, relator_join
+from .certify import bulk_relator_filter, check_elements, check_rows, relator_join
 
 SEARCH_ORDER_CAP = 64
 # Rows a level of `reference_prestructures` may hold (order 16: 15 * 16^4).
@@ -339,7 +341,7 @@ def example_structure(G: FiniteGroup) -> DDKStructure:
     return s
 
 
-# -- subgroup lattice helpers (for bulk generation tests) -------------
+# -- maximal subgroups (for bulk generation tests) --------------------
 
 def all_subgroup_masks(G: FiniteGroup) -> list[int]:
     """Sorted bitmasks of every subgroup: the joins of the cyclic subgroups."""
@@ -354,57 +356,163 @@ def all_subgroup_masks(G: FiniteGroup) -> list[int]:
 
 
 def maximal_subgroup_masks(G: FiniteGroup) -> list[int]:
+    """Sorted bitmasks (bit x for element x) of the maximal subgroups of G,
+    cached on G.
+
+    For |G| = p^k, k >= 1, they come from the Frattini quotient
+    (`_frattini_maximal_masks`): by the Burnside basis theorem the maximal
+    subgroups of a p-group are the preimages of the hyperplanes of
+    G/Phi(G), an F_p-vector space, where Phi(G) = G^p [G, G] (Burnside,
+    Theory of Groups of Finite Order, 1911; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005).  Every other group
+    keeps the maximal members of `all_subgroup_masks`, which raises
+    ValueError above order 64."""
     cached = getattr(G, "_maximal_masks", None)
     if cached is not None:
         return cached
-    full = (1 << G.order) - 1
-    proper = [m for m in all_subgroup_masks(G) if m != full]
-    maximal = [
-        m for m in proper
-        if not any(m != o and m & ~o == 0 for o in proper)
-    ]
+    p = _prime_power_base(G.order)
+    if p is not None:
+        maximal = _frattini_maximal_masks(G, p)
+    else:
+        full = (1 << G.order) - 1
+        proper = [m for m in all_subgroup_masks(G) if m != full]
+        maximal = [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
     G._maximal_masks = maximal
     return maximal
 
 
-# Rows the generation filter, `pack_rows` and `unpack_keys` handle at a
-# time, so that each temporary (at most uint64, 128 KB) stays in cache.
+def _prime_power_base(n: int) -> int | None:
+    """p if n = p^k for a prime p and k >= 1, else None."""
+    p = next((q for q in range(2, n + 1) if n % q == 0), None)  # the least is prime
+    while p is not None and n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
+def _hyperplanes(p: int, d: int) -> np.ndarray:
+    """The (p^d - 1) / (p - 1) hyperplanes of F_p^d as normal vectors, one
+    a row: each nonzero vector whose first nonzero coordinate is 1."""
+    normals = [v for v in product(range(p), repeat=d) if next((c for c in v if c), 0) == 1]
+    return np.array(normals, dtype=np.int64).reshape(len(normals), d)
+
+
+def _frattini_maximal_masks(G: FiniteGroup, p: int) -> list[int]:
+    """The maximal subgroups of a p-group G as sorted bitmasks: the
+    preimages of the hyperplanes of G/Phi, Phi = <x^p, [x, y]>.
+
+    A maximal subgroup M of a p-group is normal of index p, so G/M is
+    cyclic of order p and M holds every p-th power and commutator, hence
+    Phi.  So the maximal subgroups are the preimages of the maximal
+    subgroups of G/Phi, which is elementary abelian, F_p^d: its
+    hyperplanes.  The premises are checked, each by an if/raise: |G| = p^k
+    (else ValueError), and (else AssertionError) Phi is closed under
+    products, the coordinates given to G/Phi make a homomorphism onto
+    F_p^d with kernel Phi, and each preimage is closed and of index p."""
+    n, table = G.order, G.table
+    if _prime_power_base(n) != p:
+        raise ValueError(f"the Frattini quotient needs |G| = p^k, got order {n} for p = {p}")
+    x = np.arange(n)
+    power = x
+    for _ in range(p - 1):
+        power = table[power, x]
+    inv = G.inverses
+    commutators = table[table[table, inv[:, None]], inv]  # [a, b] = ((a b) a^-1) b^-1
+    members = list(G.subgroup_generated(set(power.tolist()) | set(commutators.ravel().tolist())))
+    phi = np.zeros(n, dtype=bool)
+    phi[members] = True
+    if not phi[table[np.ix_(members, members)]].all():
+        raise AssertionError("Phi(G) is not closed under products")
+    # Coordinates on G/Phi: the next basis element g is the least element
+    # not yet labelled, and the cosets s g^c (s labelled, 0 < c < p) get
+    # the label of s plus c e_d.
+    code = np.where(phi, 0, -1)
+    d = 0
+    while (code < 0).any():
+        g = int(np.argmax(code < 0))
+        span = np.flatnonzero(code >= 0)
+        step = span
+        for c in range(1, p):
+            step = table[step, g]
+            if (code[step] >= 0).any():
+                raise AssertionError("G/Phi(G) is not elementary abelian: a coset is labelled twice")
+            code[step] = code[span] + c * p ** d
+        d += 1
+    coords = (code[:, None] // p ** np.arange(d) % p).astype(np.int16)
+    if not (coords[table] == (coords[:, None] + coords[None]) % p).all():
+        raise AssertionError("G/Phi(G) is not elementary abelian: the coordinates are not additive")
+    inside = (coords @ _hyperplanes(p, d).T) % p == 0
+    for column in inside.T:
+        members = np.flatnonzero(column)
+        if len(members) * p != n or not column[table[np.ix_(members, members)]].all():
+            raise AssertionError("a hyperplane's preimage is not a subgroup of index p")
+    octets = np.packbits(inside, axis=0, bitorder="little")
+    return sorted(int.from_bytes(column.tobytes(), "little") for column in octets.T)
+
+
+# Rows the generation filter, `pack_rows`, `unpack_keys` and the orbit
+# expansion handle at a time, so that each temporary (at most uint64,
+# 128 KB) stays in cache; the generation filter stops a chunk once every
+# row in it generates.
 _CHUNK = 1 << 14
 
 
 def generation_mask_filter(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows (tuples of element indices) generate G.
 
-    A tuple generates G iff it is not contained in any maximal subgroup.
-    Each element gets a mask whose bit j says it lies outside maximal
-    subgroup j, in the smallest unsigned dtype with a bit per maximal
-    subgroup, so a row generates G iff the OR over its entries has every
-    bit set.  Raises ValueError above 64 maximal subgroups and for entries
-    that are not element indices of G; above order 64 `all_subgroup_masks`
-    raises ValueError.
+    A tuple generates G iff it is not contained in any maximal subgroup
+    (`maximal_subgroup_masks`; for a p-group, iff its image spans
+    G/Phi(G), by the Burnside basis theorem).  Each element gets a mask
+    whose bit j says it lies outside maximal subgroup j, in the smallest
+    unsigned dtype with a bit per maximal subgroup, so a row generates G
+    iff the OR over its entries has every bit set.  The rows are read as
+    bytes, two adjacent entries at a time through a little-endian uint16
+    view: one gather from the 65 536-entry table of the ORs of two masks
+    (an odd last column is gathered alone).  OR only sets bits, so a
+    chunk of rows stops as soon as every row in it has them all.
+
+    Raises ValueError for rows that are not 2-D, above order 256 (an
+    element no longer fits in a byte), above 64 maximal subgroups and for
+    entries that are not element indices of G; for a group that is not a
+    p-group, above order 64 `all_subgroup_masks` raises ValueError.
     """
+    check_rows(rows)
+    if G.order > 256:
+        raise ValueError(f"generation masks read elements as bytes, so order <= 256, got {G.order}")
     maximal = maximal_subgroup_masks(G)
     if len(maximal) > 64:
         raise ValueError(f"generation masks hold 64 maximal subgroups, got {len(maximal)}")
     check_elements(G, rows)
     full = (1 << len(maximal)) - 1
-    outside = np.array(
+    outside = np.zeros(256, dtype=np.min_scalar_type(full))
+    outside[:G.order] = np.array(
         [sum(1 << j for j, m in enumerate(maximal) if not m >> x & 1) for x in G.elements()],
-        dtype=np.min_scalar_type(full),
+        dtype=outside.dtype,
     )
-    ok = np.empty(len(rows), dtype=bool)
-    acc = np.empty(min(_CHUNK, len(rows)), dtype=outside.dtype)
+    full = outside.dtype.type(full)
+    pair = (outside[:, None] | outside[None, :]).reshape(-1)  # pair[b1 * 256 + b0]
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    count, width = rows.shape
+    # columns 2i and 2i + 1 of a row as the uint16 b0 + 256 b1
+    pairs = np.ndarray((count, width // 2), dtype="<u2", buffer=rows, strides=(width, 2))
+    ok = np.empty(count, dtype=bool)
+    acc = np.empty(min(_CHUNK, count), dtype=outside.dtype)
     part = np.empty_like(acc)
-    for start in range(0, len(rows), _CHUNK):
-        cols = rows[start:start + _CHUNK].T
-        a, p = acc[:cols.shape[1]], part[:cols.shape[1]]
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        a, p, done = acc[:stop - start], part[:stop - start], ok[start:stop]
         a[:] = 0
-        for col in cols:
+        done[:] = full == 0
+        gathers = [(pair, pairs[start:stop, i]) for i in range(width // 2)]
+        if width % 2:
+            gathers.append((outside, rows[start:stop, -1]))
+        for table, index in gathers:
+            if done.all():
+                break
             # mode="clip" skips the bounds check, which would also buffer `p`;
             # every entry was checked above
-            np.take(outside, col, out=p, mode="clip")
+            np.take(table, index, out=p, mode="clip")
             a |= p
-        ok[start:start + len(a)] = a == full
+            np.equal(a, full, out=done)
     return ok
 
 
@@ -762,12 +870,13 @@ def structure_rows(
     sorted; every row is re-verified against the full relation system.
 
     The search keeps one row per Inn(G)-orbit, the least in slot order
-    (`genus2_rows` with `inn`), and each orbit is rebuilt by one gather
-    per inner automorphism.  That gives every structure exactly once by a
-    lemma: Inn(G) acts on structures, since automorphisms preserve the
-    relators, the order of z and generation; and it acts freely, since a
-    homomorphism that fixes a generating tuple is the identity and every
-    certified row generates G.  So each orbit has |Inn| distinct rows, of
+    (`genus2_rows` with `inn`), and each orbit is rebuilt as the keys of
+    its images under every inner automorphism (`_image_keys`).  That
+    gives every structure exactly once by a lemma: Inn(G) acts on
+    structures, since automorphisms preserve the relators, the order of z
+    and generation; and it acts freely, since a homomorphism that fixes a
+    generating tuple is the identity and every certified row generates
+    G.  So each orbit has |Inn| distinct rows, of
     which the search finds the least.  The premises are checked: the
     expanded rows, once sorted, must be pairwise distinct (else
     AssertionError), and `certify_structure_rows` checks every one.
@@ -781,15 +890,47 @@ def structure_rows(
     inn = inner_automorphism_table(G)
     zs = [x for x in G.elements() if G.element_order[x] == t.n]
     reps = genus2_rows(G, [(z, r11) for z in zs for r11 in range(G.order)], inn)
-    k = len(reps)
-    keys = np.empty(len(inn) * k, dtype=np.uint64)
-    for i, h in enumerate(inn):
-        keys[i * k:(i + 1) * k] = pack_rows(G, np.take(h, reps))
     return certify_structure_rows(
-        G, keys, t,
+        G, _image_keys(G, reps, inn), t,
         "backtracking emitted {} invalid tuples",
         "two representatives lie in one Inn(G)-orbit",
     )
+
+
+def _image_keys(G: FiniteGroup, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """The keys of h(row) for each row of the (|perms|, |G|) permutation
+    table `perms` (in its order) and each of the (N, 9) `rows`, as
+    `pack_rows` packs them, block h holding N keys.  The rows are packed
+    once; a key's 12-bit fields, a pair of slots each, and its z field
+    then map through five tables of h, h(a) << (s + 6) | h(b) << s for
+    the field at bit s, so each image key is five gathers and four ORs."""
+    packed = pack_rows(G, rows)
+    k = len(packed)
+    keys = np.empty(len(perms) * k, dtype=np.uint64)
+    shifts = ROW_KEY_SHIFTS[1::2]  # the low bit of each pair's field
+    fields = np.empty((len(shifts) + 1, min(_CHUNK, k)), dtype=np.intp)
+    image = np.zeros(64, dtype=np.uint64)
+    tables = []
+    for h in perms:
+        image[:G.order] = h
+        pair = (image[:, None] << np.uint64(6) | image[None, :]).reshape(-1)
+        tables.append([pair << s for s in shifts] + [image.copy()])
+    part = np.empty(fields.shape[1], dtype=np.uint64)
+    for start in range(0, k, _CHUNK):
+        stop = min(start + _CHUNK, k)
+        f, p = fields[:, :stop - start], part[:stop - start]
+        for field, s in zip(f, shifts):
+            np.right_shift(packed[start:stop], s, out=p)
+            np.bitwise_and(p, 4095, out=field, casting="unsafe")
+        np.bitwise_and(packed[start:stop], 63, out=f[-1], casting="unsafe")
+        for i, table in enumerate(tables):
+            out = keys[i * k + start:i * k + stop]
+            # mode="clip" skips the bounds check; every field indexes its table
+            np.take(table[0], f[0], out=out, mode="clip")
+            for t, field in zip(table[1:], f[1:]):
+                np.take(t, field, out=p, mode="clip")
+                out |= p
+    return keys
 
 
 # Rows reach `certify_structure_rows` as uint64 keys, 6 bits per slot with
@@ -800,8 +941,10 @@ ROW_KEY_SHIFTS = np.arange(48, -1, -6, dtype=np.uint64)
 
 def pack_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
     """The (N, 9) rows of elements of G as N uint64 keys (`ROW_KEY_SHIFTS`);
-    ValueError above order 64, whose elements do not fit in 6 bits, and for
-    entries that are not element indices of G."""
+    ValueError for rows that are not 2-D with 9 columns, above order 64,
+    whose elements do not fit in 6 bits, and for entries that are not
+    element indices of G."""
+    check_rows(rows, 9)
     if G.order > 64:
         raise ValueError(f"row keys pack elements below 64, got order {G.order}")
     check_elements(G, rows)
@@ -834,7 +977,9 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
 
 def z_order_filter(G: FiniteGroup, rows: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask: rows whose last slot, z, has order n; ValueError for
-    entries that are not element indices of G."""
+    rows that are not 2-D and for entries that are not element indices of
+    G."""
+    check_rows(rows)
     check_elements(G, rows)  # the whole rows: faster than one strided column
     return G.orders[rows[:, -1]] == n
 

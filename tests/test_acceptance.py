@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 import ddks
-from ddks import automorphisms, paper
+from ddks import automorphisms, paper, structures
 from ddks.automorphisms import automorphism_group
 from ddks.group_core import EXPECTED_ORDER, catalog_labels, get_presentation, realize_label
 from ddks.invariants import chern_invariants, fibration_data, with_homology
@@ -174,6 +174,27 @@ def test_criterion_5_checks_generation_on_every_row(rows_cache, monkeypatch):
     assert [len(rows) for rows in seen] == [STRUCTURE_COUNT] * 2
     for rows, label in zip(seen, ORDER32):
         assert rows is rows_cache.symplectic(label)
+
+
+def test_order_32_routes_build_no_subgroup_lattice(monkeypatch):
+    # criteria 4 (full mode: both routes) and 5 on a new memo, so on
+    # groups realized afresh, whose maximal subgroups come from the
+    # Frattini quotient
+    built = []
+    real = structures.all_subgroup_masks
+
+    def spy(G):
+        built.append(G.order)
+        return real(G)
+
+    monkeypatch.setattr(structures, "all_subgroup_masks", spy)
+    fresh = paper.Rows()
+    for check in (check_structure_count, check_orbits):
+        ok, details = check(fresh, False)
+        assert ok, details
+    assert built == []
+    structures.maximal_subgroup_masks(realize_label("S4"))  # not a p-group: the spy sees it
+    assert built == [24]
 
 
 def test_criterion_6_invariants(rows_cache):

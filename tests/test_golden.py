@@ -9,6 +9,8 @@ RUNS = {
     "search_prestructures_S4": ["search", "prestructures", "S4"],
     "invariants_G32_49_example": ["invariants", "G(32,49)", "--example"],
     "homology_G32_49_example": ["homology", "G(32,49)", "--example"],
+    "count_structures_G32_49": ["count", "structures", "G(32,49)"],
+    "orbits_G32_49": ["orbits", "G(32,49)"],
 }
 
 

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddks.group_core import (
+    EXPECTED_ORDER,
     FiniteGroup,
     Presentation,
     Word,
+    catalog_labels,
     commutator,
     parse_presentation,
     realize,
@@ -300,6 +302,86 @@ def test_subgroup_lattices_match_the_extension_oracle(label):
     assert [list(n) for n in G.normal_subgroups()] == normal
 
 
+def lattice_maximal_masks(G: FiniteGroup) -> list[int]:
+    """The oracle for `maximal_subgroup_masks`: the maximal members of the
+    subgroup lattice."""
+    full = (1 << G.order) - 1
+    proper = [m for m in all_subgroup_masks(G) if m != full]
+    return [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
+
+
+CATALOG_2_GROUPS = [label for label in catalog_labels() if EXPECTED_ORDER[label] & EXPECTED_ORDER[label] - 1 == 0]
+ODD_P_GROUPS = {  # name: (p, presentation)
+    "Z9": (3, "gens: x\nrel: x^9"),
+    "Z3^2": (3, "gens: x y\nrel: x^3\nrel: y^3\nrel: [x, y]"),
+    "Z25": (5, "gens: x\nrel: x^25"),
+    "Heisenberg 27": (3, extra_special_text(1, 3, "H")),
+}
+
+
+def test_frattini_masks_match_the_lattice():
+    assert len(CATALOG_2_GROUPS) == 44
+    groups = [(label, 2, realize_label(label)) for label in CATALOG_2_GROUPS]
+    groups += [(name, p, realize(parse_presentation(src))) for name, (p, src) in ODD_P_GROUPS.items()]
+    for name, p, G in groups:
+        want = lattice_maximal_masks(G)
+        assert structures._frattini_maximal_masks(G, p) == want, name
+        assert maximal_subgroup_masks(G) == want, name
+
+
+FORGED_FRATTINI = {
+    "order": (
+        'structures._frattini_maximal_masks(realize_label("S4"), 2)',
+        "ValueError the Frattini quotient needs |G| = p^k, got order 24 for p = 2",
+    ),
+    # Phi forged as {1, x} in Z8 (x is element 1): x^2 is missing
+    "closed": (
+        'G = realize(parse_presentation("gens: x\\nrel: x^8"))\n'
+        'with mock.patch.object(G, "subgroup_generated", lambda gens: (0, 1)):\n'
+        "    structures._frattini_maximal_masks(G, 2)",
+        "AssertionError Phi(G) is not closed under products",
+    ),
+    # Phi forged as a subgroup of order 3 of the Heisenberg group of order
+    # 27 that is not normal, so its cosets do not form a group
+    "labelled twice": (
+        f"G = realize(parse_presentation({extra_special_text(1, 3, 'H')!r}))\n"
+        'with mock.patch.object(G, "subgroup_generated", lambda gens: (0, 14, 17)):\n'
+        "    structures._frattini_maximal_masks(G, 3)",
+        "AssertionError G/Phi(G) is not elementary abelian: a coset is labelled twice",
+    ),
+    # Phi forged as the trivial subgroup of Z4, which is not elementary abelian
+    "additive": (
+        'G = realize(parse_presentation("gens: x\\nrel: x^4"))\n'
+        'with mock.patch.object(G, "subgroup_generated", lambda gens: (0,)):\n'
+        "    structures._frattini_maximal_masks(G, 2)",
+        "AssertionError G/Phi(G) is not elementary abelian: the coordinates are not additive",
+    ),
+    # the zero vector as a hyperplane's normal: its preimage is all of G
+    "index": (
+        'G = realize_label("G(32,49)")\n'
+        'with mock.patch.object(structures, "_hyperplanes", lambda p, d: np.zeros((1, d), dtype=np.int64)):\n'
+        "    structures._frattini_maximal_masks(G, 2)",
+        "AssertionError a hyperplane's preimage is not a subgroup of index p",
+    ),
+}
+FORGED_PRELUDE = """
+from unittest import mock
+import numpy as np
+from ddks import structures
+from ddks.group_core import parse_presentation, realize, realize_label
+"""
+
+
+@pytest.mark.parametrize("premise", FORGED_FRATTINI)
+def test_frattini_premises_raise_on_forged_inputs(premise):
+    snippet, message = FORGED_FRATTINI[premise]
+    kind, text = message.split(" ", 1)
+    with pytest.raises({"ValueError": ValueError, "AssertionError": AssertionError}[kind]) as raised:
+        exec(FORGED_PRELUDE + snippet, {})
+    assert str(raised.value) == text
+    assert raised_under_optimize(FORGED_PRELUDE + snippet) == message
+
+
 def cyclic(order: int) -> FiniteGroup:
     return realize(parse_presentation(f"gens: x\nrel: x^{order}"))
 
@@ -386,6 +468,58 @@ def test_generation_filter_caps(monkeypatch):
     monkeypatch.setattr(structures, "maximal_subgroup_masks", lambda G: [0] * 65)
     with pytest.raises(ValueError, match="64 maximal subgroups, got 65"):
         generation_mask_filter(s4, np.zeros((1, 9), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("label", ["S4", "G(32,49)", "order 64"])
+def test_generation_filter_in_every_width(label, monkeypatch):
+    # pairs of columns are gathered together and an odd last column alone;
+    # the rows that generate are sorted first, so that some 16-row chunks
+    # stop early and the rest run to the end
+    G, _ = certifier_group(label)
+    monkeypatch.setattr("ddks.structures._CHUNK", 16)
+    for columns in range(1, 10):
+        rows = generation_rows(G, columns, seed=20 + columns)
+        want = scan_generation_mask(G, rows)
+        order = np.argsort(~want, kind="stable")
+        rows, want = rows[order], want[order]
+        assert not want.all(), columns
+        for variant in (rows, rows.astype(np.int64), np.asfortranarray(rows), rows[:, ::-1]):
+            assert np.array_equal(generation_mask_filter(G, variant), want), columns
+        assert np.array_equal(generation_mask_filter(G, rows[::-3]), want[::-3]), columns
+        assert np.array_equal(generation_mask_filter(G, rows[1:]), want[1:]), columns  # a view at an offset
+    empty = generation_mask_filter(G, np.zeros((3, 0), dtype=np.uint8))
+    assert empty.tolist() == [False] * 3
+
+
+def test_generation_filter_stops_a_chunk_once_every_row_generates(H5, monkeypatch):
+    rows = generation_rows(H5, 9, seed=29)
+    want = scan_generation_mask(H5, rows)
+    order = np.argsort(~want, kind="stable")
+    rows, want = rows[order], want[order]
+    # a chunk takes the pair gathers up to the first prefix of columns on
+    # which all its rows generate, and all five gathers if there is none
+    expected = 0
+    for start in range(0, len(rows), 16):
+        chunk = rows[start:start + 16]
+        expected += next((k for k in range(1, 5) if scan_generation_mask(H5, chunk[:, :2 * k]).all()), 5)
+    assert 5 * len(range(0, len(rows), 16)) > expected
+    monkeypatch.setattr("ddks.structures._CHUNK", 16)
+    gathers = []
+    take = np.take
+    monkeypatch.setattr(np, "take", lambda *args, **kwargs: gathers.append(1) or take(*args, **kwargs))
+    assert np.array_equal(generation_mask_filter(H5, rows), want)
+    assert len(gathers) == expected
+
+
+def test_generation_filter_on_order_256():
+    big, lifted = product_group_and_lift(8)  # G(32,49) x Z8
+    assert big.order == 256 and len(maximal_subgroup_masks(big)) == 31
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 256, size=(120, 9)).astype(np.uint8)
+    rows[:60, :8] = lifted[:8]  # these generate iff z's image generates Z8
+    want = np.array([len(big.subgroup_generated(row)) == big.order for row in rows.tolist()])
+    assert want[:60].any() and not want[:60].all() and want[60:].any()
+    assert np.array_equal(generation_mask_filter(big, rows), want)
 
 
 # ------------------------------------------------ backtracking searches
@@ -1099,6 +1233,27 @@ def test_row_keys_and_z_order_refuse_non_elements(H5):
     assert z_order_filter(H5, good, 2).tolist() == [True]
 
 
+def test_row_functions_refuse_other_shapes(H5):
+    """`pack_rows` used to key the first nine columns of wider rows; 1-D
+    rows raised a bare IndexError, and 3-D rows a numpy broadcast error in
+    the generation filter."""
+    row = np.array(example_structure(H5).elements, dtype=np.uint8)
+    checks = {
+        "pack_rows": lambda rows: pack_rows(H5, rows),
+        "z_order_filter": lambda rows: z_order_filter(H5, rows, 2),
+        "generation_mask_filter": lambda rows: generation_mask_filter(H5, rows),
+        "bulk_relator_filter": lambda rows: bulk_relator_filter(H5, rows, relations_for_type(T22)),
+    }
+    for name, check in checks.items():
+        assert check(row[None]).shape == (1,), name
+        for bad in (row, row[None, None], np.zeros((2, 3, 9), dtype=np.uint8)):
+            with pytest.raises(ValueError, match=f"^rows must be a 2-D array, got {bad.ndim}-D$"):
+                check(bad)
+    for width in (8, 10):
+        with pytest.raises(ValueError, match=f"^rows must have 9 columns, got {width}$"):
+            pack_rows(H5, np.zeros((1, width), dtype=np.uint8))
+
+
 def test_certify_tail_rejects_bad_and_repeated_rows(H5):
     good = np.array([example_structure(H5).elements], dtype=np.uint8)
     bad = good.copy()
@@ -1150,6 +1305,25 @@ def test_duplicated_representative_is_caught(monkeypatch, H5):
     monkeypatch.setattr(structures, "genus2_rows", doubled)
     with pytest.raises(AssertionError, match="one Inn"):
         structure_rows(H5, T22)
+
+
+def test_image_keys_are_the_packed_images(monkeypatch, H5):
+    inn = inner_automorphism_table(H5)
+    zs = [z for z in H5.elements() if H5.element_order[z] == 2]
+    reps = genus2_rows(H5, [(z, r11) for z in zs for r11 in range(32)], inn)
+    rng = np.random.default_rng(12)
+    perms = np.array([rng.permutation(64) for _ in range(3)], dtype=np.uint8)
+    rows = rng.integers(0, 64, size=(3000, 9)).astype(np.uint8)
+    rows[0], rows[1] = 63, 0
+    for chunk in (700, 1 << 14):  # several partial chunks, then one
+        monkeypatch.setattr("ddks.structures._CHUNK", chunk)
+        for G, table, part in ((H5, inn, reps), (cyclic(64), perms, rows)):
+            keys = structures._image_keys(G, part, table)
+            assert keys.shape == (len(table) * len(part),)
+            for i, h in enumerate(table):
+                block = keys[i * len(part):(i + 1) * len(part)]
+                assert np.array_equal(block, pack_rows(G, np.take(h, part))), (G.order, chunk, i)
+    assert structures._image_keys(H5, reps[:0], inn).shape == (0,)
 
 
 TAIL_CHECKS = ("bulk_relator_filter", "z_order_filter", "generation_mask_filter")
