@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import relator_join
 from .group_core import FiniteGroup, Presentation
-from .structures import generation_mask_filter
+from .structures import generation_mask_filter, pack_rows
 
 AUT_ORDER_CAP = 32
 # Rows the generator-image join in `automorphism_group` may hold: 6x its
@@ -123,7 +123,9 @@ def orbit_count(
 
     The mode chooses the rows of (c): "full" checks every row, "sample"
     checks sample_size of them at deterministic, evenly spaced indices
-    (ValueError below 1, which would check none).
+    (ValueError below 1, which would check none).  The checked rows must be
+    pairwise distinct `pack_rows` keys, else ValueError: copies of one
+    generating row would pass (c) without being a union of orbits.
     """
     if freeness not in ("sample", "full"):
         raise ValueError(f"unknown freeness mode {freeness!r}")
@@ -142,6 +144,10 @@ def orbit_count(
     cayley = G.table  # uint8, as the permutations are: order <= 256
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise FreenessError("an automorphism is not multiplicative")
+    keys = pack_rows(G, checked)
+    keys.sort(kind="stable")  # timsort: one pass over the sorted rows the routes return
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError("orbit_count needs pairwise distinct rows; two checked rows are equal")
     if not generation_mask_filter(G, checked).all():
         raise FreenessError("a structure does not generate G")
     if len(rows) % len(auts) != 0:

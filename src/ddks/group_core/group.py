@@ -28,7 +28,8 @@ class FiniteGroup:
     `table` (|G| x |G|) and `inverses` in the smallest unsigned dtype that
     holds |G| - 1, and `orders`, the element orders, in the smallest that
     holds |G|.  `cayley`, `inverse` and `element_order` are the same data
-    as lists, for scalar code, where a list index beats a numpy scalar."""
+    as lists, for scalar code, where a list index beats a numpy scalar.
+    `commutators` and `normal_subgroups()` are kept once built."""
 
     def __init__(
         self,
@@ -116,6 +117,13 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
+    @cached_property
+    def commutators(self) -> np.ndarray:
+        """Read-only: [a, b] = ((a b) a^-1) b^-1 at row a, column b."""
+        out = self.table[self.table[self.table, self.inverses[:, None]], self.inverses]
+        out.flags.writeable = False
+        return out
+
     def center(self) -> "ElementSet":
         return _element_set(self, (self.table == self.table.T).all(axis=1))
 
@@ -144,24 +152,17 @@ class FiniteGroup:
         return self.subgroup_generated(self.conjugates(seed).ravel().tolist())
 
     def derived_subgroup(self) -> "ElementSet":
-        t, inv = self.table, self.inverses  # [a, b] = ((a b) a^-1) b^-1
-        return self.subgroup_generated(t[t[t, inv[:, None]], inv].ravel().tolist())
+        return self.subgroup_generated(self.commutators.ravel().tolist())
 
     def socle(self) -> "ElementSet":
-        """Intersection of the normal closures of all non-identity elements.
-
-        Equals the intersection of all non-trivial normal subgroups, since
-        each such subgroup contains the normal closure of each of its
-        non-identity members.
-        """
+        """The intersection of the non-trivial normal subgroups, the set the
+        prestructure shortcut needs (`prestructure_search_info`).  It is the
+        textbook socle, the join of the minimal normal subgroups, only when
+        there is one minimal normal subgroup; otherwise it is trivial."""
         if self.order == 1:
             raise ValueError("socle undefined for the trivial group")
-        meet = set(range(self.order))
-        for g in range(1, self.order):
-            meet &= set(self.normal_closure((g,)))
-            if len(meet) == 1:
-                break
-        return ElementSet(self, tuple(sorted(meet)))
+        nontrivial = self.normal_subgroups()[1:]  # the trivial subgroup is the smallest
+        return ElementSet(self, tuple(sorted(set.intersection(*map(set, nontrivial)))))
 
     def is_cct(self) -> bool:
         """Commutativity transitive on non-central elements; equivalently,
@@ -215,23 +216,23 @@ class FiniteGroup:
             frontier += new
         return found
 
-    def normal_subgroups(self) -> list["ElementSet"]:
-        """All normal subgroups: the joins of the elements' normal closures."""
+    def normal_subgroups(self) -> tuple["ElementSet", ...]:
+        """All normal subgroups by size, computed once: joins of normal closures."""
+        return self._normal_subgroups
+
+    @cached_property
+    def _normal_subgroups(self) -> tuple["ElementSet", ...]:
         found = self.join_closure(self.normal_closure((g,)) for g in range(1, self.order))
-        return [ElementSet(self, tuple(sorted(s))) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+        return tuple(ElementSet(self, tuple(sorted(s))) for s in sorted(found, key=lambda s: (len(s), sorted(s))))
 
     def nilpotency_class(self) -> int | None:
         """Length of the lower central series; None if not nilpotent."""
-        current = set(range(self.order))
-        k = 0
-        while len(current) > 1:
-            nxt = self.subgroup_generated(
-                {self.commutator(g, x) for g in range(self.order) for x in current}
-            )
-            if set(nxt) == current:
+        current, k = tuple(self.elements()), 0
+        while len(current) > 1:  # [G, current] from the columns of `commutators`
+            nxt = self.subgroup_generated(self.commutators[:, current].ravel().tolist()).members
+            if nxt == current:
                 return None
-            current = set(nxt)
-            k += 1
+            current, k = nxt, k + 1
         return k
 
 

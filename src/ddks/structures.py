@@ -415,9 +415,7 @@ def _frattini_maximal_masks(G: FiniteGroup, p: int) -> list[int]:
     power = x
     for _ in range(p - 1):
         power = table[power, x]
-    inv = G.inverses
-    commutators = table[table[table, inv[:, None]], inv]  # [a, b] = ((a b) a^-1) b^-1
-    members = list(G.subgroup_generated(set(power.tolist()) | set(commutators.ravel().tolist())))
+    members = list(G.subgroup_generated(set(power.tolist()) | set(G.commutators.ravel().tolist())))
     phi = np.zeros(n, dtype=bool)
     phi[members] = True
     if not phi[table[np.ix_(members, members)]].all():
@@ -537,22 +535,13 @@ class _Tables:
         n = G.order
         if n > SEARCH_ORDER_CAP:
             raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
-        cayley = G.table.astype(np.uint16)
-        self.inv = inv = G.inverses.astype(np.uint16)
-        a = np.arange(n, dtype=np.uint16)[:, None]
-        b = np.arange(n, dtype=np.uint16)[None, :]
-        conj = cayley[cayley[a, b], inv[a]]
+        self.inv = G.inverses.astype(np.uint16)
+        a, b = np.indices((n, n), dtype=np.uint16)
+        conj = G.conjugates(G.elements())
         self.mul, self.conj = np.zeros((2, 64 * 64), dtype=np.uint16)
-        self.mul[_pair(a, b)], self.conj[_pair(a, b)] = cayley, conj
+        self.mul[_pair(a, b)], self.conj[_pair(a, b)] = G.table, conj
         self.C = np.zeros(64 * 64, dtype=np.uint64)
-        a, b = np.broadcast_arrays(a, b)
         np.bitwise_or.at(self.C, _pair(b, conj), np.uint64(1) << a.astype(np.uint64))
-
-    @staticmethod
-    def for_group(G: FiniteGroup) -> "_Tables":
-        if getattr(G, "_search_tables", None) is None:
-            G._search_tables = _Tables(G)
-        return G._search_tables
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -799,7 +788,9 @@ def _genus2_blocks(
     inn: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The search output as consecutive (9, k) uint8 blocks, a row per column."""
-    tab = _Tables.for_group(G)
+    if getattr(G, "_search_tables", None) is None:
+        G._search_tables = _Tables(G)
+    tab = G._search_tables
     cells = np.array(list(cells), dtype=np.uint8).reshape(-1, 2)
     orbits = stab = None
     if inn is not None:
@@ -849,16 +840,16 @@ def genus2_rows(
 
 
 def inner_automorphism_table(G: FiniteGroup) -> np.ndarray:
-    """Inn(G) as a (|Inn|, |G|) uint8 table: the distinct maps x -> g x g^-1,
-    from the search's conjugate table, rows sorted (so the identity is
-    first).  Raises ValueError above the search cap, and AssertionError
-    unless |Inn| = |G| / |Z(G)|."""
-    n = G.order
-    conj = _Tables.for_group(G).conj.reshape(64, 64)[:n, :n].astype(np.uint8)
+    """Inn(G) as a (|Inn|, |G|) uint8 table: the distinct rows of
+    `G.conjugates`, x -> g x g^-1, sorted (so the identity is first).  Raises
+    ValueError above the search cap, and AssertionError unless |Inn| = |G| / |Z(G)|."""
+    if G.order > SEARCH_ORDER_CAP:
+        raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
+    conj = G.conjugates(G.elements()).astype(np.uint8)
     # a lexsort, not np.unique(axis=0), which imports numpy.ma on first use
     conj = conj[np.lexsort(conj.T[::-1])]
     inn = conj[np.concatenate(([True], (conj[1:] != conj[:-1]).any(axis=1)))]
-    if len(inn) != n // len(G.center()):
+    if len(inn) != G.order // len(G.center()):
         raise AssertionError("|Inn| is not |G| / |Z(G)|")
     return inn
 
@@ -977,9 +968,11 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
 
 def z_order_filter(G: FiniteGroup, rows: np.ndarray, n: int) -> np.ndarray:
     """Boolean mask: rows whose last slot, z, has order n; ValueError for
-    rows that are not 2-D and for entries that are not element indices of
-    G."""
+    rows that are not 2-D or have no columns, and for entries that are not
+    element indices of G."""
     check_rows(rows)
+    if rows.shape[1] == 0:
+        raise ValueError("rows have no columns, so no z column")
     check_elements(G, rows)  # the whole rows: faster than one strided column
     return G.orders[rows[:, -1]] == n
 
@@ -1028,13 +1021,10 @@ def _shortcut_evidence(G: FiniteGroup) -> QuotientEvidence:
 
     If all are empty, any prestructure on G must have z in every non-trivial
     normal subgroup (else the image in some G/N would be a prestructure with
-    z-image non-trivial), i.e. z lies in the socle.
+    z-image non-trivial), i.e. z lies in their intersection, `G.socle()`.
     """
-    orders = []
-    all_empty = True
-    for nsub in G.normal_subgroups():
-        if len(nsub) in (1, G.order):
-            continue
+    orders, all_empty = [], True
+    for nsub in G.normal_subgroups()[1:-1]:  # by size, so these are the proper non-trivial ones
         q, _ = G.quotient(nsub)
         orders.append(q.order)
         blocks = _prestructure_blocks(q, prestructure_search_info(q, "full"))
@@ -1045,6 +1035,10 @@ def _shortcut_evidence(G: FiniteGroup) -> QuotientEvidence:
 
 
 def prestructure_search_info(G: FiniteGroup, mode: str = "auto") -> PrestructureSearchInfo:
+    """The z (of order >= 2) to search: in "socle" mode, if no proper quotient
+    has a prestructure, those in `G.socle()`, the intersection of the
+    non-trivial normal subgroups, which is trivial (no candidates) unless G
+    has one minimal normal subgroup; else all.  "auto" is "full" to order 24."""
     if mode not in ("auto", "full", "socle"):
         raise ValueError(f"unknown search mode {mode!r}")
     if mode == "auto":
@@ -1053,8 +1047,7 @@ def prestructure_search_info(G: FiniteGroup, mode: str = "auto") -> Prestructure
     if mode == "socle":
         evidence = _shortcut_evidence(G)
         if evidence.all_empty:
-            soc = G.socle()
-            zs = tuple(x for x in soc if G.element_order[x] >= 2)
+            zs = tuple(x for x in G.socle() if G.element_order[x] >= 2)
             return PrestructureSearchInfo("socle", zs, evidence)
         # hypothesis failed: the restriction would be unsound
     zs = tuple(x for x in G.elements() if G.element_order[x] >= 2)

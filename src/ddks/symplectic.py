@@ -71,12 +71,11 @@ class SymplecticSpace:
         self.group = G
         z = self.z_element = int(center[1])
         squares = T[rng, rng]
-        commutators = T[T[T, G.inverses[:, None]], G.inverses]  # x y x^-1 y^-1
         # G/Z(G) has exponent 2 iff every square is central; then every
         # commutator is central too, and [G, G] is the set of the values
         if not np.isin(squares, center).all():
             raise ValueError("G/Z(G) is not elementary abelian")
-        if np.flatnonzero(np.bincount(commutators.ravel(), minlength=n)).tolist() != [0, z]:
+        if np.flatnonzero(np.bincount(G.commutators.ravel(), minlength=n)).tolist() != [0, z]:
             raise ValueError("extra-special input needed: [G, G] must equal Z(G)")
         # coordinates: the i-th non-central generator flips bit i, z none
         basis = [g for g in G.generator_elements if g not in (0, z)]
@@ -96,7 +95,7 @@ class SymplecticSpace:
         proj = self.projection_table = coords.astype(T.dtype)
         lifts = self.section_table = np.zeros(2**dim, dtype=T.dtype)
         lifts[coords] = np.minimum(rng, T[:, z])  # the fibre over x's vector is {x, xz}
-        pair = self.pair_table = (commutators[np.ix_(lifts, lifts)] == z).astype(np.uint8)
+        pair = self.pair_table = (G.commutators[np.ix_(lifts, lifts)] == z).astype(np.uint8)
         q = self.q_table = (squares[lifts] == z).astype(np.uint8)
         for a in (proj, lifts, pair, q):
             a.flags.writeable = False
@@ -112,7 +111,7 @@ class SymplecticSpace:
         v = np.arange(2**dim)
         if (q[v[:, None] ^ v] != q[:, None] ^ q ^ pair).any():
             raise AssertionError("parallelogram law fails")
-        if (pair[np.ix_(proj, proj)] != (commutators == z)).any():
+        if (pair[np.ix_(proj, proj)] != (G.commutators == z)).any():
             raise AssertionError("pairing disagrees with commutators")
         if (q[proj] != (squares == z)).any():
             raise AssertionError("form disagrees with squares")

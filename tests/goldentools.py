@@ -3,8 +3,9 @@ non-deterministic `timing`, as sorted-key JSON in `tests/golden/`.
 
 The files were written from `python -m ddks.cli ARGS` and must stay
 byte-identical; a change that moves one says what moved and why.
-`test_golden.py` runs the commands in-process; `verify_paper_quick.json`
-is checked by criterion 9's fresh runs in `test_acceptance.py`."""
+`test_golden.py` runs the commands in-process, and the registry of
+`verify_paper_full.json`; `verify_paper_quick.json` is checked by
+criterion 9's fresh runs in `test_acceptance.py`."""
 
 import json
 from pathlib import Path

@@ -6,6 +6,7 @@ import pytest
 
 import ddks.automorphisms
 import ddks.certify
+import ddks.structures
 from ddks.group_core import (
     catalog_labels,
     get_presentation,
@@ -264,6 +265,32 @@ def test_freeness_mode_chooses_the_rows(H5, autsH, rows_cache):
     for sample_size in (0, -1):  # no sample would check no row
         with pytest.raises(ValueError, match="sample_size"):
             orbit_count(H5, rows, autsH, freeness="sample", sample_size=sample_size)
+
+
+def test_orbit_count_refuses_repeated_rows(H5, autsH, rows_cache):
+    # 1152 copies of one row once counted as one orbit
+    rows = rows_cache.backtrack("G(32,49)")
+    copies = np.repeat(rows[:1], len(autsH), axis=0)
+    for freeness in ("sample", "full"):
+        with pytest.raises(ValueError, match="^orbit_count needs pairwise distinct rows"):
+            orbit_count(H5, copies, autsH, freeness=freeness)
+    doubled = rows.copy()
+    doubled[1] = doubled[0]
+    with pytest.raises(ValueError, match="^orbit_count needs pairwise distinct rows"):
+        orbit_count(H5, doubled, autsH, freeness="full")
+    # row 1 is not among the 1000 evenly spaced sample rows
+    assert orbit_count(H5, doubled, autsH, freeness="sample") == 1920
+
+
+def test_inner_automorphisms_build_no_search_tables(monkeypatch):
+    """Inn(G) reads `G.conjugates`, not the search's own tables."""
+    built = []
+    monkeypatch.setattr(ddks.structures._Tables, "__init__", lambda self, G: built.append(G))
+    g = realize(get_presentation("G(32,49)"))
+    assert len(inner_automorphism_table(g)) == 16
+    assert built == [] and getattr(g, "_search_tables", None) is None
+    with pytest.raises(ValueError, match="^search cap is order 64$"):
+        inner_automorphism_table(realize(parse_presentation("gens: x\nrel: x^65")))
 
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])

@@ -1,11 +1,29 @@
 """The caps: each driven to its limit, where it must pass, and one step
-past it, where it must raise its named ValueError."""
+past it, where it must raise its named error."""
 
 import numpy as np
 import pytest
 
-from ddks.group_core import FiniteGroup, parse_presentation, realize
-from ddks.structures import generation_mask_filter, maximal_subgroup_masks
+from ddks.automorphisms import AUT_ORDER_CAP, automorphism_group
+from ddks.group_core import (
+    DEFAULT_MAX_COSETS,
+    CosetEnumerationError,
+    FiniteGroup,
+    coset_table,
+    parse_presentation,
+    realize,
+    toddcox,
+)
+from ddks.homology import _eliminate_unit_pivots
+from ddks.structures import (
+    SEARCH_ORDER_CAP,
+    StructureType,
+    generation_mask_filter,
+    genus2_rows,
+    inner_automorphism_table,
+    maximal_subgroup_masks,
+    structure_rows,
+)
 
 
 def elementary_abelian(k: int) -> FiniteGroup:
@@ -49,3 +67,51 @@ def test_the_subgroup_lattice_holds_order_64():
         maximal_subgroup_masks(z65)
     with pytest.raises(ValueError, match="order <= 64, got 65"):
         generation_mask_filter(z65, np.zeros((1, 9), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("index", [1, 2, 64, 100])
+def test_coset_cap_holds_the_index(index):
+    # <x | x^k> has index k: k cosets pass a cap of k, and k - 1 raise
+    relators = [[1] * index]
+    assert len(coset_table(1, relators, max_cosets=index)) == index
+    if index > 1:
+        with pytest.raises(CosetEnumerationError, match=f"^coset enumeration exceeded the cap of {index - 1} live cosets$"):
+            coset_table(1, relators, max_cosets=index - 1)
+
+
+def test_realize_runs_under_the_default_coset_cap(monkeypatch):
+    caps = []
+
+    class Spy(toddcox._Enumerator):
+        def __init__(self, ngens, max_cosets):
+            caps.append(max_cosets)
+            super().__init__(ngens, max_cosets)
+
+    monkeypatch.setattr(toddcox, "_Enumerator", Spy)
+    assert cyclic(6).order == 6
+    assert caps == [DEFAULT_MAX_COSETS] == [4096]
+
+
+def test_pivot_ranks_hold_fewer_than_2_31_entries():
+    # zero-copy: a broadcast scalar, refused from its shape before any read.
+    # The passing side, 2^31 - 1 entries, is not run: np.nonzero would read them all.
+    for shape in ((2**16, 2**15), (2**31, 1), (1, 2**31)):
+        huge = np.broadcast_to(np.int64(0), shape)
+        with pytest.raises(ValueError, match="^the pivot ranks need fewer than 2\\^31 matrix entries$"):
+            _eliminate_unit_pivots(huge)
+
+
+def test_search_cap_holds_order_64():
+    e6 = elementary_abelian(6)
+    assert e6.order == SEARCH_ORDER_CAP == 64
+    # no element of order 3, so no cells: the search runs and finds nothing
+    assert structure_rows(e6, StructureType(2, 3)).shape == (0, 9)
+    assert genus2_rows(e6, []).shape == (0, 9)
+    assert inner_automorphism_table(e6).tolist() == [list(range(64))]
+    # order 65 raises in test_caps_raise_value_errors
+
+
+def test_aut_cap_holds_order_32():
+    z32 = cyclic(AUT_ORDER_CAP)
+    auts = automorphism_group(z32, parse_presentation("gens: x\nrel: x^32"))
+    assert len(auts) == 16  # the units mod 32; order 33 raises in test_caps_raise_value_errors

@@ -203,6 +203,30 @@ def test_normal_subgroups_of_s4():
     assert sizes == [1, 4, 12, 24]
 
 
+def scalar_nilpotency_class(G):
+    """The lower central series from scalar commutators, set by set."""
+    current, k = set(G.elements()), 0
+    while len(current) > 1:
+        nxt = set(G.subgroup_generated({G.commutator(g, x) for g in G.elements() for x in current}))
+        if nxt == current:
+            return None
+        current, k = nxt, k + 1
+    return k
+
+
+def test_commutator_table_matches_the_scalar_commutator():
+    """`commutators` against the scalar `commutator` on every pair of every
+    catalog group, and the nilpotency class it gives against the scalar
+    lower central series."""
+    for label, _ in catalog():
+        G = realize_label(label)
+        table = G.commutators
+        assert table is G.commutators and not table.flags.writeable
+        want = [[G.commutator(a, b) for b in G.elements()] for a in G.elements()]
+        assert table.tolist() == want, label
+        assert G.nilpotency_class() == scalar_nilpotency_class(G), label
+
+
 def test_nilpotency_class():
     assert realize_label("G(32,49)").nilpotency_class() == 2
     assert realize_label("S4").nilpotency_class() is None

@@ -6,7 +6,8 @@ imports neither enumeration route, the small-group prestructure
 reference names no part of the search engine, the symplectic route
 shares with the backtracking route only the certify tail and the key
 format, and no module outside the group core builds its own array of a
-group's Cayley table, inverses or element orders."""
+group's Cayley table, inverses or element orders, or its own commutator
+or conjugation table."""
 
 import ast
 import sys
@@ -272,3 +273,52 @@ def test_group_arrays_come_from_the_group_core():
 )
 def test_group_array_scan_finds_conversions(source, hits):
     assert len(list(_group_list_arrays(ast.parse(source)))) == hits
+
+
+GENERIC_TYPES = {"tuple", "list", "dict", "set", "frozenset", "type", "Sequence", "Iterable", "Iterator"}
+
+
+def _self_indexed_tables(tree: ast.Module):
+    """Subscripts t[...] with t itself, or an entry t[...] of t, among their
+    indices, as in t[t[a, b], inv[a]]: how a commutator or conjugation
+    table is built from a Cayley table.  A generic type such as
+    tuple[tuple[int, ...], ...] is not a table."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Subscript):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in GENERIC_TYPES:
+            continue
+        table = ast.dump(node.value)
+        indices = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        if any(ast.dump(i.value if isinstance(i, ast.Subscript) else i) == table for i in indices):
+            yield node
+
+
+def test_commutator_and_conjugation_tables_come_from_the_group_core():
+    """`FiniteGroup` keeps the one commutator table and the one source of
+    conjugation tables (`commutators`, `conjugates`), so no other module
+    indexes a Cayley table by its own entries."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        if "group_core" not in path.relative_to(SRC).parts
+        for node in _self_indexed_tables(_parse(path))
+    ]
+    assert found == [], f"tables built from a Cayley table outside ddks/group_core: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("commutators = T[T[T, G.inverses[:, None]], G.inverses]", True),
+        ("commutators = table[table[table, inv[:, None]], inv]", True),
+        ("conj = cayley[cayley[a, b], inv[a]]", True),
+        ("conj = G.table[G.table[:, xs], G.inverses[:, None]]", True),
+        ("value = G.table[value, signed[l]]", False),
+        ("ok = perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]", False),
+        ("rows = rows[generation_mask_filter(G, rows)]", False),
+        ("def f(x: tuple[tuple[int, ...], ...]) -> list[list[int]]: pass", False),
+    ],
+)
+def test_self_indexed_table_scan_finds_table_builds(source, flagged):
+    assert any(_self_indexed_tables(ast.parse(source))) == flagged

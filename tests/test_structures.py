@@ -15,6 +15,7 @@ from ddks.group_core import (
     Word,
     catalog_labels,
     commutator,
+    get_presentation,
     parse_presentation,
     realize,
     realize_label,
@@ -386,6 +387,34 @@ def cyclic(order: int) -> FiniteGroup:
     return realize(parse_presentation(f"gens: x\nrel: x^{order}"))
 
 
+INPUT_CHECK_PRELUDE = """
+import numpy as np
+from ddks.automorphisms import automorphism_group, orbit_count
+from ddks.group_core import get_presentation, parse_presentation, realize, realize_label
+from ddks.structures import example_structure, inner_automorphism_table, z_order_filter
+
+G = realize_label("G(32,49)")
+row = np.array([example_structure(G).elements], dtype=np.uint8)
+"""
+
+
+@pytest.mark.parametrize(
+    "snippet, message",
+    [
+        (
+            'orbit_count(G, np.repeat(row, 2, axis=0), automorphism_group(G, get_presentation("G(32,49)")), "full")',
+            "ValueError orbit_count needs pairwise distinct rows; two checked rows are equal",
+        ),
+        ("z_order_filter(G, row[:, :0], 2)", "ValueError rows have no columns, so no z column"),
+        ('inner_automorphism_table(realize(parse_presentation("gens: x\\nrel: x^65")))',
+         "ValueError search cap is order 64"),
+    ],
+    ids=["repeated-rows", "no-z-column", "inn-search-cap"],
+)
+def test_input_checks_raise_under_optimize(snippet, message):
+    assert raised_under_optimize(INPUT_CHECK_PRELUDE + snippet) == message
+
+
 def test_caps_raise_value_errors():
     z65 = cyclic(65)
     with pytest.raises(ValueError, match="search cap"):
@@ -619,6 +648,24 @@ def test_prestructure_report_s4_empty():
     assert prestructure_report(G, mode="auto").count == 0
     with pytest.raises(ValueError, match="unknown search mode"):
         prestructure_search_info(G, mode="bogus")
+
+
+def test_socle_mode_computes_the_normal_subgroups_once(monkeypatch):
+    """The shortcut walks the normal subgroups and then meets the
+    non-trivial ones for the socle: one list of them, from one normal
+    closure per non-identity element, serves both."""
+    calls = {"normal_closure": [], "join_closure": []}
+    for name, calls_of in calls.items():
+        method = getattr(FiniteGroup, name)
+        monkeypatch.setattr(
+            FiniteGroup, name,
+            lambda self, arg, method=method, calls_of=calls_of: calls_of.append(self) or method(self, arg),
+        )
+    G = realize(get_presentation("G(32,6)"))
+    report = prestructure_report(G, mode="socle")
+    assert report.mode == "socle" and report.count == 0 and report.socle_z_candidates == 1
+    assert calls["normal_closure"].count(G) == G.order - 1
+    assert calls["join_closure"].count(G) == 1
 
 
 def test_prestructure_stream_objects(H5):
@@ -1252,6 +1299,9 @@ def test_row_functions_refuse_other_shapes(H5):
     for width in (8, 10):
         with pytest.raises(ValueError, match=f"^rows must have 9 columns, got {width}$"):
             pack_rows(H5, np.zeros((1, width), dtype=np.uint8))
+    # this once raised a bare IndexError reading column -1
+    with pytest.raises(ValueError, match="^rows have no columns, so no z column$"):
+        z_order_filter(H5, np.zeros((2, 0), dtype=np.uint8), 2)
 
 
 def test_certify_tail_rejects_bad_and_repeated_rows(H5):

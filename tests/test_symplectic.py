@@ -92,6 +92,7 @@ z, proj = space.z_element, space.projection_table
 
 def forged(table=None, eta=None):
     h = copy.copy(g)
+    del h.commutators  # the copy shares g's cached table; rebuild it from the forged arrays
     if table is not None:
         h.table = table
     if eta is not None:
