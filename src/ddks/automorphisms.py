@@ -51,10 +51,6 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
         raise ValueError(f"automorphism search cap is order {AUT_ORDER_CAP}")
     if p.ngens != len(G.generator_elements):
         raise ValueError("presentation does not match the realization")
-    cached = getattr(G, "_aut_cache", None)
-    if cached is not None and p in cached:
-        return cached[p]
-
     gens = G.generator_elements
     images = [np.flatnonzero(G.orders == G.orders[g]) for g in gens]
     rows = relator_join(G, images, p.relators, AUT_FRONTIER_CAP)
@@ -77,11 +73,7 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise AssertionError("a generator image tuple does not give a homomorphism")
     perms = perms[np.lexsort(perms.T[::-1])]
-    perms.flags.writeable = False  # the cache hands this array to every caller
-
-    if cached is None:
-        cached = G._aut_cache = {}
-    cached[p] = perms
+    perms.flags.writeable = False  # read-only, as every table the system hands out
     return perms
 
 

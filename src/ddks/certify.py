@@ -8,9 +8,9 @@ step is one gather from a table over at most W registers, W = min(3, 16 // s)
 for s the bit length of |G| - 1, so that a table index, the registers
 packed s bits apart, fits in uint16 (the Four Russians idea: Arlazarov,
 Dinic, Kronrod and Faradzev, 1970).  The program depends only on the
-relators and W, so groups share it; the tables are built once per group
-and cached on it.  Both caches have a fixed bound (`CACHED_PROGRAMS`,
-`CACHED_TABLES`).
+relators and W, so groups share it; a group's tables are built once and
+cached per group (`_GROUP_TABLES`).  Both caches have a fixed bound
+(`CACHED_PROGRAMS`, `CACHED_TABLES`).
 
 - A relator over at most W columns is a flags table over those columns,
   0 iff every relator folded into it is the identity; a relator whose
@@ -42,6 +42,7 @@ there.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -62,6 +63,9 @@ _INDEX_BITS = 16
 # builds at most 20 tables per group, the benchmark's workloads fewer.
 CACHED_PROGRAMS = 64
 CACHED_TABLES = 64
+# The tables built by group object: a copy of a group shares none, and a
+# freed group takes its tables with it.
+_GROUP_TABLES: weakref.WeakKeyDictionary[FiniteGroup, dict[Table, np.ndarray]] = weakref.WeakKeyDictionary()
 
 
 def register_bits(order: int) -> int:
@@ -254,11 +258,11 @@ def _relator_program(groups: tuple[tuple[Word, ...], ...], width: int) -> Progra
 
 def _group_table(G: FiniteGroup, s: int, table: Table) -> np.ndarray:
     """`table` for G as a flat uint8 array of 2^(s * width) entries (those
-    at no element tuple stay 0), cached on G.  Built by one gather over
+    at no element tuple stay 0), cached per group.  Built by one gather over
     `G.table` per letter on the grid of all element tuples, register p
     on axis p, so the C order of a (2^s, .., 2^s) array is the packing.
-    G keeps the `CACHED_TABLES` latest built."""
-    cache = G.__dict__.setdefault("_certify_tables", {})
+    The cache keeps G's `CACHED_TABLES` latest built."""
+    cache = _GROUP_TABLES.setdefault(G, {})
     flat = cache.get(table)
     if flat is not None:
         return flat

@@ -53,6 +53,7 @@ evaluates to the identity), then o(z) and generation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -72,6 +73,9 @@ from .certify import bulk_relator_filter, check_elements, check_rows, relator_jo
 SEARCH_ORDER_CAP = 64
 # Rows a level of `reference_prestructures` may hold (order 16: 15 * 16^4).
 REFERENCE_FRONTIER_CAP = 1 << 20
+# `maximal_subgroup_masks` by group object: a copy of a group shares none,
+# and a freed group takes its masks with it.
+_MAXIMAL_MASKS: weakref.WeakKeyDictionary[FiniteGroup, list[int]] = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -216,7 +220,6 @@ def relations_for_type(t: StructureType) -> list[Word]:
     return [w for _, w in labeled_relations_for_type(t)]
 
 
-@lru_cache(maxsize=None)
 def braid_presentation(b: int) -> Presentation:
     """The two-strand genus-b pure braid group presentation.
 
@@ -347,17 +350,13 @@ def all_subgroup_masks(G: FiniteGroup) -> list[int]:
     """Sorted bitmasks of every subgroup: the joins of the cyclic subgroups."""
     if G.order > 64:
         raise ValueError(f"mask representation requires order <= 64, got {G.order}")
-    cached = getattr(G, "_subgroup_masks", None)
-    if cached is not None:
-        return cached
     found = G.join_closure(G.subgroup_generated((g,)) for g in G.elements())
-    G._subgroup_masks = sorted(sum(1 << m for m in h) for h in found)
-    return G._subgroup_masks
+    return sorted(sum(1 << m for m in h) for h in found)
 
 
 def maximal_subgroup_masks(G: FiniteGroup) -> list[int]:
     """Sorted bitmasks (bit x for element x) of the maximal subgroups of G,
-    cached on G.
+    built once per group (`_MAXIMAL_MASKS`).
 
     For |G| = p^k, k >= 1, they come from the Frattini quotient
     (`_frattini_maximal_masks`): by the Burnside basis theorem the maximal
@@ -367,17 +366,16 @@ def maximal_subgroup_masks(G: FiniteGroup) -> list[int]:
     Handbook of Computational Group Theory, 2005).  Every other group
     keeps the maximal members of `all_subgroup_masks`, which raises
     ValueError above order 64."""
-    cached = getattr(G, "_maximal_masks", None)
-    if cached is not None:
-        return cached
-    p = _prime_power_base(G.order)
-    if p is not None:
-        maximal = _frattini_maximal_masks(G, p)
-    else:
-        full = (1 << G.order) - 1
-        proper = [m for m in all_subgroup_masks(G) if m != full]
-        maximal = [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
-    G._maximal_masks = maximal
+    maximal = _MAXIMAL_MASKS.get(G)
+    if maximal is None:
+        p = _prime_power_base(G.order)
+        if p is not None:
+            maximal = _frattini_maximal_masks(G, p)
+        else:
+            full = (1 << G.order) - 1
+            proper = [m for m in all_subgroup_masks(G) if m != full]
+            maximal = [m for m in proper if not any(m != o and m & ~o == 0 for o in proper)]
+        _MAXIMAL_MASKS[G] = maximal
     return maximal
 
 
@@ -788,9 +786,7 @@ def _genus2_blocks(
     inn: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The search output as consecutive (9, k) uint8 blocks, a row per column."""
-    if getattr(G, "_search_tables", None) is None:
-        G._search_tables = _Tables(G)
-    tab = G._search_tables
+    tab = _Tables(G)
     cells = np.array(list(cells), dtype=np.uint8).reshape(-1, 2)
     orbits = stab = None
     if inn is not None:

@@ -1,0 +1,157 @@
+"""Named mutants of `ddks`, each paired with the test that must fail under
+it (mutation testing: DeMillo, Lipton and Sayward, "Hints on test data
+selection", 1978).  `test_mutants.py` runs every one in-process.
+
+A mutant is applied through a `pytest.MonkeyPatch`, so it is undone when
+the run ends: either an object is replaced, or one function is recompiled
+from its own source with one edit (`edited`).  An edit that no longer
+matches the source raises, so a mutant cannot pass for want of a target.
+"""
+
+from __future__ import annotations
+
+import __future__
+import importlib
+import inspect
+import sys
+import textwrap
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
+
+import pytest
+
+from ddks import certify, homology, structures
+from ddks.group_core import FiniteGroup, realize_label
+from ddks.structures import prestructure_relations
+
+
+def edited(owner, name: str, old: str, new: str):
+    """`owner.name` (a function of a module or class) recompiled from its
+    source with the one occurrence of `old` replaced by `new`, reading the
+    globals of the module that defines it."""
+    function = inspect.unwrap(getattr(owner, name))
+    source = textwrap.dedent(inspect.getsource(function))
+    if source.count(old) != 1:
+        raise AssertionError(f"{name}: the edit matches {source.count(old)} times, not once")
+    module = importlib.import_module(function.__module__)
+    code = compile(
+        source.replace(old, new), inspect.getsourcefile(function), "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    scope: dict = {}
+    exec(code, vars(module), scope)
+    return scope[name]
+
+
+def patch_edited(monkeypatch: pytest.MonkeyPatch, owner, name: str, old: str, new: str) -> None:
+    """`edited` in place of `owner.name`, also in every loaded module that
+    imported the function by name, as a test module does."""
+    original = getattr(owner, name)
+    mutant = edited(owner, name, old, new)
+    monkeypatch.setattr(owner, name, mutant)
+    if inspect.ismodule(owner):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is original:
+                monkeypatch.setattr(module, name, mutant)
+
+
+class OneSlot(dict):
+    """A cache that keeps one entry whatever the key."""
+
+    def get(self, key, default=None):
+        return super().get(None, default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(None, value)
+
+
+def drop_folded_relators(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Relators folded into a wider flags table are lost.  The compiled
+    programs get a fresh, empty cache, so the mutant is seen and leaves no
+    program behind."""
+    patch_edited(monkeypatch, certify, "_folded", "host[1].append(w)", "pass")
+    compile_program = certify._relator_program.__wrapped__
+    monkeypatch.setattr(certify, "_relator_program", lru_cache(maxsize=None)(compile_program))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    test: str  # "module::function"
+    apply: Callable[[pytest.MonkeyPatch], None]
+    # the test's arguments other than `monkeypatch`, built when it runs
+    arguments: Callable[[], dict] = dict
+
+
+MUTANTS = (
+    # the per-group caches
+    Mutant(
+        "certifier tables never evicted",
+        "test_structures::test_certifier_caches_are_bounded",
+        lambda mp: patch_edited(
+            mp, certify, "_group_table", "if len(cache) >= CACHED_TABLES:", "if False:"
+        ),
+    ),
+    Mutant(
+        "maximal masks in one shared slot",
+        "test_structures::test_a_copy_of_a_group_shares_no_derived_table",
+        lambda mp: mp.setattr(structures, "_MAXIMAL_MASKS", OneSlot()),
+    ),
+    Mutant(
+        "certifier tables stored on the group",
+        "test_structures::test_a_copy_of_a_group_shares_no_derived_table",
+        lambda mp: patch_edited(
+            mp, certify, "_group_table",
+            "_GROUP_TABLES.setdefault(G, {})", 'G.__dict__.setdefault("_group_tables", {})',
+        ),
+    ),
+    # one checked Cayley table per group
+    Mutant(
+        "associativity unchecked",
+        "test_group::test_associativity_validation",
+        lambda mp: patch_edited(
+            mp, FiniteGroup, "__init__",
+            "if n <= 64 and (table[table] != table[:, table]).any():", "if False:",
+        ),
+    ),
+    Mutant(
+        "structure range check removed",
+        "test_structures::test_verify_structure_rejects_out_of_range_elements",
+        lambda mp: patch_edited(
+            mp, structures, "verify_structure", "if not all(0 <= x < G.order for x in elements):", "if False:",
+        ),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    # the Smith normal form on Python ints
+    Mutant(
+        "integer check removed",
+        "test_homology::test_non_integer_entries_are_refused",
+        lambda mp: patch_edited(
+            mp, homology, "_integer", "if not isinstance(v, (int, np.integer)):", "if False:",
+        ),
+        lambda: {"function": homology.smith_normal_form, "bad": 1.5},
+    ),
+    # the forward-checked search plan
+    Mutant(
+        "relator tests placed one level early",
+        "test_structures::test_plan_closes_each_relator_once_at_its_last_slot",
+        lambda mp: patch_edited(
+            mp, structures, "_search_plan", "cases[known]", "cases[max(known - 1, 0)]",
+        ),
+        lambda: {"relators": prestructure_relations()},
+    ),
+    # the relator certifier
+    Mutant(
+        "last certifier test skipped",
+        "test_structures::test_certifier_edge_cases",
+        lambda mp: patch_edited(
+            mp, certify, "_stage_mask", "for test in stage.tests]", "for test in stage.tests[:-1]]",
+        ),
+    ),
+    Mutant(
+        "folded relators dropped",
+        "test_structures::test_certifier_edge_cases",
+        drop_folded_relators,
+    ),
+)

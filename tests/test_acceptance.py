@@ -158,9 +158,13 @@ def test_criterion_5_orbit_counts(rows_cache):
 
 def test_criterion_5_checks_generation_on_every_row(rows_cache, monkeypatch):
     # freeness premise (c), that every structure generates G, holds on all
-    # rows; Aut(G) is built first, so only orbit_count calls the filter
+    # rows; Aut(G) is built first and stubbed in, so only orbit_count calls
+    # the filter
+    auts = {}
     for label in ORDER32:
-        automorphism_group(realize_label(label), get_presentation(label))
+        G = realize_label(label)
+        auts[G] = automorphism_group(G, get_presentation(label))
+    monkeypatch.setattr(paper, "automorphism_group", lambda G, p: auts[G])
     seen = []
     real = automorphisms.generation_mask_filter
 

@@ -14,7 +14,9 @@ from ddks.group_core import (
     realize,
     toddcox,
 )
+from ddks import certify, structures
 from ddks.homology import _eliminate_unit_pivots
+from ddks.paper import SMALL_GROUP_SOURCES, SUBSET_LABELS, SUBSET_ROWS
 from ddks.structures import (
     SEARCH_ORDER_CAP,
     StructureType,
@@ -22,6 +24,8 @@ from ddks.structures import (
     genus2_rows,
     inner_automorphism_table,
     maximal_subgroup_masks,
+    prestructure_relations,
+    reference_prestructures,
     structure_rows,
 )
 
@@ -115,3 +119,25 @@ def test_aut_cap_holds_order_32():
     z32 = cyclic(AUT_ORDER_CAP)
     auts = automorphism_group(z32, parse_presentation("gens: x\nrel: x^32"))
     assert len(auts) == 16  # the units mod 32; order 33 raises in test_caps_raise_value_errors
+
+
+def test_reference_frontier_cap_holds_the_largest_level(monkeypatch):
+    # S3 under (R1)-(R5), (T1)-(T5): column 4 (t21) is the largest level, 1728 rows
+    s3 = realize(parse_presentation(SMALL_GROUP_SOURCES["S3"]))
+    subset = tuple((label, w) for label, w in prestructure_relations() if label in SUBSET_LABELS)
+    levels = []  # the rows of each level the join builds
+    stage_mask = certify._stage_mask
+
+    def spy(G, rows, stage):
+        levels.append(len(rows))
+        return stage_mask(G, rows, stage)
+
+    monkeypatch.setattr(certify, "_stage_mask", spy)
+    monkeypatch.setattr(structures, "REFERENCE_FRONTIER_CAP", 1728)
+    assert len(reference_prestructures(s3, subset)) == SUBSET_ROWS["S3"] == 648
+    assert len(levels) == 9 and max(levels) == levels[4] == 1728
+    levels.clear()
+    monkeypatch.setattr(structures, "REFERENCE_FRONTIER_CAP", 1727)
+    with pytest.raises(ValueError, match="^relator join frontier cap is 1727 rows, column 4 needs 1728$"):
+        reference_prestructures(s3, subset)
+    assert len(levels) == 4  # the cap is checked before column 4 is built

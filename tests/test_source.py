@@ -7,7 +7,8 @@ reference names no part of the search engine, the symplectic route
 shares with the backtracking route only the certify tail and the key
 format, and no module outside the group core builds its own array of a
 group's Cayley table, inverses or element orders, or its own commutator
-or conjugation table."""
+or conjugation table, or writes an attribute on an object other than
+`self`."""
 
 import ast
 import sys
@@ -322,3 +323,66 @@ def test_commutator_and_conjugation_tables_come_from_the_group_core():
 )
 def test_self_indexed_table_scan_finds_table_builds(source, flagged):
     assert any(_self_indexed_tables(ast.parse(source))) == flagged
+
+
+def _foreign_attribute_writes(tree: ast.Module):
+    """Attribute stores and deletions on an object other than `self`
+    (a numpy array's `flags` excepted), `setattr` and `delattr` calls
+    whose object is not `self`, and any read of `__dict__`: how a module
+    hangs its own state on someone else's object, such as a group."""
+    def is_self(node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "__dict__":
+                yield node
+            elif isinstance(node.ctx, (ast.Store, ast.Del)) and not is_self(node.value):
+                if not (isinstance(node.value, ast.Attribute) and node.value.attr == "flags"):
+                    yield node
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr") and node.args and not is_self(node.args[0])
+        ):
+            yield node
+
+
+def test_no_module_outside_the_group_core_writes_attributes_on_other_objects():
+    """Per-group caches live in their own module, keyed by the group
+    (`weakref.WeakKeyDictionary`), so a copy of a group shares none of
+    them and only the group core sets a group's attributes."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        if "group_core" not in path.relative_to(SRC).parts
+        for node in _foreign_attribute_writes(_parse(path))
+    ]
+    assert found == [], f"attributes written on other objects outside ddks/group_core: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        # the five per-group caches that lived on the group
+        ("cached = G._aut_cache = {}", True),
+        ("G._subgroup_masks = sorted(masks)", True),
+        ("G._maximal_masks = maximal", True),
+        ("G._search_tables = _Tables(G)", True),
+        ('cache = G.__dict__.setdefault("_certify_tables", {})', True),
+        # each form
+        ("h.table += 1", True),
+        ("del h.commutators", True),
+        ('setattr(G, "_cache", {})', True),
+        ('delattr(G, "_cache")', True),
+        ("state = vars(G) if G.__dict__ else None", True),
+        # not a breach
+        ("self.table = table", False),
+        ("del self.commutators", False),
+        ('setattr(self, "group", G)', False),
+        ("perms.flags.writeable = False", False),
+        ('cached = getattr(G, "_cache", None)', False),
+        ("_CACHE[G] = masks", False),
+    ],
+)
+def test_foreign_attribute_scan_finds_writes(source, flagged):
+    assert any(_foreign_attribute_writes(ast.parse(source))) == flagged

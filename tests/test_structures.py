@@ -1,4 +1,7 @@
+import copy
+import gc
 import hashlib
+import weakref
 from functools import lru_cache
 from itertools import islice, product
 from typing import Sequence
@@ -1068,7 +1071,7 @@ def test_a_flipped_table_entry_is_caught(G5, monkeypatch):
     row = np.array([example_structure(G5).elements], dtype=np.uint8)
     assert word_mask(G5, row, relators).all() and bulk_relator_filter(G5, row, relators).all()
     (stage,) = certify._relator_program((tuple(relators),), certify.table_width(5)).stages
-    tables = G5._certify_tables
+    tables = certify._GROUP_TABLES[G5]
     for (table, _), index in zip(stage.steps, step_indices(G5, stage, row[0])):
         original = tables[table]
         flipped = original.copy()
@@ -1133,7 +1136,7 @@ def hypothesis_rows(label: str) -> tuple[FiniteGroup, np.ndarray]:
 def test_certifier_matches_word_evaluation_on_random_words(label, relators):
     G, rows = hypothesis_rows(label)
     assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators))
-    assert len(G.__dict__.get("_certify_tables", ())) <= certify.CACHED_TABLES
+    assert len(certify._GROUP_TABLES.get(G, {})) <= certify.CACHED_TABLES
 
 
 def test_certifier_caches_are_bounded(monkeypatch):
@@ -1144,9 +1147,46 @@ def test_certifier_caches_are_bounded(monkeypatch):
     for k in range(2, 7):  # x^k, one flags table each
         relators = [Word((1,) * k)]
         assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators))
-        built += list(G._certify_tables.keys() - built)
-    assert len(built) == 5 and list(G._certify_tables) == built[-3:]  # oldest out first
+        built += list(certify._GROUP_TABLES[G].keys() - built)
+    assert len(built) == 5 and list(certify._GROUP_TABLES[G]) == built[-3:]  # oldest out first
     assert certify._relator_program.cache_info().maxsize == certify.CACHED_PROGRAMS
+
+
+def test_a_copy_of_a_group_shares_no_derived_table(monkeypatch):
+    G = realize(parse_presentation(extra_special_text(1, 2, "H")))  # nothing cached on it
+    own = set(vars(G))
+    rows = np.array(list(product(range(G.order), repeat=2)))
+    relators = [Word((1, 2, -1, -2))]
+    maximal = maximal_subgroup_masks(G)
+    bulk_relator_filter(G, rows, relators)
+    # the group itself gains only its own members, such as `commutators`
+    assert all(hasattr(FiniteGroup, name) for name in set(vars(G)) - own)
+    h = copy.copy(G)
+    assert h not in structures._MAXIMAL_MASKS and h not in certify._GROUP_TABLES
+    built = []
+    frattini = structures._frattini_maximal_masks
+    monkeypatch.setattr(structures, "_frattini_maximal_masks", lambda G, p: built.append(G) or frattini(G, p))
+    assert maximal_subgroup_masks(h) == maximal and built == [h]
+    assert maximal_subgroup_masks(h) is maximal_subgroup_masks(h) and built == [h]  # kept for h
+    assert np.array_equal(bulk_relator_filter(h, rows, relators), bulk_relator_filter(G, rows, relators))
+    assert certify._GROUP_TABLES[h] is not certify._GROUP_TABLES[G]
+    assert certify._GROUP_TABLES[h].keys() == certify._GROUP_TABLES[G].keys()
+
+
+def test_a_freed_group_takes_its_tables_with_it():
+    G = realize(parse_presentation(extra_special_text(1, 2, "H")))
+    q, _ = G.quotient(G.center())  # (Z2)^2, as in the prestructure shortcut
+    gc.collect()  # groups freed by earlier tests leave the caches now
+    sizes = len(structures._MAXIMAL_MASKS), len(certify._GROUP_TABLES)
+    assert len(maximal_subgroup_masks(q)) == 3
+    rows = np.array(list(product(range(q.order), repeat=2)))
+    assert bulk_relator_filter(q, rows, [Word((1, 2, -1, -2))]).all()
+    assert (len(structures._MAXIMAL_MASKS), len(certify._GROUP_TABLES)) == (sizes[0] + 1, sizes[1] + 1)
+    freed = weakref.ref(q)
+    del q
+    gc.collect()
+    assert freed() is None
+    assert (len(structures._MAXIMAL_MASKS), len(certify._GROUP_TABLES)) == sizes
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -1169,7 +1209,6 @@ def test_certifier_is_independent_of_the_search_plan(monkeypatch):
     rows = certifier_rows(G, [example_structure(G).elements], seed=4)
     for name, relators in RELATOR_LISTS.items():
         assert np.array_equal(bulk_relator_filter(G, rows, relators), word_mask(G, rows, relators)), name
-    assert getattr(G, "_search_tables", None) is None
 
 
 def join_relators(rng: np.random.Generator, columns: int) -> list[Word]:
