@@ -8,7 +8,7 @@ the proof).  An automorphism is a row of one sorted (|Aut|, |G|) uint8
 table, its images of the elements 0 .. |G| - 1; Inn(G) is the same kind
 of table (`structures.inner_automorphism_table`).  Orbits are counted as
 |structures| / |Aut|, the action being free because every structure
-generates G (`orbit_count`).
+generates G (`orbit_count`, from the certify tail's certificate).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import relator_join
 from .group_core import FiniteGroup, Presentation
-from .structures import generation_mask_filter, pack_rows
+from .structures import certified_type, generation_mask_filter, pack_rows
 
 AUT_ORDER_CAP = 32
 # Rows the generator-image join in `automorphism_group` may hold: 6x its
@@ -97,37 +97,36 @@ def orbit_count(
 ) -> int:
     """The number of Aut-orbits on `rows`: |rows| / |Aut|, exactly.
 
-    `rows` must be a union of orbits, as the certified set of all
-    structures is, and `auts` a group of permutations of G, one per row, as
-    `automorphism_group` certifies.
-    The quotient counts orbits only if the action is free, and freeness
-    follows from a lemma: a homomorphism that fixes a generating tuple
-    pointwise is the identity (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 2005).  Two distinct homomorphisms thus
-    differ on every generating row, so each orbit has exactly |Aut| rows.
-    The lemma's premises are checked, and a failed one raises
-    FreenessError:
+    `rows` must be a union of orbits, and `auts` a group of permutations of
+    G, one per row, as `automorphism_group` certifies.  The quotient counts
+    orbits only if the action is free, and freeness follows from a lemma: a
+    homomorphism that fixes a generating tuple pointwise is the identity
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    Two distinct homomorphisms thus differ on every generating row, so each
+    orbit has exactly |Aut| rows.  The lemma's premises are checked, and a
+    failed one raises FreenessError:
 
     (a) the rows of `auts` are pairwise distinct and include the
         identity, as a group's do (so `auts` is not empty);
     (b) each is multiplicative on the Cayley table of G;
-    (c) each checked row generates G.
+    (c) the rows are pairwise distinct and each generates G.
 
-    The mode chooses the rows of (c): "full" checks every row, "sample"
-    checks sample_size of them at deterministic, evenly spaced indices
-    (ValueError below 1, which would check none).  The checked rows must be
-    pairwise distinct `pack_rows` keys, else ValueError: copies of one
-    generating row would pass (c) without being a union of orbits.
+    "full" takes (c) and the union of orbits from the certify tail: `rows`
+    must be the very array a route returned for G, else ValueError
+    (`structures.certified_type`), so every structure of one type, a set
+    closed under Aut, which keeps the relators, o(z) and generation.
+    "sample" checks (c) on sample_size evenly spaced rows (ValueError below
+    1, which checks none, or for two equal rows, as copies of one row are
+    no union of orbits).
     """
     if freeness not in ("sample", "full"):
         raise ValueError(f"unknown freeness mode {freeness!r}")
     if freeness == "sample" and sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
+    if freeness == "full" and certified_type(G, rows) is None:
+        raise ValueError("freeness 'full' needs the very rows a route returned for this group")
     if len(rows) == 0:
         return 0
-    checked = rows
-    if freeness == "sample" and sample_size < len(rows):
-        checked = rows[np.linspace(0, len(rows) - 1, sample_size).astype(np.int64)]
     perms = auts[np.lexsort(auts.T[::-1])]
     if not (perms == np.arange(G.order)).all(axis=1).any():
         raise FreenessError("the automorphisms do not include the identity")
@@ -136,12 +135,14 @@ def orbit_count(
     cayley = G.table  # uint8, as the permutations are: order <= 256
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise FreenessError("an automorphism is not multiplicative")
-    keys = pack_rows(G, checked)
-    keys.sort(kind="stable")  # timsort: one pass over the sorted rows the routes return
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("orbit_count needs pairwise distinct rows; two checked rows are equal")
-    if not generation_mask_filter(G, checked).all():
-        raise FreenessError("a structure does not generate G")
+    if freeness == "sample":
+        checked = rows[np.linspace(0, len(rows) - 1, min(sample_size, len(rows))).astype(np.int64)]
+        keys = pack_rows(G, checked)
+        keys.sort(kind="stable")  # timsort: one pass over the sorted rows the routes return
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("orbit_count needs pairwise distinct rows; two checked rows are equal")
+        if not generation_mask_filter(G, checked).all():
+            raise FreenessError("a structure does not generate G")
     if len(rows) % len(auts) != 0:
         raise AssertionError(
             f"|Aut| = {len(auts)} does not divide {len(rows)} structures"

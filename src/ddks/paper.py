@@ -4,9 +4,9 @@
 check takes a `Rows` memo and the mode (quick or full) and returns
 (ok, details); `verify-paper` reports the details, and the acceptance
 tests run the same checks and assert their own expected values against
-them.  The two enumeration routes certify every row they return
-(`certify_structure_rows`), so the structure count compares the arrays
-and checks only what the routes do not: strong generation.
+them.  The routes' rows carry the certify tail's certificate
+(`certified_type`): the structure count requires it on the arrays it
+compares and checks only what the routes do not, strong generation.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .invariants import (
 from .structures import (
     DDKStructure,
     StructureType,
+    certified_type,
     example_structure,
     generation_mask_filter,
     inner_automorphism_table,
@@ -187,14 +188,17 @@ def check_prestructures(rows: Rows, quick: bool):
 def check_structure_count(rows: Rows, quick: bool):
     """The symplectic route gives 2 211 840 rows on each group, and in full
     mode the backtracking route the same array; quick mode checks 10 000
-    of the symplectic rows.  Each route has certified every row it returned
-    against the relators, o(z) and generation, so this adds only strong
-    generation: each half (the four slots of one strand, with z) generates
-    G on its own."""
+    of the symplectic rows.  Each array compared must carry its route's
+    certificate of every row against the relators, o(z) and generation, so
+    this adds only strong generation: each half (the four slots of one
+    strand, with z) generates G on its own."""
     details: dict = {"mode": "quick" if quick else "full", "counts": {}}
     for label in ORDER32:
         g = realize_label(label)
         rows_sp = rows.symplectic(label)
+        compared = [rows_sp] if quick else [rows_sp, rows.backtrack(label)]
+        if any(certified_type(g, a) != StructureType(2, 2) for a in compared):
+            return False, {"label": label, "certified": False}
         if len(rows_sp) != STRUCTURE_COUNT:
             return False, {"label": label, "symplectic": int(len(rows_sp))}
         if quick:

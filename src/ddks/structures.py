@@ -949,7 +949,9 @@ def pack_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
 
 
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
-    """The (N, 9) uint8 rows that `pack_rows` packed into `keys`."""
+    """The (N, 9) uint8 rows that `pack_rows` packed into `keys`, 54 bits each."""
+    if keys.max(initial=0) >> 54:
+        raise ValueError(f"row keys hold 54 bits, got the key {keys.max()}")
     rows = np.empty((len(keys), 9), dtype=np.uint8)
     field = np.empty(min(_CHUNK, len(keys)), dtype=np.uint64)
     for start in range(0, len(keys), _CHUNK):
@@ -962,15 +964,7 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return rows
 
 
-def z_order_filter(G: FiniteGroup, rows: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask: rows whose last slot, z, has order n; ValueError for
-    rows that are not 2-D or have no columns, and for entries that are not
-    element indices of G."""
-    check_rows(rows)
-    if rows.shape[1] == 0:
-        raise ValueError("rows have no columns, so no z column")
-    check_elements(G, rows)  # the whole rows: faster than one strided column
-    return G.orders[rows[:, -1]] == n
+_CERTIFIED: dict[int, tuple[weakref.ref, FiniteGroup, StructureType]] = {}
 
 
 def certify_structure_rows(
@@ -981,18 +975,29 @@ def certify_structure_rows(
     AssertionError with `duplicate`) and that every row satisfies the full
     relator list, o(z) = t.n and generation (else AssertionError with
     `failure` formatted with the number of bad rows).  The returned array
-    is the one checked.
+    is the one checked, read-only, and certified as every type-t structure
+    on G (`certified_type`): the caller vouches that `keys` enumerate them.
     """
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError(duplicate)
     rows = unpack_keys(keys)
-    ok = bulk_relator_filter(G, rows, relations_for_type(t))
-    ok &= z_order_filter(G, rows, t.n)
+    ok = bulk_relator_filter(G, rows, relations_for_type(t))  # range-checks every entry
+    ok &= G.orders[rows[:, 8]] == t.n
     ok &= generation_mask_filter(G, rows)
     if not ok.all():
         raise AssertionError(failure.format(int((~ok).sum())))
+    rows.flags.writeable = False
+    _CERTIFIED[id(rows)] = (weakref.ref(rows), G, t)
+    weakref.finalize(rows, _CERTIFIED.pop, id(rows))
     return rows
+
+
+def certified_type(G: FiniteGroup, rows: np.ndarray) -> StructureType | None:
+    """t if `rows` is the very array `certify_structure_rows` returned for
+    the type-t structures on G, else None (for a slice, copy or roll too)."""
+    entry = _CERTIFIED.get(id(rows))
+    return entry[2] if entry and entry[0]() is rows and entry[1] is G else None
 
 
 # -- prestructure search ----------------------------------------------

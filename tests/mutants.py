@@ -21,8 +21,10 @@ from typing import Callable
 
 import pytest
 
-from ddks import certify, homology, structures
-from ddks.group_core import FiniteGroup, realize_label
+from ddks import automorphisms, certify, homology, structures
+from ddks.automorphisms import automorphism_group
+from ddks.group_core import FiniteGroup, get_presentation, realize_label
+from ddks.paper import Rows
 from ddks.structures import prestructure_relations
 
 
@@ -153,5 +155,48 @@ MUTANTS = (
         "folded relators dropped",
         "test_structures::test_certifier_edge_cases",
         drop_folded_relators,
+    ),
+    # the certify tail and its certificate
+    Mutant(
+        "o(z) unchecked in the tail",
+        "test_structures::test_certify_tail_rejects_bad_and_repeated_rows",
+        lambda mp: patch_edited(
+            mp, structures, "certify_structure_rows", "ok &= G.orders[rows[:, 8]] == t.n", "pass",
+        ),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "tail rows left writeable",
+        "test_structures::test_the_tail_hands_out_read_only_rows_and_keeps_no_array",
+        lambda mp: patch_edited(
+            mp, structures, "certify_structure_rows", "rows.flags.writeable = False", "pass",
+        ),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "certificate lookup without its identity test",
+        "test_structures::test_a_record_certifies_only_the_array_it_points_at",
+        lambda mp: patch_edited(mp, structures, "certified_type", "entry[0]() is rows and ", ""),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "full mode skips the certificate lookup",
+        "test_automorphisms::test_full_mode_refuses_rows_no_route_certified",
+        lambda mp: patch_edited(
+            mp, automorphisms, "orbit_count",
+            'if freeness == "full" and certified_type(G, rows) is None:', "if False:",
+        ),
+        lambda: {
+            "H5": realize_label("G(32,49)"),
+            "G5": realize_label("G(32,50)"),
+            "autsH": automorphism_group(realize_label("G(32,49)"), get_presentation("G(32,49)")),
+            "autsG": automorphism_group(realize_label("G(32,50)"), get_presentation("G(32,50)")),
+            "rows_cache": Rows(),
+        },
+    ),
+    Mutant(
+        "row keys unpacked above 54 bits",
+        "test_structures::test_unpack_keys_refuses_bits_above_54",
+        lambda mp: patch_edited(mp, structures, "unpack_keys", "if keys.max(initial=0) >> 54:", "if False:"),
     ),
 )

@@ -156,28 +156,33 @@ def test_criterion_5_orbit_counts(rows_cache):
         assert details[label]["orbits"] == orbits_expected == STRUCTURE_COUNT // aut_expected
 
 
-def test_criterion_5_checks_generation_on_every_row(rows_cache, monkeypatch):
-    # freeness premise (c), that every structure generates G, holds on all
-    # rows; Aut(G) is built first and stubbed in, so only orbit_count calls
-    # the filter
+def test_criterion_5_neither_packs_nor_checks_generation(rows_cache, monkeypatch):
+    # freeness premise (c), that the rows are distinct and generate G, comes
+    # from the certify tail; Aut(G) is built first and stubbed in, so only
+    # orbit_count could call these
     auts = {}
     for label in ORDER32:
         G = realize_label(label)
         auts[G] = automorphism_group(G, get_presentation(label))
     monkeypatch.setattr(paper, "automorphism_group", lambda G, p: auts[G])
     seen = []
-    real = automorphisms.generation_mask_filter
-
-    def spy(G, rows):
-        seen.append(rows)
-        return real(G, rows)
-
-    monkeypatch.setattr(automorphisms, "generation_mask_filter", spy)
+    for name in ("pack_rows", "generation_mask_filter"):
+        real = getattr(automorphisms, name)
+        monkeypatch.setattr(automorphisms, name, lambda G, rows, real=real: seen.append(rows) or real(G, rows))
     ok, details = check_orbits(rows_cache, False)
     assert ok, details
-    assert [len(rows) for rows in seen] == [STRUCTURE_COUNT] * 2
-    for rows, label in zip(seen, ORDER32):
-        assert rows is rows_cache.symplectic(label)
+    assert seen == []
+
+
+def test_criterion_4_needs_the_routes_own_arrays(rows_cache):
+    """A copy of a route's rows carries no certificate, so criterion 4 fails
+    on it, in either mode."""
+    for route, quick in (("symplectic", True), ("symplectic", False), ("backtrack", False)):
+        memo = paper.Rows()
+        memo.backtrack, memo.symplectic = rows_cache.backtrack, rows_cache.symplectic
+        setattr(memo, route, lambda label, own=getattr(rows_cache, route): own(label).copy())
+        ok, details = check_structure_count(memo, quick)
+        assert not ok and details == {"label": "G(32,49)", "certified": False}, (route, quick)
 
 
 def test_order_32_routes_build_no_subgroup_lattice(monkeypatch):

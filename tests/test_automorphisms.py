@@ -248,9 +248,14 @@ def test_orbit_counts(H5, G5, autsH, autsG, rows_cache):
     assert orbit_count(G5, rows50, autsG) == 1152
 
 
+UNCERTIFIED = "^freeness 'full' needs the very rows a route returned for this group$"
+
+
 def test_orbit_count_freeness_violation(H5, autsH):
     fixed_by_everything = np.zeros((1, 9), dtype=np.uint8)
-    with pytest.raises(FreenessError):
+    with pytest.raises(FreenessError, match="generate"):
+        orbit_count(H5, fixed_by_everything, autsH, freeness="sample")
+    with pytest.raises(ValueError, match=UNCERTIFIED):
         orbit_count(H5, fixed_by_everything, autsH, freeness="full")
     with pytest.raises(ValueError, match="freeness"):
         orbit_count(H5, fixed_by_everything, autsH, freeness="maybe")
@@ -260,7 +265,7 @@ def test_freeness_mode_chooses_the_rows(H5, autsH, rows_cache):
     rows = rows_cache.backtrack("G(32,49)")[:2 * 1152].copy()
     rows[1] = 0  # not among the 1000 evenly spaced sample indices
     assert orbit_count(H5, rows, autsH, freeness="sample") == 2
-    with pytest.raises(FreenessError, match="generate"):
+    with pytest.raises(ValueError, match=UNCERTIFIED):
         orbit_count(H5, rows, autsH, freeness="full")
     for sample_size in (0, -1):  # no sample would check no row
         with pytest.raises(ValueError, match="sample_size"):
@@ -271,15 +276,26 @@ def test_orbit_count_refuses_repeated_rows(H5, autsH, rows_cache):
     # 1152 copies of one row once counted as one orbit
     rows = rows_cache.backtrack("G(32,49)")
     copies = np.repeat(rows[:1], len(autsH), axis=0)
-    for freeness in ("sample", "full"):
-        with pytest.raises(ValueError, match="^orbit_count needs pairwise distinct rows"):
-            orbit_count(H5, copies, autsH, freeness=freeness)
+    with pytest.raises(ValueError, match="^orbit_count needs pairwise distinct rows"):
+        orbit_count(H5, copies, autsH, freeness="sample")
     doubled = rows.copy()
     doubled[1] = doubled[0]
-    with pytest.raises(ValueError, match="^orbit_count needs pairwise distinct rows"):
-        orbit_count(H5, doubled, autsH, freeness="full")
+    for repeated in (copies, doubled):
+        with pytest.raises(ValueError, match=UNCERTIFIED):
+            orbit_count(H5, repeated, autsH, freeness="full")
     # row 1 is not among the 1000 evenly spaced sample rows
     assert orbit_count(H5, doubled, autsH, freeness="sample") == 1920
+
+
+def test_full_mode_refuses_rows_no_route_certified(H5, G5, autsH, autsG, rows_cache):
+    """Each of these once counted: the first 1152 sorted rows as 1 orbit."""
+    rows = rows_cache.symplectic("G(32,49)")
+    for other in (rows[:1152], rows.copy(), np.roll(rows, 1, axis=0)):
+        with pytest.raises(ValueError, match=UNCERTIFIED):
+            orbit_count(H5, other, autsH, freeness="full")
+    with pytest.raises(ValueError, match=UNCERTIFIED):  # G(32,49)'s rows with G(32,50)
+        orbit_count(G5, rows, autsG, freeness="full")
+    assert orbit_count(H5, rows, autsH, freeness="full") == 1920
 
 
 def test_inner_automorphisms_build_no_search_tables(monkeypatch):

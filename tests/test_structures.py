@@ -33,6 +33,7 @@ from ddks.structures import (
     all_subgroup_masks,
     braid_presentation,
     bulk_relator_filter,
+    certified_type,
     certify_structure_rows,
     example_structure,
     generation_mask_filter,
@@ -54,7 +55,6 @@ from ddks.structures import (
     structure_to_dict,
     unpack_keys,
     verify_structure,
-    z_order_filter,
 )
 from ddks.symplectic import symplectic_structure_rows
 from optimizetools import raised_under_optimize
@@ -394,7 +394,8 @@ INPUT_CHECK_PRELUDE = """
 import numpy as np
 from ddks.automorphisms import automorphism_group, orbit_count
 from ddks.group_core import get_presentation, parse_presentation, realize, realize_label
-from ddks.structures import example_structure, inner_automorphism_table, z_order_filter
+from ddks.structures import example_structure, inner_automorphism_table, unpack_keys
+from ddks.symplectic import symplectic_structure_rows
 
 G = realize_label("G(32,49)")
 row = np.array([example_structure(G).elements], dtype=np.uint8)
@@ -405,14 +406,18 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
     "snippet, message",
     [
         (
-            'orbit_count(G, np.repeat(row, 2, axis=0), automorphism_group(G, get_presentation("G(32,49)")), "full")',
+            'orbit_count(G, np.repeat(row, 2, axis=0), automorphism_group(G, get_presentation("G(32,49)")), "sample")',
             "ValueError orbit_count needs pairwise distinct rows; two checked rows are equal",
         ),
-        ("z_order_filter(G, row[:, :0], 2)", "ValueError rows have no columns, so no z column"),
+        (
+            'orbit_count(G, symplectic_structure_rows(G)[:1152], automorphism_group(G, get_presentation("G(32,49)")), "full")',
+            "ValueError freeness 'full' needs the very rows a route returned for this group",
+        ),
+        ("unpack_keys(np.array([1 << 63], dtype=np.uint64))", f"ValueError row keys hold 54 bits, got the key {1 << 63}"),
         ('inner_automorphism_table(realize(parse_presentation("gens: x\\nrel: x^65")))',
          "ValueError search cap is order 64"),
     ],
-    ids=["repeated-rows", "no-z-column", "inn-search-cap"],
+    ids=["repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap"],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
     assert raised_under_optimize(INPUT_CHECK_PRELUDE + snippet) == message
@@ -1306,17 +1311,28 @@ def test_row_keys_sort_as_the_rows(monkeypatch, chunk):
 
 def test_row_keys_and_z_order_refuse_non_elements(H5):
     """An entry of 70 used to pack as 6 and -1 as 63 in every field, and
-    z = -1 read the order of the last element."""
+    z = -1 read the order of the last element.  The tail reads o(z) only
+    after `bulk_relator_filter` has range-checked every entry."""
     good = np.array([example_structure(H5).elements])
     for bad in (70, -1, 32):
-        for column, check in ((0, lambda rows: pack_rows(H5, rows)), (8, lambda rows: z_order_filter(H5, rows, 2))):
+        for column in (0, 8):
             rows = good.copy()
             rows[0, column] = bad
             with pytest.raises(ValueError, match="out of range"):
-                check(rows)
+                pack_rows(H5, rows)
     with pytest.raises(ValueError, match="must be integers"):
         pack_rows(H5, good.astype(float))
-    assert z_order_filter(H5, good, 2).tolist() == [True]
+    z_above = pack_rows(H5, good) | np.uint64(32)  # z >= 32, no element of H5
+    with pytest.raises(ValueError, match="out of range"):
+        certify_structure_rows(H5, z_above, T22, "{} bad", "repeated")
+
+
+def test_unpack_keys_refuses_bits_above_54():
+    """The key 2^63 once unpacked to a row of zeros."""
+    for key in (1 << 54, 1 << 63, (1 << 64) - 1):
+        with pytest.raises(ValueError, match=f"^row keys hold 54 bits, got the key {key}$"):
+            unpack_keys(np.array([0, key], dtype=np.uint64))
+    assert unpack_keys(np.array([(1 << 54) - 1], dtype=np.uint64)).tolist() == [[63] * 9]
 
 
 def test_row_functions_refuse_other_shapes(H5):
@@ -1326,7 +1342,6 @@ def test_row_functions_refuse_other_shapes(H5):
     row = np.array(example_structure(H5).elements, dtype=np.uint8)
     checks = {
         "pack_rows": lambda rows: pack_rows(H5, rows),
-        "z_order_filter": lambda rows: z_order_filter(H5, rows, 2),
         "generation_mask_filter": lambda rows: generation_mask_filter(H5, rows),
         "bulk_relator_filter": lambda rows: bulk_relator_filter(H5, rows, relations_for_type(T22)),
     }
@@ -1338,9 +1353,6 @@ def test_row_functions_refuse_other_shapes(H5):
     for width in (8, 10):
         with pytest.raises(ValueError, match=f"^rows must have 9 columns, got {width}$"):
             pack_rows(H5, np.zeros((1, width), dtype=np.uint8))
-    # this once raised a bare IndexError reading column -1
-    with pytest.raises(ValueError, match="^rows have no columns, so no z column$"):
-        z_order_filter(H5, np.zeros((2, 0), dtype=np.uint8), 2)
 
 
 def test_certify_tail_rejects_bad_and_repeated_rows(H5):
@@ -1349,10 +1361,47 @@ def test_certify_tail_rejects_bad_and_repeated_rows(H5):
     bad[0, 8] = 0  # z = 1 breaks o(z) = 2
     rows = certify_structure_rows(H5, pack_rows(H5, good), T22, "{} bad", "repeated")
     assert np.array_equal(rows, good)
+    # the relators do not depend on n, so only o(z) = 4 fails here
+    assert relations_for_type(StructureType(2, 4)) == relations_for_type(T22)
+    with pytest.raises(AssertionError, match="^1 bad$"):
+        certify_structure_rows(H5, pack_rows(H5, good), StructureType(2, 4), "{} bad", "repeated")
     with pytest.raises(AssertionError, match="^1 bad$"):
         certify_structure_rows(H5, pack_rows(H5, np.vstack([bad, good])), T22, "{} bad", "repeated")
     with pytest.raises(AssertionError, match="^repeated$"):
         certify_structure_rows(H5, pack_rows(H5, np.vstack([good, good])), T22, "{} bad", "repeated")
+
+
+def test_the_tail_hands_out_read_only_rows_and_keeps_no_array(H5):
+    good = np.array([example_structure(H5).elements], dtype=np.uint8)
+    rows = certify_structure_rows(H5, pack_rows(H5, good), T22, "{} bad", "repeated")
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0
+    assert certified_type(H5, rows) == T22
+    entry = structures._CERTIFIED[id(rows)]
+    assert entry[0]() is rows and not any(isinstance(x, np.ndarray) for x in entry)
+    key = id(rows)
+    del rows, entry  # the record dies with the rows
+    assert key not in structures._CERTIFIED
+
+
+def test_a_record_certifies_only_the_array_it_points_at(monkeypatch, H5):
+    """A record found by id certifies nothing unless its weakref points at
+    the very array looked up, as after an id is reused."""
+    good = np.array([example_structure(H5).elements], dtype=np.uint8)
+    rows = certify_structure_rows(H5, pack_rows(H5, good), T22, "{} bad", "repeated")
+    other = rows.copy()
+    monkeypatch.setitem(structures._CERTIFIED, id(other), structures._CERTIFIED[id(rows)])
+    assert certified_type(H5, rows) == T22
+    assert certified_type(H5, other) is None
+
+
+def test_route_rows_are_read_only_and_only_they_are_certified(H5, G5, rows_cache):
+    for rows in (rows_cache.backtrack("G(32,49)"), rows_cache.symplectic("G(32,49)")):
+        assert not rows.flags.writeable
+        assert certified_type(H5, rows) == T22
+        assert certified_type(G5, rows) is None
+        for other in (rows[:1152], rows[:], rows.copy()):
+            assert certified_type(H5, other) is None
 
 
 def slot_order_keys(rows: np.ndarray) -> np.ndarray:
@@ -1415,7 +1464,7 @@ def test_image_keys_are_the_packed_images(monkeypatch, H5):
     assert structures._image_keys(H5, reps[:0], inn).shape == (0,)
 
 
-TAIL_CHECKS = ("bulk_relator_filter", "z_order_filter", "generation_mask_filter")
+TAIL_CHECKS = ("bulk_relator_filter", "generation_mask_filter")
 ROUTES = (lambda G: structure_rows(G, T22), symplectic_structure_rows)
 
 
@@ -1449,7 +1498,7 @@ def test_certified_once_fails_on_a_tail_that_checks_part_of_the_keys(monkeypatch
         rows = unpack_keys(keys)
         part = rows[: len(rows) // 2]
         ok = structures.bulk_relator_filter(G, part, relations_for_type(t))
-        ok &= structures.z_order_filter(G, part, t.n)
+        ok &= G.orders[part[:, 8]] == t.n
         ok &= structures.generation_mask_filter(G, part)
         if not ok.all():
             raise AssertionError(failure.format(int((~ok).sum())))
