@@ -19,7 +19,6 @@ from .automorphisms import automorphism_group, orbit_count, out_order
 from .group_core import (
     CosetEnumerationError,
     FiniteGroup,
-    PresentationError,
     catalog_labels,
     get_presentation,
     realize_label,
@@ -288,14 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         results, status = args.handler(args)
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        CosetEnumerationError,
-        PresentationError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, KeyError, OSError, CosetEnumerationError) as exc:
         message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
         results, status = {"error": message}, "fail"
         sys.stderr.write(f"error: {message}\n")

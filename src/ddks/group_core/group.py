@@ -156,7 +156,7 @@ class FiniteGroup:
 
     def socle(self) -> "ElementSet":
         """The intersection of the non-trivial normal subgroups, the set the
-        prestructure shortcut needs (`prestructure_search_info`).  It is the
+        prestructure shortcut needs (`structures._search_setup`).  It is the
         textbook socle, the join of the minimal normal subgroups, only when
         there is one minimal normal subgroup; otherwise it is trivial."""
         if self.order == 1:
@@ -285,7 +285,8 @@ def _element_set(G: FiniteGroup, mask: np.ndarray) -> ElementSet:
 class Homomorphism:
     """A map Presentation -> FiniteGroup given by generator images.
 
-    Relator preservation is verified at construction.
+    The images must be element indices of the target, and relator
+    preservation is verified at construction.
     """
 
     source: Presentation
@@ -297,6 +298,8 @@ class Homomorphism:
             raise ValueError(
                 f"{self.source.ngens} generators but {len(self.images)} images"
             )
+        if not all(0 <= x < self.target.order for x in self.images):
+            raise ValueError("element index out of range for the group")
         for rel in self.source.relators:
             if self.target.evaluate_word(rel, self.images) != 0:
                 raise ValueError(

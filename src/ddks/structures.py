@@ -787,7 +787,9 @@ def _genus2_blocks(
 ) -> Iterator[np.ndarray]:
     """The search output as consecutive (9, k) uint8 blocks, a row per column."""
     tab = _Tables(G)
-    cells = np.array(list(cells), dtype=np.uint8).reshape(-1, 2)
+    cells = np.array(list(cells) or np.empty((0, 2), dtype=np.uint8)).reshape(-1, 2)
+    check_elements(G, cells)
+    cells = cells.astype(np.uint8)
     orbits = stab = None
     if inn is not None:
         # the same rule as in _descend, on z and then r11
@@ -810,7 +812,8 @@ def genus2_rows(
 ) -> np.ndarray:
     """The (k, 9) uint8 rows with (z, r11) in `cells` that satisfy (R1)-(R10),
     (T1)-(T10), (S1) and (S2); ordered by cell as given, then by t21, r12,
-    t22, t11, r21, t12, r22.
+    t22, t11, r21, t12, r22.  A cell entry that is not an element index of
+    G raises ValueError.
 
     With `inn`, a permutation table of automorphisms of G with the
     identity first (at most 64, the width of the stabilizer masks, else
@@ -1002,57 +1005,35 @@ def certified_type(G: FiniteGroup, rows: np.ndarray) -> StructureType | None:
 
 # -- prestructure search ----------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientEvidence:
-    """Outcome of the no-prestructure check on all proper quotients."""
+def _search_setup(
+    G: FiniteGroup, mode: str
+) -> tuple[str, tuple[int, ...], tuple[int, ...] | None]:
+    """The mode searched, the z (of order >= 2) to search, and the sorted
+    orders of the quotients checked (None if none was).
 
-    quotient_orders: tuple[int, ...]
-    all_empty: bool
-
-
-@dataclass(frozen=True)
-class PrestructureSearchInfo:
-    mode: str                      # "full" or "socle"
-    z_candidates: tuple[int, ...]
-    evidence: QuotientEvidence | None
-
-
-def _shortcut_evidence(G: FiniteGroup) -> QuotientEvidence:
-    """Run the full prestructure search on every proper non-trivial quotient.
-
-    If all are empty, any prestructure on G must have z in every non-trivial
-    normal subgroup (else the image in some G/N would be a prestructure with
-    z-image non-trivial), i.e. z lies in their intersection, `G.socle()`.
+    "full" searches every z; "auto" does so up to order 24 and takes the
+    shortcut above it.  The shortcut rests on one lemma: a prestructure on
+    G maps to one on G/N unless z is in N.  So if no proper non-trivial
+    quotient has a prestructure, z lies in every non-trivial normal
+    subgroup, in `G.socle()` (no candidates unless G has one minimal
+    normal subgroup), and the mode is "socle".  The quotients are searched
+    in full, by the size of N; the scan stops at the first one that has a
+    prestructure, and G is then searched in full.
     """
-    orders, all_empty = [], True
-    for nsub in G.normal_subgroups()[1:-1]:  # by size, so these are the proper non-trivial ones
-        q, _ = G.quotient(nsub)
-        orders.append(q.order)
-        blocks = _prestructure_blocks(q, prestructure_search_info(q, "full"))
-        if any(block.shape[1] for block in blocks):
-            all_empty = False
-            break
-    return QuotientEvidence(tuple(sorted(orders)), all_empty)
-
-
-def prestructure_search_info(G: FiniteGroup, mode: str = "auto") -> PrestructureSearchInfo:
-    """The z (of order >= 2) to search: in "socle" mode, if no proper quotient
-    has a prestructure, those in `G.socle()`, the intersection of the
-    non-trivial normal subgroups, which is trivial (no candidates) unless G
-    has one minimal normal subgroup; else all.  "auto" is "full" to order 24."""
-    if mode not in ("auto", "full", "socle"):
+    if mode not in ("auto", "full"):
         raise ValueError(f"unknown search mode {mode!r}")
-    if mode == "auto":
-        mode = "full" if G.order <= 24 else "socle"
-    evidence = None
-    if mode == "socle":
-        evidence = _shortcut_evidence(G)
-        if evidence.all_empty:
-            zs = tuple(x for x in G.socle() if G.element_order[x] >= 2)
-            return PrestructureSearchInfo("socle", zs, evidence)
-        # hypothesis failed: the restriction would be unsound
-    zs = tuple(x for x in G.elements() if G.element_order[x] >= 2)
-    return PrestructureSearchInfo("full", zs, evidence)
+    searched, pool, orders = "full", G.elements(), None
+    if mode == "auto" and G.order > 24:
+        orders = []
+        for nsub in G.normal_subgroups()[1:-1]:  # by size, so these are the proper non-trivial ones
+            q, _ = G.quotient(nsub)
+            orders.append(q.order)
+            if any(block.shape[1] for block in _prestructure_blocks(q, _search_setup(q, "full")[1])):
+                break
+        else:
+            searched, pool = "socle", G.socle()
+        orders = tuple(sorted(orders))
+    return searched, tuple(x for x in pool if G.element_order[x] >= 2), orders
 
 
 def iter_prestructure_tuples(
@@ -1071,19 +1052,20 @@ def iter_prestructure_tuples(
         raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
     if relators is not None and mode != "full":
         raise ValueError("a relator list needs mode 'full'")
-    for block in _prestructure_blocks(G, prestructure_search_info(G, mode), relators):
+    for block in _prestructure_blocks(G, _search_setup(G, mode)[1], relators):
         yield from map(tuple, block.T.tolist())
 
 
 def _prestructure_blocks(
     G: FiniteGroup,
-    info: PrestructureSearchInfo,
+    zs: tuple[int, ...],
     relators: tuple[tuple[str, Word], ...] | None = None,
 ) -> Iterator[np.ndarray]:
-    """The stream as (9, k) blocks, each re-verified before it is yielded."""
+    """The stream with z in `zs` as (9, k) blocks, each re-verified before
+    it is yielded."""
     rels = prestructure_relations() if relators is None else relators
     words = [w for _, w in rels]
-    cells = ((z, r11) for z in info.z_candidates for r11 in range(G.order))
+    cells = ((z, r11) for z in zs for r11 in range(G.order))
     for block in _genus2_blocks(G, cells, rels):
         if not bulk_relator_filter(G, block.T, words).all():
             raise AssertionError("prestructure search emitted an invalid tuple")
@@ -1124,19 +1106,17 @@ _REPORT_SAMPLE = 100
 
 def prestructure_report(G: FiniteGroup, mode: str = "auto") -> PrestructureReport:
     """Run the search to completion; certified-empty when count == 0."""
-    info = prestructure_search_info(G, mode)
+    searched, zs, orders = _search_setup(G, mode)
     count = 0
     sample: list[tuple[int, ...]] = []
-    for block in _prestructure_blocks(G, info):
+    for block in _prestructure_blocks(G, zs):
         count += block.shape[1]
         sample += map(tuple, block[:, :_REPORT_SAMPLE - len(sample)].T.tolist())
     return PrestructureReport(
         count=count,
-        mode=info.mode,
-        socle_z_candidates=len(info.z_candidates) if info.mode == "socle" else None,
-        quotient_orders_checked=(
-            info.evidence.quotient_orders if info.evidence else None
-        ),
+        mode=searched,
+        socle_z_candidates=len(zs) if searched == "socle" else None,
+        quotient_orders_checked=orders,
         sample=tuple(sample),
     )
 

@@ -23,7 +23,7 @@ import pytest
 
 from ddks import automorphisms, certify, homology, structures
 from ddks.automorphisms import automorphism_group
-from ddks.group_core import FiniteGroup, get_presentation, realize_label
+from ddks.group_core import FiniteGroup, Homomorphism, get_presentation, realize_label
 from ddks.paper import Rows
 from ddks.structures import prestructure_relations
 
@@ -198,5 +198,26 @@ MUTANTS = (
         "row keys unpacked above 54 bits",
         "test_structures::test_unpack_keys_refuses_bits_above_54",
         lambda mp: patch_edited(mp, structures, "unpack_keys", "if keys.max(initial=0) >> 54:", "if False:"),
+    ),
+    # the prestructure shortcut
+    Mutant(
+        "shortcut reads past a non-empty quotient",
+        "test_structures::test_the_shortcut_searches_in_full_after_a_non_empty_quotient",
+        lambda mp: patch_edited(mp, structures, "_search_setup", "break", "pass"),
+    ),
+    # element indices at the input boundary
+    Mutant(
+        "homomorphism images unchecked",
+        "test_group::test_homomorphism_refuses_images_outside_the_group",
+        lambda mp: patch_edited(
+            mp, Homomorphism, "__post_init__",
+            "if not all(0 <= x < self.target.order for x in self.images):", "if False:",
+        ),
+    ),
+    Mutant(
+        "search cells unchecked",
+        "test_structures::test_genus2_rows_refuses_cells_outside_the_group",
+        lambda mp: patch_edited(mp, structures, "_genus2_blocks", "check_elements(G, cells)", "pass"),
+        lambda: {"H5": realize_label("G(32,49)")},
     ),
 )

@@ -20,7 +20,7 @@ from fractions import Fraction
 import ddks
 from ddks import automorphisms, paper, structures
 from ddks.automorphisms import automorphism_group
-from ddks.group_core import EXPECTED_ORDER, catalog_labels, get_presentation, realize_label
+from ddks.group_core import EXPECTED_ORDER, catalog_labels, get_presentation, realize, realize_label
 from ddks.invariants import chern_invariants, fibration_data, with_homology
 from ddks.paper import (
     CENTER_ORDERS,
@@ -202,7 +202,8 @@ def test_order_32_routes_build_no_subgroup_lattice(monkeypatch):
         ok, details = check(fresh, False)
         assert ok, details
     assert built == []
-    structures.maximal_subgroup_masks(realize_label("S4"))  # not a p-group: the spy sees it
+    # not a p-group: the spy sees its lattice built, on an S4 no earlier test has cached
+    structures.maximal_subgroup_masks(realize(get_presentation("S4")))
     assert built == [24]
 
 

@@ -245,6 +245,20 @@ def test_homomorphism_validation():
     assert len(h.image_elements()) == 2
 
 
+def test_homomorphism_refuses_images_outside_the_group():
+    p = parse_presentation("gens: x\nrel: x^2")
+    G = realize_label("G(32,49)")
+    assert G.element_order[31] == 2  # so list indexing would accept -1
+    for image in (-1, 40):
+        with pytest.raises(ValueError, match="element index out of range for the group"):
+            Homomorphism(p, G, (image,))
+    snippet = (
+        "from ddks.group_core import Homomorphism, parse_presentation, realize_label\n"
+        "Homomorphism(parse_presentation('gens: x\\nrel: x^2'), realize_label('G(32,49)'), (-1,))\n"
+    )
+    assert raised_under_optimize(snippet) == "ValueError element index out of range for the group"
+
+
 def test_is_cct():
     with pytest.raises(ValueError, match="abelian"):
         klein_four().is_cct()

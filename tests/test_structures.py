@@ -46,7 +46,6 @@ from ddks.structures import (
     pack_rows,
     prestructure_relations,
     prestructure_report,
-    prestructure_search_info,
     reference_prestructures,
     relations_for_type,
     slot_index,
@@ -394,7 +393,7 @@ INPUT_CHECK_PRELUDE = """
 import numpy as np
 from ddks.automorphisms import automorphism_group, orbit_count
 from ddks.group_core import get_presentation, parse_presentation, realize, realize_label
-from ddks.structures import example_structure, inner_automorphism_table, unpack_keys
+from ddks.structures import example_structure, genus2_rows, inner_automorphism_table, unpack_keys
 from ddks.symplectic import symplectic_structure_rows
 
 G = realize_label("G(32,49)")
@@ -416,8 +415,9 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
         ("unpack_keys(np.array([1 << 63], dtype=np.uint64))", f"ValueError row keys hold 54 bits, got the key {1 << 63}"),
         ('inner_automorphism_table(realize(parse_presentation("gens: x\\nrel: x^65")))',
          "ValueError search cap is order 64"),
+        ("genus2_rows(G, [(40, 0)])", "ValueError element index out of range for the group"),
     ],
-    ids=["repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap"],
+    ids=["repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range"],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
     assert raised_under_optimize(INPUT_CHECK_PRELUDE + snippet) == message
@@ -598,11 +598,11 @@ def oracle_prestructures(G: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def dfs_key(z_candidates):
-    """The order of a depth-first search: z candidate, r11, then the
-    search's variable order t21, r12, t22, t11, r21, t12, r22."""
-    zpos = {z: i for i, z in enumerate(z_candidates)}
-    return lambda row: (zpos[row[8]], row[0], row[5], row[2], row[7], row[1], row[4], row[3], row[6])
+def dfs_key(row):
+    """The order of a full-mode depth-first search: z (the candidates in
+    ascending order), r11, then the search's variable order t21, r12, t22,
+    t11, r21, t12, r22."""
+    return row[8], row[0], row[5], row[2], row[7], row[1], row[4], row[3], row[6]
 
 
 @pytest.mark.parametrize("variant", ["H", "G"])
@@ -610,14 +610,9 @@ def test_prestructures_dual_route_order8(variant):
     G = small_group(variant)
     expected = oracle_prestructures(G)
     stream = list(iter_prestructure_tuples(G, mode="full"))
-    zs = prestructure_search_info(G, mode="full").z_candidates
-    assert stream == sorted(stream, key=dfs_key(zs))
+    assert stream == sorted(stream, key=dfs_key)
     assert sorted(stream) == expected
-    # the socle shortcut must reproduce the same set
-    assert sorted(iter_prestructure_tuples(G, mode="socle")) == expected
-    info = prestructure_search_info(G, mode="socle")
-    assert info.mode == "socle" and info.evidence.all_empty
-    assert len(info.z_candidates) == 1  # the central involution
+    assert list(iter_prestructure_tuples(G, mode="auto")) == stream  # "full" to order 24
 
 
 def test_prestructures_abelian_empty():
@@ -651,11 +646,10 @@ def test_prestructure_report_s4_empty():
     G = realize_label("S4")
     rep_full = prestructure_report(G, mode="full")
     assert rep_full.count == 0 and rep_full.mode == "full"
-    rep_socle = prestructure_report(G, mode="socle")
-    assert rep_socle.count == 0
-    assert prestructure_report(G, mode="auto").count == 0
-    with pytest.raises(ValueError, match="unknown search mode"):
-        prestructure_search_info(G, mode="bogus")
+    assert prestructure_report(G, mode="auto") == rep_full
+    for mode in ("socle", "bogus"):
+        with pytest.raises(ValueError, match="unknown search mode"):
+            prestructure_report(G, mode=mode)
 
 
 def test_socle_mode_computes_the_normal_subgroups_once(monkeypatch):
@@ -670,10 +664,21 @@ def test_socle_mode_computes_the_normal_subgroups_once(monkeypatch):
             lambda self, arg, method=method, calls_of=calls_of: calls_of.append(self) or method(self, arg),
         )
     G = realize(get_presentation("G(32,6)"))
-    report = prestructure_report(G, mode="socle")
+    report = prestructure_report(G, mode="auto")
     assert report.mode == "socle" and report.count == 0 and report.socle_z_candidates == 1
     assert calls["normal_closure"].count(G) == G.order - 1
     assert calls["join_closure"].count(G) == 1
+
+
+def test_the_shortcut_searches_in_full_after_a_non_empty_quotient():
+    """G(32,49) x Z2 has G(32,49), which has prestructures, as a quotient:
+    the scan stops there and every z is searched.  Its socle is trivial (two
+    central involutions span two minimal normal subgroups), so a shortcut
+    that read past that quotient would search no z at all."""
+    G, _ = product_group_and_lift()
+    searched, zs, orders = structures._search_setup(G, "auto")
+    assert (searched, orders) == ("full", (32, 32))
+    assert zs == tuple(range(1, 64)) and len(G.socle()) == 1
 
 
 def test_prestructure_stream_objects(H5):
@@ -714,9 +719,16 @@ def test_structure_cell_contains_example(H5):
 def test_prestructure_stream_prefix_in_dfs_order(H5):
     stream = list(islice(iter_prestructure_tuples(H5, mode="full"), 70000))
     assert len(stream) == 70000
-    zs = prestructure_search_info(H5, mode="full").z_candidates
-    assert stream == sorted(set(stream), key=dfs_key(zs))
+    assert stream == sorted(set(stream), key=dfs_key)
     assert all(verify_prestructure(H5, row)[0] for row in stream[::997])
+
+
+def test_genus2_rows_refuses_cells_outside_the_group(H5):
+    for cell in ((40, 0), (0, 32), (-1, 0), (300, 0)):
+        with pytest.raises(ValueError, match="element index out of range for the group"):
+            genus2_rows(H5, [cell])
+    with pytest.raises(ValueError, match="must be integers"):
+        genus2_rows(H5, [(1.5, 0)])
 
 
 def test_cell_rows_match_structure_rows(H5, rows_cache):
@@ -846,7 +858,7 @@ def test_prestructure_stream_digest_on_a_relator_subset(name, count, prefix):
     assert len(stream) == count
     assert stream_digest(stream) == prefix
     with pytest.raises(ValueError, match="mode 'full'"):
-        next(iter_prestructure_tuples(G, "socle", relators=part))
+        next(iter_prestructure_tuples(G, "auto", relators=part))
 
 
 @pytest.mark.parametrize(("label", "prefix"), PREFIX_STREAMS)
