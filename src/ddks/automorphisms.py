@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import relator_join
-from .group_core import FiniteGroup, Presentation
+from .group_core import FiniteGroup, Presentation, spanning_tree
 from .structures import certified_type, generation_mask_filter, pack_rows
 
 AUT_ORDER_CAP = 32
@@ -33,9 +33,10 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
     that satisfy the relators, g_i's image ranging over the elements of
     its order, and the rows that do not generate G are dropped.  Each
     surviving row is extended to a permutation of G by one gather per
-    edge of a BFS tree of G over the generators, and every permutation is
-    checked to be a bijection that sends g_i to the row's i-th entry and
-    is multiplicative on the Cayley table; a failure raises AssertionError.
+    edge (x, x g_k) of the `spanning_tree` of G over the generators, and
+    every permutation is checked to be a bijection that sends g_i to the
+    row's i-th entry and is multiplicative on the Cayley table; a failure
+    raises AssertionError.
 
     These are exactly Aut(G), so no closure scan is needed.  An
     automorphism sends the generators to a tuple of elements of the same
@@ -58,13 +59,9 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
 
     cayley = G.table  # uint8: order <= AUT_ORDER_CAP
     perms = np.zeros((len(rows), G.order), dtype=np.uint8)
-    reached = [0]
-    for x in reached:  # BFS over G: perm(x g_k) = perm(x) perm(g_k)
-        for k, g in enumerate(gens):
-            y = G.mul(x, g)
-            if y not in reached:
-                reached.append(y)
-                perms[:, y] = cayley[perms[:, x], rows[:, k]]
+    order, parent, column = spanning_tree(cayley[:, list(gens)].tolist())
+    for y in order[1:]:  # perm(x g_k) = perm(x) perm(g_k) along the tree edges
+        perms[:, y] = cayley[perms[:, parent[y]], rows[:, column[y]]]
     # an element the generators do not reach keeps image 0: no bijection
     if not (np.sort(perms, axis=1) == np.arange(G.order, dtype=np.uint8)).all():
         raise AssertionError("a generator image tuple does not give a bijection")

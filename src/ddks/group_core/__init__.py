@@ -14,6 +14,8 @@ from .group import (
     Homomorphism,
     is_cct,
     realize,
+    spanning_tree,
+    tree_words,
 )
 from .catalog import (
     ALIASES,
@@ -33,7 +35,7 @@ __all__ = [
     "Presentation", "PresentationError", "parse_presentation", "word_from_str",
     "DEFAULT_MAX_COSETS", "CosetEnumerationError", "coset_table",
     "ElementSet", "FiniteGroup", "Homomorphism",
-    "is_cct", "realize",
+    "is_cct", "realize", "spanning_tree", "tree_words",
     "ALIASES", "CATALOG_SOURCES", "EXPECTED_ORDER", "catalog",
     "catalog_labels", "extra_special", "extra_special_text",
     "get_presentation", "realize_label", "resolve_label",

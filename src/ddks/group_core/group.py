@@ -131,18 +131,9 @@ class FiniteGroup:
         return _element_set(self, self.table[:, x] == self.table[x])
 
     def subgroup_generated(self, gens: Iterable[int]) -> "ElementSet":
-        gens = sorted(set(gens) | {0})
-        step = gens + [self.inverse[g] for g in gens]
-        seen = set(gens)
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for s in step:
-                y = self.cayley[x][s]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return ElementSet(self, tuple(sorted(seen)))
+        """What `spanning_tree` reaches over gens: in a finite group each
+        inverse is a positive power, so this is the subgroup they generate."""
+        return ElementSet(self, tuple(sorted(spanning_tree(self.table[:, sorted(set(gens))].tolist())[0])))
 
     def conjugates(self, xs: Iterable[int]) -> np.ndarray:
         """g x g^-1 for every g (rows) and every x in xs (columns)."""
@@ -170,7 +161,10 @@ class FiniteGroup:
         if self.is_abelian:
             raise ValueError("CCT undefined for abelian groups")
         commute = self.table == self.table.T
-        return all(commute[np.ix_(c, c)].all() for c in commute[~commute.all(axis=1)])
+        rows = commute[~commute.all(axis=1)]  # the centralizers of the non-central elements
+        block = max(1, 2 ** 20 // self.order ** 2)  # rows a broadcast takes: 2^20 flags at most
+        blocks = np.split(rows, range(block, len(rows), block))
+        return not any((c[:, :, None] & c[:, None, :] & ~commute).any() for c in blocks)
 
     def quotient(self, n_set: "ElementSet | Iterable[int]") -> tuple["FiniteGroup", list[int]]:
         """Quotient by a normal subgroup; returns (G/N, projection map)."""
@@ -198,8 +192,8 @@ class FiniteGroup:
         """The trivial subgroup and every join of the subgroups `atoms`.
 
         The join of H and A is the product set HA when HA = AH, since HA
-        is then a subgroup, as it always is for normal subgroups; else a
-        BFS generates it."""
+        is then a subgroup, as it always is for normal subgroups; else
+        `subgroup_generated` builds it."""
         def join(h: frozenset[int], a: frozenset[int]) -> frozenset[int]:
             ha = frozenset(self.table[list(h)][:, list(a)].ravel().tolist())
             if ha == frozenset(self.table[list(a)][:, list(h)].ravel().tolist()):
@@ -298,6 +292,8 @@ class Homomorphism:
             raise ValueError(
                 f"{self.source.ngens} generators but {len(self.images)} images"
             )
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in self.images):
+            raise ValueError(f"images must be element indices, got {list(self.images)}")
         if not all(0 <= x < self.target.order for x in self.images):
             raise ValueError("element index out of range for the group")
         for rel in self.source.relators:
@@ -307,9 +303,6 @@ class Homomorphism:
                     f"not satisfied by images {list(self.images)}"
                 )
 
-    def image_of_word(self, w: Word) -> int:
-        return self.target.evaluate_word(w, self.images)
-
     def image_elements(self) -> ElementSet:
         return self.target.subgroup_generated(self.images)
 
@@ -317,44 +310,62 @@ class Homomorphism:
         return len(self.image_elements()) == self.target.order
 
 
+def spanning_tree(step: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:
+    """(order, parent, column): the elements in the order a breadth-first
+    walk from 0 over step[x][c] = x times the c-th step reaches them, and
+    the parent and column that first reach each one (-1 for 0 and for the
+    elements not reached, which the caller checks).  Columns are tried in
+    order, so over x1, x1^-1, x2, ... each tree path is shortlex-least."""
+    order, parent, column = [0], [-1] * len(step), [-1] * len(step)
+    for x in order:
+        for c, y in enumerate(step[x]):
+            if parent[y] < 0 and y != 0:
+                parent[y], column[y] = x, c
+                order.append(y)
+    return order, parent, column
+
+
+def tree_words(parent: Sequence[int], column: Sequence[int]) -> list[Word]:
+    """Each element's word along its tree path from 0, columns 2g and
+    2g + 1 read as generator g + 1 and its inverse; ValueError for an
+    element with no such path."""
+    letters: list[tuple[int, ...] | None] = [()] + [None] * (len(parent) - 1)
+    for v in range(len(parent)):
+        path = [v]  # v and its ancestors still without a word: a path to 0 repeats no element
+        while letters[path[-1]] is None and parent[path[-1]] >= 0 and len(path) <= len(parent):
+            path.append(parent[path[-1]])
+        if letters[path[-1]] is None:
+            raise ValueError(f"element {v} has no tree path from 0")
+        for u in reversed(path[:-1]):
+            letters[u] = letters[parent[u]] + ((column[u] // 2 + 1) * (-1) ** column[u],)
+    return [Word(w) for w in letters]
+
+
 def realize(p: Presentation) -> FiniteGroup:
     """Realize a presentation as a concrete group via coset enumeration.
 
     Enumerates cosets of the trivial subgroup (so cosets are exactly the
-    group elements), then converts the regular action into a Cayley table.
+    group elements), then converts the regular action into a Cayley table
+    along the coset table's `spanning_tree`: column d, the cosets times d's
+    tree word (its `element_words` entry), is one gather from its parent's.
     A degenerate presentation collapsing to the trivial group returns the
     order-1 group, not an error.  The coset cap is DEFAULT_MAX_COSETS.
     """
     table = toddcox.coset_table(p.ngens, [r.letters for r in p.relators])
     n = len(table)
+    order, parent, column = spanning_tree(table)
+    if len(order) != n:
+        raise AssertionError("a coset is not reachable from coset 0")
     action = np.array(table, dtype=np.min_scalar_type(n - 1))
-    # BFS from coset 0: a word (as column indices) reaching each coset d, and
-    # column d of the Cayley table, the cosets times that word, one gather each
-    word_to: list[list[int] | None] = [None] * n
-    word_to[0] = []
     columns = np.empty((n, n), dtype=action.dtype)
     columns[0] = np.arange(n)
-    reached = [0]
-    for c in reached:
-        for col in range(2 * p.ngens):
-            d = table[c][col]
-            if word_to[d] is None:
-                word_to[d] = word_to[c] + [col]
-                columns[d] = action[columns[c], col]
-                reached.append(d)
-    if len(reached) != n:
-        raise AssertionError("a coset is not reachable from coset 0")
-
-    def cols_to_word(cols: list[int]) -> Word:
-        return Word(tuple(
-            (col // 2 + 1) if col % 2 == 0 else -(col // 2 + 1) for col in cols
-        ))
-
+    for d in order[1:]:
+        columns[d] = action[columns[parent[d]], column[d]]
     return FiniteGroup(
         columns.T,
         generator_elements=tuple(table[0][2 * g] for g in range(p.ngens)),
         generator_names=p.generators,
-        element_words=[cols_to_word(w) for w in word_to],
+        element_words=tree_words(parent, column),
     )
 
 

@@ -4,8 +4,9 @@ The kernel of the surjection from the orbifold surface-braid group onto G
 is the fundamental group of the covering surface.  Its abelianization is
 computed without any coset enumeration: cosets of the kernel biject with
 elements of G (the coset action is g -> g * phi(x)), so a Schreier
-transversal, the abelianized rewritten relators, and an integer Smith
-normal form give H_1 directly.
+transversal (the `spanning_tree` of G over phi(x1), phi(x1)^-1, ...),
+the abelianized rewritten relators, and an integer Smith normal form
+give H_1 directly.
 
 The relator matrix is built by tracing every relator from all cosets at
 once over the Cayley table, one gather a letter.  It is large and sparse
@@ -30,14 +31,14 @@ floating point, so no product goes through BLAS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
 
-from .group_core import FiniteGroup, Homomorphism, Presentation, Word
+from .group_core import FiniteGroup, Homomorphism, Presentation, Word, spanning_tree, tree_words
 from .structures import (
     DDKStructure,
     braid_presentation,
@@ -63,74 +64,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Transversal:
-    """Coset representatives indexed by target element, identity first.
+    """The `spanning_tree` of the target over x1, x1^-1, x2, ...: each
+    coset's parent and step, -1 at the identity.  The tree path to a coset
+    spells its representative (ValueError for a coset without one), so
+    they are prefix-closed, each the shortlex-least word to its coset."""
 
-    Built breadth-first over the alphabet x1 < x1^-1 < x2 < x2^-1 < ...,
-    so representatives are shortest-lex and prefix-closed (every prefix of
-    a representative is itself a representative).
-    """
+    parent: tuple[int, ...]
+    step: tuple[int, ...]
+    representative_words: tuple[Word, ...] = field(init=False, repr=False, compare=False)
 
-    representative_words: tuple[Word, ...]
+    def __post_init__(self):
+        object.__setattr__(self, "representative_words", tuple(tree_words(self.parent, self.step)))
 
     def __len__(self) -> int:
-        return len(self.representative_words)
+        return len(self.parent)
 
 
 def schreier_transversal(hom: Homomorphism) -> Transversal:
-    if not hom.is_surjective():
-        raise ValueError("homomorphism is not surjective")
+    """The transversal of the kernel of hom; ValueError unless hom is onto."""
     G = hom.target
-    reps: list[Word | None] = [None] * G.order
-    reps[0] = Word.identity()
-    queue = [0]
-    steps = []
-    for index, image in enumerate(hom.images):
-        steps.append((index + 1, image))
-        steps.append((-(index + 1), G.inverse[image]))
-    while queue:
-        frontier = []
-        for g in queue:
-            base = reps[g]
-            for letter, image in steps:
-                h = G.mul(g, image)
-                if reps[h] is None:
-                    reps[h] = Word(base.letters + (letter,))
-                    frontier.append(h)
-        queue = frontier
-    if any(r is None for r in reps):
-        raise AssertionError("a coset has no representative")
-    for rep in reps:
-        for cut in range(len(rep)):
-            prefix = Word(rep.letters[:cut])
-            if reps[hom.image_of_word(prefix)] != prefix:
-                raise AssertionError("a prefix of a representative is not a representative")
-    return Transversal(tuple(reps))
+    order, parent, step = spanning_tree(G.table[:, [s for x in hom.images for s in (x, G.inverse[x])]].tolist())
+    if len(order) != G.order:
+        raise ValueError("homomorphism is not surjective")
+    return Transversal(tuple(parent), tuple(step))
 
 
 # -------------------------------------------------------- relator matrix
 
 def _schreier_columns(hom: Homomorphism, t: Transversal) -> np.ndarray:
     """(coset, generator) -> column of its Schreier generator, -1 on tree
-    edges.
+    edges, the others numbered in (coset, generator) order.
 
-    Each representative w other than the identity gives one tree edge from
-    its last letter: (prefix coset, x) when w = prefix * x, and (coset of
-    w, x) when w = prefix * x^-1, provided the prefix is the representative
-    of its coset.  The other pairs get columns in (coset, generator) order.
-    """
-    G = hom.target
-    tree = np.zeros((G.order, len(hom.images)), dtype=bool)
-    for v, rep in enumerate(t.representative_words):
-        if rep.is_identity:
-            continue
-        letter = rep.letters[-1]
-        x = abs(letter) - 1
-        image = G.inverse[hom.images[x]] if letter > 0 else hom.images[x]
-        prefix = G.mul(v, image)
-        if t.representative_words[prefix] == Word(rep.letters[:-1]):
-            tree[prefix if letter > 0 else v, x] = True
-    if tree.size - np.count_nonzero(tree) != G.order * (len(hom.images) - 1) + 1:
-        raise AssertionError("Schreier generator count is not |G|(gens - 1) + 1")
+    The tree edge into coset v from its parent u is (u, x) for a step x
+    and (v, x) for a step x^-1.  The parents form a tree rooted at the
+    identity (`Transversal`), and one gather checks that u phi(x) = v or
+    v phi(x) = u, so the edges are a spanning tree of the Cayley graph;
+    then no two give one pair (u and v would be each other's parent)."""
+    G, images = hom.target, np.array(hom.images)
+    parent, step = np.array(t.parent), np.array(t.step)
+    if not parent.shape == step.shape == (G.order,):
+        raise AssertionError("the transversal needs a parent and a step per coset")
+    u, x, child = parent[1:], step[1:] // 2, np.arange(1, G.order)
+    tail, head = np.where(step[1:] % 2, child, u), np.where(step[1:] % 2, u, child)
+    if not (x < len(images)).all() or (G.table[tail, images[x]] != head).any():
+        raise AssertionError("a tree edge is not an edge of the Cayley graph")
+    tree = np.zeros((G.order, len(images)), dtype=bool)
+    tree[tail, x] = True
     columns = np.full(tree.shape, -1)
     columns[~tree] = np.arange(tree.size - np.count_nonzero(tree))
     return columns
@@ -430,8 +409,9 @@ def _eliminate_unit_pivots(
     nrows, ncols = A.shape
     if nrows * ncols >= 2 ** 31:
         raise ValueError("the pivot ranks need fewer than 2^31 matrix entries")
-    rows, cols = np.nonzero(A)
-    values = A[rows, cols]
+    flat = np.flatnonzero(A != 0)
+    rows, cols = np.divmod(flat, ncols)
+    values = A.reshape(-1)[flat]
     values = values.astype(np.int64 if _entry_max(values) < 2 ** 63 else object)
     done = [(rows[:0], cols[:0], values[:0])]
     ops = [(rows[:0], rows[:0], values[:0])]

@@ -23,7 +23,7 @@ import pytest
 
 from ddks import automorphisms, certify, homology, structures
 from ddks.automorphisms import automorphism_group
-from ddks.group_core import FiniteGroup, Homomorphism, get_presentation, realize_label
+from ddks.group_core import FiniteGroup, Homomorphism, get_presentation, parse_presentation, realize, realize_label
 from ddks.paper import Rows
 from ddks.structures import prestructure_relations
 
@@ -219,5 +219,31 @@ MUTANTS = (
         "test_structures::test_genus2_rows_refuses_cells_outside_the_group",
         lambda mp: patch_edited(mp, structures, "_genus2_blocks", "check_elements(G, cells)", "pass"),
         lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "homomorphism accepts a float image",
+        "test_group::test_homomorphism_refuses_non_integer_images",
+        lambda mp: patch_edited(
+            mp, Homomorphism, "__post_init__",
+            "isinstance(x, (int, np.integer))", "isinstance(x, (int, float, np.integer))",
+        ),
+    ),
+    # the one breadth-first walk and its readers
+    Mutant(
+        "transversal ignores an unreached coset",
+        "test_homology::test_transversal_rejects_non_surjective",
+        lambda mp: patch_edited(mp, homology, "schreier_transversal", "if len(order) != G.order:", "if False:"),
+    ),
+    Mutant(
+        "inverse tree edge put on the parent",
+        "test_homology::test_relator_matrix_of_small_presentations_matches_word_rewriting",
+        lambda mp: patch_edited(mp, homology, "_schreier_columns", "tree[tail, x] = True", "tree[u, x] = True"),
+        lambda: {"trivial_group": realize(parse_presentation("gens: e\nrel: e"))},
+    ),
+    # the CCT broadcast
+    Mutant(
+        "CCT without the non-commuting mask",
+        "test_group::test_cct_matches_the_centralizer_loop",
+        lambda mp: patch_edited(mp, FiniteGroup, "is_cct", " & ~commute", ""),
     ),
 )

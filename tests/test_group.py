@@ -9,9 +9,12 @@ from ddks.group_core import (
     Homomorphism,
     Word,
     catalog,
+    extra_special,
     parse_presentation,
     realize,
     realize_label,
+    spanning_tree,
+    tree_words,
 )
 from optimizetools import raised_under_optimize
 
@@ -259,11 +262,68 @@ def test_homomorphism_refuses_images_outside_the_group():
     assert raised_under_optimize(snippet) == "ValueError element index out of range for the group"
 
 
+def test_homomorphism_refuses_non_integer_images():
+    """With no relator to evaluate, only the type check stops a float or
+    a bool, which the range check passes, and a string, which it cannot
+    compare."""
+    p = parse_presentation("gens: x")
+    G = realize_label("G(32,49)")
+    for image in (1.5, "3", True, np.bool_(True)):
+        with pytest.raises(ValueError, match="images must be element indices"):
+            Homomorphism(p, G, (image,))
+    assert Homomorphism(p, G, (np.uint8(3),)).images == (3,)
+
+
+def loop_cct(G):
+    """The oracle for `is_cct`, one element at a time: the centralizer of
+    every non-central element is abelian."""
+    commute = G.table == G.table.T
+    return all(commute[np.ix_(c, c)].all() for c in commute[~commute.all(axis=1)])
+
+
 def test_is_cct():
     with pytest.raises(ValueError, match="abelian"):
         klein_four().is_cct()
     assert realize_label("G(24,6)").is_cct()
     assert not realize_label("S4").is_cct()
+
+
+def test_cct_matches_the_centralizer_loop():
+    """The broadcast against the loop on the 57 catalog groups (49 CCT)
+    and on the extra-special group of order 128 (not CCT), whose 126
+    non-central rows take two blocks of 64."""
+    groups = [realize(p) for _, p in catalog()] + [extra_special(3, 2, "H")]
+    verdicts = [G.is_cct() for G in groups]
+    assert verdicts == [loop_cct(G) for G in groups]
+    assert (len(verdicts), verdicts.count(True), verdicts[-1]) == (58, 49, False)
+
+
+def test_spanning_tree_walks_breadth_first():
+    """Z6 over x, x^-1: FIFO, each element's columns in order; over the
+    column of x^2 only <x^2> is reached, the rest keeps -1, and over no
+    column only the identity."""
+    z6 = cyclic(6)
+    x = z6.generator_elements[0]
+    power = [0]
+    for _ in range(5):
+        power.append(z6.mul(power[-1], x))
+    step = z6.table[:, [x, z6.inv(x)]].tolist()
+    order, parent, column = spanning_tree(step)
+    assert order == [power[k] for k in (0, 1, 5, 2, 4, 3)]
+    assert [(parent[power[k]], column[power[k]]) for k in range(6)] == [
+        (-1, -1), (0, 0), (power[1], 0), (power[2], 0), (power[5], 1), (0, 1),
+    ]
+    assert [w.letters for w in tree_words(parent, column)] == [
+        w.letters for w in z6.element_words
+    ]
+    assert [tree_words(parent, column)[power[k]].letters for k in (3, 4)] == [(1, 1, 1), (-1, -1)]
+    order, parent, column = spanning_tree(z6.table[:, [power[2]]].tolist())
+    assert sorted(order) == sorted(power[k] for k in (0, 2, 4))
+    assert [parent[power[k]] for k in (1, 3, 5)] == [-1, -1, -1]
+    with pytest.raises(ValueError, match="no tree path"):
+        tree_words(parent, column)
+    assert spanning_tree(z6.table[:, []].tolist())[0] == [0]
+    assert tuple(z6.subgroup_generated(())) == (0,)
 
 
 @pytest.mark.parametrize(

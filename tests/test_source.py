@@ -7,8 +7,8 @@ reference names no part of the search engine, the symplectic route
 shares with the backtracking route only the certify tail and the key
 format, and no module outside the group core builds its own array of a
 group's Cayley table, inverses or element orders, or its own commutator
-or conjugation table, or writes an attribute on an object other than
-`self`."""
+or conjugation table, writes an attribute on an object other than
+`self`, or walks a group by hand instead of through `spanning_tree`."""
 
 import ast
 import sys
@@ -386,3 +386,66 @@ def test_no_module_outside_the_group_core_writes_attributes_on_other_objects():
 )
 def test_foreign_attribute_scan_finds_writes(source, flagged):
     assert any(_foreign_attribute_writes(ast.parse(source))) == flagged
+
+
+def _hand_walks(tree: ast.Module):
+    """Loops over a list that grows inside them: `for x in xs:` whose body
+    appends to xs (a call of append, extend or insert, or `xs += ...`),
+    and `while xs:` whose body appends to xs or assigns it anew, the
+    shapes of a breadth-first walk written by hand.  Other augmented
+    assignments, as `v ^= pivot` in a reduction, are not walks."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Name):
+            name, assigns = node.iter.id, ()
+        elif isinstance(node, ast.While) and isinstance(node.test, ast.Name):
+            name, assigns = node.test.id, (ast.Assign,)
+        else:
+            continue
+        for n in ast.walk(node):
+            grows = (
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in ("append", "extend", "insert")
+                and isinstance(n.func.value, ast.Name) and n.func.value.id == name
+            )
+            added = isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
+            targets = n.targets if isinstance(n, assigns) else [n.target] if added else []
+            if grows or any(isinstance(t, ast.Name) and t.id == name for t in targets):
+                yield node
+                break
+
+
+def test_the_group_is_walked_only_in_the_group_core():
+    """`spanning_tree` is the one breadth-first walk of a group; `realize`,
+    `subgroup_generated`, Aut(G) and the Schreier transversal read it."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        if "group_core" not in path.relative_to(SRC).parts
+        for node in _hand_walks(_parse(path))
+    ]
+    assert found == [], f"hand-written walks outside ddks/group_core: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        # the walks that `spanning_tree` replaced
+        ("reached = [0]\nfor x in reached:\n    for g in gens:\n        reached.append(G.mul(x, g))", True),
+        ("while queue:\n    frontier = []\n    for g in queue:\n        frontier.append(g)\n    queue = frontier", True),
+        ("while frontier:\n    x = frontier.pop()\n    if x:\n        frontier.append(x - 1)", True),
+        # each form
+        ("for x in xs:\n    xs.extend(f(x))", True),
+        ("for x in xs:\n    xs += f(x)", True),
+        ("while xs:\n    xs = xs[1:]", True),
+        ("while frontier:\n    frontier += new - found", True),
+        # not a breach
+        ("for x in xs:\n    ys.append(x)", False),
+        ("for x in xs:\n    xs = f(x)", False),
+        ("for y in order[1:]:\n    perms[:, y] = cayley[perms[:, parent[y]], rows[:, column[y]]]", False),
+        ("while i < len(queue):\n    queue.append(i)\n    i += 1", False),
+        ("while broken := f(M):\n    broken.append(0)", False),
+        ("while v:\n    v ^= pivots[v.bit_length() - 1]", False),
+    ],
+)
+def test_hand_walk_scan_finds_walks(source, flagged):
+    assert any(_hand_walks(ast.parse(source))) == flagged

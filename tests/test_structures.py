@@ -392,7 +392,7 @@ def cyclic(order: int) -> FiniteGroup:
 INPUT_CHECK_PRELUDE = """
 import numpy as np
 from ddks.automorphisms import automorphism_group, orbit_count
-from ddks.group_core import get_presentation, parse_presentation, realize, realize_label
+from ddks.group_core import Homomorphism, get_presentation, parse_presentation, realize, realize_label
 from ddks.structures import example_structure, genus2_rows, inner_automorphism_table, unpack_keys
 from ddks.symplectic import symplectic_structure_rows
 
@@ -416,8 +416,13 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
         ('inner_automorphism_table(realize(parse_presentation("gens: x\\nrel: x^65")))',
          "ValueError search cap is order 64"),
         ("genus2_rows(G, [(40, 0)])", "ValueError element index out of range for the group"),
+        ('Homomorphism(parse_presentation("gens: x\\nrel: x^2"), G, (1.5,))',
+         "ValueError images must be element indices, got [1.5]"),
     ],
-    ids=["repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range"],
+    ids=[
+        "repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range",
+        "float-image",
+    ],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
     assert raised_under_optimize(INPUT_CHECK_PRELUDE + snippet) == message
