@@ -5,8 +5,9 @@ check takes a `Rows` memo and the mode (quick or full) and returns
 (ok, details); `verify-paper` reports the details, and the acceptance
 tests run the same checks and assert their own expected values against
 them.  The routes' rows carry the certify tail's certificate
-(`certified_type`): the structure count requires it on the arrays it
-compares and checks only what the routes do not, strong generation.
+(`certified_type`), one certification per group: the structure count
+requires it on the arrays it compares and checks only what the routes do
+not, strong generation.
 """
 
 from __future__ import annotations
@@ -188,9 +189,13 @@ def check_prestructures(rows: Rows, quick: bool):
 def check_structure_count(rows: Rows, quick: bool):
     """The symplectic route gives 2 211 840 rows on each group, and in full
     mode the backtracking route the same array; quick mode checks 10 000
-    of the symplectic rows.  Each array compared must carry its route's
-    certificate of every row against the relators, o(z) and generation, so
-    this adds only strong generation: each half (the four slots of one
+    of the symplectic rows.  Each array compared must carry the certify
+    tail's certificate that every row satisfies the relators, o(z) and
+    generation.  The tail checks the rows of the route that runs first; the
+    other route's keys, which must unpack to exactly those rows, are
+    compared with them row for row, and one key that differs sends them
+    through the checks in full (`certify_structure_rows`).
+    So this adds only strong generation: each half (the four slots of one
     strand, with z) generates G on its own."""
     details: dict = {"mode": "quick" if quick else "full", "counts": {}}
     for label in ORDER32:

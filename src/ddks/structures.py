@@ -48,7 +48,9 @@ from the keys are the array that is checked and returned: every row
 against `bulk_relator_filter` (from `certify`), which shares no code,
 table or cache with the plan (it compiles the relator words themselves
 into one program of gathers and equality tests, which holds iff each word
-evaluates to the identity), then o(z) and generation.
+evaluates to the identity), then o(z) and generation.  While one route's
+certified rows for a group are alive, the other route's keys are compared
+with them instead, and its rows are a view of the same certified array.
 """
 
 from __future__ import annotations
@@ -286,11 +288,22 @@ class KSubgroupData:
 
 # -- verification -----------------------------------------------------
 
+def _integers(values: Iterable, what: str) -> tuple:
+    """`values` as a tuple; ValueError, `what` and the values, unless each
+    is an int or a numpy integer, bools refused (1.5, True and "3" are not
+    1, 1 and 3)."""
+    values = tuple(values)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
+        raise ValueError(f"{what}, got {list(values)}")
+    return values
+
+
 def verify_structure(
     G: FiniteGroup, elements: Sequence[int], t: StructureType
 ) -> tuple[bool, str | None]:
-    """Check o(z) = n, all relators, and generation; diagnostic on failure."""
-    elements = tuple(elements)
+    """Check o(z) = n, all relators, and generation; diagnostic on failure.
+    ValueError for elements that are not element indices of G."""
+    elements = _integers(elements, "elements must be element indices")
     if len(elements) != t.tuple_length:
         raise ValueError(
             f"expected {t.tuple_length} elements for type ({t.b},{t.n}), "
@@ -978,19 +991,44 @@ def certify_structure_rows(
     AssertionError with `duplicate`) and that every row satisfies the full
     relator list, o(z) = t.n and generation (else AssertionError with
     `failure` formatted with the number of bad rows).  The returned array
-    is the one checked, read-only, and certified as every type-t structure
-    on G (`certified_type`): the caller vouches that `keys` enumerate them.
+    is a read-only view of a read-only base, so its writeable flag cannot
+    be set again (ValueError), and it is certified as every type-t
+    structure on G (`certified_type`): the caller vouches that `keys`
+    enumerate them.
+
+    One certification serves every route on one group.  If a live array A
+    is certified for this very G (`g is G`) and type t and the keys unpack
+    to A row for row (compared a `_CHUNK` at a time), the rows returned
+    are a view of A and are not checked again.  This checks them all:
+    every row of A passed the relators, o(z) = t.n and generation on G,
+    and the keys, sorted and distinct, unpack to exactly A's rows.  The
+    routes' searches stay independent; only the second route's
+    certification is replaced, by an exact comparison.  Its premise is that
+    A cannot change once certified: no view of the read-only base can be
+    made writeable, only the base itself, reached through `.base`.
     """
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError(duplicate)
-    rows = unpack_keys(keys)
-    ok = bulk_relator_filter(G, rows, relations_for_type(t))  # range-checks every entry
-    ok &= G.orders[rows[:, 8]] == t.n
-    ok &= generation_mask_filter(G, rows)
-    if not ok.all():
-        raise AssertionError(failure.format(int((~ok).sum())))
-    rows.flags.writeable = False
+    for ref, g, u in list(_CERTIFIED.values()):
+        certified = ref()
+        if certified is None or not (g is G and u == t and len(certified) == len(keys)):
+            continue
+        if all(
+            np.array_equal(certified[start:start + _CHUNK], unpack_keys(keys[start:start + _CHUNK]))
+            for start in range(0, len(keys), _CHUNK)
+        ):
+            rows = certified[:]
+            break
+    else:
+        base = unpack_keys(keys)
+        base.flags.writeable = False
+        rows = base[:]
+        ok = bulk_relator_filter(G, rows, relations_for_type(t))  # range-checks every entry
+        ok &= G.orders[rows[:, 8]] == t.n
+        ok &= generation_mask_filter(G, rows)
+        if not ok.all():
+            raise AssertionError(failure.format(int((~ok).sum())))
     _CERTIFIED[id(rows)] = (weakref.ref(rows), G, t)
     weakref.finalize(rows, _CERTIFIED.pop, id(rows))
     return rows
@@ -998,7 +1036,8 @@ def certify_structure_rows(
 
 def certified_type(G: FiniteGroup, rows: np.ndarray) -> StructureType | None:
     """t if `rows` is the very array `certify_structure_rows` returned for
-    the type-t structures on G, else None (for a slice, copy or roll too)."""
+    the type-t structures on G, else None (for a slice, copy or roll too).
+    Two routes' arrays may share one base; each carries its own record."""
     entry = _CERTIFIED.get(id(rows))
     return entry[2] if entry and entry[0]() is rows and entry[1] is G else None
 
@@ -1138,8 +1177,8 @@ def structure_to_dict(s: DDKStructure, label: str | None = None) -> dict:
 
 def structure_from_dict(G: FiniteGroup, data: dict) -> DDKStructure:
     try:
-        t = StructureType(int(data["b"]), int(data["n"]))
-        elements = tuple(int(x) for x in data["elements"])
+        t = StructureType(*map(int, _integers((data["b"], data["n"]), "b and n must be integers")))
+        elements = tuple(map(int, _integers(data["elements"], "elements must be element indices")))
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed structure data: {e}") from e
     if any(not 0 <= x < G.order for x in elements):

@@ -169,8 +169,41 @@ MUTANTS = (
         "tail rows left writeable",
         "test_structures::test_the_tail_hands_out_read_only_rows_and_keeps_no_array",
         lambda mp: patch_edited(
-            mp, structures, "certify_structure_rows", "rows.flags.writeable = False", "pass",
+            mp, structures, "certify_structure_rows", "base.flags.writeable = False", "pass",
         ),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "tail returns its base, whose flag can be set back",
+        "test_structures::test_the_tail_hands_out_read_only_rows_and_keeps_no_array",
+        lambda mp: patch_edited(mp, structures, "certify_structure_rows", "rows = base[:]", "rows = base"),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    # one certification per group
+    Mutant(
+        "certified rows shared without the comparison",
+        "test_structures::test_a_changed_backtracking_row_is_certified_in_full_and_fails_criterion_4",
+        lambda mp: patch_edited(mp, structures, "certify_structure_rows", "if all(", "if True or all("),
+        lambda: {"rows_cache": Rows()},
+    ),
+    Mutant(
+        "only the first chunk compared",
+        "test_structures::test_a_changed_backtracking_row_is_certified_in_full_and_fails_criterion_4",
+        lambda mp: patch_edited(
+            mp, structures, "certify_structure_rows",
+            "for start in range(0, len(keys), _CHUNK)", "for start in range(0, min(len(keys), _CHUNK), _CHUNK)",
+        ),
+        lambda: {"rows_cache": Rows()},
+    ),
+    Mutant(
+        "certified rows shared across groups",
+        "test_structures::test_certified_rows_are_the_returned_rows",
+        lambda mp: patch_edited(mp, structures, "certify_structure_rows", "g is G and ", ""),
+    ),
+    Mutant(
+        "certified rows shared across types",
+        "test_structures::test_certify_tail_rejects_bad_and_repeated_rows",
+        lambda mp: patch_edited(mp, structures, "certify_structure_rows", "u == t and ", ""),
         lambda: {"H5": realize_label("G(32,49)")},
     ),
     Mutant(

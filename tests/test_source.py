@@ -8,7 +8,8 @@ shares with the backtracking route only the certify tail and the key
 format, and no module outside the group core builds its own array of a
 group's Cayley table, inverses or element orders, or its own commutator
 or conjugation table, writes an attribute on an object other than
-`self`, or walks a group by hand instead of through `spanning_tree`."""
+`self`, or walks a group by hand instead of through `spanning_tree`; and
+only the certify tail writes the table of certified rows."""
 
 import ast
 import sys
@@ -449,3 +450,83 @@ def test_the_group_is_walked_only_in_the_group_core():
 )
 def test_hand_walk_scan_finds_walks(source, flagged):
     assert any(_hand_walks(ast.parse(source))) == flagged
+
+
+CERTIFICATE_WRITERS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__", "__delitem__", "__ior__"}
+
+
+def _certificate_writes(tree: ast.Module):
+    """Writes to `_CERTIFIED`, the table of certified rows, outside
+    `certify_structure_rows`: the table bound anew (its one annotated
+    definition at module level aside), an item assigned or deleted, and a
+    mutating method called or passed on, as the tail passes `pop` to the
+    finalizer that drops a record."""
+    def is_table(node):
+        return (isinstance(node, ast.Name) and node.id == "_CERTIFIED") or (
+            isinstance(node, ast.Attribute) and node.attr == "_CERTIFIED"
+        )
+
+    tail = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "certify_structure_rows"
+        for n in ast.walk(node)
+    }
+    definition = {
+        id(node.target) for node in tree.body if isinstance(node, ast.AnnAssign) and is_table(node.target)
+    }
+    for node in ast.walk(tree):
+        if id(node) in tail:
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            if id(target) not in definition and (
+                is_table(target) or isinstance(target, ast.Subscript) and is_table(target.value)
+            ):
+                yield node
+        if isinstance(node, ast.Attribute) and node.attr in CERTIFICATE_WRITERS and is_table(node.value):
+            yield node
+
+
+def test_only_the_certify_tail_writes_certificates():
+    """A record in `_CERTIFIED` says its rows were checked, or compared
+    with rows that were, so no other code may add, change or drop one."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        for node in _certificate_writes(_parse(path))
+    ]
+    assert found == [], f"certificates written outside certify_structure_rows: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        # each form
+        ("_CERTIFIED[id(rows)] = (weakref.ref(rows), G, t)", True),
+        ("structures._CERTIFIED[id(rows)] = entry", True),
+        ("del _CERTIFIED[key]", True),
+        ("_CERTIFIED.pop(id(rows))", True),
+        ("weakref.finalize(rows, _CERTIFIED.pop, id(rows))", True),
+        ("structures._CERTIFIED.update(other)", True),
+        ("_CERTIFIED.setdefault(id(rows), entry)", True),
+        ("_CERTIFIED.clear()", True),
+        ("_CERTIFIED = {}", True),
+        ("_CERTIFIED |= other", True),
+        ("def certified_type(G, rows):\n    _CERTIFIED[id(rows)] = entry", True),
+        ("def f():\n    _CERTIFIED: dict = {}", True),
+        # not a breach
+        ("def certify_structure_rows(G, keys, t):\n    _CERTIFIED[id(rows)] = entry", False),
+        ("_CERTIFIED: dict[int, tuple] = {}", False),
+        ("entry = _CERTIFIED.get(id(rows))", False),
+        ("for ref, g, u in list(_CERTIFIED.values()):\n    pass", False),
+        ("records = dict(_CERTIFIED)", False),
+    ],
+)
+def test_certificate_write_scan_finds_writes(source, flagged):
+    assert any(_certificate_writes(ast.parse(source))) == flagged

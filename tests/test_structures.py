@@ -25,7 +25,7 @@ from ddks.group_core import (
 )
 from ddks import certify, structures
 from ddks.automorphisms import automorphism_group
-from ddks.paper import SMALL_GROUP_SOURCES, SUBSET_LABELS
+from ddks.paper import SMALL_GROUP_SOURCES, SUBSET_LABELS, Rows, check_structure_count
 from ddks.group_core.catalog import extra_special_text
 from ddks.structures import (
     DDKStructure,
@@ -393,7 +393,10 @@ INPUT_CHECK_PRELUDE = """
 import numpy as np
 from ddks.automorphisms import automorphism_group, orbit_count
 from ddks.group_core import Homomorphism, get_presentation, parse_presentation, realize, realize_label
-from ddks.structures import example_structure, genus2_rows, inner_automorphism_table, unpack_keys
+from ddks.structures import (
+    StructureType, example_structure, genus2_rows, inner_automorphism_table, structure_from_dict, unpack_keys,
+    verify_structure,
+)
 from ddks.symplectic import symplectic_structure_rows
 
 G = realize_label("G(32,49)")
@@ -418,10 +421,14 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
         ("genus2_rows(G, [(40, 0)])", "ValueError element index out of range for the group"),
         ('Homomorphism(parse_presentation("gens: x\\nrel: x^2"), G, (1.5,))',
          "ValueError images must be element indices, got [1.5]"),
+        ("verify_structure(G, [1.5] + row[0, 1:].tolist(), StructureType(2, 2))",
+         "ValueError elements must be element indices, got [1.5, 2, 14, 13, 13, 14, 3, 4, 5]"),
+        ('structure_from_dict(G, {"b": True, "n": 2, "elements": row[0].tolist()})',
+         "ValueError malformed structure data: b and n must be integers, got [True, 2]"),
     ],
     ids=[
         "repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range",
-        "float-image",
+        "float-image", "float-element", "bool-b",
     ],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
@@ -1393,6 +1400,8 @@ def test_the_tail_hands_out_read_only_rows_and_keeps_no_array(H5):
     rows = certify_structure_rows(H5, pack_rows(H5, good), T22, "{} bad", "repeated")
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        rows.flags.writeable = True
     assert certified_type(H5, rows) == T22
     entry = structures._CERTIFIED[id(rows)]
     assert entry[0]() is rows and not any(isinstance(x, np.ndarray) for x in entry)
@@ -1485,9 +1494,8 @@ TAIL_CHECKS = ("bulk_relator_filter", "generation_mask_filter")
 ROUTES = (lambda G: structure_rows(G, T22), symplectic_structure_rows)
 
 
-def certified_once(monkeypatch, route, G) -> np.ndarray:
-    """route(G), after asserting that each check of the certify tail ran
-    once, on the returned array itself, and so saw every returned row once."""
+def spy_tail_checks(monkeypatch) -> dict[str, list]:
+    """The arrays each check of the certify tail is called on, from now on."""
     seen = {name: [] for name in TAIL_CHECKS}
     for name in TAIL_CHECKS:
         check = getattr(structures, name)
@@ -1497,16 +1505,78 @@ def certified_once(monkeypatch, route, G) -> np.ndarray:
             return check(G, rows, *args)
 
         monkeypatch.setattr(structures, name, spy)
+    return seen
+
+
+def certified_once(monkeypatch, route, G) -> np.ndarray:
+    """route(G), after asserting that each check of the certify tail ran
+    once, on the returned array itself, and so saw every returned row once."""
+    seen = spy_tail_checks(monkeypatch)
     rows = route(G)
     for name, calls in seen.items():
         assert len(calls) == 1 and calls[0] is rows, name
     return rows
 
 
-def test_certified_rows_are_the_returned_rows(monkeypatch, H5):
-    for route in ROUTES:
-        with monkeypatch.context() as m:
-            assert certified_once(m, route, H5).shape == (2211840, 9)
+def fresh_h5() -> FiniteGroup:
+    """G(32,49) realized anew, so no array is certified for it yet."""
+    return realize(get_presentation("G(32,49)"))
+
+
+def test_certified_rows_are_the_returned_rows(monkeypatch):
+    """A route certifies its own rows unless an array certified for the
+    same group object is alive; while one is, the other route runs no check
+    and returns a read-only view of it with its own certificate."""
+    G = fresh_h5()
+    with monkeypatch.context() as m:
+        first = certified_once(m, ROUTES[0], G)
+    with monkeypatch.context() as m:
+        seen = spy_tail_checks(m)
+        second = ROUTES[1](G)
+        assert seen == {name: [] for name in TAIL_CHECKS}
+    assert second is not first and np.shares_memory(second, first)
+    assert np.array_equal(second, first) and second.shape == (2211840, 9)
+    assert certified_type(G, second) == T22
+    with pytest.raises(ValueError):
+        second.flags.writeable = True
+    with monkeypatch.context() as m:  # a group realized anew shares nothing
+        other = fresh_h5()
+        assert certified_type(other, certified_once(m, ROUTES[1], other)) == T22
+    dropped = weakref.ref(first.base)
+    del first, second  # nor does the group once its certified rows are gone
+    assert dropped() is None
+    with monkeypatch.context() as m:
+        assert certified_once(m, ROUTES[1], G).shape == (2211840, 9)
+
+
+def test_a_changed_backtracking_row_is_certified_in_full_and_fails_criterion_4(monkeypatch, rows_cache):
+    """One entry of one backtracking row changed, while the symplectic rows
+    are certified for the group: the keys no longer unpack to those rows, so
+    the full certifier runs on all of them and the structure count fails.
+    The row changed is the last in key order, far past the first chunk, and
+    its z becomes the identity, which no structure has, so it repeats no
+    row."""
+    label = "G(32,49)"
+    symplectic = rows_cache.symplectic(label)
+    G = realize_label(label)
+    assert certified_type(G, symplectic) == T22 and G.element_order[0] == 1
+    image_keys = structures._image_keys
+
+    def one_entry_changed(G, rows, perms):
+        keys = image_keys(G, rows, perms)
+        keys[keys.argmax()] &= ~np.uint64(63)  # slot 8, z, packs into the low 6 bits
+        return keys
+
+    class FreshBacktrack(Rows):
+        def symplectic(self, label):
+            return rows_cache.symplectic(label)
+
+    monkeypatch.setattr(structures, "_image_keys", one_entry_changed)
+    seen = spy_tail_checks(monkeypatch)
+    with pytest.raises(AssertionError, match="^backtracking emitted 1 invalid tuples$"):
+        check_structure_count(FreshBacktrack(), quick=False)
+    for name, calls in seen.items():
+        assert [len(rows) for rows in calls] == [2211840], name
 
 
 def test_certified_once_fails_on_a_tail_that_checks_part_of_the_keys(monkeypatch, H5):
@@ -1550,6 +1620,26 @@ def test_structure_round_trip(H5):
         structure_from_dict(H5, {"b": 2, "n": 2})
     with pytest.raises(ValueError, match="out of range"):
         structure_from_dict(H5, {"b": 2, "n": 2, "elements": [99] * 9})
+
+
+def test_non_integer_elements_are_refused(H5):
+    """1.5, True and "3" are no element indices, though int() reads them as
+    1, 1 and 3; b and n are checked the same way."""
+    data = structure_to_dict(example_structure(H5))
+    for bad in (1.5, True, "3", np.bool_(True), None):
+        elements = [bad] + data["elements"][1:]
+        with pytest.raises(ValueError, match=r"^elements must be element indices, got \["):
+            verify_structure(H5, elements, T22)
+        with pytest.raises(ValueError, match="^malformed structure data: elements must be element indices"):
+            structure_from_dict(H5, {**data, "elements": elements})
+        for field in ("b", "n"):
+            with pytest.raises(ValueError, match="^malformed structure data: b and n must be integers"):
+                structure_from_dict(H5, {**data, field: bad})
+    numpy_ints = [np.int64(x) for x in data["elements"]]
+    assert verify_structure(H5, numpy_ints, T22) == (True, None)
+    again = structure_from_dict(H5, {**data, "b": np.uint8(2), "elements": numpy_ints})
+    assert again.elements == example_structure(H5).elements
+    assert all(type(x) is int for x in again.elements + (again.stype.b,))
 
 
 def test_relation_count_check_survives_optimize():
