@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certify import relator_join
-from .group_core import FiniteGroup, Presentation, spanning_tree
+from .certify import check_rows, relator_join
+from .group_core import FiniteGroup, Presentation, check_elements, spanning_tree
 from .structures import certified_type, generation_mask_filter, pack_rows
 
 AUT_ORDER_CAP = 32
@@ -114,7 +114,7 @@ def orbit_count(
     closed under Aut, which keeps the relators, o(z) and generation.
     "sample" checks (c) on sample_size evenly spaced rows (ValueError below
     1, which checks none, or for two equal rows, as copies of one row are
-    no union of orbits).
+    no union of orbits).  ValueError unless `auts` is a 2-D (k, |G|) table of elements.
     """
     if freeness not in ("sample", "full"):
         raise ValueError(f"unknown freeness mode {freeness!r}")
@@ -122,6 +122,8 @@ def orbit_count(
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     if freeness == "full" and certified_type(G, rows) is None:
         raise ValueError("freeness 'full' needs the very rows a route returned for this group")
+    check_rows(auts, G.order, "auts")
+    check_elements(G, auts)
     if len(rows) == 0:
         return 0
     perms = auts[np.lexsort(auts.T[::-1])]

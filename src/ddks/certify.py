@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .group_core import FiniteGroup, Word
+from .group_core import FiniteGroup, Word, check_elements
 
 # The certifier keeps element indices in uint8 registers.
 CERTIFY_ORDER_CAP = 256
@@ -337,21 +337,13 @@ def _stage_mask(G: FiniteGroup, rows: np.ndarray, stage: Stage) -> np.ndarray:
     return ok
 
 
-def check_rows(rows: np.ndarray, columns: Optional[int] = None) -> None:
+def check_rows(rows: np.ndarray, columns: Optional[int] = None, what: str = "rows") -> None:
     """Raises ValueError unless `rows` is a 2-D array, with exactly
     `columns` columns if given.  Reads the shape only."""
     if rows.ndim != 2:
-        raise ValueError(f"rows must be a 2-D array, got {rows.ndim}-D")
+        raise ValueError(f"{what} must be a 2-D array, got {rows.ndim}-D")
     if columns is not None and rows.shape[1] != columns:
-        raise ValueError(f"rows must have {columns} columns, got {rows.shape[1]}")
-
-
-def check_elements(G: FiniteGroup, values: np.ndarray) -> None:
-    """Raises ValueError unless `values` are integers in 0 .. |G| - 1."""
-    if values.dtype.kind not in "iu":
-        raise ValueError(f"element indices must be integers, got dtype {values.dtype}")
-    if values.size and ((values.dtype.kind == "i" and values.min() < 0) or values.max() >= G.order):
-        raise ValueError("element index out of range for the group")
+        raise ValueError(f"{what} must have {columns} columns, got {rows.shape[1]}")
 
 
 def _check_order(G: FiniteGroup) -> None:

@@ -95,7 +95,7 @@ def _cmd_search_prestructures(args) -> tuple[dict, str]:
             if report.quotient_orders_checked is not None
             else None
         ),
-        "sample": [list(row) for row in report.sample[:10]],
+        "sample": [list(row) for row in report.sample],
     }, "count"
 
 

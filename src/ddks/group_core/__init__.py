@@ -12,6 +12,7 @@ from .group import (
     ElementSet,
     FiniteGroup,
     Homomorphism,
+    check_elements,
     is_cct,
     realize,
     spanning_tree,
@@ -34,7 +35,7 @@ __all__ = [
     "Word", "commutator", "free_reduce",
     "Presentation", "PresentationError", "parse_presentation", "word_from_str",
     "DEFAULT_MAX_COSETS", "CosetEnumerationError", "coset_table",
-    "ElementSet", "FiniteGroup", "Homomorphism",
+    "ElementSet", "FiniteGroup", "Homomorphism", "check_elements",
     "is_cct", "realize", "spanning_tree", "tree_words",
     "ALIASES", "CATALOG_SOURCES", "EXPECTED_ORDER", "catalog",
     "catalog_labels", "extra_special", "extra_special_text",

@@ -230,6 +230,22 @@ class FiniteGroup:
         return k
 
 
+def check_elements(G: FiniteGroup, values: np.ndarray | Sequence[int], what: str = "elements") -> None:
+    """The one check of element indices: ValueError unless `values`, an
+    integer ndarray or a sequence of ints and numpy integers (bools refused),
+    lie in 0 .. |G| - 1.  It reads `values` and neither copies nor converts them."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"element indices must be integers, got dtype {values.dtype}")
+        in_range = not values.size or ((values.dtype.kind == "u" or values.min() >= 0) and values.max() < G.order)
+    else:
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values))):
+            raise ValueError(f"{what} must be element indices, got {list(values)}")
+        in_range = not values or (min(values) >= 0 and max(values) < G.order)
+    if not in_range:
+        raise ValueError("element index out of range for the group")
+
+
 @dataclass(frozen=True)
 class ElementSet:
     """A sorted set of element indices in an ambient group."""
@@ -238,10 +254,9 @@ class ElementSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        check_elements(self.ambient, self.members, "members")
         if tuple(sorted(set(self.members))) != self.members:
             raise ValueError("members must be sorted and distinct")
-        if self.members and not (0 <= self.members[0] and self.members[-1] < self.ambient.order):
-            raise ValueError("members must be elements of the ambient group")
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -292,10 +307,7 @@ class Homomorphism:
             raise ValueError(
                 f"{self.source.ngens} generators but {len(self.images)} images"
             )
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in self.images):
-            raise ValueError(f"images must be element indices, got {list(self.images)}")
-        if not all(0 <= x < self.target.order for x in self.images):
-            raise ValueError("element index out of range for the group")
+        check_elements(self.target, self.images, "images")
         for rel in self.source.relators:
             if self.target.evaluate_word(rel, self.images) != 0:
                 raise ValueError(

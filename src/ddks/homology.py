@@ -43,7 +43,6 @@ from .structures import (
     DDKStructure,
     braid_presentation,
     k_subgroups,
-    verify_structure,
 )
 
 __all__ = [
@@ -640,10 +639,10 @@ def orbifold_presentation(b: int, n: int) -> Presentation:
 def h1_of_surface(
     G: FiniteGroup, s: DDKStructure
 ) -> tuple[HomologyInvariants, bool]:
-    """(H_1 of the covering surface, maximality flag free_rank == 4b)."""
-    ok, diag = verify_structure(G, s.elements, s.stype)
-    if not ok:
-        raise ValueError(f"not a structure: {diag}")
+    """(H_1 of the covering surface, maximality flag free_rank == 4b) for
+    s, a structure on G (ValueError if s lies in another group object)."""
+    if s.ambient is not G:
+        raise ValueError("the structure lies in another group")
     if not k_subgroups(s).strong:
         raise ValueError("structure is not strong: base genera would differ")
     p = orbifold_presentation(s.stype.b, s.stype.n)

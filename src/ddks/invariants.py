@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .group_core import FiniteGroup
-from .structures import DDKStructure, k_subgroups, verify_structure
+from .structures import DDKStructure, k_subgroups
 
 __all__ = [
     "FibrationReport",
@@ -118,10 +118,9 @@ class FibrationReport:
 
 
 def fibration_data(G: FiniteGroup, s: DDKStructure) -> FibrationReport:
-    """Full numeric report for the surface attached to a verified structure."""
-    ok, diag = verify_structure(G, s.elements, s.stype)
-    if not ok:
-        raise ValueError(f"not a structure: {diag}")
+    """Full numeric report for the surface of s, a structure on G itself (else ValueError)."""
+    if s.ambient is not G:
+        raise ValueError("the structure lies in another group")
     b, n = s.stype.b, s.stype.n
     ks = k_subgroups(s)
     c1sq, c2, slope = chern_invariants(G.order, b, n)

@@ -51,6 +51,11 @@ into one program of gathers and equality tests, which holds iff each word
 evaluates to the identity), then o(z) and generation.  While one route's
 certified rows for a group are alive, the other route's keys are compared
 with them instead, and its rows are a view of the same certified array.
+
+Inputs are checked once each: element indices by the group core's
+`check_elements`; a structure where it is made, as `DDKStructure` runs
+`verify_structure`, so its readers do not verify it again; route rows by
+the certify tail, whose returned array cannot be made writeable.
 """
 
 from __future__ import annotations
@@ -68,9 +73,10 @@ from .group_core import (
     FiniteGroup,
     Presentation,
     Word,
+    check_elements,
     commutator,
 )
-from .certify import bulk_relator_filter, check_elements, check_rows, relator_join
+from .certify import bulk_relator_filter, check_rows, relator_join
 
 SEARCH_ORDER_CAP = 64
 # Rows a level of `reference_prestructures` may hold (order 16: 15 * 16^4).
@@ -88,6 +94,8 @@ class StructureType:
     n: int
 
     def __post_init__(self):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.b, self.n)):
+            raise ValueError(f"b and n must be integers, got {[self.b, self.n]}")
         if self.b < 2 or self.n < 2:
             raise ValueError("structure type requires b >= 2 and n >= 2")
 
@@ -253,16 +261,16 @@ def prestructure_relations() -> tuple[tuple[str, Word], ...]:
 
 @dataclass(frozen=True)
 class DDKStructure:
+    """A structure, verified where it is made (`verify_structure`)."""
+
     ambient: FiniteGroup
     stype: StructureType
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.elements) != self.stype.tuple_length:
-            raise ValueError(
-                f"type ({self.stype.b},{self.stype.n}) needs "
-                f"{self.stype.tuple_length} elements, got {len(self.elements)}"
-            )
+        ok, diag = verify_structure(self.ambient, self.elements, self.stype)
+        if not ok:
+            raise ValueError(f"not a structure: {diag}")
 
     @property
     def z(self) -> int:
@@ -288,29 +296,17 @@ class KSubgroupData:
 
 # -- verification -----------------------------------------------------
 
-def _integers(values: Iterable, what: str) -> tuple:
-    """`values` as a tuple; ValueError, `what` and the values, unless each
-    is an int or a numpy integer, bools refused (1.5, True and "3" are not
-    1, 1 and 3)."""
-    values = tuple(values)
-    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
-        raise ValueError(f"{what}, got {list(values)}")
-    return values
-
-
 def verify_structure(
     G: FiniteGroup, elements: Sequence[int], t: StructureType
 ) -> tuple[bool, str | None]:
     """Check o(z) = n, all relators, and generation; diagnostic on failure.
     ValueError for elements that are not element indices of G."""
-    elements = _integers(elements, "elements must be element indices")
+    check_elements(G, elements)
     if len(elements) != t.tuple_length:
         raise ValueError(
             f"expected {t.tuple_length} elements for type ({t.b},{t.n}), "
             f"got {len(elements)}"
         )
-    if not all(0 <= x < G.order for x in elements):
-        raise ValueError("element index out of range for the group")
     oz = G.element_order[elements[-1]]
     if oz < 2:
         return False, "o(z) >= 2 violated"
@@ -350,11 +346,7 @@ def example_structure(G: FiniteGroup) -> DDKStructure:
         G.mul(r1, t2), G.mul(r2, t1), r2, t2,
         z,
     )
-    s = DDKStructure(G, StructureType(2, 2), elems)
-    ok, diag = verify_structure(G, elems, s.stype)
-    if not ok:
-        raise AssertionError(f"example structure invalid: {diag}")
-    return s
+    return DDKStructure(G, StructureType(2, 2), elems)
 
 
 # -- maximal subgroups (for bulk generation tests) --------------------
@@ -965,10 +957,13 @@ def pack_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
 
 
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
-    """The (N, 9) uint8 rows that `pack_rows` packed into `keys`, 54 bits each."""
+    """The (N, 9) uint8 rows that `pack_rows` packed into `keys`, 54 bits
+    each, unpacked into a bytearray and read through a read-only memoryview:
+    no array over those bytes can be made writeable, and none is copied."""
     if keys.max(initial=0) >> 54:
         raise ValueError(f"row keys hold 54 bits, got the key {keys.max()}")
-    rows = np.empty((len(keys), 9), dtype=np.uint8)
+    buf = bytearray(9 * len(keys))
+    rows = np.frombuffer(buf, np.uint8).reshape(-1, 9)
     field = np.empty(min(_CHUNK, len(keys)), dtype=np.uint64)
     for start in range(0, len(keys), _CHUNK):
         part, out = keys[start:start + _CHUNK], rows[start:start + _CHUNK]
@@ -977,7 +972,7 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
             np.right_shift(part, shift, out=f)
             out[:, c] = f  # keeps the low 8 bits; masked below
     rows &= 63
-    return rows
+    return np.frombuffer(memoryview(buf).toreadonly(), np.uint8).reshape(-1, 9)
 
 
 _CERTIFIED: dict[int, tuple[weakref.ref, FiniteGroup, StructureType]] = {}
@@ -991,10 +986,10 @@ def certify_structure_rows(
     AssertionError with `duplicate`) and that every row satisfies the full
     relator list, o(z) = t.n and generation (else AssertionError with
     `failure` formatted with the number of bad rows).  The returned array
-    is a read-only view of a read-only base, so its writeable flag cannot
-    be set again (ValueError), and it is certified as every type-t
-    structure on G (`certified_type`): the caller vouches that `keys`
-    enumerate them.
+    is read-only at its source (`unpack_keys`), so neither its writeable
+    flag nor that of the array it views can be set (ValueError), and it is
+    certified as every type-t structure on G (`certified_type`): the
+    caller vouches that `keys` enumerate them.
 
     One certification serves every route on one group.  If a live array A
     is certified for this very G (`g is G`) and type t and the keys unpack
@@ -1003,9 +998,8 @@ def certify_structure_rows(
     every row of A passed the relators, o(z) = t.n and generation on G,
     and the keys, sorted and distinct, unpack to exactly A's rows.  The
     routes' searches stay independent; only the second route's
-    certification is replaced, by an exact comparison.  Its premise is that
-    A cannot change once certified: no view of the read-only base can be
-    made writeable, only the base itself, reached through `.base`.
+    certification is replaced, by an exact comparison.  Its premise, that
+    A cannot change once certified, holds by `unpack_keys`.
     """
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
@@ -1021,9 +1015,7 @@ def certify_structure_rows(
             rows = certified[:]
             break
     else:
-        base = unpack_keys(keys)
-        base.flags.writeable = False
-        rows = base[:]
+        rows = unpack_keys(keys)
         ok = bulk_relator_filter(G, rows, relations_for_type(t))  # range-checks every entry
         ok &= G.orders[rows[:, 8]] == t.n
         ok &= generation_mask_filter(G, rows)
@@ -1139,8 +1131,8 @@ class PrestructureReport:
     sample: tuple[tuple[int, ...], ...]
 
 
-# Prestructures a report keeps as its sample.
-_REPORT_SAMPLE = 100
+# Prestructures a report keeps as its sample, all that the CLI prints.
+_REPORT_SAMPLE = 10
 
 
 def prestructure_report(G: FiniteGroup, mode: str = "auto") -> PrestructureReport:
@@ -1176,11 +1168,12 @@ def structure_to_dict(s: DDKStructure, label: str | None = None) -> dict:
 
 
 def structure_from_dict(G: FiniteGroup, data: dict) -> DDKStructure:
+    """The structure `structure_to_dict` wrote, as Python ints; ValueError
+    "malformed structure data: ..." for bad fields, "not a structure: ..." for a non-structure."""
     try:
-        t = StructureType(*map(int, _integers((data["b"], data["n"]), "b and n must be integers")))
-        elements = tuple(map(int, _integers(data["elements"], "elements must be element indices")))
+        t = StructureType(data["b"], data["n"])
+        elements = data["elements"]
+        check_elements(G, elements)
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed structure data: {e}") from e
-    if any(not 0 <= x < G.order for x in elements):
-        raise ValueError("element index out of range for the group")
-    return DDKStructure(G, t, elements)
+    return DDKStructure(G, StructureType(int(t.b), int(t.n)), tuple(map(int, elements)))

@@ -21,9 +21,10 @@ from typing import Callable
 
 import pytest
 
-from ddks import automorphisms, certify, homology, structures
+from ddks import automorphisms, certify, homology, invariants, structures
 from ddks.automorphisms import automorphism_group
 from ddks.group_core import FiniteGroup, Homomorphism, get_presentation, parse_presentation, realize, realize_label
+from ddks.group_core import group
 from ddks.paper import Rows
 from ddks.structures import prestructure_relations
 
@@ -121,9 +122,28 @@ MUTANTS = (
         "structure range check removed",
         "test_structures::test_verify_structure_rejects_out_of_range_elements",
         lambda mp: patch_edited(
-            mp, structures, "verify_structure", "if not all(0 <= x < G.order for x in elements):", "if False:",
+            mp, group, "check_elements",
+            "in_range = not values or (min(values) >= 0 and max(values) < G.order)", "in_range = True",
         ),
         lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "structure built without its verify call",
+        "test_invariants::test_fibration_data_rejects_non_structures",
+        lambda mp: patch_edited(
+            mp, structures.DDKStructure, "__post_init__",
+            "ok, diag = verify_structure(self.ambient, self.elements, self.stype)", "ok, diag = True, None",
+        ),
+    ),
+    Mutant(
+        "fibration data for a structure on another group",
+        "test_invariants::test_fibration_data_rejects_non_structures",
+        lambda mp: patch_edited(mp, invariants, "fibration_data", "if s.ambient is not G:", "if False:"),
+    ),
+    Mutant(
+        "surface homology for a structure on another group",
+        "test_homology::test_surface_homology_rejects_non_structures",
+        lambda mp: patch_edited(mp, homology, "h1_of_surface", "if s.ambient is not G:", "if False:"),
     ),
     # the Smith normal form on Python ints
     Mutant(
@@ -168,15 +188,18 @@ MUTANTS = (
     Mutant(
         "tail rows left writeable",
         "test_structures::test_the_tail_hands_out_read_only_rows_and_keeps_no_array",
-        lambda mp: patch_edited(
-            mp, structures, "certify_structure_rows", "base.flags.writeable = False", "pass",
-        ),
+        lambda mp: patch_edited(mp, structures, "unpack_keys", "memoryview(buf).toreadonly()", "buf"),
         lambda: {"H5": realize_label("G(32,49)")},
     ),
     Mutant(
+        # the rows a read-only view of an owner flagged read-only, whose flag can be set back
         "tail returns its base, whose flag can be set back",
         "test_structures::test_the_tail_hands_out_read_only_rows_and_keeps_no_array",
-        lambda mp: patch_edited(mp, structures, "certify_structure_rows", "rows = base[:]", "rows = base"),
+        lambda mp: patch_edited(
+            mp, structures, "unpack_keys",
+            "return np.frombuffer(memoryview(buf).toreadonly(), np.uint8).reshape(-1, 9)",
+            "base = rows.copy()\n    base.flags.writeable = False\n    return base[:]",
+        ),
         lambda: {"H5": realize_label("G(32,49)")},
     ),
     # one certification per group
@@ -243,8 +266,7 @@ MUTANTS = (
         "homomorphism images unchecked",
         "test_group::test_homomorphism_refuses_images_outside_the_group",
         lambda mp: patch_edited(
-            mp, Homomorphism, "__post_init__",
-            "if not all(0 <= x < self.target.order for x in self.images):", "if False:",
+            mp, Homomorphism, "__post_init__", 'check_elements(self.target, self.images, "images")', "pass",
         ),
     ),
     Mutant(
@@ -257,9 +279,24 @@ MUTANTS = (
         "homomorphism accepts a float image",
         "test_group::test_homomorphism_refuses_non_integer_images",
         lambda mp: patch_edited(
-            mp, Homomorphism, "__post_init__",
-            "isinstance(x, (int, np.integer))", "isinstance(x, (int, float, np.integer))",
+            mp, group, "check_elements",
+            "issubclass(t, (int, np.integer))", "issubclass(t, (int, float, np.integer))",
         ),
+    ),
+    Mutant(
+        "element check accepts bools",
+        "test_group::test_element_set_refuses_non_integer_members",
+        lambda mp: patch_edited(mp, group, "check_elements", " and t is not bool", ""),
+    ),
+    Mutant(
+        "orbit count takes any auts table",
+        "test_automorphisms::test_orbit_count_refuses_auts_that_are_not_a_table",
+        lambda mp: patch_edited(mp, automorphisms, "orbit_count", 'check_rows(auts, G.order, "auts")', "pass"),
+        lambda: {
+            "H5": realize_label("G(32,49)"),
+            "autsH": automorphism_group(realize_label("G(32,49)"), get_presentation("G(32,49)")),
+            "rows_cache": Rows(),
+        },
     ),
     # the one breadth-first walk and its readers
     Mutant(

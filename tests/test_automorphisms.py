@@ -17,6 +17,7 @@ from ddks.group_core import (
 from ddks.automorphisms import FreenessError, automorphism_group, orbit_count, out_order
 from ddks.structures import example_structure, inner_automorphism_table
 from ddks.symplectic import aut_order, induced_space
+from optimizetools import raised_under_optimize
 from orbittools import (
     act,
     automorphisms_by_brute_force,
@@ -296,6 +297,46 @@ def test_full_mode_refuses_rows_no_route_certified(H5, G5, autsH, autsG, rows_ca
     with pytest.raises(ValueError, match=UNCERTIFIED):  # G(32,49)'s rows with G(32,50)
         orbit_count(G5, rows, autsG, freeness="full")
     assert orbit_count(H5, rows, autsH, freeness="full") == 1920
+
+
+AUTS_PRELUDE = """
+import numpy as np
+from ddks.automorphisms import automorphism_group, orbit_count
+from ddks.group_core import get_presentation, realize_label
+from ddks.symplectic import symplectic_structure_rows
+G = realize_label("G(32,49)")
+auts = automorphism_group(G, get_presentation("G(32,49)"))
+rows = symplectic_structure_rows(G)
+"""
+
+
+def test_orbit_count_refuses_auts_that_are_not_a_table(H5, autsH, rows_cache):
+    """On the route's rows, a table one column too wide once raised numpy's
+    broadcast error, a float table IndexError and one row AxisError."""
+    rows = rows_cache.symplectic("G(32,49)")
+    cases = [
+        (np.column_stack([autsH, autsH[:, :1]]), "^auts must have 32 columns, got 33$"),
+        (autsH.astype(np.float64), "^element indices must be integers, got dtype float64$"),
+        (autsH[0], "^auts must be a 2-D array, got 1-D$"),
+    ]
+    for auts, message in cases:
+        for freeness in ("sample", "full"):
+            with pytest.raises(ValueError, match=message):
+                orbit_count(H5, rows, auts, freeness=freeness)
+    assert orbit_count(H5, rows, autsH.astype(np.int64), freeness="full") == 1920
+
+
+@pytest.mark.parametrize(
+    "auts, raised",
+    [
+        ("np.column_stack([auts, auts[:, :1]])", "auts must have 32 columns, got 33"),
+        ("auts.astype(np.float64)", "element indices must be integers, got dtype float64"),
+        ("auts[0]", "auts must be a 2-D array, got 1-D"),
+    ],
+    ids=["wide", "float", "one-row"],
+)
+def test_auts_checks_survive_optimize(auts, raised):
+    assert raised_under_optimize(AUTS_PRELUDE + f"orbit_count(G, rows, {auts})") == f"ValueError {raised}"
 
 
 def test_inner_automorphisms_build_no_search_tables(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ddks.group_core import (
+    ElementSet,
     FiniteGroup,
     Homomorphism,
     Word,
@@ -262,6 +263,16 @@ def test_homomorphism_refuses_images_outside_the_group():
     assert raised_under_optimize(snippet) == "ValueError element index out of range for the group"
 
 
+def test_element_set_refuses_non_integer_members():
+    """1.5 and True pass the sorted-and-distinct test and the range test,
+    and "3" cannot be sorted with 0: only the type check stops them."""
+    G = realize_label("S4")
+    for bad in (1.5, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match=r"^members must be element indices, got \[0, "):
+            ElementSet(G, (0, bad))
+    assert ElementSet(G, (0, np.uint8(3))).members == (0, 3)
+
+
 def test_homomorphism_refuses_non_integer_images():
     """With no relator to evaluate, only the type check stops a float or
     a bool, which the range check passes, and a string, which it cannot
@@ -353,7 +364,7 @@ ElementSet(realize_label("S4"), (1, 0))
 from ddks.group_core import ElementSet, realize_label
 ElementSet(realize_label("S4"), (-1, 0))
 """,
-            "ValueError members must be elements of the ambient group",
+            "ValueError element index out of range for the group",
             id="element-set-range",
         ),
         pytest.param(
@@ -361,8 +372,16 @@ ElementSet(realize_label("S4"), (-1, 0))
 from ddks.group_core import ElementSet, realize_label
 ElementSet(realize_label("S4"), (0, 24))
 """,
-            "ValueError members must be elements of the ambient group",
+            "ValueError element index out of range for the group",
             id="element-set-above",
+        ),
+        pytest.param(
+            """
+from ddks.group_core import ElementSet, realize_label
+ElementSet(realize_label("S4"), (0, 1.5))
+""",
+            "ValueError members must be element indices, got [0, 1.5]",
+            id="element-set-float",
         ),
         # a table whose second coset no column reaches
         pytest.param(

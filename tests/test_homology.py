@@ -1017,10 +1017,14 @@ def test_first_homology_on_the_benchmark_panel(panel_homs):
 
 
 def test_surface_homology_rejects_non_structures():
+    """A tuple that is no structure is refused where it is made, so
+    `h1_of_surface` checks only that the structure lies in G itself."""
     g = realize_label("G(32,49)")
-    broken = DDKStructure(g, StructureType(2, 2), (0,) * 9)
-    with pytest.raises(ValueError, match="not a structure"):
-        h1_of_surface(g, broken)
+    with pytest.raises(ValueError, match="^not a structure: o\\(z\\) >= 2 violated$"):
+        DDKStructure(g, StructureType(2, 2), (0,) * 9)
+    copy = realize(get_presentation("G(32,49)"))  # the same table, another group object
+    with pytest.raises(ValueError, match="^the structure lies in another group$"):
+        h1_of_surface(copy, example_structure(g))
 
 
 def test_betti_number_feeds_hodge_numbers():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddks.group_core import realize_label
+from ddks.group_core import get_presentation, realize, realize_label
 from ddks.invariants import (
     FibrationReport,
     base_genus,
@@ -174,10 +174,14 @@ def test_enumerated_structures_share_one_report(label, rows_cache):
 
 
 def test_fibration_data_rejects_non_structures():
+    """A tuple that is no structure is refused where it is made, so
+    `fibration_data` checks only that the structure lies in G itself."""
     g = realize_label("G(32,49)")
-    broken = DDKStructure(g, StructureType(2, 2), (0,) * 9)
-    with pytest.raises(ValueError, match="not a structure"):
-        fibration_data(g, broken)
+    with pytest.raises(ValueError, match="^not a structure: o\\(z\\) >= 2 violated$"):
+        DDKStructure(g, StructureType(2, 2), (0,) * 9)
+    copy = realize(get_presentation("G(32,49)"))  # the same table, another group object
+    with pytest.raises(ValueError, match="^the structure lies in another group$"):
+        fibration_data(copy, example_structure(g))
 
 
 def test_hodge_numbers():

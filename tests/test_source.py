@@ -8,8 +8,10 @@ shares with the backtracking route only the certify tail and the key
 format, and no module outside the group core builds its own array of a
 group's Cayley table, inverses or element orders, or its own commutator
 or conjugation table, writes an attribute on an object other than
-`self`, or walks a group by hand instead of through `spanning_tree`; and
-only the certify tail writes the table of certified rows."""
+`self`, or walks a group by hand instead of through `spanning_tree`;
+only the certify tail writes the table of certified rows; only
+`DDKStructure` verifies a structure; and only the group core's
+`check_elements` says that an element index is out of range."""
 
 import ast
 import sys
@@ -530,3 +532,97 @@ def test_only_the_certify_tail_writes_certificates():
 )
 def test_certificate_write_scan_finds_writes(source, flagged):
     assert any(_certificate_writes(ast.parse(source))) == flagged
+
+
+def _verify_structure_uses(tree: ast.Module):
+    """Uses of `verify_structure`, by name or as an attribute, outside
+    `DDKStructure.__post_init__`: its definition and imports are no use."""
+    inside = {
+        id(n)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "DDKStructure"
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+        for n in ast.walk(f)
+    }
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name == "verify_structure" and id(node) not in inside:
+            yield node
+
+
+def test_only_the_structure_type_verifies_structures():
+    """A DDKStructure is verified where it is made, so every structure is
+    one and no reader verifies it again."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        for node in _verify_structure_uses(_parse(path))
+    ]
+    assert found == [], f"verify_structure used outside DDKStructure.__post_init__: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        # the four readers that verified a structure again
+        ("ok, diag = verify_structure(G, s.elements, s.stype)", True),
+        ("ok = structures.verify_structure(G, elems, t)[0]", True),
+        # each form
+        ("checks = map(verify_structure, groups, tuples, types)", True),
+        ("class DDKStructure:\n    def words(self):\n        return verify_structure(G, e, t)", True),
+        ("class Other:\n    def __post_init__(self):\n        verify_structure(G, e, t)", True),
+        # not a breach
+        ("class DDKStructure:\n    def __post_init__(self):\n        verify_structure(self.ambient, e, t)", False),
+        ("def verify_structure(G, elements, t):\n    return True, None", False),
+        ("from .structures import verify_structure", False),
+    ],
+)
+def test_verify_structure_scan_finds_uses(source, flagged):
+    assert any(_verify_structure_uses(ast.parse(source))) == flagged
+
+
+RANGE_MESSAGE = "element index out of range"
+
+
+def _range_messages(tree: ast.Module):
+    """(function, node): each string constant that says an element index
+    is out of range, with the top-level function holding it (None at
+    module level), so that the one element check can be told apart."""
+    for top in tree.body:
+        function = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and RANGE_MESSAGE in node.value:
+                yield function, node
+
+
+def test_element_indices_are_checked_only_in_the_group_core():
+    """`group_core.check_elements` is the one check of element indices;
+    every other module calls it rather than testing a range of its own."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        for function, node in _range_messages(_parse(path))
+        if (path.relative_to(SRC).as_posix(), function) != ("group_core/group.py", "check_elements")
+    ]
+    assert found == [], f"element range checks outside group_core.check_elements: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        # the copies that the one check replaced
+        ('def verify_structure(G, elements, t):\n    raise ValueError("element index out of range for the group")',
+         [("verify_structure", 2)]),
+        ('class Homomorphism:\n    def __post_init__(self):\n        raise ValueError("element index out of range")',
+         [(None, 3)]),
+        ('def check_elements(G, values):\n    raise ValueError(f"{what}: element index out of range")',
+         [("check_elements", 2)]),
+        ('MESSAGE = "element index out of range for the group"', [(None, 1)]),
+        # not a breach
+        ('def f(G):\n    raise ValueError("members must be sorted and distinct")', []),
+        ("def f(G):\n    check_elements(G, values)", []),
+    ],
+)
+def test_range_message_scan_finds_copies(source, found):
+    assert [(function, node.lineno) for function, node in _range_messages(ast.parse(source))] == found

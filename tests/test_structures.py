@@ -94,6 +94,11 @@ def test_type_validation():
     with pytest.raises(ValueError):
         StructureType(2, 1)
     assert StructureType(3, 4).tuple_length == 13
+    # StructureType(2.5, 2) once gave tuples of length 11.0
+    for b, n in ((2.5, 2), (2, 2.0), (True, 2), (2, "3"), (None, 2)):
+        with pytest.raises(ValueError, match=r"^b and n must be integers, got \["):
+            StructureType(b, n)
+    assert StructureType(np.int64(3), np.uint8(4)).tuple_length == 13
 
 
 # ------------------------------------------------------- relation system
@@ -393,9 +398,11 @@ INPUT_CHECK_PRELUDE = """
 import numpy as np
 from ddks.automorphisms import automorphism_group, orbit_count
 from ddks.group_core import Homomorphism, get_presentation, parse_presentation, realize, realize_label
+from ddks.homology import h1_of_surface
+from ddks.invariants import fibration_data
 from ddks.structures import (
-    StructureType, example_structure, genus2_rows, inner_automorphism_table, structure_from_dict, unpack_keys,
-    verify_structure,
+    DDKStructure, StructureType, example_structure, genus2_rows, inner_automorphism_table, structure_from_dict,
+    unpack_keys, verify_structure,
 )
 from ddks.symplectic import symplectic_structure_rows
 
@@ -425,10 +432,17 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
          "ValueError elements must be element indices, got [1.5, 2, 14, 13, 13, 14, 3, 4, 5]"),
         ('structure_from_dict(G, {"b": True, "n": 2, "elements": row[0].tolist()})',
          "ValueError malformed structure data: b and n must be integers, got [True, 2]"),
+        ("StructureType(2.5, 2)", "ValueError b and n must be integers, got [2.5, 2]"),
+        ("DDKStructure(G, StructureType(2, 2), (0,) * 9)", "ValueError not a structure: o(z) >= 2 violated"),
+        ('fibration_data(realize(get_presentation("G(32,49)")), example_structure(G))',
+         "ValueError the structure lies in another group"),
+        ('h1_of_surface(realize(get_presentation("G(32,49)")), example_structure(G))',
+         "ValueError the structure lies in another group"),
     ],
     ids=[
         "repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range",
-        "float-image", "float-element", "bool-b",
+        "float-image", "float-element", "bool-b", "float-b", "not-a-structure", "fibration-other-group",
+        "homology-other-group",
     ],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
@@ -1400,8 +1414,9 @@ def test_the_tail_hands_out_read_only_rows_and_keeps_no_array(H5):
     rows = certify_structure_rows(H5, pack_rows(H5, good), T22, "{} bad", "repeated")
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 0
-    with pytest.raises(ValueError, match="WRITEABLE"):
-        rows.flags.writeable = True
+    for array in (rows, rows.base):  # no owner behind the rows can be made writeable
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.flags.writeable = True
     assert certified_type(H5, rows) == T22
     entry = structures._CERTIFIED[id(rows)]
     assert entry[0]() is rows and not any(isinstance(x, np.ndarray) for x in entry)
@@ -1424,6 +1439,8 @@ def test_a_record_certifies_only_the_array_it_points_at(monkeypatch, H5):
 def test_route_rows_are_read_only_and_only_they_are_certified(H5, G5, rows_cache):
     for rows in (rows_cache.backtrack("G(32,49)"), rows_cache.symplectic("G(32,49)")):
         assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            rows.base.flags.writeable = True
         assert certified_type(H5, rows) == T22
         assert certified_type(G5, rows) is None
         for other in (rows[:1152], rows[:], rows.copy()):

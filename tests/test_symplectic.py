@@ -483,6 +483,28 @@ def test_lift_rejects_foreign_group(spaceH, G5):
         next(lift_reduced(spaceH, r, G5))
 
 
+def test_lift_refuses_vectors_outside_the_space(spaceH, H5):
+    """99 once raised IndexError from the section table, and -1 would read
+    its last entry; 1.5 and True are no vectors.  Vectors of V that are no
+    reduced structure give lifts that are no structures."""
+    good = next(enumerate_reduced_structures(spaceH)).vectors
+    for bad in ((99,) * 8, (-1,) + good[1:], (16,) + good[1:], (1.5,) + good[1:], (True,) + good[1:]):
+        with pytest.raises(ValueError, match=r"^vectors must lie in V, integers in 0 \.\. 15, got \["):
+            next(lift_reduced(spaceH, ReducedStructure(bad, "a"), H5))
+    with pytest.raises(ValueError, match="^not a structure: "):
+        next(lift_reduced(spaceH, ReducedStructure((0,) * 8, "a"), H5))
+    assert len(list(lift_reduced(spaceH, ReducedStructure(tuple(map(np.uint8, good)), "a"), H5))) == 256
+    snippet = (
+        "from ddks.group_core import realize_label\n"
+        "from ddks.symplectic import ReducedStructure, induced_space, lift_reduced\n"
+        "G = realize_label('G(32,49)')\n"
+        "next(lift_reduced(induced_space(G), ReducedStructure((99,) * 8, 'a'), G))\n"
+    )
+    assert raised_under_optimize(snippet) == (
+        "ValueError vectors must lie in V, integers in 0 .. 15, got [99, 99, 99, 99, 99, 99, 99, 99]"
+    )
+
+
 # ------------------------------------------- the central cross-validation
 
 @pytest.mark.parametrize("label", ["G(32,49)", "G(32,50)"])
