@@ -338,8 +338,10 @@ def _stage_mask(G: FiniteGroup, rows: np.ndarray, stage: Stage) -> np.ndarray:
 
 
 def check_rows(rows: np.ndarray, columns: Optional[int] = None, what: str = "rows") -> None:
-    """Raises ValueError unless `rows` is a 2-D array, with exactly
-    `columns` columns if given.  Reads the shape only."""
+    """Raises ValueError unless `rows` is a 2-D ndarray, with exactly
+    `columns` columns if given.  Reads the type and shape only."""
+    if not isinstance(rows, np.ndarray):
+        raise ValueError(f"{what} must be a 2-D array, got {type(rows).__name__}")
     if rows.ndim != 2:
         raise ValueError(f"{what} must be a 2-D array, got {rows.ndim}-D")
     if columns is not None and rows.shape[1] != columns:

@@ -5,7 +5,8 @@ identity fixed at index 0.  Groups built by :func:`realize` number their
 elements by the deterministic coset enumeration, so identical presentations
 always yield identical tables.
 
-Conventions: ``[x, y] = x y x^-1 y^-1``; ``conjugate(x, g) = g x g^-1``.
+Conventions: ``[x, y] = x y x^-1 y^-1`` (`commutators`); conjugation by g
+is ``x -> g x g^-1`` (`conjugates`).
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.cayley[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def commutator(self, a: int, b: int) -> int:
-        cay = self.cayley
-        return cay[cay[cay[a][b]][self.inverse[a]]][self.inverse[b]]
-
-    def conjugate(self, x: int, g: int) -> int:
-        """g x g^-1."""
-        return self.cayley[self.cayley[g][x]][self.inverse[g]]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -125,10 +115,7 @@ class FiniteGroup:
         return out
 
     def center(self) -> "ElementSet":
-        return _element_set(self, (self.table == self.table.T).all(axis=1))
-
-    def centralizer(self, x: int) -> "ElementSet":
-        return _element_set(self, self.table[:, x] == self.table[x])
+        return ElementSet(self, tuple(np.flatnonzero((self.table == self.table.T).all(axis=1)).tolist()))
 
     def subgroup_generated(self, gens: Iterable[int]) -> "ElementSet":
         """What `spanning_tree` reaches over gens: in a finite group each
@@ -258,9 +245,6 @@ class ElementSet:
         if tuple(sorted(set(self.members))) != self.members:
             raise ValueError("members must be sorted and distinct")
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
@@ -272,22 +256,11 @@ class ElementSet:
         inside[list(self.members)] = True
         return inside
 
-    def _products(self) -> np.ndarray:
-        return self.ambient.table[np.ix_(self.members, self.members)]
-
     def is_subgroup(self) -> bool:
-        return 0 in self.members and bool(self._inside()[self._products()].all())
+        return 0 in self.members and bool(self._inside()[self.ambient.table[np.ix_(self.members, self.members)]].all())
 
     def is_normal(self) -> bool:
         return bool(self._inside()[self.ambient.conjugates(self.members)].all())
-
-    def is_abelian(self) -> bool:
-        products = self._products()
-        return bool((products == products.T).all())
-
-
-def _element_set(G: FiniteGroup, mask: np.ndarray) -> ElementSet:
-    return ElementSet(G, tuple(np.flatnonzero(mask).tolist()))
 
 
 @dataclass(frozen=True)
@@ -295,7 +268,9 @@ class Homomorphism:
     """A map Presentation -> FiniteGroup given by generator images.
 
     The images must be element indices of the target, and relator
-    preservation is verified at construction.
+    preservation is verified at construction.  `source` is the one
+    presentation H_1 reads (`homology.first_homology`), and surjectivity
+    has its one check in `homology.schreier_transversal`.
     """
 
     source: Presentation
@@ -314,12 +289,6 @@ class Homomorphism:
                     f"relator {rel.format(self.source.generators)} "
                     f"not satisfied by images {list(self.images)}"
                 )
-
-    def image_elements(self) -> ElementSet:
-        return self.target.subgroup_generated(self.images)
-
-    def is_surjective(self) -> bool:
-        return len(self.image_elements()) == self.target.order
 
 
 def spanning_tree(step: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[int]]:

@@ -43,10 +43,6 @@ class Word:
             raise ValueError("generator index must be >= 0")
         return Word((index + 1,))
 
-    @staticmethod
-    def identity() -> "Word":
-        return Word(())
-
     # -- group operations ---------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
@@ -91,9 +87,6 @@ class Word:
             parts.append(name if exp == 1 else f"{name}^{exp}")
             i = j
         return " ".join(parts) if parts else "1"
-
-    def __repr__(self) -> str:
-        return f"Word({list(self.letters)!r})"
 
 
 def commutator(u: Word, v: Word) -> Word:

@@ -6,7 +6,8 @@ computed without any coset enumeration: cosets of the kernel biject with
 elements of G (the coset action is g -> g * phi(x)), so a Schreier
 transversal (the `spanning_tree` of G over phi(x1), phi(x1)^-1, ...),
 the abelianized rewritten relators, and an integer Smith normal form
-give H_1 directly.
+give H_1 directly.  The relators are those of phi's own source
+presentation: `first_homology(hom)` takes no other.
 
 The relator matrix is built by tracing every relator from all cosets at
 once over the Cayley table, one gather a letter.  It is large and sparse
@@ -75,9 +76,6 @@ class Transversal:
     def __post_init__(self):
         object.__setattr__(self, "representative_words", tuple(tree_words(self.parent, self.step)))
 
-    def __len__(self) -> int:
-        return len(self.parent)
-
 
 def schreier_transversal(hom: Homomorphism) -> Transversal:
     """The transversal of the kernel of hom; ValueError unless hom is onto."""
@@ -114,11 +112,10 @@ def _schreier_columns(hom: Homomorphism, t: Transversal) -> np.ndarray:
     return columns
 
 
-def abelianized_relator_matrix(
-    p: Presentation, hom: Homomorphism, t: Transversal
-) -> np.ndarray:
-    """One row per (coset, relator): exponent sums of Schreier generators
-    in the rewritten conjugate rep * r * rep^-1 (tree edges excluded).
+def abelianized_relator_matrix(hom: Homomorphism, t: Transversal) -> np.ndarray:
+    """One row per (coset, relator r of hom.source): exponent sums of
+    Schreier generators in the rewritten conjugate rep * r * rep^-1 (tree
+    edges excluded).
 
     Each relator is traced from all cosets at once over the right-action
     tables u -> u * phi(x)^(+-1), one gather a letter; the entries are added
@@ -128,9 +125,10 @@ def abelianized_relator_matrix(
     step = G.table[:, list(hom.images)].T
     back = G.table[:, G.inverses[list(hom.images)]].T
     cosets = np.arange(G.order)
-    nrel = len(p.relators)
+    relators = hom.source.relators
+    nrel = len(relators)
     rows, cols, signs = [], [], []
-    for j, rel in enumerate(p.relators):
+    for j, rel in enumerate(relators):
         c = cosets
         for letter in rel.letters:
             x = abs(letter) - 1
@@ -617,10 +615,11 @@ class HomologyInvariants:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def first_homology(p: Presentation, hom: Homomorphism) -> HomologyInvariants:
-    """H_1 of the kernel of hom as an abstract abelian group."""
+def first_homology(hom: Homomorphism) -> HomologyInvariants:
+    """H_1 of the kernel of hom, a map from the presentation hom.source,
+    as an abstract abelian group."""
     t = schreier_transversal(hom)
-    matrix = abelianized_relator_matrix(p, hom, t)
+    matrix = abelianized_relator_matrix(hom, t)
     rank, factors = smith_invariants(matrix)
     return HomologyInvariants(
         free_rank=matrix.shape[1] - rank,
@@ -645,7 +644,6 @@ def h1_of_surface(
         raise ValueError("the structure lies in another group")
     if not k_subgroups(s).strong:
         raise ValueError("structure is not strong: base genera would differ")
-    p = orbifold_presentation(s.stype.b, s.stype.n)
-    hom = Homomorphism(p, G, s.elements)
-    invariants = first_homology(p, hom)
+    hom = Homomorphism(orbifold_presentation(s.stype.b, s.stype.n), G, s.elements)
+    invariants = first_homology(hom)
     return invariants, invariants.free_rank == 4 * s.stype.b

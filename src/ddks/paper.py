@@ -317,10 +317,10 @@ def check_property_suites(rows: Rows, quick: bool):
     pairs = 0
     for label in ORDER32:
         space = induced_space(realize_label(label))
-        for u in space.vectors():
-            for v in space.vectors():
-                lhs = (space.q(u ^ v) + space.q(u) + space.q(v)) % 2
-                if lhs != space.pair(u, v):
+        q, pairing = space.q_table.tolist(), space.pair_table.tolist()
+        for u in range(len(q)):
+            for v in range(len(q)):
+                if (q[u ^ v] + q[u] + q[v]) % 2 != pairing[u][v]:
                     return False, {"parallelogram": label}
                 pairs += 1
 

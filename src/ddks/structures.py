@@ -844,7 +844,7 @@ def genus2_rows(
 
 
 def inner_automorphism_table(G: FiniteGroup) -> np.ndarray:
-    """Inn(G) as a (|Inn|, |G|) uint8 table: the distinct rows of
+    """Inn(G) as a read-only (|Inn|, |G|) uint8 table: the distinct rows of
     `G.conjugates`, x -> g x g^-1, sorted (so the identity is first).  Raises
     ValueError above the search cap, and AssertionError unless |Inn| = |G| / |Z(G)|."""
     if G.order > SEARCH_ORDER_CAP:
@@ -855,6 +855,7 @@ def inner_automorphism_table(G: FiniteGroup) -> np.ndarray:
     inn = conj[np.concatenate(([True], (conj[1:] != conj[:-1]).any(axis=1)))]
     if len(inn) != G.order // len(G.center()):
         raise AssertionError("|Inn| is not |G| / |Z(G)|")
+    inn.flags.writeable = False  # read-only, as every table the system hands out
     return inn
 
 

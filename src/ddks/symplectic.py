@@ -59,7 +59,9 @@ class SymplecticSpace:
     lifts of u and v, and the square of the lift of v, are z.  It checks
     that G is extra-special, that the generator images are an ordered
     symplectic basis, and that the tables are an alternating, non-degenerate
-    pairing and its form, and give every element's commutators and square."""
+    pairing and its form, and give every element's commutators and square.
+    The four tables are its whole interface: scalar code reads them too, as
+    lists (`verify_reduced`) or one gather (`lift_reduced`)."""
 
     def __init__(self, G: FiniteGroup):
         T, n = G.table, G.order
@@ -115,21 +117,6 @@ class SymplecticSpace:
         if (q[proj] != (squares == z)).any():
             raise AssertionError("form disagrees with squares")
 
-    def pair(self, u: int, v: int) -> int:
-        return self.pair_table.item(u, v)
-
-    def q(self, v: int) -> int:
-        return self.q_table.item(v)
-
-    def projection(self, x: int) -> int:
-        return self.projection_table.item(x)
-
-    def section(self, v: int) -> int:
-        return self.section_table.item(v)
-
-    def vectors(self) -> range:
-        return range(2**self.dim)
-
 
 def induced_space(G: FiniteGroup) -> SymplecticSpace:
     return SymplecticSpace(G)
@@ -151,7 +138,7 @@ class ReducedStructure:
 
 def _span_dim(space: SymplecticSpace, vectors: Sequence[int]) -> int:
     pivots: dict[int, int] = {}  # leading bit -> reduced vector
-    for v in vectors:
+    for v in map(int, vectors):
         while v:
             top = v.bit_length() - 1
             if top in pivots:
@@ -162,30 +149,41 @@ def _span_dim(space: SymplecticSpace, vectors: Sequence[int]) -> int:
     return len(pivots)
 
 
+def _check_vectors(space: SymplecticSpace, vectors: Sequence[int]) -> None:
+    """ValueError unless every vector lies in V: an int or numpy integer
+    (bools refused) in 0 .. 2^dim - 1."""
+    if not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 2**space.dim for v in vectors
+    ):
+        raise ValueError(f"vectors must lie in V, integers in 0 .. {2**space.dim - 1}, got {list(vectors)}")
+
+
 def verify_reduced(
     space: SymplecticSpace, vectors: Sequence[int]
 ) -> tuple[bool, str | None]:
-    """Check the full pairing-constraint table and spanning."""
+    """Check the full pairing-constraint table and spanning; ValueError
+    unless there are 8 vectors of V."""
     if len(vectors) != 8:
         raise ValueError("expected 8 vectors")
+    _check_vectors(space, vectors)
     r11, t11, r12, t12, r21, t21, r22, t22 = vectors
-    pair = space.pair
-    if (pair(r12, t12) + pair(r11, t11)) % 2 != 1:
+    pair = space.pair_table.tolist()
+    if (pair[r12][t12] + pair[r11][t11]) % 2 != 1:
         return False, "sum condition on (r12,t12), (r11,t11) violated"
-    if (pair(r21, t21) + pair(r22, t22)) % 2 != 1:
+    if (pair[r21][t21] + pair[r22][t22]) % 2 != 1:
         return False, "sum condition on (r21,t21), (r22,t22) violated"
     rs1, ts1 = (r11, r12), (t11, t12)
     rs2, ts2 = (r21, r22), (t21, t22)
     for j in range(2):
         for k in range(2):
             delta = 1 if j == k else 0
-            if pair(rs1[j], ts2[k]) != delta:
+            if pair[rs1[j]][ts2[k]] != delta:
                 return False, f"(r1{j+1}, t2{k+1}) != {delta}"
-            if pair(ts1[j], rs2[k]) != delta:
+            if pair[ts1[j]][rs2[k]] != delta:
                 return False, f"(t1{j+1}, r2{k+1}) != {delta}"
-            if pair(rs1[j], rs2[k]) != 0:
+            if pair[rs1[j]][rs2[k]] != 0:
                 return False, f"(r1{j+1}, r2{k+1}) != 0"
-            if pair(ts1[j], ts2[k]) != 0:
+            if pair[ts1[j]][ts2[k]] != 0:
                 return False, f"(t1{j+1}, t2{k+1}) != 0"
     if _span_dim(space, vectors) != space.dim:
         return False, "vectors do not span V"
@@ -324,12 +322,9 @@ def lift_reduced(
     another group, or for vectors outside V (integers in 0 .. 2^dim - 1)."""
     if G is not space.group:
         raise ValueError("space was not built from this group")
-    if not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 2**space.dim for v in r.vectors
-    ):
-        raise ValueError(f"vectors must lie in V, integers in 0 .. {2**space.dim - 1}, got {list(r.vectors)}")
+    _check_vectors(space, r.vectors)
     z = space.z_element
-    base = [space.section(v) for v in r.vectors]
+    base = space.section_table[list(r.vectors)].tolist()
     shifted = [G.mul(x, z) for x in base]
     t = StructureType(2, 2)
     for mask in range(256):

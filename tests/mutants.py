@@ -21,12 +21,13 @@ from typing import Callable
 
 import pytest
 
-from ddks import automorphisms, certify, homology, invariants, structures
+from ddks import automorphisms, certify, homology, invariants, structures, symplectic
 from ddks.automorphisms import automorphism_group
 from ddks.group_core import FiniteGroup, Homomorphism, get_presentation, parse_presentation, realize, realize_label
 from ddks.group_core import group
 from ddks.paper import Rows
 from ddks.structures import prestructure_relations
+from ddks.symplectic import induced_space
 
 
 def edited(owner, name: str, old: str, new: str):
@@ -297,6 +298,43 @@ MUTANTS = (
             "autsH": automorphism_group(realize_label("G(32,49)"), get_presentation("G(32,49)")),
             "rows_cache": Rows(),
         },
+    ),
+    Mutant(
+        "row check reads the shape of a list",
+        "test_structures::test_row_functions_refuse_other_shapes",
+        lambda mp: patch_edited(mp, certify, "check_rows", "if not isinstance(rows, np.ndarray):", "if False:"),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "reduced vectors unchecked",
+        "test_symplectic::test_verify_reduced_diagnostics",
+        lambda mp: patch_edited(mp, symplectic, "verify_reduced", "_check_vectors(space, vectors)", "pass"),
+        lambda: {"spaceH": induced_space(realize_label("G(32,49)"))},
+    ),
+    # Aut(G), Inn(G) and the orbit count
+    Mutant(
+        "automorphisms from a presentation of another generator count",
+        "test_automorphisms::test_automorphism_group_refuses_a_presentation_of_another_generator_count",
+        lambda mp: patch_edited(
+            mp, automorphisms, "automorphism_group", "if p.ngens != len(G.generator_elements):", "if False:",
+        ),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "orbit count without the divisibility check",
+        "test_automorphisms::test_orbit_count_refuses_rows_that_are_no_union_of_orbits",
+        lambda mp: patch_edited(mp, automorphisms, "orbit_count", "if len(rows) % len(auts) != 0:", "if False:"),
+        lambda: {
+            "H5": realize_label("G(32,49)"),
+            "autsH": automorphism_group(realize_label("G(32,49)"), get_presentation("G(32,49)")),
+            "rows_cache": Rows(),
+        },
+    ),
+    Mutant(
+        "Inn(G) left writeable",
+        "test_automorphisms::test_inner_automorphism_table_is_read_only",
+        lambda mp: patch_edited(mp, structures, "inner_automorphism_table", "inn.flags.writeable = False", "pass"),
+        lambda: {"H5": realize_label("G(32,49)")},
     ),
     # the one breadth-first walk and its readers
     Mutant(

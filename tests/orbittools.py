@@ -52,10 +52,10 @@ def induced_symplectic_map(space, phi: np.ndarray) -> list[int]:
     """The linear map on V = G/Z induced by an automorphism, as a value
     table over all vectors."""
     table = [0] * (2**space.dim)
-    for v in space.vectors():
-        table[v] = space.projection(int(phi[space.section(v)]))
+    for v in range(2**space.dim):
+        table[v] = space.projection_table.item(phi[space.section_table[v]])
     basis_images = [table[1 << i] for i in range(space.dim)]
-    for v in space.vectors():
+    for v in range(2**space.dim):
         acc = 0
         for i in range(space.dim):
             if (v >> i) & 1:

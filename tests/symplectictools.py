@@ -43,7 +43,7 @@ def enumerate_symplectic_bases(space: SymplecticSpace) -> Iterator[tuple[int, ..
     lexicographic order, one pairing at a time."""
     if space.dim != 4:
         raise ValueError("basis enumeration supports dim 4 only")
-    pair = space.pair
+    pair = space.pair_table.item
     for e1 in range(1, 16):
         for f1 in range(1, 16):
             if pair(e1, f1) != 1:
@@ -60,7 +60,7 @@ def enumerate_symplectic_bases(space: SymplecticSpace) -> Iterator[tuple[int, ..
 
 def form_type(space: SymplecticSpace) -> int:
     """epsilon from the zero count of q: #zeros = 2^(2b-1) + epsilon 2^(b-1)."""
-    zeros = sum(1 for v in space.vectors() if space.q(v) == 0)
+    zeros = space.q_table.tolist().count(0)
     half = 2 ** (space.dim - 1)
     step = 2 ** (space.b - 1)
     if zeros == half + step:
@@ -74,16 +74,16 @@ def arf_invariant(space: SymplecticSpace) -> int:
     """Sum of q(e)q(f) over the dual pairs of one symplectic basis."""
     basis = next(enumerate_symplectic_bases(space))
     return (
-        sum(space.q(basis[2 * i]) * space.q(basis[2 * i + 1]) for i in range(space.b))
+        sum(space.q_table.item(basis[2 * i]) * space.q_table.item(basis[2 * i + 1]) for i in range(space.b))
         % 2
     )
 
 
 def reduce_structure(space: SymplecticSpace, s: DDKStructure) -> ReducedStructure:
     """Project a verified structure to V."""
-    vectors = tuple(space.projection(e) for e in s.elements[:8])
+    vectors = tuple(space.projection_table[list(s.elements[:8])].tolist())
     ok, diag = verify_reduced(space, vectors)
     if not ok:
         raise ValueError(f"projection is not a reduced structure: {diag}")
-    tag = "a" if space.pair(vectors[0], vectors[1]) == 1 else "b"
+    tag = "a" if space.pair_table[vectors[0], vectors[1]] == 1 else "b"
     return ReducedStructure(vectors, tag)

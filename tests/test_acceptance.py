@@ -250,7 +250,7 @@ def test_criterion_9_property_suites(rows_cache):
     details = _passes(check_property_suites, rows_cache, snf, parallelogram, oracle)
     assert details["snf_matrices"] == 500
     for label in ORDER32:
-        assert len(list(induced_space(realize_label(label)).vectors())) == 16
+        assert len(induced_space(realize_label(label)).q_table) == 16
     assert set(details["small_groups"]) == set(SMALL_GROUP_SOURCES)
 
     determinism = _Budget("criterion 9: verify-paper determinism", 180)

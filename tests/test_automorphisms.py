@@ -318,6 +318,7 @@ def test_orbit_count_refuses_auts_that_are_not_a_table(H5, autsH, rows_cache):
         (np.column_stack([autsH, autsH[:, :1]]), "^auts must have 32 columns, got 33$"),
         (autsH.astype(np.float64), "^element indices must be integers, got dtype float64$"),
         (autsH[0], "^auts must be a 2-D array, got 1-D$"),
+        (autsH.tolist(), "^auts must be a 2-D array, got list$"),
     ]
     for auts, message in cases:
         for freeness in ("sample", "full"):
@@ -332,11 +333,35 @@ def test_orbit_count_refuses_auts_that_are_not_a_table(H5, autsH, rows_cache):
         ("np.column_stack([auts, auts[:, :1]])", "auts must have 32 columns, got 33"),
         ("auts.astype(np.float64)", "element indices must be integers, got dtype float64"),
         ("auts[0]", "auts must be a 2-D array, got 1-D"),
+        ("auts.tolist()", "auts must be a 2-D array, got list"),
     ],
-    ids=["wide", "float", "one-row"],
+    ids=["wide", "float", "one-row", "list"],
 )
 def test_auts_checks_survive_optimize(auts, raised):
     assert raised_under_optimize(AUTS_PRELUDE + f"orbit_count(G, rows, {auts})") == f"ValueError {raised}"
+
+
+def test_automorphism_group_refuses_a_presentation_of_another_generator_count(H5):
+    """One generator against G(32,49)'s five: the join would search images
+    for generators the presentation does not name."""
+    with pytest.raises(ValueError, match="^presentation does not match the realization$"):
+        automorphism_group(H5, parse_presentation("gens: x\nrel: x^2"))
+
+
+def test_orbit_count_refuses_rows_that_are_no_union_of_orbits(H5, autsH, rows_cache):
+    """1000 distinct generating rows pass the sample check, but no union of
+    orbits of 1152 rows each has 1000 rows."""
+    rows = rows_cache.symplectic("G(32,49)")[:1000]
+    with pytest.raises(AssertionError, match=r"^\|Aut\| = 1152 does not divide 1000 structures$"):
+        orbit_count(H5, rows, autsH)
+
+
+def test_inner_automorphism_table_is_read_only(H5):
+    """Inn(G) is handed out read-only, as Aut(G) is."""
+    inn = inner_automorphism_table(H5)
+    assert not inn.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        inn[0, 0] = 1
 
 
 def test_inner_automorphisms_build_no_search_tables(monkeypatch):
@@ -405,12 +430,13 @@ def test_union_find_on_known_orbits(H5, autsH, rows_cache):
 def test_induced_maps_preserve_forms(fixture, H5, G5, autsH, autsG):
     G, auts = (H5, autsH) if fixture == "H" else (G5, autsG)
     space = induced_space(G)
+    q, pair = space.q_table.tolist(), space.pair_table.tolist()
     for a in auts:
         table = induced_symplectic_map(space, a)
-        for u in space.vectors():
-            assert space.q(table[u]) == space.q(u)
-            for v in space.vectors():
-                if space.pair(table[u], table[v]) != space.pair(u, v):
+        for u in range(16):
+            assert q[table[u]] == q[u]
+            for v in range(16):
+                if pair[table[u]][table[v]] != pair[u][v]:
                     raise AssertionError("pairing not preserved")
 
 
@@ -418,4 +444,4 @@ def test_induced_map_of_inner_is_identity(H5):
     space = induced_space(H5)
     for a in inner_automorphism_table(H5):
         table = induced_symplectic_map(space, a)
-        assert table == list(space.vectors())
+        assert table == list(range(16))

@@ -134,11 +134,11 @@ def test_extra_special_delta_identities():
         for j in range(2):
             for k in range(2):
                 zjk = z if j == k else 0
-                lhs1 = g.commutator(g.inv(r[j]), t[k])
+                lhs1 = g.commutators[g.inverse[r[j]], t[k]]
                 assert lhs1 == zjk
-                lhs2 = g.commutator(g.inv(r[j]), g.inv(t[k]))
-                assert lhs2 == g.inv(zjk)
-                assert g.commutator(r[j], t[k]) == g.inv(zjk)
+                lhs2 = g.commutators[g.inverse[r[j]], g.inverse[t[k]]]
+                assert lhs2 == g.inverse[zjk]
+                assert g.commutators[r[j], t[k]] == g.inverse[zjk]
 
 
 def test_extra_special_rejects_bad_args():
@@ -172,7 +172,7 @@ def test_presentations_match_permutation_groups(label, n, cycles):
     # the defining map generator -> permutation is a surjective homomorphism
     # between groups of equal order, hence an isomorphism
     h = Homomorphism(get_presentation(label), literal, literal.generator_elements)
-    assert h.is_surjective()
+    assert len(literal.subgroup_generated(h.images)) == literal.order
 
 
 def test_s3_factor_presentation():
@@ -181,7 +181,7 @@ def test_s3_factor_presentation():
     literal = perm_group(3, [perm_from_cycles(3, (1, 2)), perm_from_cycles(3, (1, 2, 3))])
     assert realize(p).order == 6
     h = Homomorphism(p, literal, literal.generator_elements)
-    assert h.is_surjective()
+    assert len(literal.subgroup_generated(h.images)) == literal.order
 
 
 def test_q8_factor_of_catalog_entry_has_unique_involution():

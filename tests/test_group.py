@@ -44,7 +44,7 @@ def test_identity_and_inverse_invariants():
     g = realize_label("G(32,49)")
     for x in g.elements():
         assert g.mul(0, x) == x == g.mul(x, 0)
-        assert g.mul(x, g.inv(x)) == 0
+        assert g.mul(x, g.inverse[x]) == 0
         assert g.element_order[x] >= 1
 
 
@@ -106,9 +106,10 @@ def test_catalog_digest_is_pinned():
 def test_power_and_commutator():
     g = realize_label("S4")
     x, y = g.generator_elements
-    assert g.commutator(x, x) == 0
-    # conjugation convention: conjugate(x, g) = g x g^-1
-    assert g.conjugate(x, y) == g.mul(g.mul(y, x), g.inv(y))
+    assert g.commutators[x, x] == 0
+    assert g.commutators[x, y] == scalar_commutator(g, x, y)
+    # conjugation convention: conjugates([x])[g, 0] = g x g^-1
+    assert g.conjugates([x])[y, 0] == g.mul(g.mul(y, x), g.inverse[y])
 
 
 def test_evaluate_word():
@@ -128,7 +129,7 @@ def test_center_and_centralizer():
     z = g.generator_elements[4]
     assert tuple(g.center()) == (0, z)
     # center elements commute with everything, so their centralizer is G
-    assert len(g.centralizer(z)) == 32
+    assert (g.table[:, z] == g.table[z]).all()
     s4 = realize_label("S4")
     assert len(s4.center()) == 1
 
@@ -137,9 +138,9 @@ def test_centralizer_in_sl2f3_is_cyclic_6():
     g = realize_label("G(24,3)")
     x = g.generator_elements[0]
     x2 = g.mul(x, x)
-    cent = g.centralizer(x2)
+    cent = [c for c in g.elements() if g.mul(c, x2) == g.mul(x2, c)]
     assert len(cent) == 6
-    assert cent.is_abelian()
+    assert all(g.mul(a, b) == g.mul(b, a) for a in cent for b in cent)
     assert max(g.element_order[c] for c in cent) == 6  # cyclic of order 6
 
 
@@ -207,11 +208,16 @@ def test_normal_subgroups_of_s4():
     assert sizes == [1, 4, 12, 24]
 
 
+def scalar_commutator(G, a, b):
+    """[a, b] = a b a^-1 b^-1 from `mul` and `inverse`, not from `commutators`."""
+    return G.mul(G.mul(G.mul(a, b), G.inverse[a]), G.inverse[b])
+
+
 def scalar_nilpotency_class(G):
     """The lower central series from scalar commutators, set by set."""
     current, k = set(G.elements()), 0
     while len(current) > 1:
-        nxt = set(G.subgroup_generated({G.commutator(g, x) for g in G.elements() for x in current}))
+        nxt = set(G.subgroup_generated({scalar_commutator(G, g, x) for g in G.elements() for x in current}))
         if nxt == current:
             return None
         current, k = nxt, k + 1
@@ -219,14 +225,14 @@ def scalar_nilpotency_class(G):
 
 
 def test_commutator_table_matches_the_scalar_commutator():
-    """`commutators` against the scalar `commutator` on every pair of every
-    catalog group, and the nilpotency class it gives against the scalar
-    lower central series."""
+    """`commutators` against the scalar commutator, built from `mul` and
+    `inverse`, on every pair of every catalog group, and the nilpotency
+    class it gives against the scalar lower central series."""
     for label, _ in catalog():
         G = realize_label(label)
         table = G.commutators
         assert table is G.commutators and not table.flags.writeable
-        want = [[G.commutator(a, b) for b in G.elements()] for a in G.elements()]
+        want = [[scalar_commutator(G, a, b) for b in G.elements()] for a in G.elements()]
         assert table.tolist() == want, label
         assert G.nilpotency_class() == scalar_nilpotency_class(G), label
 
@@ -245,8 +251,7 @@ def test_homomorphism_validation():
     with pytest.raises(ValueError, match="not satisfied"):
         Homomorphism(p, z4, (x,))
     h = Homomorphism(p, z4, (z4.mul(x, x),))
-    assert not h.is_surjective()
-    assert len(h.image_elements()) == 2
+    assert len(z4.subgroup_generated(h.images)) == 2
 
 
 def test_homomorphism_refuses_images_outside_the_group():
@@ -318,7 +323,7 @@ def test_spanning_tree_walks_breadth_first():
     power = [0]
     for _ in range(5):
         power.append(z6.mul(power[-1], x))
-    step = z6.table[:, [x, z6.inv(x)]].tolist()
+    step = z6.table[:, [x, z6.inverse[x]]].tolist()
     order, parent, column = spanning_tree(step)
     assert order == [power[k] for k in (0, 1, 5, 2, 4, 3)]
     assert [(parent[power[k]], column[power[k]]) for k in range(6)] == [

@@ -87,14 +87,14 @@ def test_transversal_trivial_target(trivial_group):
     p = Presentation(("x",), ())
     hom = Homomorphism(p, trivial_group, (0,))
     t = schreier_transversal(hom)
-    assert t.representative_words == (Word.identity(),)
+    assert t.representative_words == (Word(()),)
 
 
 def test_transversal_free_onto_z2():
     z2 = realize(parse_presentation("gens: y\nrel: y^2"))
     hom = Homomorphism(Presentation(("x",), ()), z2, (1,))
     t = schreier_transversal(hom)
-    assert t.representative_words == (Word.identity(), Word.gen(0))
+    assert t.representative_words == (Word(()), Word.gen(0))
 
 
 def test_transversal_rejects_non_surjective():
@@ -108,7 +108,7 @@ def test_transversal_rejects_non_surjective():
 def test_transversal_is_shortest_and_prefix_closed(orbifold_hom):
     g, p, hom = orbifold_hom
     t = schreier_transversal(hom)
-    assert len(t) == 32
+    assert len(t.parent) == 32
     assert t.representative_words[0].is_identity
 
     # independent BFS distances over generator and inverse edges
@@ -134,7 +134,7 @@ def test_transversal_is_shortest_and_prefix_closed(orbifold_hom):
 
 def test_orbifold_matrix_dimensions(orbifold_hom):
     g, p, hom = orbifold_hom
-    matrix = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    matrix = abelianized_relator_matrix(hom, schreier_transversal(hom))
     assert matrix.shape == (32 * 23, 32 * 9 - 31) == (736, 257)
     longest = max(len(rel) for rel in p.relators)
     assert int(np.abs(matrix).max()) <= longest
@@ -143,14 +143,14 @@ def test_orbifold_matrix_dimensions(orbifold_hom):
 def test_trivial_target_gives_plain_abelianization(trivial_group):
     p = parse_presentation("gens: a b\nrel: a^2 b^-3\nrel: [a,b]")
     hom = Homomorphism(p, trivial_group, (0, 0))
-    matrix = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    matrix = abelianized_relator_matrix(hom, schreier_transversal(hom))
     assert matrix.tolist() == [[2, -3], [0, 0]]
 
 
 def test_genus2_onto_trivial_single_zero_row(trivial_group):
     p = parse_presentation("gens: a1 b1 a2 b2\nrel: [a1,b1] [a2,b2]")
     hom = Homomorphism(p, trivial_group, (0,) * 4)
-    matrix = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    matrix = abelianized_relator_matrix(hom, schreier_transversal(hom))
     assert matrix.shape == (1, 4)
     assert not matrix.any()
 
@@ -160,18 +160,16 @@ def test_index_two_rewriting_by_hand():
     z2 = realize(parse_presentation("gens: y\nrel: y^2"))
     p = parse_presentation("gens: x\nrel: x^4")
     hom = Homomorphism(p, z2, (1,))
-    matrix = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    matrix = abelianized_relator_matrix(hom, schreier_transversal(hom))
     assert matrix.tolist() == [[2], [2]]
-    assert first_homology(p, hom) == HomologyInvariants(0, (2,))
+    assert first_homology(hom) == HomologyInvariants(0, (2,))
 
 
-def _relator_matrix_by_words(
-    p: Presentation, hom: Homomorphism, t: Transversal
-) -> np.ndarray:
+def _relator_matrix_by_words(hom: Homomorphism, t: Transversal) -> np.ndarray:
     """Reference rewriting, one coset and one letter at a time: (u, x) is a
     tree edge when the word rep(u) x is rep(u x), or rep(u x) x^-1 is
     rep(u), tested by building the words."""
-    G = hom.target
+    G, p = hom.target, hom.source
     reps = t.representative_words
     columns = {}
     for u, rep in enumerate(reps):
@@ -201,13 +199,13 @@ def _relator_matrix_by_words(
 
 
 def test_relator_matrix_matches_word_rewriting(panel_homs):
-    p, homs = panel_homs
+    _, homs = panel_homs
     assert len(homs) == 8
     for label, hom in homs:
         t = schreier_transversal(hom)
-        matrix = abelianized_relator_matrix(p, hom, t)
+        matrix = abelianized_relator_matrix(hom, t)
         assert matrix.dtype == np.int64 and matrix.shape == (736, 257)
-        assert np.array_equal(matrix, _relator_matrix_by_words(p, hom, t)), label
+        assert np.array_equal(matrix, _relator_matrix_by_words(hom, t)), label
 
 
 def test_relator_matrix_of_small_presentations_matches_word_rewriting(trivial_group):
@@ -226,7 +224,7 @@ def test_relator_matrix_of_small_presentations_matches_word_rewriting(trivial_gr
         hom = Homomorphism(p, target, images)
         t = schreier_transversal(hom)
         assert np.array_equal(
-            abelianized_relator_matrix(p, hom, t), _relator_matrix_by_words(p, hom, t)
+            abelianized_relator_matrix(hom, t), _relator_matrix_by_words(hom, t)
         )
 
 
@@ -239,7 +237,7 @@ def test_non_schreier_transversal_is_rejected():
     assert schreier_transversal(hom) == Transversal((-1, 0, 0), (-1, 0, 1))  # 2 is x^-1
     # 0 x is 1, not 2
     with pytest.raises(AssertionError, match="not an edge of the Cayley graph"):
-        abelianized_relator_matrix(hom.source, hom, Transversal((-1, 0, 0), (-1, 0, 0)))
+        abelianized_relator_matrix(hom, Transversal((-1, 0, 0), (-1, 0, 0)))
     # Klein four, x -> a, y -> b: b and ab are each other's parent by x
     v4 = realize(parse_presentation("gens: a b\nrel: a^2\nrel: b^2\nrel: [a,b]"))
     a, b = v4.generator_elements
@@ -251,7 +249,7 @@ def test_non_schreier_transversal_is_rejected():
     with pytest.raises(ValueError, match="no tree path"):
         Transversal(tuple(parent), tuple(step))
     with pytest.raises(AssertionError, match="a parent and a step per coset"):
-        abelianized_relator_matrix(hom.source, hom, Transversal((-1, 0, 0), (-1, 0, 0)))
+        abelianized_relator_matrix(hom, Transversal((-1, 0, 0), (-1, 0, 0)))
 
 
 def test_walk_outputs_are_pinned(panel_homs):
@@ -265,11 +263,11 @@ def test_walk_outputs_are_pinned(panel_homs):
         h.update(json.dumps([label, G.cayley, [list(w.letters) for w in G.element_words]]).encode())
     for label in ("G(32,49)", "G(32,50)"):
         h.update(automorphism_group(realize_label(label), get_presentation(label)).tobytes())
-    p, homs = panel_homs
+    _, homs = panel_homs
     for label, hom in homs:
         t = schreier_transversal(hom)
         h.update(json.dumps([label, [list(w.letters) for w in t.representative_words]]).encode())
-        h.update(abelianized_relator_matrix(p, hom, t).tobytes())
+        h.update(abelianized_relator_matrix(hom, t).tobytes())
     assert h.hexdigest()[:16] == "b174f6d5f2d0bdb3"
 
 
@@ -418,7 +416,7 @@ def test_snf_matches_numpy_oracle_on_distinct_rows(label):
     g = realize_label(label)
     p = orbifold_presentation(2, 2)
     hom = Homomorphism(p, g, example_structure(g).elements)
-    residual = _unit_pivot_residual(abelianized_relator_matrix(p, hom, schreier_transversal(hom)))[1]
+    residual = _unit_pivot_residual(abelianized_relator_matrix(hom, schreier_transversal(hom)))[1]
     D = _distinct_rows(residual)[0]
     assert D.dtype == np.int64 and len(D) in (42, 123)
     _assert_matches_numpy_oracle(D)
@@ -580,7 +578,7 @@ def test_rounds_engine_refuses_matrices_its_ranks_cannot_order():
 
 def test_rounds_engine_is_deterministic(orbifold_hom):
     g, p, hom = orbifold_hom
-    A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    A = abelianized_relator_matrix(hom, schreier_transversal(hom))
     first, second = _eliminate_unit_pivots(A), _eliminate_unit_pivots(A)
     for part, again in zip(first, second):
         for x, y in zip(part, again):
@@ -750,12 +748,12 @@ z2 = realize(parse_presentation("gens: y\\nrel: y^2"))
             "ValueError homomorphism is not surjective",
             id="missing-coset",
         ),
-        # x^3 is not a relator of the map x -> y onto Z2
+        # x^3 is not a relator of the map x -> y onto Z2: a forged source,
+        # as the constructor refuses it
         pytest.param(
             "hom = Homomorphism(parse_presentation('gens: x'), z2, (1,))\n"
-            "abelianized_relator_matrix(\n"
-            "    parse_presentation('gens: x\\nrel: x^3'), hom, schreier_transversal(hom)\n"
-            ")",
+            "object.__setattr__(hom, 'source', parse_presentation('gens: x\\nrel: x^3'))\n"
+            "abelianized_relator_matrix(hom, schreier_transversal(hom))",
             "AssertionError relator does not map to the identity",
             id="relator",
         ),
@@ -828,7 +826,7 @@ def test_row_lattice_basis_in_python_ints(R):
 
 def test_row_lattice_basis_of_panel_residuals(orbifold_hom):
     g, p, hom = orbifold_hom
-    A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    A = abelianized_relator_matrix(hom, schreier_transversal(hom))
     units, residual = _unit_pivot_residual(A)
     D, at, source = _distinct_rows(residual)
     _assert_distinct_rows(residual, D, at, source)
@@ -932,7 +930,7 @@ def test_first_homology_multiplies_no_floats(orbifold_hom, monkeypatch):
         return product
 
     monkeypatch.setattr(homology, "_exact_matmul", integer_only)
-    assert first_homology(p, hom) == HomologyInvariants(8, (2, 2, 2, 2))
+    assert first_homology(hom) == HomologyInvariants(8, (2, 2, 2, 2))
     assert calls == [(123, 12), (123, 12)]
 
 
@@ -941,7 +939,7 @@ def test_reduction_on_orbifold_matrix(label):
     g = realize_label(label)
     p = orbifold_presentation(2, 2)
     hom = Homomorphism(p, g, example_structure(g).elements)
-    A = abelianized_relator_matrix(p, hom, schreier_transversal(hom))
+    A = abelianized_relator_matrix(hom, schreier_transversal(hom))
     rank, factors = smith_invariants(A)
     assert (rank, factors) == _dense_oracle(A)
     even = sum(1 for d in factors if d % 2 == 0)
@@ -953,11 +951,11 @@ def test_reduction_on_orbifold_matrix(label):
 def test_first_homology_small_cases(trivial_group):
     surf = parse_presentation("gens: a1 b1 a2 b2\nrel: [a1,b1] [a2,b2]")
     hom = Homomorphism(surf, trivial_group, (0,) * 4)
-    assert first_homology(surf, hom) == HomologyInvariants(4, ())
+    assert first_homology(hom) == HomologyInvariants(4, ())
 
     z4 = parse_presentation("gens: x\nrel: x^4")
     hom = Homomorphism(z4, trivial_group, (0,))
-    assert first_homology(z4, hom) == HomologyInvariants(0, (4,))
+    assert first_homology(hom) == HomologyInvariants(0, (4,))
 
 
 def test_orbifold_onto_trivial(trivial_group):
@@ -965,7 +963,7 @@ def test_orbifold_onto_trivial(trivial_group):
     # long relators is -1 / +1, so no torsion survives at index one
     p = orbifold_presentation(2, 2)
     hom = Homomorphism(p, trivial_group, (0,) * 9)
-    assert first_homology(p, hom) == HomologyInvariants(8, ())
+    assert first_homology(hom) == HomologyInvariants(8, ())
 
 
 def test_orbifold_presentation_shape():
@@ -1011,9 +1009,9 @@ def test_surface_homology_stable_across_structures(rows_cache):
 
 
 def test_first_homology_on_the_benchmark_panel(panel_homs):
-    p, homs = panel_homs
+    _, homs = panel_homs
     for label, hom in homs:
-        assert first_homology(p, hom) == HomologyInvariants(8, (2, 2, 2, 2)), label
+        assert first_homology(hom) == HomologyInvariants(8, (2, 2, 2, 2)), label
 
 
 def test_surface_homology_rejects_non_structures():

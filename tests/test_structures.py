@@ -195,7 +195,7 @@ def test_example_structure_words(H5):
 def test_example_structure_hom(H5):
     s = example_structure(H5)
     hom = structure_to_hom(s)
-    assert hom.is_surjective()
+    assert len(H5.subgroup_generated(hom.images)) == H5.order
     a12 = hom.images[-1]
     assert H5.element_order[a12] == 2
 
@@ -304,7 +304,7 @@ def test_subgroup_lattices_match_the_extension_oracle(label):
     members = [[x for x in G.elements() if m >> x & 1] for m in masks]
     normal = [
         h for h in members
-        if all({G.conjugate(x, g) for x in h} == set(h) for g in G.elements())
+        if all({G.mul(G.mul(g, x), G.inverse[g]) for x in h} == set(h) for g in G.elements())
     ]
     normal.sort(key=lambda h: (len(h), h))
     assert [list(n) for n in G.normal_subgroups()] == normal
@@ -401,10 +401,10 @@ from ddks.group_core import Homomorphism, get_presentation, parse_presentation, 
 from ddks.homology import h1_of_surface
 from ddks.invariants import fibration_data
 from ddks.structures import (
-    DDKStructure, StructureType, example_structure, genus2_rows, inner_automorphism_table, structure_from_dict,
-    unpack_keys, verify_structure,
+    DDKStructure, StructureType, bulk_relator_filter, example_structure, generation_mask_filter, genus2_rows,
+    inner_automorphism_table, pack_rows, relations_for_type, structure_from_dict, unpack_keys, verify_structure,
 )
-from ddks.symplectic import symplectic_structure_rows
+from ddks.symplectic import induced_space, symplectic_structure_rows, verify_reduced
 
 G = realize_label("G(32,49)")
 row = np.array([example_structure(G).elements], dtype=np.uint8)
@@ -438,11 +438,22 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
          "ValueError the structure lies in another group"),
         ('h1_of_surface(realize(get_presentation("G(32,49)")), example_structure(G))',
          "ValueError the structure lies in another group"),
+        ("pack_rows(G, row.tolist())", "ValueError rows must be a 2-D array, got list"),
+        ("generation_mask_filter(G, row.tolist())", "ValueError rows must be a 2-D array, got list"),
+        ("bulk_relator_filter(G, row.tolist(), relations_for_type(StructureType(2, 2)))",
+         "ValueError rows must be a 2-D array, got list"),
+        ("verify_reduced(induced_space(G), (99,) * 8)",
+         "ValueError vectors must lie in V, integers in 0 .. 15, got [99, 99, 99, 99, 99, 99, 99, 99]"),
+        ('automorphism_group(G, parse_presentation("gens: x\\nrel: x^2"))',
+         "ValueError presentation does not match the realization"),
+        ('orbit_count(G, symplectic_structure_rows(G)[:1000], automorphism_group(G, get_presentation("G(32,49)")))',
+         "AssertionError |Aut| = 1152 does not divide 1000 structures"),
     ],
     ids=[
         "repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range",
         "float-image", "float-element", "bool-b", "float-b", "not-a-structure", "fibration-other-group",
-        "homology-other-group",
+        "homology-other-group", "pack-list", "generation-list", "relator-list", "reduced-out-of-range",
+        "aut-generator-count", "orbit-divisibility",
     ],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
@@ -927,7 +938,7 @@ def test_conjugator_table_matches_brute_force(label):
     C = structures._Tables(G).C.reshape(64, 64)
     for v in range(G.order):
         for d in range(G.order):
-            want = sum(1 << x for x in G.elements() if G.conjugate(v, x) == d)
+            want = sum(1 << x for x in G.elements() if G.mul(G.mul(x, v), G.inverse[x]) == d)
             assert int(C[v, d]) == want, (v, d)
 
 
@@ -1375,8 +1386,8 @@ def test_unpack_keys_refuses_bits_above_54():
 
 def test_row_functions_refuse_other_shapes(H5):
     """`pack_rows` used to key the first nine columns of wider rows; 1-D
-    rows raised a bare IndexError, and 3-D rows a numpy broadcast error in
-    the generation filter."""
+    rows raised a bare IndexError, 3-D rows a numpy broadcast error in
+    the generation filter, and a list of rows AttributeError."""
     row = np.array(example_structure(H5).elements, dtype=np.uint8)
     checks = {
         "pack_rows": lambda rows: pack_rows(H5, rows),
@@ -1388,6 +1399,9 @@ def test_row_functions_refuse_other_shapes(H5):
         for bad in (row, row[None, None], np.zeros((2, 3, 9), dtype=np.uint8)):
             with pytest.raises(ValueError, match=f"^rows must be a 2-D array, got {bad.ndim}-D$"):
                 check(bad)
+        with pytest.raises(Exception) as raised:
+            check(row[None].tolist())
+        assert (raised.type, str(raised.value)) == (ValueError, "rows must be a 2-D array, got list"), name
     for width in (8, 10):
         with pytest.raises(ValueError, match=f"^rows must have 9 columns, got {width}$"):
             pack_rows(H5, np.zeros((1, width), dtype=np.uint8))

@@ -194,12 +194,12 @@ def test_space_shape(spaceH, H5):
     # projection is 2-to-1 and the section inverts it
     fibers = {}
     for x in H5.elements():
-        fibers.setdefault(spaceH.projection(x), []).append(x)
+        fibers.setdefault(spaceH.projection_table[x], []).append(x)
     assert len(fibers) == 16
     assert all(len(f) == 2 for f in fibers.values())
-    for v in spaceH.vectors():
-        assert spaceH.projection(spaceH.section(v)) == v
-        assert spaceH.section(v) == min(fibers[v])
+    for v in range(16):
+        assert spaceH.projection_table[spaceH.section_table[v]] == v
+        assert spaceH.section_table[v] == min(fibers[v])
 
 
 def test_gram_matrix_block_diagonal(spaceH, spaceG):
@@ -223,40 +223,37 @@ def test_pairing_from_commutators_and_lift_independence(spaceH, spaceG, H5, G5):
         assert space.pair_table.shape == (16, 16) and space.q_table.shape == (16,)
         fibres = {}
         for x in G.elements():
-            u = space.projection(x)
+            u = space.projection_table[x]
             fibres.setdefault(u, []).append(x)
-            assert space.projection(G.mul(x, z)) == u
+            assert space.projection_table[G.mul(x, z)] == u
             assert space.q_table[u] == (G.mul(x, x) == z)
             for y in G.elements():
-                assert space.pair_table[u, space.projection(y)] == (G.commutator(x, y) == z)
-        assert sorted(fibres) == list(space.vectors())
-        assert [space.section(v) for v in space.vectors()] == [min(fibres[v]) for v in space.vectors()]
-        assert space.section_table.tolist() == [space.section(v) for v in space.vectors()]
-        assert space.projection_table.tolist() == [space.projection(x) for x in G.elements()]
+                commutator = G.mul(G.mul(G.mul(x, y), G.inverse[x]), G.inverse[y])
+                assert space.pair_table[u, space.projection_table[y]] == (commutator == z)
+        assert sorted(fibres) == list(range(16))
+        assert space.section_table.tolist() == [min(fibres[v]) for v in range(16)]
 
 
 def test_parallelogram_law(spaceH, spaceG):
     for space in (spaceH, spaceG):
-        for u in space.vectors():
-            for v in space.vectors():
-                assert (
-                    space.q(u ^ v)
-                    == (space.q(u) + space.q(v) + space.pair(u, v)) % 2
-                )
+        q, pair = space.q_table.tolist(), space.pair_table.tolist()
+        for u in range(16):
+            for v in range(16):
+                assert q[u ^ v] == (q[u] + q[v] + pair[u][v]) % 2
 
 
 def test_quadratic_normal_forms(spaceH, spaceG):
     for v in range(16):
         xi1, psi1, xi2, psi2 = v & 1, (v >> 1) & 1, (v >> 2) & 1, (v >> 3) & 1
-        assert spaceH.q(v) == (xi1 * psi1 + xi2 * psi2) % 2
-        assert spaceG.q(v) == (xi1 * psi1 + xi2 * psi2 + xi2 + psi2) % 2
+        assert spaceH.q_table[v] == (xi1 * psi1 + xi2 * psi2) % 2
+        assert spaceG.q_table[v] == (xi1 * psi1 + xi2 * psi2 + xi2 + psi2) % 2
 
 
 def test_form_type_and_arf(spaceH, spaceG):
     assert form_type(spaceH) == 1
-    assert sum(1 for v in spaceH.vectors() if spaceH.q(v) == 0) == 10
+    assert np.count_nonzero(spaceH.q_table == 0) == 10
     assert form_type(spaceG) == -1
-    assert sum(1 for v in spaceG.vectors() if spaceG.q(v) == 0) == 6
+    assert np.count_nonzero(spaceG.q_table == 0) == 6
     assert arf_invariant(spaceH) == 0
     assert arf_invariant(spaceG) == 1
 
@@ -283,10 +280,11 @@ def test_symplectic_bases(spaceH):
     assert len(bases) == sp_order(2) == 720
     assert len(set(bases)) == 720
     assert (1, 2, 4, 8) in bases
+    pair = spaceH.pair_table
     for e1, f1, e2, f2 in bases[::37]:
-        assert spaceH.pair(e1, f1) == 1 and spaceH.pair(e2, f2) == 1
-        assert spaceH.pair(e1, e2) == 0 and spaceH.pair(e1, f2) == 0
-        assert spaceH.pair(f1, e2) == 0 and spaceH.pair(f1, f2) == 0
+        assert pair[e1, f1] == 1 and pair[e2, f2] == 1
+        assert pair[e1, e2] == 0 and pair[e1, f2] == 0
+        assert pair[f1, e2] == 0 and pair[f1, f2] == 0
     # the array's case-(a) rows run over the same bases in the same order,
     # six coefficient matrices each, with (r11, t11, r22, t22) = (e1, f1, e2, f2)
     case_a = reduced_structure_array(spaceH)[:4320]
@@ -298,7 +296,7 @@ def test_symplectic_bases(spaceH):
 def staged_filter_reduced(space) -> set[tuple[int, ...]]:
     """Independent enumeration of all reduced structures: nested loops over
     V with each pairing constraint applied as soon as possible."""
-    pair = space.pair
+    pair = space.pair_table.item
     out = set()
     vecs = range(16)
     for r11 in vecs:
@@ -426,10 +424,10 @@ def test_reduced_case_patterns_and_isotropy(spaceH):
     for r in enumerate_reduced_structures(spaceH):
         v = r.vectors
         pattern = (
-            spaceH.pair(v[2], v[3]),  # (r12, t12)
-            spaceH.pair(v[0], v[1]),  # (r11, t11)
-            spaceH.pair(v[4], v[5]),  # (r21, t21)
-            spaceH.pair(v[6], v[7]),  # (r22, t22)
+            spaceH.pair_table.item(v[2], v[3]),  # (r12, t12)
+            spaceH.pair_table.item(v[0], v[1]),  # (r11, t11)
+            spaceH.pair_table.item(v[4], v[5]),  # (r21, t21)
+            spaceH.pair_table.item(v[6], v[7]),  # (r22, t22)
         )
         seen_patterns.add(pattern)
     # cases (c) and (d) never occur
@@ -442,7 +440,7 @@ def test_reduced_case_patterns_and_isotropy(spaceH):
         assert _span_dim(spaceH, w) == 2
         for u in w:
             for v in w:
-                assert spaceH.pair(u, v) == 0
+                assert spaceH.pair_table[u, v] == 0
         break
 
 
@@ -458,6 +456,15 @@ def test_verify_reduced_diagnostics(spaceH):
         verify_reduced(spaceH, good[:5])
     with pytest.raises(ValueError):
         ReducedStructure(good, "c")
+    # 99 once raised IndexError from the pairing table, and -1 read its last
+    # row, a diagnostic as if it were vector 15; 1.5 and True are no vectors
+    for bad in ((99,) * 8, (-1,) * 8, (16,) + good[1:], (1.5,) + good[1:], (True,) + good[1:]):
+        with pytest.raises(Exception) as raised:
+            verify_reduced(spaceH, bad)
+        assert (raised.type, str(raised.value)) == (
+            ValueError, f"vectors must lie in V, integers in 0 .. 15, got {list(bad)}"
+        )
+    assert verify_reduced(spaceH, tuple(map(np.uint8, good))) == (True, None)
 
 
 # ---------------------------------------------------------------- lifts
