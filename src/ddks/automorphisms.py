@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import check_rows, relator_join
-from .group_core import FiniteGroup, Presentation, check_elements, spanning_tree
+from .group_core import FiniteGroup, Presentation, check_elements, read_only, spanning_tree
 from .structures import certified_type, generation_mask_filter, pack_rows
 
 AUT_ORDER_CAP = 32
@@ -69,9 +69,7 @@ def automorphism_group(G: FiniteGroup, p: Presentation) -> np.ndarray:
         raise AssertionError("a permutation moves a generator off its image")
     if not (perms[:, cayley] == cayley[perms[:, :, None], perms[:, None, :]]).all():
         raise AssertionError("a generator image tuple does not give a homomorphism")
-    perms = perms[np.lexsort(perms.T[::-1])]
-    perms.flags.writeable = False  # read-only, as every table the system hands out
-    return perms
+    return read_only(perms[np.lexsort(perms.T[::-1])])  # as every table the system hands out
 
 
 def out_order(auts: np.ndarray, inner: np.ndarray) -> int:

@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .group_core import FiniteGroup, Word, check_elements
+from .group_core import FiniteGroup, Word, check_elements, read_only
 
 # The certifier keeps element indices in uint8 registers.
 CERTIFY_ORDER_CAP = 256
@@ -278,8 +278,7 @@ def _group_table(G: FiniteGroup, s: int, table: Table) -> np.ndarray:
         bad = bad | (value != 0)
     grid = np.zeros((1 << s,) * k, dtype=np.uint8)
     grid[(slice(n),) * k] = bad if table.flags else value
-    flat = grid.reshape(-1)
-    flat.flags.writeable = False
+    flat = read_only(grid.reshape(-1))
     if len(cache) >= CACHED_TABLES:
         del cache[next(iter(cache))]
     cache[table] = flat

@@ -4,6 +4,10 @@ JSON run reports go to standard output, human diagnostics to standard
 error.  Exit codes: 0 for pass/count, 1 for fail, 2 for usage errors.
 `verify-paper` runs the registry of the paper's criteria in `paper` and
 adds only the stderr timing table and the report.
+
+A report's `timing`, the one part that differs between runs, is
+{"total": seconds, "stages": {name: {"s": seconds}}}: `verify-paper` has
+a stage per criterion, every other command none.
 """
 
 from __future__ import annotations
@@ -183,15 +187,17 @@ def _cmd_homology(args) -> tuple[dict, str]:
 
 # ----------------------------------------------------- paper verification
 
-def _cmd_verify_paper(args) -> tuple[dict, str]:
+def _cmd_verify_paper(args) -> tuple[dict, str, dict]:
     rows = Rows()
     criteria = []
+    stages = {}
     all_pass = True
     sys.stderr.write(f"{'criterion':34s} {'status':8s} seconds\n")
     for name, check in CRITERIA:
         started = time.monotonic()
         ok, details = check(rows, args.quick)
         elapsed = time.monotonic() - started
+        stages[name] = {"s": round(elapsed, 3)}
         all_pass &= bool(ok)
         criteria.append(
             {"name": name, "status": "pass" if ok else "fail", "details": details}
@@ -202,7 +208,7 @@ def _cmd_verify_paper(args) -> tuple[dict, str]:
         "criteria": criteria,
         "all_pass": bool(all_pass),
     }
-    return results, ("pass" if all_pass else "fail")
+    return results, ("pass" if all_pass else "fail"), stages
 
 
 # ----------------------------------------------------------- entry point
@@ -286,10 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("cct needs exactly one of LABEL or --all")
     started = time.monotonic()
     try:
-        results, status = args.handler(args)
+        results, status, *stages = args.handler(args)  # only verify-paper times stages
     except (ValueError, KeyError, OSError, CosetEnumerationError) as exc:
         message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
-        results, status = {"error": message}, "fail"
+        results, status, stages = {"error": message}, "fail", []
         sys.stderr.write(f"error: {message}\n")
     inputs = {
         k: v
@@ -300,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "inputs": inputs,
         "results": results,
-        "timing": round(time.monotonic() - started, 3),
+        "timing": {"total": round(time.monotonic() - started, 3), "stages": stages[0] if stages else {}},
         "status": status,
     }
     sys.stdout.write(json.dumps(report, indent=2) + "\n")

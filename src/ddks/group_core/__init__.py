@@ -14,6 +14,7 @@ from .group import (
     Homomorphism,
     check_elements,
     is_cct,
+    read_only,
     realize,
     spanning_tree,
     tree_words,
@@ -36,7 +37,7 @@ __all__ = [
     "Presentation", "PresentationError", "parse_presentation", "word_from_str",
     "DEFAULT_MAX_COSETS", "CosetEnumerationError", "coset_table",
     "ElementSet", "FiniteGroup", "Homomorphism", "check_elements",
-    "is_cct", "realize", "spanning_tree", "tree_words",
+    "is_cct", "read_only", "realize", "spanning_tree", "tree_words",
     "ALIASES", "CATALOG_SOURCES", "EXPECTED_ORDER", "catalog",
     "catalog_labels", "extra_special", "extra_special_text",
     "get_presentation", "realize_label", "resolve_label",

@@ -25,12 +25,13 @@ from .words import Word
 class FiniteGroup:
     """A finite group as a dense Cayley table.
 
-    The constructor checks the table once and keeps three read-only arrays:
-    `table` (|G| x |G|) and `inverses` in the smallest unsigned dtype that
-    holds |G| - 1, and `orders`, the element orders, in the smallest that
-    holds |G|.  `cayley`, `inverse` and `element_order` are the same data
-    as lists, for scalar code, where a list index beats a numpy scalar.
-    `commutators` and `normal_subgroups()` are kept once built."""
+    The constructor checks the table once and keeps three arrays, read-only
+    at their source (`read_only`): `table` (|G| x |G|) and `inverses` in
+    the smallest unsigned dtype that holds |G| - 1, and `orders`, the
+    element orders, in the smallest that holds |G|.  `cayley`, `inverse`
+    and `element_order` are the same data as lists, for scalar code, where
+    a list index beats a numpy scalar.  `commutators` (read-only too) and
+    `normal_subgroups()` are kept once built."""
 
     def __init__(
         self,
@@ -65,9 +66,7 @@ class FiniteGroup:
             power = table[power, rng]
             orders += live
             live &= power != 0
-        for a in (table, inverses, orders):
-            a.flags.writeable = False
-        self.table, self.inverses, self.orders = table, inverses, orders
+        self.table, self.inverses, self.orders = map(read_only, (table, inverses, orders))
         self.cayley, self.inverse, self.element_order = table.tolist(), inverses.tolist(), orders.tolist()
 
         self.generator_elements = tuple(generator_elements)
@@ -110,9 +109,7 @@ class FiniteGroup:
     @cached_property
     def commutators(self) -> np.ndarray:
         """Read-only: [a, b] = ((a b) a^-1) b^-1 at row a, column b."""
-        out = self.table[self.table[self.table, self.inverses[:, None]], self.inverses]
-        out.flags.writeable = False
-        return out
+        return read_only(self.table[self.table[self.table, self.inverses[:, None]], self.inverses])
 
     def center(self) -> "ElementSet":
         return ElementSet(self, tuple(np.flatnonzero((self.table == self.table.T).all(axis=1)).tolist()))
@@ -215,6 +212,16 @@ class FiniteGroup:
                 return None
             current, k = nxt, k + 1
         return k
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A copy of the array `a` in a bytearray, read through a read-only
+    memoryview: neither its writeable flag nor that of any array over those
+    bytes can be set (ValueError), unlike an owner's flag set to False,
+    which the owner can set back.  For the small tables the system hands out."""
+    buf = bytearray(a.nbytes)
+    np.frombuffer(buf, a.dtype).reshape(a.shape)[...] = a
+    return np.frombuffer(memoryview(buf).toreadonly(), a.dtype).reshape(a.shape)
 
 
 def check_elements(G: FiniteGroup, values: np.ndarray | Sequence[int], what: str = "elements") -> None:

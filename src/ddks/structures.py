@@ -40,6 +40,13 @@ by automorphisms, which keep a row a structure, and every certified row
 generates G, so only the identity fixes it: the action is free and each
 orbit has |Inn| distinct rows.
 
+`prestructure_report` decides emptiness on the same minimal images: the
+prestructures with z in an Inn(G)-closed pool are a union of orbits, so
+there are none iff the search for least rows finds none; only a group
+that has some reads the full stream for its count.  Its "auto" shortcut
+searches no abelian quotient, where R4 forces z = [t21, r11] = 1
+(`_search_setup`).
+
 Both enumeration routes, this one and `symplectic`, end in
 `certify_structure_rows`.  A route hands it one uint64 key per row, 6 bits
 a slot with r11 most significant, so one sort of the keys puts the rows in
@@ -75,6 +82,7 @@ from .group_core import (
     Word,
     check_elements,
     commutator,
+    read_only,
 )
 from .certify import bulk_relator_filter, check_rows, relator_join
 
@@ -247,6 +255,11 @@ def braid_presentation(b: int) -> Presentation:
 
 # prestructure = genus-2 conjugacy relations only
 _PRE_TYPE = StructureType(2, 2)
+
+
+# R4 as the abelian-quotient lemma of `_search_setup` reads it: r11 t21
+# r11^-1 t21^-1 z, slot k as generator k + 1 (r11 0, t21 5, z 8)
+_R4 = Word((1, 6, -1, -6, 9))
 
 
 def prestructure_relations() -> tuple[tuple[str, Word], ...]:
@@ -855,8 +868,7 @@ def inner_automorphism_table(G: FiniteGroup) -> np.ndarray:
     inn = conj[np.concatenate(([True], (conj[1:] != conj[:-1]).any(axis=1)))]
     if len(inn) != G.order // len(G.center()):
         raise AssertionError("|Inn| is not |G| / |Z(G)|")
-    inn.flags.writeable = False  # read-only, as every table the system hands out
-    return inn
+    return read_only(inn)  # as every table the system hands out
 
 
 def structure_rows(
@@ -1048,18 +1060,31 @@ def _search_setup(
     G maps to one on G/N unless z is in N.  So if no proper non-trivial
     quotient has a prestructure, z lies in every non-trivial normal
     subgroup, in `G.socle()` (no candidates unless G has one minimal
-    normal subgroup), and the mode is "socle".  The quotients are searched
-    in full, by the size of N; the scan stops at the first one that has a
+    normal subgroup), and the mode is "socle".  The quotients are checked
+    by the size of N; the scan stops at the first one that has a
     prestructure, and G is then searched in full.
+
+    A quotient is searched in full unless it is abelian, which has no
+    prestructure by a second lemma: R4 reads r11 t21 r11^-1 t21^-1 z, so
+    z is the commutator [t21, r11], which is 1 in an abelian group, while
+    a prestructure needs o(z) >= 2.  G/N is abelian iff N contains the
+    derived subgroup G', so those N are counted and not searched.  The
+    premise, R4 in `prestructure_relations()` as that very word, is
+    checked (else AssertionError).
     """
     if mode not in ("auto", "full"):
         raise ValueError(f"unknown search mode {mode!r}")
     searched, pool, orders = "full", G.elements(), None
     if mode == "auto" and G.order > 24:
+        if dict(prestructure_relations()).get("R4") != _R4:
+            raise AssertionError("the abelian-quotient lemma needs R4 = r11 t21 r11^-1 t21^-1 z")
+        derived = set(G.derived_subgroup())
         orders = []
         for nsub in G.normal_subgroups()[1:-1]:  # by size, so these are the proper non-trivial ones
+            orders.append(G.order // len(nsub))
+            if derived <= set(nsub):
+                continue  # G/N is abelian
             q, _ = G.quotient(nsub)
-            orders.append(q.order)
             if any(block.shape[1] for block in _prestructure_blocks(q, _search_setup(q, "full")[1])):
                 break
         else:
@@ -1092,13 +1117,15 @@ def _prestructure_blocks(
     G: FiniteGroup,
     zs: tuple[int, ...],
     relators: tuple[tuple[str, Word], ...] | None = None,
+    inn: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The stream with z in `zs` as (9, k) blocks, each re-verified before
-    it is yielded."""
+    it is yielded; with `inn`, only the rows least in their orbit under
+    it, as `genus2_rows` keeps them."""
     rels = prestructure_relations() if relators is None else relators
     words = [w for _, w in rels]
     cells = ((z, r11) for z in zs for r11 in range(G.order))
-    for block in _genus2_blocks(G, cells, rels):
+    for block in _genus2_blocks(G, cells, rels, inn):
         if not bulk_relator_filter(G, block.T, words).all():
             raise AssertionError("prestructure search emitted an invalid tuple")
         yield block
@@ -1137,13 +1164,27 @@ _REPORT_SAMPLE = 10
 
 
 def prestructure_report(G: FiniteGroup, mode: str = "auto") -> PrestructureReport:
-    """Run the search to completion; certified-empty when count == 0."""
+    """The count of prestructures with z in the pool of `_search_setup`,
+    and the first `_REPORT_SAMPLE` of the stream.
+
+    Emptiness is decided on one row per Inn(G)-orbit, the least in slot
+    order, as `structure_rows` searches (`genus2_rows` with `inn`), and
+    count == 0 is certified by a lemma: an automorphism keeps the relator
+    words and element orders, and Inn(G) keeps the z pool (checked: else
+    AssertionError), so the prestructures form a union of Inn(G)-orbits;
+    each non-empty orbit has a least row, which the search keeps.  If some
+    orbit is non-empty, the count and sample come from the full stream.
+    Every block either search yields is re-verified."""
     searched, zs, orders = _search_setup(G, mode)
+    inn = inner_automorphism_table(G)
+    if not np.isin(inn[:, list(zs)], zs).all():
+        raise AssertionError("the z pool is not closed under Inn(G)")
     count = 0
     sample: list[tuple[int, ...]] = []
-    for block in _prestructure_blocks(G, zs):
-        count += block.shape[1]
-        sample += map(tuple, block[:, :_REPORT_SAMPLE - len(sample)].T.tolist())
+    if any(block.shape[1] for block in _prestructure_blocks(G, zs, inn=inn)):
+        for block in _prestructure_blocks(G, zs):
+            count += block.shape[1]
+            sample += map(tuple, block[:, :_REPORT_SAMPLE - len(sample)].T.tolist())
     return PrestructureReport(
         count=count,
         mode=searched,

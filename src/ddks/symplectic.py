@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .group_core import FiniteGroup
+from .group_core import FiniteGroup, read_only
 from .structures import (
     ROW_KEY_SHIFTS,
     DDKStructure,
@@ -93,13 +93,12 @@ class SymplecticSpace:
         seen = coords >= 0  # all of G once the images are independent
         if any((coords[T[seen, g]] != coords[seen] ^ bit).any() for g, bit in moves):
             raise ValueError("generator images do not give a basis of G/Z(G)")
-        proj = self.projection_table = coords.astype(T.dtype)
-        lifts = self.section_table = np.zeros(2**dim, dtype=T.dtype)
+        lifts = np.zeros(2**dim, dtype=T.dtype)
         lifts[coords] = np.minimum(rng, T[:, z])  # the fibre over x's vector is {x, xz}
-        pair = self.pair_table = (G.commutators[np.ix_(lifts, lifts)] == z).astype(np.uint8)
-        q = self.q_table = (squares[lifts] == z).astype(np.uint8)
-        for a in (proj, lifts, pair, q):
-            a.flags.writeable = False
+        proj = self.projection_table = read_only(coords.astype(T.dtype))
+        lifts = self.section_table = read_only(lifts)
+        pair = self.pair_table = read_only((G.commutators[np.ix_(lifts, lifts)] == z).astype(np.uint8))
+        q = self.q_table = read_only((squares[lifts] == z).astype(np.uint8))
         bits = [1 << i for i in range(dim)]
         self.gram = pair[np.ix_(bits, bits)].tolist()
         # the J-form on the basis: r̄j and t̄j pair to 1, all else to 0
@@ -301,8 +300,7 @@ def reduced_structure_array(space: SymplecticSpace) -> np.ndarray:
     case_pairing = space.pair_table[vectors[:, 0], vectors[:, 1]]
     if (case_pairing[:len(case_a)] != 1).any() or (case_pairing[len(case_a):] != 0).any():
         raise AssertionError("case tag disagrees with pairing pattern")
-    vectors.flags.writeable = False
-    return vectors
+    return read_only(vectors)
 
 
 def enumerate_reduced_structures(space: SymplecticSpace) -> Iterator[ReducedStructure]:

@@ -256,11 +256,28 @@ MUTANTS = (
         "test_structures::test_unpack_keys_refuses_bits_above_54",
         lambda mp: patch_edited(mp, structures, "unpack_keys", "if keys.max(initial=0) >> 54:", "if False:"),
     ),
-    # the prestructure shortcut
+    # the prestructure shortcut and the decider's orbit search
     Mutant(
         "shortcut reads past a non-empty quotient",
         "test_structures::test_the_shortcut_searches_in_full_after_a_non_empty_quotient",
         lambda mp: patch_edited(mp, structures, "_search_setup", "break", "pass"),
+    ),
+    Mutant(
+        "abelian skip applied to every quotient",
+        "test_structures::test_the_shortcut_searches_in_full_after_a_non_empty_quotient",
+        lambda mp: patch_edited(mp, structures, "_search_setup", "if derived <= set(nsub):", "if True:"),
+    ),
+    Mutant(
+        "minimal images keep no slot value",
+        "test_structures::test_the_theorem_at_orders_24_and_32_by_search_alone",
+        lambda mp: patch_edited(mp, structures._OrbitTables, "least", "return out", "return out & np.uint64(0)"),
+    ),
+    Mutant(
+        "z pool taken without its closure check",
+        "test_structures::test_prestructure_report_refuses_a_pool_not_closed_under_inn",
+        lambda mp: patch_edited(
+            mp, structures, "prestructure_report", "if not np.isin(inn[:, list(zs)], zs).all():", "if False:",
+        ),
     ),
     # element indices at the input boundary
     Mutant(
@@ -333,8 +350,13 @@ MUTANTS = (
     Mutant(
         "Inn(G) left writeable",
         "test_automorphisms::test_inner_automorphism_table_is_read_only",
-        lambda mp: patch_edited(mp, structures, "inner_automorphism_table", "inn.flags.writeable = False", "pass"),
+        lambda mp: patch_edited(mp, structures, "inner_automorphism_table", "return read_only(inn)", "return inn"),
         lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "read-only helper hands out a writeable array",
+        "test_group::test_every_table_is_read_only_at_its_source",
+        lambda mp: patch_edited(mp, group, "read_only", "memoryview(buf).toreadonly()", "buf"),
     ),
     # the one breadth-first walk and its readers
     Mutant(

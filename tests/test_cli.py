@@ -6,6 +6,7 @@ import time
 import pytest
 
 from ddks.cli import main
+from ddks.paper import CRITERIA
 
 NON_CCT = [
     "G(32,43)",
@@ -241,7 +242,19 @@ def test_reports_are_deterministic(capsys):
 def test_report_shape(capsys):
     code, report = run_cli(capsys, "cct", "S4")
     assert sorted(report) == ["command", "inputs", "results", "status", "timing"]
+    assert sorted(report["timing"]) == ["stages", "total"] and report["timing"]["stages"] == {}
     assert report["command"] == "cct"
     assert report["inputs"]["label"] == "S4"
     assert "jobs" not in report["inputs"]
 
+
+
+def test_verify_paper_times_every_criterion_as_a_stage(capsys):
+    """`timing` names each criterion of a `--quick` run as a stage, in
+    the registry's order, with the seconds it took."""
+    code, report = run_cli(capsys, "verify-paper", "--quick")
+    assert code == 0 and report["status"] == "pass"
+    stages = report["timing"]["stages"]
+    assert list(stages) == [name for name, _ in CRITERIA]
+    assert all(list(stage) == ["s"] and stage["s"] >= 0 for stage in stages.values())
+    assert sum(stage["s"] for stage in stages.values()) <= report["timing"]["total"] + 0.01

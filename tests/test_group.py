@@ -418,3 +418,35 @@ def test_group_checks_survive_optimize(snippet, raised):
 def test_table_checks_survive_optimize(table, message):
     snippet = f"from ddks.group_core import FiniteGroup\nFiniteGroup({table!r})"
     assert raised_under_optimize(snippet) == f"ValueError {message}"
+
+
+def test_every_table_is_read_only_at_its_source():
+    """The tables the system hands out are read-only at their source
+    (`read_only`): neither a table's writeable flag nor that of the array
+    it views can be set back, so a write cannot go through.  The group is
+    realized afresh, so every table is built here."""
+    from ddks import certify
+    from ddks.automorphisms import automorphism_group
+    from ddks.group_core import get_presentation
+    from ddks.structures import bulk_relator_filter, example_structure, inner_automorphism_table, relations_for_type
+    from ddks.symplectic import induced_space, reduced_structure_array
+
+    G = realize(get_presentation("G(32,49)"))
+    space = induced_space(G)
+    s = example_structure(G)
+    bulk_relator_filter(G, np.array([s.elements], dtype=np.uint8), relations_for_type(s.stype))  # certifier tables
+    tables = {
+        "table": G.table, "inverses": G.inverses, "orders": G.orders, "commutators": G.commutators,
+        "Inn": inner_automorphism_table(G), "Aut": automorphism_group(G, get_presentation("G(32,49)")),
+        "projection": space.projection_table, "section": space.section_table,
+        "pair": space.pair_table, "q": space.q_table, "reduced": reduced_structure_array(space),
+        **{f"certifier {i}": flat for i, flat in enumerate(certify._GROUP_TABLES[G].values())},
+    }
+    assert len(tables) > 11
+    for name, table in tables.items():
+        for array in (table, table.base):
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    array.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 1

@@ -10,8 +10,10 @@ group's Cayley table, inverses or element orders, or its own commutator
 or conjugation table, writes an attribute on an object other than
 `self`, or walks a group by hand instead of through `spanning_tree`;
 only the certify tail writes the table of certified rows; only
-`DDKStructure` verifies a structure; and only the group core's
-`check_elements` says that an element index is out of range."""
+`DDKStructure` verifies a structure; only the group core's
+`check_elements` says that an element index is out of range; and no
+module sets an array's writeable flag, since a table is read-only at its
+source (`group_core.read_only`)."""
 
 import ast
 import sys
@@ -626,3 +628,50 @@ def test_element_indices_are_checked_only_in_the_group_core():
 )
 def test_range_message_scan_finds_copies(source, found):
     assert [(function, node.lineno) for function, node in _range_messages(ast.parse(source))] == found
+
+
+def _writeable_flag_sets(tree: ast.Module):
+    """Stores to an array's `flags.writeable` and `setflags(write=...)`
+    calls: an owner's flag set to False can be set back, so a table made
+    read-only that way is not."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "flags"
+        ):
+            yield node
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"
+            and any(kw.arg == "write" for kw in node.keywords)
+        ):
+            yield node
+
+
+def test_tables_are_read_only_only_through_the_group_core_helper():
+    """Every table the system hands out is a `read_only` copy, whose flag
+    no array can set back; none is made read-only by its flag."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in MODULES
+        for node in _writeable_flag_sets(_parse(path))
+    ]
+    assert found == [], f"writeable flags set outside group_core.read_only: {found}"
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        # the seven sites the helper replaced, in their forms
+        ("inn.flags.writeable = False", True),
+        ("for a in (table, inverses, orders):\n    a.flags.writeable = False", True),
+        ("self.q_table.flags.writeable = False", True),
+        ("a.flags.writeable = True", True),
+        ("a.setflags(write=False)", True),
+        # not a breach
+        ("inn = read_only(inn)", False),
+        ("ok = not rows.flags.writeable", False),
+        ("a.setflags(align=True)", False),
+    ],
+)
+def test_writeable_flag_scan_finds_sets(source, flagged):
+    assert any(_writeable_flag_sets(ast.parse(source))) == flagged

@@ -396,6 +396,7 @@ def cyclic(order: int) -> FiniteGroup:
 
 INPUT_CHECK_PRELUDE = """
 import numpy as np
+from ddks import structures
 from ddks.automorphisms import automorphism_group, orbit_count
 from ddks.group_core import Homomorphism, get_presentation, parse_presentation, realize, realize_label
 from ddks.homology import h1_of_surface
@@ -448,12 +449,18 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
          "ValueError presentation does not match the realization"),
         ('orbit_count(G, symplectic_structure_rows(G)[:1000], automorphism_group(G, get_presentation("G(32,49)")))',
          "AssertionError |Aut| = 1152 does not divide 1000 structures"),
+        ('structures._search_setup = lambda G, mode: ("full", (1,), None)\n'
+         'structures.prestructure_report(realize_label("S4"))',
+         "AssertionError the z pool is not closed under Inn(G)"),
+        ("structures.prestructure_relations = lambda: ()\n"
+         'structures._search_setup(realize_label("G(32,6)"), "auto")',
+         "AssertionError the abelian-quotient lemma needs R4 = r11 t21 r11^-1 t21^-1 z"),
     ],
     ids=[
         "repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range",
         "float-image", "float-element", "bool-b", "float-b", "not-a-structure", "fibration-other-group",
         "homology-other-group", "pack-list", "generation-list", "relator-list", "reduced-out-of-range",
-        "aut-generator-count", "orbit-divisibility",
+        "aut-generator-count", "orbit-divisibility", "pool-not-closed", "r4-premise",
     ],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
@@ -716,6 +723,66 @@ def test_the_shortcut_searches_in_full_after_a_non_empty_quotient():
     searched, zs, orders = structures._search_setup(G, "auto")
     assert (searched, orders) == ("full", (32, 32))
     assert zs == tuple(range(1, 64)) and len(G.socle()) == 1
+
+
+EXTRA_SPECIAL = ("G(32,49)", "G(32,50)")
+
+
+def test_the_theorem_at_orders_24_and_32_by_search_alone():
+    """The paper's bound at orders 24 and 32, by the engine alone, without
+    the CCT lemma: of the 57 catalog groups only the two extra-special
+    ones have prestructures, 5 160 960 each.  Those two are the positive
+    control of the decider's orbit search: one that found no row would
+    report them empty.  Their samples are the head of the full stream."""
+    labels = list(catalog_labels())
+    assert len(labels) == 57 and set(EXTRA_SPECIAL) <= set(labels)
+    for label in labels:
+        G = realize_label(label)
+        report = prestructure_report(G, "full")
+        assert report.mode == "full" and report.quotient_orders_checked is None, label
+        if label in EXTRA_SPECIAL:
+            assert report.count == 5160960, label
+            assert report.sample == tuple(islice(iter_prestructure_tuples(G, "full"), 10)), label
+        else:
+            assert (report.count, report.sample) == (0, ()), label
+
+
+def test_abelian_groups_have_no_prestructures():
+    """The lemma behind the shortcut's abelian quotients, checked against
+    the engine: R4 makes z a commutator, so z = 1 in an abelian group and
+    the full stream is empty on every abelian group of the property suite."""
+    abelian = [
+        G for G in (realize(parse_presentation(source)) for source in SMALL_GROUP_SOURCES.values())
+        if G.is_abelian
+    ]
+    assert len(abelian) >= 10 and max(G.order for G in abelian) == 8
+    for G in abelian:
+        assert list(iter_prestructure_tuples(G, "full")) == []
+
+
+@pytest.mark.parametrize("change", ["dropped", "z inverted"])
+def test_the_abelian_lemma_checks_its_premise(monkeypatch, change):
+    """The shortcut skips abelian quotients only while R4 reads
+    r11 t21 r11^-1 t21^-1 z; a relator list without it raises."""
+    r4 = commutator(Word.gen(0), Word.gen(5)) * Word.gen(8).inverse()  # r11 t21 r11^-1 t21^-1 z^-1
+    changed = tuple(
+        (label, r4 if label == "R4" else w)
+        for label, w in prestructure_relations()
+        if not (label == "R4" and change == "dropped")
+    )
+    monkeypatch.setattr(structures, "prestructure_relations", lambda: changed)
+    with pytest.raises(AssertionError, match="needs R4"):
+        structures._search_setup(realize_label("G(32,6)"), "auto")
+
+
+def test_prestructure_report_refuses_a_pool_not_closed_under_inn(monkeypatch):
+    """Emptiness on orbit representatives needs a z pool that Inn(G)
+    keeps: in S4, whose centre is trivial, one involution is not such a pool."""
+    G = realize_label("S4")
+    z = next(x for x in G.elements() if G.element_order[x] == 2)
+    monkeypatch.setattr(structures, "_search_setup", lambda G, mode: ("full", (z,), None))
+    with pytest.raises(AssertionError, match="not closed under Inn"):
+        prestructure_report(G, "full")
 
 
 def test_prestructure_stream_objects(H5):
