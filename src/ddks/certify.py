@@ -347,6 +347,15 @@ def check_rows(rows: np.ndarray, columns: Optional[int] = None, what: str = "row
         raise ValueError(f"{what} must have {columns} columns, got {rows.shape[1]}")
 
 
+def check_keys(keys: np.ndarray) -> None:
+    """Raises ValueError unless `keys` is a 1-D uint64 ndarray, as
+    `structures.pack_rows` makes them.  Reads the type, shape and dtype only."""
+    if not isinstance(keys, np.ndarray):
+        raise ValueError(f"row keys must be a 1-D uint64 array, got {type(keys).__name__}")
+    if keys.ndim != 1 or keys.dtype != np.uint64:
+        raise ValueError(f"row keys must be a 1-D uint64 array, got {keys.ndim}-D {keys.dtype}")
+
+
 def _check_order(G: FiniteGroup) -> None:
     if G.order > CERTIFY_ORDER_CAP:
         raise ValueError(

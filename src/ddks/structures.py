@@ -84,7 +84,7 @@ from .group_core import (
     commutator,
     read_only,
 )
-from .certify import bulk_relator_filter, check_rows, relator_join
+from .certify import bulk_relator_filter, check_keys, check_rows, relator_join
 
 SEARCH_ORDER_CAP = 64
 # Rows a level of `reference_prestructures` may hold (order 16: 15 * 16^4).
@@ -810,6 +810,11 @@ def _genus2_blocks(
     cells = cells.astype(np.uint8)
     orbits = stab = None
     if inn is not None:
+        check_rows(inn, G.order, "inn")
+        check_elements(G, inn)
+        # _descend reads bit 0 of a stabilizer mask as the identity
+        if not len(inn) or (inn[0] != np.arange(G.order)).any():
+            raise ValueError("inn must hold the identity as row 0")
         # the same rule as in _descend, on z and then r11
         orbits = _OrbitTables(inn)
         stab = np.full(len(cells), np.uint64((1 << len(inn)) - 1))
@@ -833,9 +838,9 @@ def genus2_rows(
     t22, t11, r21, t12, r22.  A cell entry that is not an element index of
     G raises ValueError.
 
-    With `inn`, a permutation table of automorphisms of G with the
-    identity first (at most 64, the width of the stabilizer masks, else
-    ValueError), only the rows that are least in the slot order
+    With `inn`, a (k, |G|) permutation table of automorphisms of G with
+    the identity as row 0 and k at most 64, the width of the stabilizer
+    masks (else ValueError), only the rows that are least in the slot order
     z, r11, t21, r12, t22, t11, r21, t12, r22 among their images under
     every row of `inn` are kept (McKay's minimal images): the search
     drops a prefix as soon as an automorphism that fixes the prefix so
@@ -972,7 +977,9 @@ def pack_rows(G: FiniteGroup, rows: np.ndarray) -> np.ndarray:
 def unpack_keys(keys: np.ndarray) -> np.ndarray:
     """The (N, 9) uint8 rows that `pack_rows` packed into `keys`, 54 bits
     each, unpacked into a bytearray and read through a read-only memoryview:
-    no array over those bytes can be made writeable, and none is copied."""
+    no array over those bytes can be made writeable, and none is copied.
+    ValueError unless `keys` is a 1-D uint64 array of 54-bit keys."""
+    check_keys(keys)
     if keys.max(initial=0) >> 54:
         raise ValueError(f"row keys hold 54 bits, got the key {keys.max()}")
     buf = bytearray(9 * len(keys))
@@ -1012,8 +1019,10 @@ def certify_structure_rows(
     and the keys, sorted and distinct, unpack to exactly A's rows.  The
     routes' searches stay independent; only the second route's
     certification is replaced, by an exact comparison.  Its premise, that
-    A cannot change once certified, holds by `unpack_keys`.
+    A cannot change once certified, holds by `unpack_keys`.  Keys that are
+    not a 1-D uint64 array raise ValueError.
     """
+    check_keys(keys)
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError(duplicate)
@@ -1070,8 +1079,11 @@ def _search_setup(
     a prestructure needs o(z) >= 2.  G/N is abelian iff N contains the
     derived subgroup G', so those N are counted and not searched.  The
     premise, R4 in `prestructure_relations()` as that very word, is
-    checked (else AssertionError).
+    checked (else AssertionError).  A group above the search cap raises
+    ValueError before any of this.
     """
+    if G.order > SEARCH_ORDER_CAP:
+        raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
     if mode not in ("auto", "full"):
         raise ValueError(f"unknown search mode {mode!r}")
     searched, pool, orders = "full", G.elements(), None
@@ -1105,8 +1117,6 @@ def iter_prestructure_tuples(
     pairs, replace that list in "full" mode (ValueError in another mode,
     whose socle shortcut rests on the whole list).
     """
-    if G.order > SEARCH_ORDER_CAP:
-        raise ValueError(f"search cap is order {SEARCH_ORDER_CAP}")
     if relators is not None and mode != "full":
         raise ValueError("a relator list needs mode 'full'")
     for block in _prestructure_blocks(G, _search_setup(G, mode)[1], relators):

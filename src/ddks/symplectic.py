@@ -16,10 +16,12 @@ For b = 2 the 8 640 reduced structures are one uint8 array built by
 table code over the 16x16 pairing table: one mask over the 15^4
 candidate bases (e1, f1, e2, f2) gives the 720 symplectic bases, the six
 coefficient matrices combine them by XOR, and case (b) is a column
-permutation.  Every row is then checked by gathers into the pairing
-table (the constraint table of `verify_reduced`, an F2 rank of 4 and the
-case tag), and the lift takes each row's section lifts with one gather.
-`verify_reduced` and `lift_reduced` are the one-structure oracles.
+permutation.  Only the case tag is checked there: a row that breaks a
+pairing condition or does not span V has no lift that is a structure,
+so the certify tail this route shares with the backtracking one refuses
+it (`reduced_structure_array` gives the proof).  The lift takes each
+row's section lifts with one gather; `lift_reduced` is the
+one-structure oracle.
 In-process on G(32,49) the route spends about 0.02 s outside its certify
 tail.  It shares only that tail and the key format with the backtracking
 route, and nothing with Aut(G).
@@ -60,8 +62,8 @@ class SymplecticSpace:
     that G is extra-special, that the generator images are an ordered
     symplectic basis, and that the tables are an alternating, non-degenerate
     pairing and its form, and give every element's commutators and square.
-    The four tables are its whole interface: scalar code reads them too, as
-    lists (`verify_reduced`) or one gather (`lift_reduced`)."""
+    The four tables are its whole interface: scalar code reads them too,
+    by one gather (`lift_reduced`)."""
 
     def __init__(self, G: FiniteGroup):
         T, n = G.table, G.order
@@ -135,19 +137,6 @@ class ReducedStructure:
             raise ValueError("case tag must be 'a' or 'b'")
 
 
-def _span_dim(space: SymplecticSpace, vectors: Sequence[int]) -> int:
-    pivots: dict[int, int] = {}  # leading bit -> reduced vector
-    for v in map(int, vectors):
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                v ^= pivots[top]
-            else:
-                pivots[top] = v
-                break
-    return len(pivots)
-
-
 def _check_vectors(space: SymplecticSpace, vectors: Sequence[int]) -> None:
     """ValueError unless every vector lies in V: an int or numpy integer
     (bools refused) in 0 .. 2^dim - 1."""
@@ -157,105 +146,12 @@ def _check_vectors(space: SymplecticSpace, vectors: Sequence[int]) -> None:
         raise ValueError(f"vectors must lie in V, integers in 0 .. {2**space.dim - 1}, got {list(vectors)}")
 
 
-def verify_reduced(
-    space: SymplecticSpace, vectors: Sequence[int]
-) -> tuple[bool, str | None]:
-    """Check the full pairing-constraint table and spanning; ValueError
-    unless there are 8 vectors of V."""
-    if len(vectors) != 8:
-        raise ValueError("expected 8 vectors")
-    _check_vectors(space, vectors)
-    r11, t11, r12, t12, r21, t21, r22, t22 = vectors
-    pair = space.pair_table.tolist()
-    if (pair[r12][t12] + pair[r11][t11]) % 2 != 1:
-        return False, "sum condition on (r12,t12), (r11,t11) violated"
-    if (pair[r21][t21] + pair[r22][t22]) % 2 != 1:
-        return False, "sum condition on (r21,t21), (r22,t22) violated"
-    rs1, ts1 = (r11, r12), (t11, t12)
-    rs2, ts2 = (r21, r22), (t21, t22)
-    for j in range(2):
-        for k in range(2):
-            delta = 1 if j == k else 0
-            if pair[rs1[j]][ts2[k]] != delta:
-                return False, f"(r1{j+1}, t2{k+1}) != {delta}"
-            if pair[ts1[j]][rs2[k]] != delta:
-                return False, f"(t1{j+1}, r2{k+1}) != {delta}"
-            if pair[rs1[j]][rs2[k]] != 0:
-                return False, f"(r1{j+1}, r2{k+1}) != 0"
-            if pair[ts1[j]][ts2[k]] != 0:
-                return False, f"(t1{j+1}, t2{k+1}) != 0"
-    if _span_dim(space, vectors) != space.dim:
-        return False, "vectors do not span V"
-    return True, None
-
-
-_COEFF_MATRICES = tuple(
-    (a, b, c, d)
-    for a in (0, 1)
-    for b in (0, 1)
-    for c in (0, 1)
-    for d in (0, 1)
-    if (a * d + b * c) % 2 == 1
-)
+# the six (a, b, c, d) over F2 with ad + bc = 1, in lexicographic order
+_COEFF_MATRICES = ((0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0))
 
 # case (b) swaps the roles of the quadruples (r11,t11,r22,t22) and
 # (r12,t12,r21,t21): exchange the two j-indices in each half
 _J_SWAP = (2, 3, 0, 1, 6, 7, 4, 5)
-
-
-def _pair_conditions():
-    """verify_reduced's 16 pair conditions in its order, as (slot pairs,
-    value, diagnostic); slots r11, t11, r12, t12, r21, t21, r22, t22 are
-    0 .. 7, so r1j is slot 2j, t1j 2j + 1, r2k 4 + 2k and t2k 5 + 2k."""
-    for j in range(2):
-        for k in range(2):
-            delta = 1 if j == k else 0
-            yield ((2 * j, 5 + 2 * k),), delta, f"(r1{j+1}, t2{k+1}) != {delta}"
-            yield ((2 * j + 1, 4 + 2 * k),), delta, f"(t1{j+1}, r2{k+1}) != {delta}"
-            yield ((2 * j, 4 + 2 * k),), 0, f"(r1{j+1}, r2{k+1}) != 0"
-            yield ((2 * j + 1, 5 + 2 * k),), 0, f"(t1{j+1}, t2{k+1}) != 0"
-
-
-# Each condition: the XOR of the pairings of its slot pairs must equal the
-# value.  The two sum conditions come first, as in verify_reduced.
-_PAIRING_CONDITIONS = (
-    (((2, 3), (0, 1)), 1, "sum condition on (r12,t12), (r11,t11) violated"),
-    (((4, 5), (6, 7)), 1, "sum condition on (r21,t21), (r22,t22) violated"),
-    *_pair_conditions(),
-)
-REDUCED_CONDITIONS = tuple(name for _, _, name in _PAIRING_CONDITIONS) + (
-    "vectors do not span V",
-)
-
-
-def _f2_rank(vectors: np.ndarray, bits: int) -> np.ndarray:
-    """The F2 rank of each row of an (n, k) uint8 array of bitmasks below
-    2**bits: per bit, XOR a row's first vector with that bit into every
-    vector of the row that has it, which clears the bit from the row."""
-    m = vectors.copy()
-    rank = np.zeros(len(m), dtype=np.uint8)
-    rows = np.arange(len(m))
-    for bit in range(bits):
-        has = (m >> bit) & 1
-        pivot = m[rows, has.argmax(axis=1)]
-        rank += (pivot >> bit) & 1
-        m ^= has * pivot[:, None]
-    return rank
-
-
-def reduced_violations(space: SymplecticSpace, vectors: np.ndarray) -> np.ndarray:
-    """For each row of an (n, 8) uint8 array of vectors, the index in
-    REDUCED_CONDITIONS of the first condition it violates, in the order
-    verify_reduced checks them, or -1 if it is a reduced structure."""
-    pairing = space.pair_table
-    failed = np.empty((len(vectors), len(REDUCED_CONDITIONS)), dtype=bool)
-    for c, (slot_pairs, value, _) in enumerate(_PAIRING_CONDITIONS):
-        acc = np.full(len(vectors), value, dtype=np.uint8)
-        for i, j in slot_pairs:
-            acc ^= pairing[vectors[:, i], vectors[:, j]]
-        failed[:, c] = acc != 0
-    failed[:, -1] = _f2_rank(vectors, space.dim) != space.dim
-    return np.where(failed.any(axis=1), failed.argmax(axis=1), -1)
 
 
 def reduced_structure_array(space: SymplecticSpace) -> np.ndarray:
@@ -266,9 +162,21 @@ def reduced_structure_array(space: SymplecticSpace) -> np.ndarray:
     symplectic bases in lexicographic order and, within each, the six
     coefficient matrices with ad + bc = 1 in `_COEFF_MATRICES` order; the
     second half is the same rows in case (b), columns permuted by
-    `_J_SWAP`.  Every row is checked against the constraint table, for
-    spanning and for its case's pairing of (r11, t11); a failure raises
-    AssertionError naming the condition."""
+    `_J_SWAP`.  Each row's case is checked, as the pairing of (r11, t11):
+    1 in case (a) and 0 in case (b), else AssertionError.
+
+    The pairing conditions and spanning are not checked here, since every
+    consumer's later check implies them.  A row reaches an output only
+    through its lifts: `symplectic_structure_rows` certifies all 256 lifts
+    of every row in `certify_structure_rows` (the relators, o(z) = 2 and
+    generation, or exact equality with an array that passed them), and
+    `lift_reduced` yields `DDKStructure`s, each verified where it is made.
+    In a class-2 group with central z, [x, y] = z^(x̄, ȳ) depends only on
+    the projections to V, so a row that breaks a pairing condition has no
+    lift that satisfies the matching R, T or S relator.  A row whose
+    vectors do not span V has lifts in a proper subgroup containing
+    Z(G) = Φ(G), which by Burnside's basis theorem do not generate G (the
+    pairing conditions imply spanning anyway)."""
     if space.dim != 4:
         raise ValueError("reduced enumeration supports dim 4 only")
     p = space.pair_table[1:, 1:].astype(bool)  # over the nonzero vectors
@@ -290,13 +198,6 @@ def reduced_structure_array(space: SymplecticSpace) -> np.ndarray:
     case_a[..., 6], case_a[..., 7] = r22, t22
     case_a = case_a.reshape(-1, 8)
     vectors = np.concatenate([case_a, case_a[:, _J_SWAP]])
-
-    first = reduced_violations(space, vectors)
-    bad = np.flatnonzero(first >= 0)
-    if len(bad):
-        raise AssertionError(
-            f"constructed tuple {bad[0]} invalid: {REDUCED_CONDITIONS[first[bad[0]]]}"
-        )
     case_pairing = space.pair_table[vectors[:, 0], vectors[:, 1]]
     if (case_pairing[:len(case_a)] != 1).any() or (case_pairing[len(case_a):] != 0).any():
         raise AssertionError("case tag disagrees with pairing pattern")
@@ -326,9 +227,7 @@ def lift_reduced(
     shifted = [G.mul(x, z) for x in base]
     t = StructureType(2, 2)
     for mask in range(256):
-        elems = tuple(
-            shifted[i] if (mask >> i) & 1 else base[i] for i in range(8)
-        ) + (z,)
+        elems = tuple(shifted[i] if (mask >> i) & 1 else base[i] for i in range(8)) + (z,)
         yield DDKStructure(G, t, elems)
 
 

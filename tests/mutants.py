@@ -79,6 +79,12 @@ def drop_folded_relators(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(certify, "_relator_program", lru_cache(maxsize=None)(compile_program))
 
 
+def space_arguments() -> dict:
+    """`spaceH` and the group `H5` it was built from."""
+    G = realize_label("G(32,49)")
+    return {"spaceH": induced_space(G), "H5": G}
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -273,6 +279,11 @@ MUTANTS = (
         lambda mp: patch_edited(mp, structures._OrbitTables, "least", "return out", "return out & np.uint64(0)"),
     ),
     Mutant(
+        "over-cap group scanned for quotients",
+        "test_caps::test_an_over_cap_group_is_refused_before_the_quotient_scan",
+        lambda mp: patch_edited(mp, structures, "_search_setup", "if G.order > SEARCH_ORDER_CAP:", "if False:"),
+    ),
+    Mutant(
         "z pool taken without its closure check",
         "test_structures::test_prestructure_report_refuses_a_pool_not_closed_under_inn",
         lambda mp: patch_edited(
@@ -291,6 +302,40 @@ MUTANTS = (
         "search cells unchecked",
         "test_structures::test_genus2_rows_refuses_cells_outside_the_group",
         lambda mp: patch_edited(mp, structures, "_genus2_blocks", "check_elements(G, cells)", "pass"),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "search inn shape unchecked",
+        "test_structures::test_genus2_rows_refuses_inn_that_is_not_a_table",
+        lambda mp: patch_edited(mp, structures, "_genus2_blocks", 'check_rows(inn, G.order, "inn")', "pass"),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "search inn entries unchecked",
+        "test_structures::test_genus2_rows_refuses_inn_that_is_not_a_table",
+        lambda mp: patch_edited(mp, structures, "_genus2_blocks", "check_elements(G, inn)", "pass"),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "search inn without the identity first",
+        "test_structures::test_genus2_rows_refuses_inn_that_is_not_a_table",
+        lambda mp: patch_edited(
+            mp, structures, "_genus2_blocks", "if not len(inn) or (inn[0] != np.arange(G.order)).any():", "if False:",
+        ),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "row keys of a list read",
+        "test_structures::test_row_key_functions_refuse_other_shapes_and_dtypes",
+        lambda mp: patch_edited(mp, certify, "check_keys", "if not isinstance(keys, np.ndarray):", "if False:"),
+        lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "row keys of any shape or dtype",
+        "test_structures::test_row_key_functions_refuse_other_shapes_and_dtypes",
+        lambda mp: patch_edited(
+            mp, certify, "check_keys", "if keys.ndim != 1 or keys.dtype != np.uint64:", "if False:",
+        ),
         lambda: {"H5": realize_label("G(32,49)")},
     ),
     Mutant(
@@ -324,9 +369,9 @@ MUTANTS = (
     ),
     Mutant(
         "reduced vectors unchecked",
-        "test_symplectic::test_verify_reduced_diagnostics",
-        lambda mp: patch_edited(mp, symplectic, "verify_reduced", "_check_vectors(space, vectors)", "pass"),
-        lambda: {"spaceH": induced_space(realize_label("G(32,49)"))},
+        "test_symplectic::test_lift_refuses_vectors_outside_the_space",
+        lambda mp: patch_edited(mp, symplectic, "lift_reduced", "_check_vectors(space, r.vectors)", "pass"),
+        space_arguments,
     ),
     # Aut(G), Inn(G) and the orbit count
     Mutant(
@@ -336,6 +381,13 @@ MUTANTS = (
             mp, automorphisms, "automorphism_group", "if p.ngens != len(G.generator_elements):", "if False:",
         ),
         lambda: {"H5": realize_label("G(32,49)")},
+    ),
+    Mutant(
+        "automorphisms kept off their generator images",
+        "test_automorphisms::test_automorphism_group_refuses_a_permutation_off_its_generator_images",
+        lambda mp: patch_edited(
+            mp, automorphisms, "automorphism_group", "if not (perms[:, list(gens)] == rows).all():", "if False:",
+        ),
     ),
     Mutant(
         "orbit count without the divisibility check",

@@ -1,21 +1,19 @@
 """Closed-form orders and invariants of F2 quadratic spaces, the scalar
-enumeration of symplectic bases, and the projection of a structure to V,
-used only to check the symplectic route.
+enumeration of symplectic bases, the scalar reduced-structure check, and
+the projection of a structure to V, used only to check the symplectic
+route.
 
 `symplectic_structure_rows` never needs them: the tests use them to check
 the space's form type against the group's variant, the Sp and O orders
 against the counts of bases and outer automorphisms, and the reduced
-structures against projections of known structures.
+structures against the pairing conditions and projections of known
+structures.
 """
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ddks.structures import DDKStructure
-from ddks.symplectic import (
-    ReducedStructure,
-    SymplecticSpace,
-    verify_reduced,
-)
+from ddks.symplectic import ReducedStructure, SymplecticSpace, _check_vectors
 
 
 def sp_order(b: int) -> int:
@@ -77,6 +75,51 @@ def arf_invariant(space: SymplecticSpace) -> int:
         sum(space.q_table.item(basis[2 * i]) * space.q_table.item(basis[2 * i + 1]) for i in range(space.b))
         % 2
     )
+
+
+def _span_dim(space: SymplecticSpace, vectors: Sequence[int]) -> int:
+    pivots: dict[int, int] = {}  # leading bit -> reduced vector
+    for v in map(int, vectors):
+        while v:
+            top = v.bit_length() - 1
+            if top in pivots:
+                v ^= pivots[top]
+            else:
+                pivots[top] = v
+                break
+    return len(pivots)
+
+
+def verify_reduced(
+    space: SymplecticSpace, vectors: Sequence[int]
+) -> tuple[bool, str | None]:
+    """Check the full pairing-constraint table and spanning; ValueError
+    unless there are 8 vectors of V."""
+    if len(vectors) != 8:
+        raise ValueError("expected 8 vectors")
+    _check_vectors(space, vectors)
+    r11, t11, r12, t12, r21, t21, r22, t22 = vectors
+    pair = space.pair_table.tolist()
+    if (pair[r12][t12] + pair[r11][t11]) % 2 != 1:
+        return False, "sum condition on (r12,t12), (r11,t11) violated"
+    if (pair[r21][t21] + pair[r22][t22]) % 2 != 1:
+        return False, "sum condition on (r21,t21), (r22,t22) violated"
+    rs1, ts1 = (r11, r12), (t11, t12)
+    rs2, ts2 = (r21, r22), (t21, t22)
+    for j in range(2):
+        for k in range(2):
+            delta = 1 if j == k else 0
+            if pair[rs1[j]][ts2[k]] != delta:
+                return False, f"(r1{j+1}, t2{k+1}) != {delta}"
+            if pair[ts1[j]][rs2[k]] != delta:
+                return False, f"(t1{j+1}, r2{k+1}) != {delta}"
+            if pair[rs1[j]][rs2[k]] != 0:
+                return False, f"(r1{j+1}, r2{k+1}) != 0"
+            if pair[ts1[j]][ts2[k]] != 0:
+                return False, f"(t1{j+1}, t2{k+1}) != 0"
+    if _span_dim(space, vectors) != space.dim:
+        return False, "vectors do not span V"
+    return True, None
 
 
 def reduce_structure(space: SymplecticSpace, s: DDKStructure) -> ReducedStructure:

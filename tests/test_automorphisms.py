@@ -348,6 +348,19 @@ def test_automorphism_group_refuses_a_presentation_of_another_generator_count(H5
         automorphism_group(H5, parse_presentation("gens: x\nrel: x^2"))
 
 
+def test_automorphism_group_refuses_a_permutation_off_its_generator_images():
+    """Z4 realized with both generators at one element, (1, 1), against a
+    presentation that leaves them independent.  The join gives 4 image
+    rows, and the tree extends each from its first entry alone, into one
+    of Aut(Z4)'s two automorphisms.  Both permutations are homomorphisms,
+    so only the generator-image check sees that two rows are not; without
+    it the table would hold 4 rows, two duplicate pairs."""
+    z4 = realize(parse_presentation("gens: x y\nrel: x^4\nrel: y x^-1"))
+    assert z4.generator_elements == (1, 1)
+    with pytest.raises(AssertionError, match="^a permutation moves a generator off its image$"):
+        automorphism_group(z4, parse_presentation("gens: a b\nrel: a^4\nrel: b^4\nrel: [a,b]"))
+
+
 def test_orbit_count_refuses_rows_that_are_no_union_of_orbits(H5, autsH, rows_cache):
     """1000 distinct generating rows pass the sample check, but no union of
     orbits of 1152 rows each has 1000 rows."""

@@ -10,6 +10,7 @@ from ddks.group_core import (
     CosetEnumerationError,
     FiniteGroup,
     coset_table,
+    extra_special,
     parse_presentation,
     realize,
     toddcox,
@@ -23,8 +24,10 @@ from ddks.structures import (
     generation_mask_filter,
     genus2_rows,
     inner_automorphism_table,
+    iter_prestructure_tuples,
     maximal_subgroup_masks,
     prestructure_relations,
+    prestructure_report,
     reference_prestructures,
     structure_rows,
 )
@@ -113,6 +116,24 @@ def test_search_cap_holds_order_64():
     assert genus2_rows(e6, []).shape == (0, 9)
     assert inner_automorphism_table(e6).tolist() == [list(range(64))]
     # order 65 raises in test_caps_raise_value_errors
+
+
+def test_an_over_cap_group_is_refused_before_the_quotient_scan(monkeypatch):
+    """Order 128 once spent 2.7 s in the "auto" quotient scan before Inn(G)
+    refused it; both entry points now refuse it in both modes before any
+    normal subgroup is read."""
+    h7 = extra_special(3, 2, "H")
+    assert h7.order == 128
+
+    def spy(G):
+        raise AssertionError("normal subgroups read for a group above the search cap")
+
+    monkeypatch.setattr(FiniteGroup, "normal_subgroups", spy)
+    for mode in ("auto", "full"):
+        with pytest.raises(ValueError, match="^search cap is order 64$"):
+            prestructure_report(h7, mode)
+        with pytest.raises(ValueError, match="^search cap is order 64$"):
+            next(iter_prestructure_tuples(h7, mode))
 
 
 def test_aut_cap_holds_order_32():

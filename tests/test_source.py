@@ -332,7 +332,7 @@ def test_self_indexed_table_scan_finds_table_builds(source, flagged):
 
 def _foreign_attribute_writes(tree: ast.Module):
     """Attribute stores and deletions on an object other than `self`
-    (a numpy array's `flags` excepted), `setattr` and `delattr` calls
+    (an array's `flags` among them), `setattr` and `delattr` calls
     whose object is not `self`, and any read of `__dict__`: how a module
     hangs its own state on someone else's object, such as a group."""
     def is_self(node: ast.expr) -> bool:
@@ -343,8 +343,7 @@ def _foreign_attribute_writes(tree: ast.Module):
             if node.attr == "__dict__":
                 yield node
             elif isinstance(node.ctx, (ast.Store, ast.Del)) and not is_self(node.value):
-                if not (isinstance(node.value, ast.Attribute) and node.value.attr == "flags"):
-                    yield node
+                yield node
         elif (
             isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in ("setattr", "delattr") and node.args and not is_self(node.args[0])
@@ -380,11 +379,11 @@ def test_no_module_outside_the_group_core_writes_attributes_on_other_objects():
         ('setattr(G, "_cache", {})', True),
         ('delattr(G, "_cache")', True),
         ("state = vars(G) if G.__dict__ else None", True),
+        ("perms.flags.writeable = False", True),
         # not a breach
         ("self.table = table", False),
         ("del self.commutators", False),
         ('setattr(self, "group", G)', False),
-        ("perms.flags.writeable = False", False),
         ('cached = getattr(G, "_cache", None)', False),
         ("_CACHE[G] = masks", False),
     ],

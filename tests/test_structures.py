@@ -398,14 +398,14 @@ INPUT_CHECK_PRELUDE = """
 import numpy as np
 from ddks import structures
 from ddks.automorphisms import automorphism_group, orbit_count
-from ddks.group_core import Homomorphism, get_presentation, parse_presentation, realize, realize_label
+from ddks.group_core import Homomorphism, extra_special, get_presentation, parse_presentation, realize, realize_label
 from ddks.homology import h1_of_surface
 from ddks.invariants import fibration_data
 from ddks.structures import (
     DDKStructure, StructureType, bulk_relator_filter, example_structure, generation_mask_filter, genus2_rows,
     inner_automorphism_table, pack_rows, relations_for_type, structure_from_dict, unpack_keys, verify_structure,
 )
-from ddks.symplectic import induced_space, symplectic_structure_rows, verify_reduced
+from ddks.symplectic import symplectic_structure_rows
 
 G = realize_label("G(32,49)")
 row = np.array([example_structure(G).elements], dtype=np.uint8)
@@ -443,8 +443,6 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
         ("generation_mask_filter(G, row.tolist())", "ValueError rows must be a 2-D array, got list"),
         ("bulk_relator_filter(G, row.tolist(), relations_for_type(StructureType(2, 2)))",
          "ValueError rows must be a 2-D array, got list"),
-        ("verify_reduced(induced_space(G), (99,) * 8)",
-         "ValueError vectors must lie in V, integers in 0 .. 15, got [99, 99, 99, 99, 99, 99, 99, 99]"),
         ('automorphism_group(G, parse_presentation("gens: x\\nrel: x^2"))',
          "ValueError presentation does not match the realization"),
         ('orbit_count(G, symplectic_structure_rows(G)[:1000], automorphism_group(G, get_presentation("G(32,49)")))',
@@ -455,12 +453,26 @@ row = np.array([example_structure(G).elements], dtype=np.uint8)
         ("structures.prestructure_relations = lambda: ()\n"
          'structures._search_setup(realize_label("G(32,6)"), "auto")',
          "AssertionError the abelian-quotient lemma needs R4 = r11 t21 r11^-1 t21^-1 z"),
+        ("structures.FiniteGroup.normal_subgroups = None\n"
+         'structures.prestructure_report(extra_special(3, 2, "H"))',
+         "ValueError search cap is order 64"),
+        ("genus2_rows(G, [(1, 0)], inner_automorphism_table(G)[:, :16])", "ValueError inn must have 32 columns, got 16"),
+        ("genus2_rows(G, [(1, 0)], inner_automorphism_table(G)[1:].astype(np.int64) + 32)",
+         "ValueError element index out of range for the group"),
+        ("genus2_rows(G, [(1, 0)], inner_automorphism_table(G)[::-1])", "ValueError inn must hold the identity as row 0"),
+        ("unpack_keys(np.array([1], dtype=np.int64))", "ValueError row keys must be a 1-D uint64 array, got 1-D int64"),
+        ('structures.certify_structure_rows(G, [1, 2], StructureType(2, 2), "{}", "repeated")',
+         "ValueError row keys must be a 1-D uint64 array, got list"),
+        ('automorphism_group(realize(parse_presentation("gens: x y\\nrel: x^4\\nrel: y x^-1")), '
+         'parse_presentation("gens: a b\\nrel: a^4\\nrel: b^4\\nrel: [a,b]"))',
+         "AssertionError a permutation moves a generator off its image"),
     ],
     ids=[
         "repeated-rows", "uncertified-rows", "key-above-54-bits", "inn-search-cap", "cell-out-of-range",
         "float-image", "float-element", "bool-b", "float-b", "not-a-structure", "fibration-other-group",
-        "homology-other-group", "pack-list", "generation-list", "relator-list", "reduced-out-of-range",
-        "aut-generator-count", "orbit-divisibility", "pool-not-closed", "r4-premise",
+        "homology-other-group", "pack-list", "generation-list", "relator-list",
+        "aut-generator-count", "orbit-divisibility", "pool-not-closed", "r4-premise", "over-cap-before-quotients",
+        "inn-columns", "inn-entries", "inn-identity-first", "keys-int64", "tail-keys-list", "aut-generator-image",
     ],
 )
 def test_input_checks_raise_under_optimize(snippet, message):
@@ -833,6 +845,30 @@ def test_genus2_rows_refuses_cells_outside_the_group(H5):
             genus2_rows(H5, [cell])
     with pytest.raises(ValueError, match="must be integers"):
         genus2_rows(H5, [(1.5, 0)])
+
+
+def test_genus2_rows_refuses_inn_that_is_not_a_table(H5):
+    """A list once raised AttributeError, a slice of 16 columns IndexError
+    and a single row numpy's unpack ValueError; the minimal-image search
+    reads bit 0 of a stabilizer mask as the identity, so row 0 must be it."""
+    inn = inner_automorphism_table(H5)
+    cells = [(example_structure(H5).z, r11) for r11 in range(H5.order)]
+    floats, outside = inn.astype(float), inn.copy()
+    outside[1, 0] = 32
+    for bad, message in (
+        (inn.tolist(), "inn must be a 2-D array, got list"),
+        (inn[:, :16], "inn must have 32 columns, got 16"),
+        (inn[0], "inn must be a 2-D array, got 1-D"),
+        (floats, "element indices must be integers, got dtype float64"),
+        (outside, "element index out of range for the group"),
+        (inn[::-1], "inn must hold the identity as row 0"),
+        (inn[1:], "inn must hold the identity as row 0"),
+        (inn[:0], "inn must hold the identity as row 0"),
+    ):
+        with pytest.raises(Exception) as raised:
+            genus2_rows(H5, cells, bad)
+        assert (raised.type, str(raised.value)) == (ValueError, message)
+    assert len(genus2_rows(H5, cells, inn)) > 0
 
 
 def test_cell_rows_match_structure_rows(H5, rows_cache):
@@ -1449,6 +1485,28 @@ def test_unpack_keys_refuses_bits_above_54():
         with pytest.raises(ValueError, match=f"^row keys hold 54 bits, got the key {key}$"):
             unpack_keys(np.array([0, key], dtype=np.uint64))
     assert unpack_keys(np.array([(1 << 54) - 1], dtype=np.uint64)).tolist() == [[63] * 9]
+
+
+def test_row_key_functions_refuse_other_shapes_and_dtypes(H5):
+    """A list of keys once raised AttributeError, int64 and float keys
+    numpy's TypeError before the 54-bit check, and a 2-D array the tail's
+    duplicate-rows AssertionError."""
+    keys = pack_rows(H5, np.array([example_structure(H5).elements], dtype=np.uint8))
+    checks = {
+        "unpack_keys": unpack_keys,
+        "certify_structure_rows": lambda k: certify_structure_rows(H5, k, T22, "{} bad", "repeated"),
+    }
+    for name, check in checks.items():
+        for bad, got in (
+            (keys.tolist(), "list"),
+            (keys.astype(np.int64), "1-D int64"),
+            (keys.astype(float), "1-D float64"),
+            (np.zeros((2, 2), dtype=np.uint64), "2-D uint64"),
+        ):
+            with pytest.raises(Exception) as raised:
+                check(bad)
+            assert (raised.type, str(raised.value)) == (ValueError, f"row keys must be a 1-D uint64 array, got {got}"), name
+        assert check(keys.copy()).shape == (1, 9), name
 
 
 def test_row_functions_refuse_other_shapes(H5):

@@ -1,5 +1,4 @@
 import hashlib
-import re
 from textwrap import dedent
 
 import numpy as np
@@ -7,29 +6,26 @@ import pytest
 
 from ddks import symplectic
 from ddks.group_core import parse_presentation, realize, realize_label
-from ddks.structures import example_structure
+from ddks.structures import StructureType, certified_type, example_structure, structure_rows
 from ddks.symplectic import (
-    REDUCED_CONDITIONS,
     ReducedStructure,
-    _f2_rank,
-    _span_dim,
     aut_order,
     enumerate_reduced_structures,
     induced_space,
     lift_reduced,
     reduced_structure_array,
-    reduced_violations,
     symplectic_structure_rows,
-    verify_reduced,
 )
 from optimizetools import raised_under_optimize
 from symplectictools import (
+    _span_dim,
     arf_invariant,
     enumerate_symplectic_bases,
     form_type,
     orthogonal_order,
     reduce_structure,
     sp_order,
+    verify_reduced,
 )
 
 
@@ -368,55 +364,36 @@ def test_reduced_structure_order_is_pinned(fixture, request):
     assert np.array_equal(array, vectors)
 
 
-def _oracle_codes(space, rows) -> list[int]:
-    """verify_reduced's verdict on each row, as an index in REDUCED_CONDITIONS
-    or -1."""
-    codes = []
-    for row in rows.tolist():
-        ok, diag = verify_reduced(space, row)
-        codes.append(-1 if ok else REDUCED_CONDITIONS.index(diag))
-    return codes
-
-
-@pytest.mark.parametrize("fixture", ["spaceH", "spaceG"])
-def test_array_check_agrees_with_oracle(fixture, request):
-    """On every reduced structure and on one single-slot perturbation of
-    each (row i has slot i mod 8 XORed with the nonzero vector
-    (i div 8) mod 15 + 1, so every slot meets every vector), the array
-    check finds the first condition verify_reduced reports."""
-    space = request.getfixturevalue(fixture)
-    rows = reduced_structure_array(space)
-    assert reduced_violations(space, rows).tolist() == [-1] * len(rows)
-    i = np.arange(len(rows))
-    perturbed = rows.copy()
-    perturbed[i, i % 8] ^= (i // 8 % 15 + 1).astype(np.uint8)
-    codes = reduced_violations(space, perturbed)
-    assert codes.tolist() == _oracle_codes(space, perturbed)
-    # every pairing condition is the first to fail somewhere; spanning
-    # never is, since the pairing conditions imply it
-    assert set(codes.tolist()) == set(range(len(REDUCED_CONDITIONS) - 1))
-
-
-def test_f2_rank_is_the_span_dimension(spaceH):
-    """The rank behind the spanning check, on rows masked down to every
-    coordinate subspace, so that each rank 0 .. 4 occurs."""
-    rows = reduced_structure_array(spaceH)[::7]
-    masked = np.concatenate([rows & np.uint8(m) for m in range(16)])
-    ranks = _f2_rank(masked, spaceH.dim).tolist()
-    assert ranks == [_span_dim(spaceH, row) for row in masked.tolist()]
-    assert set(ranks) == {0, 1, 2, 3, 4}
-
-
-def test_forged_rows_raise_in_the_array_path(monkeypatch, spaceH):
-    # ad + bc = 0: r12, t12 = r22, t22 and r21, t21 = r11, t11
+def test_forged_rows_raise_in_the_array_path(monkeypatch, H5):
+    """The case tag is the one check on the array.  With ad + bc = 0,
+    r12, t12 = r22, t22 and r21, t21 = r11, t11, so (r12, t12) pairs to 1
+    and the case (b) rows, which lead with it, carry the wrong tag; so do
+    case (b) rows equal to case (a) ones."""
     monkeypatch.setattr(symplectic, "_COEFF_MATRICES", ((0, 0, 0, 0),))
-    with pytest.raises(AssertionError, match=re.escape(REDUCED_CONDITIONS[0])):
-        reduced_structure_array(spaceH)
+    with pytest.raises(AssertionError, match="case tag disagrees"):
+        symplectic_structure_rows(H5)
     monkeypatch.undo()
-    # case (b) rows equal to case (a) ones pass the table but carry tag b
     monkeypatch.setattr(symplectic, "_J_SWAP", tuple(range(8)))
     with pytest.raises(AssertionError, match="case tag disagrees"):
-        reduced_structure_array(spaceH)
+        symplectic_structure_rows(H5)
+
+
+@pytest.mark.parametrize("other_route_alive", [False, True])
+def test_a_forged_reduced_row_is_refused_by_the_certify_tail(monkeypatch, other_route_alive):
+    """A reduced row with one bit flipped breaks a pairing condition, so
+    none of its 256 lifts is a structure, and the certify tail refuses
+    them: in full, or, with the backtracking route's rows for the group
+    alive, after the key comparison finds a difference."""
+    G = realize_label("G(32,49)")
+    alive = structure_rows(G, StructureType(2, 2)) if other_route_alive else None
+    space = induced_space(G)
+    forged = reduced_structure_array(space).copy()
+    forged[0, 0] ^= 1
+    assert verify_reduced(space, forged[0].tolist())[0] is False
+    monkeypatch.setattr(symplectic, "reduced_structure_array", lambda space: forged)
+    with pytest.raises(AssertionError, match="^256 lifted candidates failed verification$"):
+        symplectic_structure_rows(G)
+    assert alive is None or certified_type(G, alive) == StructureType(2, 2)
 
 
 def test_reduced_case_patterns_and_isotropy(spaceH):
@@ -496,8 +473,11 @@ def test_lift_refuses_vectors_outside_the_space(spaceH, H5):
     reduced structure give lifts that are no structures."""
     good = next(enumerate_reduced_structures(spaceH)).vectors
     for bad in ((99,) * 8, (-1,) + good[1:], (16,) + good[1:], (1.5,) + good[1:], (True,) + good[1:]):
-        with pytest.raises(ValueError, match=r"^vectors must lie in V, integers in 0 \.\. 15, got \["):
+        with pytest.raises(Exception) as raised:
             next(lift_reduced(spaceH, ReducedStructure(bad, "a"), H5))
+        assert (raised.type, str(raised.value)) == (
+            ValueError, f"vectors must lie in V, integers in 0 .. 15, got {list(bad)}"
+        )
     with pytest.raises(ValueError, match="^not a structure: "):
         next(lift_reduced(spaceH, ReducedStructure((0,) * 8, "a"), H5))
     assert len(list(lift_reduced(spaceH, ReducedStructure(tuple(map(np.uint8, good)), "a"), H5))) == 256
